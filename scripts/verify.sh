@@ -65,14 +65,17 @@ cleanup_dirs+=("$cache_dir")
 python -m repro.cli campaign --grid cache=none,l1l2 \
     interconnect=fixed,crossbar --trials 1 --jobs 2 --out "$cache_dir"
 
-echo "== campaign: sanitized perf scenario (protocol-checker smoke) =="
-# One perf scenario with the DRAM protocol sanitizer attached: a
-# timing violation anywhere in the served command stream would raise
-# ProtocolViolation and fail this leg.
+echo "== campaign: sanitized perf scenarios (protocol-checker smoke) =="
+# Perf scenarios with the DRAM protocol sanitizer attached: a timing
+# violation anywhere in the served command stream would raise
+# ProtocolViolation and fail this leg.  TPRAC's TB-RFMs and the
+# periodic REFs land on channels with open banks, so the leg covers
+# Channel.block closing only those banks under its lazy ready floor.
 san_dir="$(mktemp -d)"
 cleanup_dirs+=("$san_dir")
-python -m repro.cli campaign --grid sanitize=true --trials 1 --jobs 2 \
-    --out "$san_dir"
+python -m repro.cli campaign --grid sanitize=true \
+    mitigation=abo_only,tprac,qprac requests_per_core=5000 --trials 1 \
+    --jobs 2 --out "$san_dir"
 
 echo "== campaign: traced perf scenario (telemetry smoke) =="
 # One perf scenario with the full telemetry layer attached: the run

@@ -722,7 +722,12 @@ class MemoryController:
             self._rfm_counters[provenance].inc()
             self._mitigated_rows_counter.inc(len(mitigated))
             t = end
-        for bank in self.channel:
-            bank.activations_since_rfm = 0
-        # The burst moved blocked_until and closed rows on every bank.
+        # Only banks activated since the previous burst can have a
+        # nonzero count.
+        activated = self.channel.activated_banks
+        banks = self._banks
+        for bank_id in sorted(activated):
+            banks[bank_id].activations_since_rfm = 0
+        activated.clear()
+        # The burst moved blocked_until and closed every open row.
         self._invalidate_ready_cache()

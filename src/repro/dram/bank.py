@@ -11,7 +11,7 @@ model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.dram.config import DramConfig
 
@@ -35,15 +35,27 @@ class Bank:
 
     The bank does not schedule anything itself; the memory controller
     asks it for state and tells it what happened.  ``ready_at`` is the
-    earliest time the next ACT may be issued (enforcing tRC / tRP), and
-    ``data_ready_at`` tracks column-command completion.
+    earliest time the next ACT may be issued as far as this bank's own
+    commands and per-bank RFMs go (tRC, RFMpb); it excludes channel-wide
+    REF/RFMab windows, so readers take the max with the owning channel's
+    ``blocked_until`` (see :meth:`repro.dram.rank.Channel.block`).
+
+    ``open_banks`` and ``activated_banks`` are the owning channel's
+    membership sets, which :meth:`activate` and :meth:`precharge` keep
+    exact; a standalone bank gets private ones.
     """
 
-    def __init__(self, config: DramConfig, bank_id: int) -> None:
+    def __init__(
+        self,
+        config: DramConfig,
+        bank_id: int,
+        open_banks: Optional[Set[int]] = None,
+        activated_banks: Optional[Set[int]] = None,
+    ) -> None:
         self.config = config
         self.bank_id = bank_id
         self.open_row: Optional[int] = None
-        self.ready_at: float = 0.0           # earliest next ACT
+        self.ready_at: float = 0.0           # earliest next ACT (bank-local)
         self.precharge_done_at: float = 0.0  # when an in-flight PRE finishes
         self.stats = BankStats()
         # Sparse counter storage: rows never activated hold no entry.
@@ -56,6 +68,10 @@ class Bank:
         self._tRC = config.timing.tRC
         self._tRP = config.timing.tRP
         self._rows_per_bank = config.organization.rows_per_bank
+        self._open_banks: Set[int] = set() if open_banks is None else open_banks
+        self._activated_banks: Set[int] = (
+            set() if activated_banks is None else activated_banks
+        )
 
     # ------------------------------------------------------------------
     # Observation hooks (mitigation queues, alert logic subscribe here)
@@ -72,6 +88,8 @@ class Bank:
         if not 0 <= row < self._rows_per_bank:
             raise ValueError(f"row {row} out of range for bank {self.bank_id}")
         self.open_row = row
+        self._open_banks.add(self.bank_id)
+        self._activated_banks.add(self.bank_id)
         self.ready_at = time + self._tRC
         self.stats.activations += 1
         self.activations_since_rfm += 1
@@ -84,6 +102,7 @@ class Bank:
     def precharge(self, time: float) -> None:
         """Close the open row (if any)."""
         self.open_row = None
+        self._open_banks.discard(self.bank_id)
         self.stats.precharges += 1
         self.precharge_done_at = time + self._tRP
 

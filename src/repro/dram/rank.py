@@ -11,7 +11,7 @@ never cross channels.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Set
 
 from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
@@ -23,8 +23,14 @@ class Channel:
     def __init__(self, config: DramConfig, channel_id: int = 0) -> None:
         self.config = config
         self.channel_id = channel_id
+        #: flat ids of banks with an open row (kept exact by Bank)
+        self.open_banks: Set[int] = set()
+        #: flat ids of banks activated since the last RFMab burst reset
+        #: their ``activations_since_rfm`` (kept by Bank, cleared by the
+        #: controller)
+        self.activated_banks: Set[int] = set()
         self.banks: List[Bank] = [
-            Bank(config, bank_id)
+            Bank(config, bank_id, self.open_banks, self.activated_banks)
             for bank_id in range(config.organization.banks_per_channel)
         ]
         self.bus_free_at: float = 0.0      # shared data bus occupancy
@@ -47,21 +53,31 @@ class Channel:
     def block(self, start: float, duration: float) -> float:
         """Block the whole channel for ``duration`` starting at ``start``.
 
-        All banks' ``ready_at`` are pushed past the window and every
-        open row is closed (RFMab/REFab require all banks precharged).
-        Returns the time the window ends.
+        Every open row is closed (RFMab/REFab require all banks
+        precharged), which touches only the banks in :attr:`open_banks`.
+        The window itself is recorded once, in ``blocked_until``: no
+        bank's ``ready_at`` is written, so every reader of
+        ``Bank.ready_at`` must take the max with ``blocked_until`` to
+        get the bank's effective ACT floor.  Returns the time the window
+        ends.
         """
         end = start + duration
-        self.blocked_until = max(self.blocked_until, end)
-        for bank in self.banks:
-            if bank.open_row is not None:
-                bank.precharge(start)
-            bank.ready_at = max(bank.ready_at, end)
-        self.bus_free_at = max(self.bus_free_at, end)
+        if end > self.blocked_until:
+            self.blocked_until = end
+        if self.open_banks:
+            banks = self.banks
+            for bank_id in sorted(self.open_banks):
+                banks[bank_id].precharge(start)
+        if end > self.bus_free_at:
+            self.bus_free_at = end
         return end
 
     def block_bank(self, flat_bank_id: int, start: float, duration: float) -> float:
-        """Block a single bank (per-bank RFM extension, Section 7.2)."""
+        """Block a single bank (per-bank RFM extension, Section 7.2).
+
+        Unlike :meth:`block` this leaves ``blocked_until`` alone, so the
+        window is written into the bank's own ``ready_at``.
+        """
         end = start + duration
         bank = self.banks[flat_bank_id]
         if bank.open_row is not None:

@@ -12,7 +12,7 @@ via :meth:`attach` and receives these callbacks:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.dram.commands import RfmProvenance
 from repro.obs.metrics import NULL_COUNTER
@@ -20,6 +20,7 @@ from repro.prac.mitigation_queue import MitigationQueue, SingleEntryFrequencyQue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
+    from repro.dram.bank import Bank
     from repro.obs.metrics import MetricsRegistry
 
 #: Builds one per-bank mitigation queue; policies take it so tests can
@@ -35,6 +36,9 @@ class MitigationPolicy:
     def __init__(self, queue_factory: QueueFactory = SingleEntryFrequencyQueue) -> None:
         self._queue_factory = queue_factory
         self.queues: List[MitigationQueue] = []
+        #: flat ids of banks whose queue may hold a victim: an ACT arms
+        #: its bank, a pop that empties the queue disarms it
+        self.armed: Set[int] = set()
         self.controller: Optional["MemoryController"] = None
         self.mitigations_performed = 0
         #: per-row mitigation counter; a live handle when the owning
@@ -50,13 +54,17 @@ class MitigationPolicy:
         """Wire queues to every bank's activation stream."""
         self.controller = controller
         self.queues = []
+        self.armed.clear()
         for bank in controller.channel:
-            queue = self._queue_factory()
-            self.queues.append(queue)
-            bank.on_activate(
-                lambda b, row, count, q=queue: q.observe(row, count)
-            )
+            self.queues.append(self._queue_factory())
+            bank.on_activate(self._observe)
         self.on_attached(controller)
+
+    def _observe(self, bank: "Bank", row: int, count: int) -> None:
+        """Per-ACT hook: feed the bank's queue and arm the bank."""
+        bank_id = bank.bank_id
+        self.queues[bank_id].observe(row, count)
+        self.armed.add(bank_id)
 
     def on_attached(self, controller: "MemoryController") -> None:
         """Subclass hook, called once wiring is complete."""
@@ -66,12 +74,27 @@ class MitigationPolicy:
         self, controller: "MemoryController", time: float, provenance: RfmProvenance
     ) -> Dict[int, int]:
         """Mitigate the queued victim in every bank; returns bank->row."""
+        return self._mitigate_queued(controller)
+
+    def _mitigate_queued(self, controller: "MemoryController") -> Dict[int, int]:
+        """Pop and mitigate one queued victim per bank; returns bank->row.
+
+        Only :attr:`armed` banks are visited, in ascending bank id, so
+        the result matches a pop over every queue: the others are
+        empty, and popping an empty queue changes nothing.
+        """
         mitigated: Dict[int, int] = {}
-        for bank_id, queue in enumerate(self.queues):
+        armed = self.armed
+        queues = self.queues
+        banks = controller.channel.banks
+        for bank_id in sorted(armed):
+            queue = queues[bank_id]
             victim = queue.pop_victim()
+            if not queue:
+                armed.discard(bank_id)
             if victim is None:
                 continue
-            controller.channel.bank(bank_id).mitigate(victim)
+            banks[bank_id].mitigate(victim)
             mitigated[bank_id] = victim
             self.mitigations_performed += 1
             self.mitigation_counter.inc()
@@ -84,6 +107,7 @@ class MitigationPolicy:
         """tREFW counter reset: queues must forget stale counts."""
         for queue in self.queues:
             queue.clear()
+        self.armed.clear()
 
 
 class NoMitigationPolicy(MitigationPolicy):

@@ -52,11 +52,4 @@ class QpracPolicy(MitigationPolicy):
 
     def _service_on_refresh(self, controller: "MemoryController") -> None:
         """Mitigate one queued row per bank in the refresh slack."""
-        for bank_id, queue in enumerate(self.queues):
-            victim = queue.pop_victim()
-            if victim is None:
-                continue
-            controller.channel.bank(bank_id).mitigate(victim)
-            self.mitigations_performed += 1
-            self.proactive_mitigations += 1
-            self.mitigation_counter.inc()
+        self.proactive_mitigations += len(self._mitigate_queued(controller))

@@ -91,12 +91,7 @@ class TpracPolicy(MitigationPolicy):
     # ------------------------------------------------------------------
     def on_tref(self, controller: "MemoryController", time: float) -> None:
         """Mitigate from refresh slack; mark the window as covered."""
-        for bank_id, queue in enumerate(self.queues):
-            victim = queue.pop_victim()
-            if victim is not None:
-                controller.channel.bank(bank_id).mitigate(victim)
-                self.mitigations_performed += 1
-                self.mitigation_counter.inc()
+        self._mitigate_queued(controller)
         self._tref_in_window = True
 
     # ------------------------------------------------------------------

@@ -332,3 +332,76 @@ class TestFig10ByteIdentical:
             sort_keys=True,
         )
         assert as_json(plain) == as_json(sanitized)
+
+
+def _chain(policy, nbo, sanitize, banks=12, nreq=1500, until=200_000):
+    """A dependent request chain over ``banks`` banks of a DDR5 channel.
+
+    Three rows per bank in rotation keep rows open and conflicting, so
+    every REF and RFMab lands on a channel with open banks to close.
+    """
+    config = ddr5_8000b().with_prac(nbo=nbo)
+    mc = MemoryController(
+        Engine(), config, policy=policy,
+        system=SystemConfig(sanitize=sanitize),
+    )
+    state = {"n": 0}
+
+    def issue(req=None):
+        n = state["n"]
+        if n >= nreq:
+            return
+        state["n"] += 1
+        mc.enqueue(MemRequest(
+            phys_addr=bank_address(mc, n % banks, (n // banks) % 3),
+            is_write=(n % 5 == 0), on_complete=issue,
+        ))
+
+    issue()
+    mc.engine.run(until=until)
+    return mc
+
+
+def _outcome(mc):
+    stats = mc.stats
+    return (
+        mc.engine.now,
+        stats.reads, stats.writes, stats.row_hits, stats.row_misses,
+        stats.row_conflicts, stats.total_latency,
+        [(r.time, r.provenance, r.mitigated_rows) for r in stats.rfm_records],
+        mc.refresh.refresh_count,
+        [(b.stats.activations, b.stats.precharges) for b in mc.channel],
+    )
+
+
+class TestChannelWideWindowsAreClean:
+    """REF/RFMab over open banks: sanitizer-clean, results unchanged.
+
+    ``Channel.block`` closes only the open banks and leaves the window
+    in ``blocked_until``; the checker re-derives every ACT's legality
+    from the command stream, so an ACT issued inside a REF or RFMab
+    window, or one a closed row would forbid, is a violation here.
+    """
+
+    @pytest.mark.parametrize(
+        "make_policy, nbo",
+        [
+            (lambda: TpracPolicy(tb_window=2000.0), 100_000),
+            (AboOnlyPolicy, 32),
+        ],
+        ids=["tprac", "abo_only"],
+    )
+    def test_chain_over_banks(self, make_policy, nbo):
+        mc = _chain(make_policy(), nbo, sanitize=True)
+        assert mc.sanitizer is not None
+        assert mc.sanitizer.ok, mc.sanitizer.violations[:3]
+        assert mc.stats.reads + mc.stats.writes == 1500
+        touched = [b.bank_id for b in mc.channel if b.stats.activations]
+        assert len(touched) >= 8
+        # Several tREFI and RFMab windows fell inside the chain.
+        assert mc.refresh.refresh_count >= 3
+        assert mc.channel.rfm_count >= 3
+        assert any(b.stats.precharges for b in mc.channel)
+        plain = _chain(make_policy(), nbo, sanitize=False)
+        assert plain.sanitizer is None
+        assert _outcome(mc) == _outcome(plain)
