@@ -1,32 +1,38 @@
 #!/usr/bin/env bash
-# A/B byte-compare: prove two execution backends produce identical
-# artifacts on the unchanged experiment pipeline.
+# A/B byte-compare: prove two revisions produce identical artifacts on
+# the unchanged experiment pipeline.
 #
-#   scripts/abcompare.sh EVENT_ENGINE OTHER_ENGINE [suite-artifact...]
-#   scripts/abcompare.sh event batched            # full quick suite
-#   scripts/abcompare.sh event sharded fig7 fig8  # subset
+#   scripts/abcompare.sh REV_A [REV_B] [-- suite-artifact...]
+#   scripts/abcompare.sh HEAD~1                 # HEAD~1 vs the working tree
+#   scripts/abcompare.sh main HEAD              # two commits
+#   scripts/abcompare.sh HEAD -- fig7 fig8      # subset, vs the working tree
 #
-# Each side runs the quick suite (every registered artifact, or the
-# given subset) plus the fig3/fig10 CLI renderings, with REPRO_ENGINE
-# forcing the backend through repro.experiments.common.build_system —
-# no scenario spec, config hash or CLI flag differs between the sides.
-# The result trees are diffed byte-for-byte after dropping the two
-# advisory wall-clock keys (elapsed_seconds, cache_key) that never
-# participate in result identity.
+# REV_B defaults to the working tree (uncommitted edits included).  A
+# named revision is exported with `git archive` into a scratch
+# directory and run from there with PYTHONPATH=<tree>/src, so neither
+# side sees the other's source.  Each side runs the quick suite (every
+# registered artifact, or the given subset) plus the fig3/fig10 CLI
+# renderings.  The result trees are diffed byte-for-byte after dropping
+# the two advisory wall-clock keys (elapsed_seconds, cache_key) that
+# never participate in result identity.
 #
-# This is the acceptance harness for the engine tier: "batched" (and,
-# on single-channel artifacts, "sharded") must be indistinguishable
-# from the reference "event" backend here.  It is also the pre/post
-# guard for the default path: comparing event vs event across two
-# checkouts proves a refactor moved nothing.
+# This is what licenses a refactor or deletion: if the bytes do not
+# move between the parent and the change, the change moved nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo="$PWD"
 
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-
-engine_a="${1:?usage: abcompare.sh ENGINE_A ENGINE_B [suite-artifact...]}"
-engine_b="${2:?usage: abcompare.sh ENGINE_A ENGINE_B [suite-artifact...]}"
-shift 2
+usage="usage: abcompare.sh REV_A [REV_B] [-- suite-artifact...]"
+rev_a="${1:?$usage}"
+shift
+rev_b=""
+if (($#)) && [[ "$1" != "--" ]]; then
+    rev_b="$1"
+    shift
+fi
+if (($#)) && [[ "$1" == "--" ]]; then
+    shift
+fi
 only=("$@")
 
 cleanup_dirs=()
@@ -37,18 +43,50 @@ cleanup() {
 }
 trap cleanup EXIT
 
+describe() {
+    # "REV (short sha)" for a revision, "working tree" for the empty one.
+    if [[ -z "$1" ]]; then
+        echo "working tree"
+        return
+    fi
+    local sha
+    sha="$(git rev-parse --short "$1^{commit}")"
+    if [[ "$sha" == "$1" ]]; then
+        echo "$1"
+    else
+        echo "$1 ($sha)"
+    fi
+}
+
+checkout() {
+    # Set $tree to one side's source: the repo itself for the working
+    # tree, else a fresh `git archive` export of the revision.
+    local rev="$1"
+    if [[ -z "$rev" ]]; then
+        tree="$repo"
+        return
+    fi
+    tree="$(mktemp -d)"
+    cleanup_dirs+=("$tree")
+    git archive --format=tar "$rev" | tar -x -C "$tree"
+}
+
 run_side() {
-    local engine="$1" out="$2"
+    local tree="$1" out="$2"
     local only_flag=()
     if ((${#only[@]})); then
         only_flag=(--only "${only[@]}")
     fi
-    # --no-cache: both sides must recompute, or a shared cache would
-    # make the compare vacuous.
-    REPRO_ENGINE="$engine" python -m repro.cli suite --jobs 2 \
-        --out "$out/suite" --no-cache "${only_flag[@]}" > /dev/null
-    REPRO_ENGINE="$engine" python -m repro.cli fig3 > "$out/fig3.txt"
-    REPRO_ENGINE="$engine" python -m repro.cli fig10 > "$out/fig10.txt"
+    (
+        cd "$tree"
+        export PYTHONPATH="$tree/src${PYTHONPATH:+:$PYTHONPATH}"
+        # --no-cache: both sides must recompute, or a shared cache would
+        # make the compare vacuous.
+        python -m repro.cli suite --jobs 2 \
+            --out "$out/suite" --no-cache "${only_flag[@]}" > /dev/null
+        python -m repro.cli fig3 > "$out/fig3.txt"
+        python -m repro.cli fig10 > "$out/fig10.txt"
+    )
 }
 
 strip_volatile() {
@@ -75,21 +113,33 @@ PY
     sed -i '/^---- .* done in [0-9.]*s$/d' "$1"/*.txt
 }
 
+for rev in "$rev_a" "$rev_b"; do
+    if [[ -n "$rev" ]] && ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
+        echo "abcompare: unknown revision '$rev'" >&2
+        exit 2
+    fi
+done
+label_a="$(describe "$rev_a")"
+label_b="$(describe "$rev_b")"
+checkout "$rev_a"
+tree_a="$tree"
+checkout "$rev_b"
+tree_b="$tree"
 dir_a="$(mktemp -d)"
 dir_b="$(mktemp -d)"
 cleanup_dirs+=("$dir_a" "$dir_b")
 
-echo "abcompare: side A (engine=$engine_a)"
-run_side "$engine_a" "$dir_a"
-echo "abcompare: side B (engine=$engine_b)"
-run_side "$engine_b" "$dir_b"
+echo "abcompare: side A ($label_a)"
+run_side "$tree_a" "$dir_a"
+echo "abcompare: side B ($label_b)"
+run_side "$tree_b" "$dir_b"
 
 strip_volatile "$dir_a"
 strip_volatile "$dir_b"
 
 if ! diff -r "$dir_a" "$dir_b"; then
-    echo "abcompare: FAIL — engine=$engine_b diverges from engine=$engine_a" >&2
+    echo "abcompare: FAIL — $label_b diverges from $label_a" >&2
     exit 1
 fi
 count="$(find "$dir_a" -type f | wc -l)"
-echo "abcompare: OK — $count artifacts byte-identical ($engine_a vs $engine_b)"
+echo "abcompare: OK — $count artifacts byte-identical ($label_a vs $label_b)"

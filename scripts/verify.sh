@@ -132,36 +132,6 @@ chaos_report="$(python -m repro.cli obs report "$chaos_dir")"
 grep -q 'health:' <<<"$chaos_report"
 grep -q 'pool_rebuilds' <<<"$chaos_report"
 
-echo "== engines: accelerated backends vs reference (byte-compare + sweep) =="
-# The engine tier's acceptance gate.  REPRO_ENGINE forces a backend
-# through build_system without touching any scenario spec or config
-# hash, and abcompare.sh byte-diffs the resulting artifacts (plus the
-# fig3/fig10 CLI renderings) against the reference event engine.
-scripts/abcompare.sh event batched fig7 fig8 table2
-scripts/abcompare.sh event sharded fig7 fig8 table2
-# The engine= scenario axis must also sweep cleanly through the
-# campaign runner.  --jobs 1 is deliberate: sharded scenarios fork
-# their own per-channel workers, and nested forking from a daemonic
-# pool worker is refused by design.
-engine_dir="$(mktemp -d)"
-cleanup_dirs+=("$engine_dir")
-python -m repro.cli campaign \
-    --grid attack=perf workload=433.milc engine=event,batched,sharded \
-    channels=2 --trials 1 --jobs 1 --seed 0 --out "$engine_dir"
-python - "$engine_dir" <<'PY'
-import json, pathlib, sys
-docs = [
-    json.loads(p.read_text())
-    for p in sorted(pathlib.Path(sys.argv[1]).glob("scenario-*.json"))
-]
-by_engine = {d["spec"].get("engine", "event"): d["metrics"] for d in docs}
-assert set(by_engine) == {"event", "batched", "sharded"}, sorted(by_engine)
-# batched is exact by contract; sharded only quantizes completion
-# times, so its served-work metric must still agree with the reference.
-assert by_engine["batched"] == by_engine["event"], "batched diverged"
-print(f"engines: {len(docs)} perf scenarios swept; batched metrics exact")
-PY
-
 echo "== lints: custom invariant suite =="
 python -m tools.repro_lints
 

@@ -11,9 +11,9 @@ deliberately small ``__all__``:
 * **Sweeping** — :class:`Scenario`, :func:`expand_grid`,
   :func:`run_campaign`, :func:`run_trial`.
 * **Registries** — :data:`SCHEDULERS`, :data:`MAPPINGS`,
-  :data:`REFRESH_POLICIES`, :data:`CACHES`, :data:`INTERCONNECTS`,
-  :data:`ENGINES` and :data:`MITIGATIONS`: the single source of truth
-  for what each component axis can spell.
+  :data:`REFRESH_POLICIES`, :data:`CACHES`, :data:`INTERCONNECTS` and
+  :data:`MITIGATIONS`: the single source of truth for what each
+  component axis can spell.
 
 Import from here (``from repro.api import SystemConfig, build_system``)
 instead of deep-importing construction internals; the internal module
@@ -35,7 +35,6 @@ from repro.config import (
 )
 from repro.controller.memory_system import MemorySystem
 from repro.controller.scheduler import SCHEDULERS
-from repro.core.engines import ENGINES
 from repro.cpu.hierarchy import CACHES
 from repro.cpu.interconnect import INTERCONNECTS
 from repro.cpu.system import System, SystemResult
@@ -68,6 +67,5 @@ __all__ = [
     "REFRESH_POLICIES",
     "CACHES",
     "INTERCONNECTS",
-    "ENGINES",
     "MITIGATIONS",
 ]

@@ -40,7 +40,6 @@ def measure_workload(
         "reps": reps,
         "warmup": warmup,
         "unit": best.unit,
-        "engine": best.engine,
         "work_units": best.work_units,
         "events": best.events,
         "sim_ns": best.sim_ns,

@@ -20,18 +20,6 @@ Workloads:
   cache hierarchy and a fixed-latency interconnect
   (``SystemConfig(cache="l1l2", interconnect="fixed")``); tracks the
   event-driven cache front-end's per-request cost.
-* ``perf_batched`` — the ``perf_multi_core`` shape executed by the
-  ``batched`` engine backend (``SystemConfig(engine="batched")``, the
-  folded serve loop; see :mod:`repro.controller.batched`).  Same pinned
-  work as ``perf_multi_core``, so the two wall times divide into the
-  backend's speedup.  The batched backend elides re-examination wakes,
-  so its ``events``/``events_per_sec`` are **not** comparable to the
-  event backend's — compare ``wall_seconds_best`` over the pinned work.
-* ``perf_parallel`` — a 16-core, 4-channel shape under the ``sharded``
-  engine backend (one worker process per channel, epoch barriers); and
-  ``perf_parallel_event`` — the identical shape on the reference
-  backend, committed alongside so the worker-parallel speedup (or, on
-  starved hosts, overhead) is auditable from one trajectory file.
 * ``campaign_smoke`` — one pinned Monte Carlo ``perf`` trial through
   :func:`repro.campaigns.runners.run_trial` (the campaign engine's
   whole code path: scenario validation, policy construction, paired
@@ -64,7 +52,6 @@ class Measurement:
     sim_ns: float          # simulated nanoseconds covered (0 when n/a)
     work_units: int        # workload-specific unit (requests, picks...)
     unit: str              # name of the workload-specific unit
-    engine: str = "event"  # execution backend that produced the numbers
 
 
 def _system_measurement(
@@ -90,7 +77,6 @@ def _system_measurement(
         sim_ns=result.elapsed_ns,
         work_units=result.dram_requests,
         unit="requests",
-        engine=str(system_axes.get("engine", "event")),
     )
 
 
@@ -119,31 +105,6 @@ def _perf_cached() -> Measurement:
     return _system_measurement(
         cores=4, requests=800, cache="l1l2", interconnect="fixed"
     )
-
-
-def _perf_batched() -> Measurement:
-    """The ``perf_multi_core`` shape on the batched engine backend.
-
-    Byte-identical results to ``perf_multi_core`` by construction (the
-    backends are byte-compared in tests and scripts/abcompare.sh); what
-    this point tracks is the folded serve loop's wall-clock win.  The
-    pure-Python fold runs regardless of numpy availability.
-    """
-    return _system_measurement(
-        cores=4, requests=800, engine="batched", engine_params={"numpy": False}
-    )
-
-
-def _perf_parallel() -> Measurement:
-    """16-core, 4-channel shape on the sharded engine backend."""
-    return _system_measurement(
-        cores=16, requests=800, channels=4, engine="sharded"
-    )
-
-
-def _perf_parallel_event() -> Measurement:
-    """The ``perf_parallel`` shape on the reference event backend."""
-    return _system_measurement(cores=16, requests=800, channels=4)
 
 
 def _campaign_smoke() -> Measurement:
@@ -262,21 +223,6 @@ WORKLOADS: Dict[str, BenchWorkload] = {
             name="perf_cached",
             title="4-core 433.milc, L1/L2 hierarchy + fixed link, TPRAC@1024",
             run=_perf_cached,
-        ),
-        BenchWorkload(
-            name="perf_batched",
-            title="4-core 433.milc, TPRAC@1024, batched engine (serve-loop fold)",
-            run=_perf_batched,
-        ),
-        BenchWorkload(
-            name="perf_parallel",
-            title="16-core 433.milc, 4 channels, TPRAC@1024, sharded engine",
-            run=_perf_parallel,
-        ),
-        BenchWorkload(
-            name="perf_parallel_event",
-            title="16-core 433.milc, 4 channels, TPRAC@1024, event engine",
-            run=_perf_parallel_event,
         ),
         BenchWorkload(
             name="campaign_smoke",

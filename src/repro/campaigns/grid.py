@@ -6,7 +6,8 @@ e.g. ``{"attack": ["aes_side_channel"], "mitigation": ["abo_only",
 cartesian product and returns validated :class:`Scenario` instances in
 deterministic order.  Axis names that are not scenario fields become
 per-scenario ``params`` entries, so attack tuning knobs (``symbols``,
-``encryptions``, ``crash_seeds``…) sweep exactly like first-class axes.
+``encryptions``, ``crash_seeds``…) sweep exactly like first-class axes;
+the names of removed axes (:data:`REMOVED_AXES`) raise instead.
 
 :func:`parse_grid_tokens` turns CLI tokens (``nbo=128,256``) into such
 a mapping, coercing ints/floats/bools while leaving names as strings.
@@ -22,9 +23,17 @@ from repro.campaigns.scenario import Scenario
 #: First-class scenario fields an axis can address directly.
 SCENARIO_AXES = (
     "attack", "mitigation", "workload", "dram", "nbo", "prac_level", "channels",
-    "scheduler", "mapping", "refresh", "cache", "interconnect", "engine",
+    "scheduler", "mapping", "refresh", "cache", "interconnect",
     "sanitize", "trace", "metrics",
 )
+
+#: Axes earlier revisions accepted -> why they are gone.  As unknown
+#: names they would become ``params`` entries that no runner reads,
+#: silently repeating one simulation under new scenario IDs, so they
+#: (and their ``<axis>_params`` spelling) fail fast instead.
+REMOVED_AXES = {
+    "engine": "every system runs on the one event kernel",
+}
 
 
 def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Scenario]:
@@ -38,6 +47,10 @@ def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Scenario]:
     """
     if "attack" not in axes:
         raise ValueError("a grid needs an 'attack' axis")
+    for name in axes:
+        reason = REMOVED_AXES.get(name.removesuffix("_params"))
+        if reason is not None:
+            raise ValueError(f"grid axis {name!r} was removed: {reason}")
     names = list(axes)
     value_lists = []
     for name in names:

@@ -27,7 +27,6 @@ from repro import mitigations
 from repro.analysis.storage import content_key
 from repro.config import (
     DEFAULT_CACHE,
-    DEFAULT_ENGINE,
     DEFAULT_INTERCONNECT,
     DEFAULT_MAPPING,
     DEFAULT_REFRESH,
@@ -71,7 +70,6 @@ class Scenario:
     refresh: str = DEFAULT_REFRESH
     cache: str = DEFAULT_CACHE
     interconnect: str = DEFAULT_INTERCONNECT
-    engine: str = DEFAULT_ENGINE
     sanitize: bool = False
     trace: bool = False
     metrics: bool = False
@@ -156,7 +154,6 @@ class Scenario:
             refresh=self.refresh,
             cache=self.cache,
             interconnect=self.interconnect,
-            engine=self.engine,
             sanitize=self.sanitize,
             trace=self.trace,
             metrics=self.metrics,
@@ -228,8 +225,6 @@ class Scenario:
             parts.append(self.cache)
         if self.interconnect != DEFAULT_INTERCONNECT:
             parts.append(self.interconnect)
-        if self.engine != DEFAULT_ENGINE:
-            parts.append(self.engine)
         if self.sanitize:
             parts.append("sanitize")
         if self.trace:

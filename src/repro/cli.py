@@ -170,7 +170,6 @@ def _system_config(args):
             ("refresh", args.refresh),
             ("cache", args.cache),
             ("interconnect", args.interconnect),
-            ("engine", args.engine),
         )
         if value is not None
     }
@@ -683,12 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache<->memory interconnect for the perf artifacts "
              "(none/fixed/crossbar; default none)",
     )
-    parser.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="execution backend for the perf artifacts "
-             "(event/batched/sharded; default event, the exact "
-             "reference kernel)",
-    )
     shared = parser.add_argument_group("suite/campaign shared options")
     shared.add_argument(
         "--jobs", type=int, default=None,
@@ -880,7 +873,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--refresh", args.refresh is not None),
             ("--cache", args.cache is not None),
             ("--interconnect", args.interconnect is not None),
-            ("--engine", args.engine is not None),
         )
         if on
     ]

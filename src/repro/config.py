@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.scheduler import BankQueueScheduler
     from repro.core.engine import Engine
-    from repro.core.engines import EngineBackend
     from repro.cpu.hierarchy import MemoryHierarchy
     from repro.cpu.interconnect import Interconnect
     from repro.dram.address import AddressMapping
@@ -49,7 +48,6 @@ DEFAULT_REFRESH = "periodic"
 DEFAULT_PAGE_POLICY = "open"
 DEFAULT_CACHE = "none"
 DEFAULT_INTERCONNECT = "none"
-DEFAULT_ENGINE = "event"
 
 #: Every registry-backed component axis, in declaration order.  Each
 #: axis ``a`` is a pair of fields — ``a`` (the registered name) and
@@ -57,9 +55,7 @@ DEFAULT_ENGINE = "event"
 #: :meth:`SystemConfig.validate` / :meth:`SystemConfig.component` paths
 #: are driven by this table, so a future axis is one tuple entry plus
 #: its two fields, not another hand-written clause.
-COMPONENT_AXES = (
-    "scheduler", "mapping", "refresh", "cache", "interconnect", "engine",
-)
+COMPONENT_AXES = ("scheduler", "mapping", "refresh", "cache", "interconnect")
 
 
 def component_registries() -> Dict[str, "Registry"]:
@@ -69,7 +65,6 @@ def component_registries() -> Dict[str, "Registry"]:
     components and the component modules import this one.
     """
     from repro.controller.scheduler import SCHEDULERS
-    from repro.core.engines import ENGINES
     from repro.cpu.hierarchy import CACHES
     from repro.cpu.interconnect import INTERCONNECTS
     from repro.dram.address import MAPPINGS
@@ -81,7 +76,6 @@ def component_registries() -> Dict[str, "Registry"]:
         "refresh": REFRESH_POLICIES,
         "cache": CACHES,
         "interconnect": INTERCONNECTS,
-        "engine": ENGINES,
     }
 
 
@@ -109,17 +103,11 @@ class SystemConfig:
     #: interconnect between the last cache level (or the cores) and the
     #: memory system (:data:`repro.cpu.interconnect.INTERCONNECTS`).
     interconnect: str = DEFAULT_INTERCONNECT
-    #: execution backend (:data:`repro.core.engines.ENGINES`);
-    #: ``"event"`` is the exact historical kernel, ``"batched"`` the
-    #: numpy-accelerated controller hot loop, ``"sharded"`` per-channel
-    #: worker processes for ``channels > 1``.
-    engine: str = DEFAULT_ENGINE
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
     mapping_params: Mapping[str, Any] = field(default_factory=dict)
     refresh_params: Mapping[str, Any] = field(default_factory=dict)
     cache_params: Mapping[str, Any] = field(default_factory=dict)
     interconnect_params: Mapping[str, Any] = field(default_factory=dict)
-    engine_params: Mapping[str, Any] = field(default_factory=dict)
     #: Attach the online DRAM protocol sanitizer
     #: (:class:`repro.dram.sanitizer.ProtocolChecker`) to every
     #: controller.  Purely observational: results are bit-identical,
@@ -220,18 +208,6 @@ class SystemConfig:
             tref_per_trefi=tref_per_trefi,
             **dict(self.refresh_params),
         )
-
-    def make_engine(self) -> "EngineBackend":
-        """Build this config's execution backend.
-
-        ``engine_params`` are keyword arguments of the backend factory
-        (e.g. ``{"numpy": False}`` for the batched backend's
-        pure-Python fallback, ``{"quantum": 4000.0}`` for the sharded
-        backend's epoch length).
-        """
-        from repro.core.engines import ENGINES
-
-        return ENGINES.make(self.engine, **dict(self.engine_params))
 
     def make_interconnect(self) -> "Optional[Interconnect]":
         """Build this config's interconnect (``None`` for ``"none"``)."""

@@ -34,7 +34,6 @@ from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.controller.stats import ControllerStats
 from repro.core.engine import Engine
-from repro.core.engines import EngineBackend
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
@@ -85,7 +84,6 @@ class MemorySystem:
         system: Optional[SystemConfig] = None,
         page_policy: Optional[str] = None,
         mapping: Optional[AddressMapping] = None,
-        backend: Optional[EngineBackend] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
         config = system.apply_to(config).validate()
@@ -102,12 +100,6 @@ class MemorySystem:
         self.config = config
         self.system = system
         self.channels = channels
-        #: the execution backend deciding the controller class per
-        #: channel; direct construction without one resolves it from
-        #: the system config's ``engine=`` axis.
-        self.backend: EngineBackend = (
-            backend if backend is not None else system.make_engine()
-        )
         if policy_factory is None:
             def make_policy(channel_id: int) -> Optional[object]:
                 return policy
@@ -134,7 +126,7 @@ class MemorySystem:
         # refresh timers at construction, so event seq numbers (and
         # with them the whole event schedule) are deterministic.
         self.controllers: List[MemoryController] = [
-            self.backend.make_controller(
+            MemoryController(
                 engine,
                 config,
                 policy=make_policy(channel_id),

@@ -65,7 +65,6 @@ from typing import (
 __all__ = [
     "FAULT_PLAN_ENV",
     "RetryPolicy",
-    "ShardProcess",
     "TransientError",
     "error_entry",
     "map_tasks",
@@ -660,82 +659,3 @@ def _supervise_inline(
             if delay > 0:
                 time.sleep(delay)
         yield from state.drain_ready()
-
-
-# ----------------------------------------------------------------------
-# Persistent shard workers (the sharded engine backend)
-# ----------------------------------------------------------------------
-class ShardProcess:
-    """A persistent fork-based worker process with a message pipe.
-
-    The pool machinery above is built for independent, stateless tasks;
-    the sharded engine backend (:mod:`repro.controller.sharded`) needs
-    the opposite: long-lived workers that hold simulation state across
-    many small exchanges.  This helper owns that lifecycle — fork the
-    child (so the target closure and everything it captures are
-    inherited, never pickled), exchange picklable messages over a duplex
-    pipe, and surface worker crashes as structured
-    :func:`error_entry`-style failures instead of hangs.
-
-    ``target`` is called as ``target(conn)`` in the child and owns the
-    protocol; it should catch its own exceptions, ``conn.send`` an
-    ``("error", entry)`` tuple, and exit.  :meth:`recv` turns such a
-    tuple (or a dead pipe) into a raised :class:`RuntimeError`.
-    """
-
-    def __init__(self, target: Callable[[Any], None], name: str) -> None:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            raise RuntimeError(
-                "cannot start shard workers from a daemonic process "
-                "(e.g. inside a campaign/artifact pool worker); run "
-                "sharded-engine simulations with --jobs 1"
-            )
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError(
-                "the sharded engine backend needs the 'fork' process "
-                "start method, which this platform does not provide"
-            ) from None
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(target=target, args=(child_conn,), name=name)
-        self._proc.daemon = True
-        self._proc.start()
-        child_conn.close()
-        self.name = name
-
-    def send(self, message: Any) -> None:
-        """Ship a picklable message; a dead worker raises RuntimeError."""
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise RuntimeError(f"shard worker {self.name!r} died: {exc}") from exc
-
-    def recv(self) -> Any:
-        """Next message; worker death or an error tuple raises RuntimeError."""
-        try:
-            message = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {self.name!r} died without replying: {exc}"
-            ) from exc
-        if isinstance(message, tuple) and message and message[0] == "error":
-            raise RuntimeError(
-                f"shard worker {self.name!r} failed: "
-                f"{message[1].get('type')}: {message[1].get('message')}\n"
-                f"{message[1].get('traceback', '')}"
-            )
-        return message
-
-    def close(self) -> None:
-        """Close the pipe and reap the child (terminate if stuck)."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        self._proc.join(timeout=5.0)
-        if self._proc.is_alive():  # pragma: no cover - stuck worker
-            self._proc.terminate()
-            self._proc.join(timeout=5.0)

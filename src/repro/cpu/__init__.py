@@ -8,7 +8,6 @@ which yields realistic memory-level parallelism (and hence realistic
 sensitivity to RFM-induced channel blocking).
 """
 
-from repro.cpu.cache import Cache, CacheHierarchy
 from repro.cpu.core import CoreParams, TraceCore
 from repro.cpu.hierarchy import CACHES, MemoryHierarchy, SetAssocCache
 from repro.cpu.interconnect import (
@@ -22,8 +21,6 @@ from repro.cpu.trace import TraceRecord, synthesize_trace
 
 __all__ = [
     "CACHES",
-    "Cache",
-    "CacheHierarchy",
     "CoreParams",
     "CrossbarInterconnect",
     "FixedLatencyInterconnect",

@@ -1,12 +1,14 @@
 """Trace-driven core with a ROB-window memory-level-parallelism model.
 
 The core replays a trace of (compute gap, memory access) records.
-Non-memory instructions retire at the pipeline's peak width; memory
-accesses that miss the caches become DRAM requests.  The core may run
-ahead of its *oldest* outstanding DRAM request by at most ``rob_size``
-instructions — the same constraint a 352-entry reorder buffer imposes —
-so memory-intensive traces naturally exhibit limited MLP and are slowed
-by RFM-induced channel blocking exactly as in the paper.
+Non-memory instructions retire at the pipeline's peak width; every
+memory access becomes a request to the memory target (the memory
+system, or the event-driven cache hierarchy in front of it).  The core
+may run ahead of its *oldest* outstanding request by at most
+``rob_size`` instructions — the same constraint a 352-entry reorder
+buffer imposes — so memory-intensive traces naturally exhibit limited
+MLP and are slowed by RFM-induced channel blocking exactly as in the
+paper.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import partial
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.controller.request import MemRequest
-from repro.cpu.cache import CacheHierarchy
 from repro.cpu.trace import TraceCursor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +47,7 @@ class CoreParams:
 
 
 class TraceCore:
-    """One core replaying a trace through optional caches to DRAM."""
+    """One core replaying a trace into its memory target."""
 
     def __init__(
         self,
@@ -55,19 +56,18 @@ class TraceCore:
         cursor: TraceCursor,
         core_id: int,
         params: Optional[CoreParams] = None,
-        caches: Optional[CacheHierarchy] = None,
         max_requests: Optional[int] = None,
     ) -> None:
         self.engine = engine
-        #: request sink: a bare :class:`MemoryController` or the
+        #: request sink: a bare :class:`MemoryController`, the
         #: multi-channel :class:`~repro.controller.memory_system.MemorySystem`
-        #: facade — the core only calls ``enqueue`` and lets the memory
-        #: side route by physical address.
+        #: facade or a :class:`~repro.cpu.hierarchy.MemoryHierarchy` —
+        #: the core only calls ``enqueue`` and lets the memory side
+        #: route by physical address.
         self.memory = memory
         self.cursor = cursor
         self.core_id = core_id
         self.params = params or CoreParams()
-        self.caches = caches
         self.max_requests = max_requests
 
         self.insts_retired = 0
@@ -147,48 +147,27 @@ class TraceCore:
 
         compute_ns = (record.gap_insts / self._width) * self._cycle_ns
         self.insts_retired += record.gap_insts + 1
-        extra_ns = 0.0
-        needs_dram = True
-        is_write = record.is_write
-        if self.caches is not None:
-            needs_dram, lookup_ns, writebacks = self.caches.access(
-                record.phys_addr, is_write
-            )
-            extra_ns += lookup_ns
-            for writeback in writebacks:
-                self._issue_dram(writeback, is_write=True, count_outstanding=False)
         engine = self.engine
-        if needs_dram:
-            engine.schedule(
-                engine.now + compute_ns + extra_ns,
-                partial(self._issue_dram, record.phys_addr, record.is_write),
-                0,
-                self._mem_label,
-            )
-        else:
-            engine.schedule(engine.now + compute_ns + extra_ns, self._advance)
+        engine.schedule(
+            engine.now + compute_ns,
+            partial(self._issue_dram, record.phys_addr, record.is_write),
+            0,
+            self._mem_label,
+        )
 
-    def _issue_dram(
-        self, phys_addr: int, is_write: bool, count_outstanding: bool = True
-    ) -> None:
+    def _issue_dram(self, phys_addr: int, is_write: bool) -> None:
         self.dram_requests += 1
         inst_mark = self.insts_retired
-        if count_outstanding:
-            self._outstanding.append(inst_mark)
+        self._outstanding.append(inst_mark)
         request = MemRequest(
             phys_addr=phys_addr,
             is_write=is_write,
             core_id=self.core_id,
-            on_complete=(
-                (lambda req, mark=inst_mark: self._dram_done(mark))
-                if count_outstanding
-                else None
-            ),
+            on_complete=lambda req, mark=inst_mark: self._dram_done(mark),
         )
         self.memory.enqueue(request)
-        if count_outstanding:
-            # Keep fetching ahead of the miss (the ROB check gates this).
-            self.engine.schedule(self.engine.now, self._advance)
+        # Keep fetching ahead of the miss (the ROB check gates this).
+        self.engine.schedule(self.engine.now, self._advance)
 
     def _dram_done(self, inst_mark: int) -> None:
         outstanding = self._outstanding

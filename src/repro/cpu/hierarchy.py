@@ -1,17 +1,15 @@
 """Event-driven cache hierarchy: private L1s, a shared banked L2, MSHRs.
 
-This is the configurable front-end ROADMAP's top open item calls for:
-per-core private L1 data caches and one shared, banked, write-back /
-write-allocate L2 between the trace cores and the
-:class:`~repro.controller.memory_system.MemorySystem` facade.  Unlike
-the synchronous :class:`repro.cpu.cache.CacheHierarchy` (a lookup-cost
-model kept for the AES experiments), this hierarchy lives on the
-discrete-event engine: lookups take simulated time, the L2's banks
-serialize concurrent probes, misses allocate MSHRs that merge
-same-line requests into one DRAM fill, and dirty victims become real
-DRAM write traffic — so cache behaviour composes with DRAM timing and
-every scheduler/refresh/mitigation axis sees the filtered, bursty
-request stream a real memory controller would.
+The simulator's one cache model: per-core private L1 data caches and
+one shared, banked, write-back / write-allocate L2 between the trace
+cores and the :class:`~repro.controller.memory_system.MemorySystem`
+facade.  The hierarchy lives on the discrete-event engine: lookups
+take simulated time, the L2's banks serialize concurrent probes,
+misses allocate MSHRs that merge same-line requests into one DRAM
+fill, and dirty victims become real DRAM write traffic — so cache
+behaviour composes with DRAM timing and every
+scheduler/refresh/mitigation axis sees the filtered, bursty request
+stream a real memory controller would.
 
 Fill semantics are fill-at-completion: a missing line is installed
 (L2, then each waiting core's L1) only when DRAM returns it, and every
@@ -28,11 +26,11 @@ object is constructed at all, keeping the default path byte-stable).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.controller.request import MemRequest
-from repro.cpu.cache import CacheStats
 from repro.cpu.interconnect import Interconnect
 from repro.registry import Registry
 
@@ -54,14 +52,33 @@ CACHES.register("none", lambda *args, **kwargs: None)
 REPLACEMENT_POLICIES = ("lru", "plru")
 
 
+@dataclass
+class CacheStats:
+    """Per-level demand and eviction counters."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    writebacks: int = 0
+    flushes: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.accesses if self.accesses else 0.0
+
+
 class SetAssocCache:
     """One set-associative cache level with pluggable replacement.
 
-    Tags and dirty bits only — data never matters for timing.  Unlike
-    :class:`repro.cpu.cache.Cache`, a miss does **not** fill the line:
-    :meth:`access` only probes/updates, and the owner installs the line
-    via :meth:`install` when the fill actually arrives, so MSHR-covered
-    windows behave like real hardware.
+    Tags and dirty bits only — data never matters for timing.  A miss
+    does **not** fill the line: :meth:`access` only probes/updates, and
+    the owner installs the line via :meth:`install` when the fill
+    actually arrives, so MSHR-covered windows behave like real
+    hardware.
 
     ``replacement`` is ``"lru"`` (exact, recency-stamped) or ``"plru"``
     (tree pseudo-LRU; requires a power-of-two way count).

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.config import DEFAULT_SYSTEM, SystemConfig
+from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.core.engine import Engine
-from repro.cpu.cache import CacheHierarchy
 from repro.cpu.core import CoreParams, TraceCore
 from repro.cpu.interconnect import InterconnectFront
 from repro.cpu.trace import TraceCursor, TraceRecord
@@ -80,7 +79,6 @@ class System:
         policy: Optional[object] = None,
         policy_factory: Optional[Callable[[], object]] = None,
         core_params: Optional[CoreParams] = None,
-        use_caches: bool = False,
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
@@ -90,17 +88,9 @@ class System:
     ) -> None:
         if not traces:
             raise ValueError("need at least one trace")
-        # The engine= axis picks the execution backend (event kernel,
-        # batched controller loop, sharded channels); the backend then
-        # decides the engine, the memory facade, and how run() drives
-        # the simulation.  The default resolves to the historical
-        # event kernel with identical construction order.
-        self.backend = (
-            system if system is not None else DEFAULT_SYSTEM
-        ).validate().make_engine()
-        self.engine = self.backend.make_engine()
+        self.engine = Engine()
         self.config = config or ddr5_8000b()
-        self.memory = self.backend.make_memory(
+        self.memory = MemorySystem(
             self.engine,
             self.config,
             policy=policy,
@@ -138,14 +128,12 @@ class System:
         self.front = front
         self.cores: List[TraceCore] = []
         for core_id, trace in enumerate(traces):
-            caches = CacheHierarchy() if use_caches else None
             core = TraceCore(
                 self.engine,
                 front,
                 TraceCursor(trace),
                 core_id=core_id,
                 params=core_params,
-                caches=caches,
                 max_requests=max_requests_per_core,
             )
             core.on_finish = self._core_finished
@@ -175,11 +163,26 @@ class System:
         """Run all cores to completion (or ``until``); gather results.
 
         The refresh/TB-RFM timers re-arm forever, so the run terminates
-        on core completion rather than queue exhaustion.
+        on core completion rather than queue exhaustion: the per-core
+        finish hooks request the engine stop, or an explicit horizon
+        steps the engine until it is reached.
         """
         for core in self.cores:
             core.start()
-        self.backend.run_system(self, until=until, max_events=max_events)
+        engine = self.engine
+        if until is None:
+            if self._unfinished > 0:
+                engine.run(max_events=max_events)
+        else:
+            fired = 0
+            while fired < max_events:
+                if engine.now >= until:
+                    break
+                if self._unfinished == 0:
+                    break
+                if not engine.step():
+                    break
+                fired += 1
         return self._gather_result()
 
     # ------------------------------------------------------------------

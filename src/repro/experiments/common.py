@@ -71,19 +71,6 @@ def build_system(
     and one fresh policy instance — per channel, keeping outputs
     exactly.
     """
-    # REPRO_ENGINE forces an execution backend onto every built system
-    # without touching any scenario spec or CLI invocation — the hook
-    # scripts/abcompare.sh uses to prove backends byte-identical on the
-    # unchanged artifact pipeline.  Explicit engine= axes win over it.
-    forced_engine = os.environ.get("REPRO_ENGINE")
-    if forced_engine:
-        from repro.config import DEFAULT_ENGINE
-
-        base = system if system is not None else SystemConfig()
-        if base.engine == DEFAULT_ENGINE:
-            from dataclasses import replace as _replace
-
-            system = _replace(base, engine=forced_engine).validate()
     config = config or ddr5_8000b()
     with_reset = point.design != "tprac_noreset"
     config = config.with_prac(

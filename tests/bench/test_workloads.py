@@ -12,9 +12,6 @@ def test_registry_names_are_stable():
         "perf_single_core",
         "perf_multi_channel",
         "perf_cached",
-        "perf_batched",
-        "perf_parallel",
-        "perf_parallel_event",
         "campaign_smoke",
         "scheduler_pick",
         "scheduler_pick_fcfs",

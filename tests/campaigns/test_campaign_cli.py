@@ -79,6 +79,13 @@ def test_campaign_bad_grid_token_errors(capsys):
     assert "bad grid token" in capsys.readouterr().err
 
 
+def test_campaign_removed_axis_errors_before_running(tmp_path, capsys):
+    args = ["campaign", "--grid", "attack=selftest", "engine=event,batched"]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "grid axis 'engine' was removed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_campaign_empty_grid_errors_instead_of_running_builtin(capsys):
     assert main(["campaign", "--grid"]) == 2
     assert "--grid given but no" in capsys.readouterr().err

@@ -36,6 +36,16 @@ def test_unknown_axes_become_params():
     assert scenario.params == {"crash_seeds": "1+2", "symbols": 6}
 
 
+@pytest.mark.parametrize("suffix", ["", "_params"], ids=["axis", "params"])
+def test_removed_engine_axis_fails_fast(suffix):
+    # Unknown axes become params, but no runner reads a removed axis
+    # there: the sweep would silently repeat one simulation under new
+    # scenario IDs.  Name the axis and refuse instead.
+    name = "engine" + suffix
+    with pytest.raises(ValueError, match=f"grid axis '{name}' was removed"):
+        expand_grid({"attack": ["perf"], name: ["event", "batched"]})
+
+
 def test_grid_requires_attack_axis_and_nonempty_values():
     with pytest.raises(ValueError, match="attack"):
         expand_grid({"mitigation": ["tprac"]})

@@ -354,3 +354,77 @@ def test_drain_inside_a_callback_counts_events_scheduled_after_it():
     assert engine.pending == 2  # the two post-drain events are still live
     engine.run()
     assert engine.pending == 0
+
+
+def test_run_until_is_inclusive():
+    engine = Engine()
+    fired = []
+    engine.schedule(10.0, lambda: fired.append("at-horizon"))
+    engine.schedule(10.0 + 1e-9, lambda: fired.append("past-horizon"))
+    engine.run(until=10.0)
+    assert fired == ["at-horizon"]
+    assert engine.now == 10.0
+
+
+def test_repeated_run_until_fires_each_event_once():
+    """Successive run(until=) horizons fire every event exactly once,
+    in time order, and land the clock on each horizon."""
+    engine = Engine()
+    fired = []
+    for t in (2.5, 7.5, 12.5, 17.5):
+        engine.schedule(t, lambda t=t: fired.append(t))
+    for horizon in (5.0, 10.0, 15.0, 20.0):
+        engine.run(until=horizon)
+        assert engine.now == horizon
+    assert fired == [2.5, 7.5, 12.5, 17.5]
+
+
+def test_max_events_none_resumes_after_a_capped_run():
+    engine = Engine()
+    fired = []
+    for t in range(5):
+        engine.schedule(float(t), lambda t=t: fired.append(t))
+    engine.run(max_events=2)
+    assert fired == [0, 1]
+    engine.run(max_events=None)
+    assert fired == [0, 1, 2, 3, 4]
+
+
+def test_request_stop_freezes_clock_until_the_next_run():
+    engine = Engine()
+    fired = []
+
+    def stopper():
+        fired.append(engine.now)
+        engine.request_stop()
+
+    engine.schedule(3.0, stopper)
+    engine.schedule(9.0, lambda: fired.append(engine.now))
+    engine.run(until=50.0)
+    # stop exits before the horizon advance: the clock stays at the
+    # stopping event, and the next run picks up from there
+    assert engine.now == 3.0
+    engine.run(until=50.0)
+    assert fired == [3.0, 9.0]
+    assert engine.now == 50.0
+
+
+def test_repeating_timer_fires_on_period_and_stops():
+    engine = Engine()
+    fired = []
+    timer = engine.every(10.0, lambda: fired.append(engine.now))
+    engine.run(until=35.0)
+    assert fired == [10.0, 20.0, 30.0]
+    timer.stop()
+    engine.run(until=100.0)
+    assert fired == [10.0, 20.0, 30.0]
+    assert engine.now == 100.0
+
+
+def test_repeating_timer_stop_from_inside_callback():
+    """stop() from within the callback must prevent the re-arm."""
+    engine = Engine()
+    fired = []
+    timer = engine.every(10.0, lambda: (fired.append(engine.now), timer.stop()))
+    engine.run(until=100.0)
+    assert fired == [10.0]

@@ -62,91 +62,3 @@ def test_to_jsonable_remains_available_for_both_subsystems():
         x: int
 
     assert to_jsonable({(1, 2): [Point(3)]}) == {"(1, 2)": [{"x": 3}]}
-
-
-# ----------------------------------------------------------------------
-# ShardProcess: the sharded engine backend's worker lifecycle
-# ----------------------------------------------------------------------
-def _echo_worker(conn):
-    while True:
-        message = conn.recv()
-        if message == ("stop",):
-            conn.send(("bye",))
-            return
-        conn.send(("echo", message))
-
-
-def _crashing_worker(conn):
-    from repro.core.executor import error_entry
-
-    conn.recv()
-    conn.send(("error", error_entry(ValueError("shard blew up"))))
-
-
-def test_shard_process_round_trips_messages():
-    from repro.core.executor import ShardProcess
-
-    worker = ShardProcess(_echo_worker, name="echo")
-    try:
-        worker.send(("epoch", 100.0, [1, 2, 3]))
-        assert worker.recv() == ("echo", ("epoch", 100.0, [1, 2, 3]))
-        worker.send(("stop",))
-        assert worker.recv() == ("bye",)
-    finally:
-        worker.close()
-
-
-def test_shard_process_error_tuple_raises():
-    from repro.core.executor import ShardProcess
-
-    worker = ShardProcess(_crashing_worker, name="crasher")
-    try:
-        worker.send(("epoch", 0.0, []))
-        with pytest.raises(RuntimeError, match="shard blew up"):
-            worker.recv()
-    finally:
-        worker.close()
-
-
-def test_shard_process_dead_worker_raises_not_hangs():
-    from repro.core.executor import ShardProcess
-
-    def _exit_immediately(conn):
-        conn.close()
-
-    worker = ShardProcess(_exit_immediately, name="ghost")
-    try:
-        with pytest.raises(RuntimeError, match="died"):
-            worker.recv()
-    finally:
-        worker.close()
-
-
-def test_shard_process_refuses_daemonic_parent():
-    """Campaign pool workers are daemonic; forking shards from inside one
-    must fail fast with the --jobs 1 guidance rather than crash deep in
-    multiprocessing."""
-    import multiprocessing
-
-    def _try_nested(conn):
-        from repro.core.executor import ShardProcess, error_entry
-
-        try:
-            ShardProcess(_echo_worker, name="nested")
-        except RuntimeError as exc:
-            conn.send(("raised", str(exc)))
-        except Exception as exc:  # pragma: no cover - wrong error type
-            conn.send(("error", error_entry(exc)))
-        else:  # pragma: no cover - no error at all
-            conn.send(("error", {"type": "AssertionError", "message": "no raise"}))
-
-    ctx = multiprocessing.get_context("fork")
-    parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_try_nested, args=(child,), name="daemonic-parent")
-    proc.daemon = True
-    proc.start()
-    child.close()
-    kind, text = parent.recv()
-    proc.join(timeout=5.0)
-    assert kind == "raised"
-    assert "--jobs 1" in text

@@ -1,122 +1,92 @@
-"""Unit tests for the cache model."""
+"""Unit tests for one cache level of the cache model (``SetAssocCache``).
+
+Unlike a fill-on-miss cache, a demand miss here only probes: the owner
+installs the line when the fill arrives, so each test installs lines
+explicitly.
+"""
 
 import pytest
 
-from repro.cpu.cache import Cache, CacheHierarchy
+from repro.core.engine import Engine
+from repro.cpu.hierarchy import SetAssocCache
+from tests.cpu.test_hierarchy import FakeMemory, make_hierarchy, run_requests
 
 
 def test_miss_then_hit():
-    cache = Cache("L1", size_bytes=4096, ways=4)
-    hit, wb = cache.access(0)
-    assert not hit and wb is None
-    hit, wb = cache.access(0)
-    assert hit
+    cache = SetAssocCache("L1", size_bytes=4096, ways=4)
+    assert not cache.access(0)
+    assert cache.install(0) is None
+    assert cache.access(0)
 
 
 def test_size_must_divide():
-    with pytest.raises(ValueError):
-        Cache("bad", size_bytes=1000, ways=3)
+    with pytest.raises(ValueError, match="divisible"):
+        SetAssocCache("bad", size_bytes=1000, ways=3)
 
 
 def test_lru_eviction_order():
-    # 2 ways, 1 set: third distinct line evicts the least recent.
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)        # line A
-    cache.access(64)       # line B
-    cache.access(0)        # touch A -> B becomes LRU
-    cache.access(128)      # evicts B
+    # 2 ways, 1 set: the third distinct line evicts the least recent.
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    cache.install(0)        # line A
+    cache.install(64)       # line B
+    assert cache.access(0)  # touch A -> B becomes LRU
+    cache.install(128)      # evicts B
     assert cache.contains(0)
     assert not cache.contains(64)
     assert cache.contains(128)
 
 
 def test_dirty_eviction_reports_writeback_address():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0, is_write=True)
-    cache.access(64)
-    hit, wb = cache.access(128)
-    assert wb == 0
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    cache.install(0, dirty=True)
+    cache.install(64)
+    assert cache.install(128) == (0, True)
     assert cache.stats.writebacks == 1
 
 
 def test_clean_eviction_no_writeback():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)
-    cache.access(64)
-    hit, wb = cache.access(128)
-    assert wb is None
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    cache.install(0)
+    cache.install(64)
+    assert cache.install(128) == (0, False)
+    assert cache.stats.evictions == 1
+    assert cache.stats.writebacks == 0
 
 
 def test_write_hit_marks_dirty():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)
-    cache.access(0, is_write=True)
-    cache.access(64)
-    _, wb = cache.access(128)
-    assert wb == 0
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    cache.install(0)
+    assert cache.access(0, is_write=True)
+    cache.install(64)
+    assert cache.install(128) == (0, True)
 
 
 def test_flush_removes_line():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    cache.install(0, dirty=True)
     assert cache.flush(0) is True
     assert not cache.contains(0)
     assert cache.flush(0) is False
+    assert cache.stats.flushes == 2
 
 
 def test_hit_rate_stat():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)
-    cache.access(0)
+    cache = SetAssocCache("tiny", size_bytes=128, ways=2)
+    assert not cache.access(0)
+    cache.install(0)  # fills are not demand accesses
+    assert cache.access(0)
     assert cache.stats.hit_rate == 0.5
 
 
-def test_hierarchy_walks_levels():
-    hierarchy = CacheHierarchy()
-    needs_dram, latency, wb = hierarchy.access(0)
-    assert needs_dram
-    assert latency == pytest.approx(
-        hierarchy.l1.latency_ns + hierarchy.l2.latency_ns + hierarchy.llc.latency_ns
-    )
-    needs_dram, latency, wb = hierarchy.access(0)
-    assert not needs_dram
-    assert latency == pytest.approx(hierarchy.l1.latency_ns)
-
-
-def test_dirty_l1_eviction_propagates_to_dram():
-    # Regression: a line dirty *only in the L1* (clean demand fill,
-    # then a write hit) used to vanish on eviction — the dirty victim
-    # was never installed in the next level, and only the last level's
-    # own writeback was reported.  With every level sized 1 set x 1
-    # way, evicting A must write it back level by level until it falls
-    # past the LLC and reaches DRAM.
-    tiny = lambda name: Cache(name, size_bytes=64, ways=1)
-    hierarchy = CacheHierarchy(l1=tiny("L1"), l2=tiny("L2"), llc=tiny("LLC"))
-    hierarchy.access(0)                    # clean fill of every level
-    hierarchy.access(0, is_write=True)     # L1 write hit: dirty in L1 only
-    _, _, writebacks = hierarchy.access(64)
-    assert 0 in writebacks, "dirty L1 victim never reached DRAM"
-
-
 def test_clean_victims_never_reach_dram():
-    tiny = lambda name: Cache(name, size_bytes=64, ways=1)
-    hierarchy = CacheHierarchy(l1=tiny("L1"), l2=tiny("L2"), llc=tiny("LLC"))
-    hierarchy.access(0)
-    _, _, wb1 = hierarchy.access(64)
-    _, _, wb2 = hierarchy.access(128)
-    assert wb1 == [] and wb2 == []
-
-
-def test_hierarchy_flush_clears_every_level():
-    hierarchy = CacheHierarchy()
-    hierarchy.access(0)
-    hierarchy.flush(0)
-    needs_dram, _, _ = hierarchy.access(0)
-    assert needs_dram
-
-
-def test_invalidate_all():
-    cache = Cache("tiny", size_bytes=128, ways=2)
-    cache.access(0)
-    cache.invalidate_all()
-    assert not cache.contains(0)
+    # Read-only traffic through a 1-way L1 and a 1-way L2: every new
+    # line evicts a clean victim, and none of them may become a write.
+    engine = Engine()
+    memory = FakeMemory(engine)
+    hierarchy = make_hierarchy(
+        engine, memory, num_cores=1, l1_size=64, l1_ways=1, l2_size=64, l2_ways=1
+    )
+    run_requests(hierarchy, engine, [(0, False, 0), (64, False, 0), (128, False, 0)])
+    assert memory.reads == [0, 64, 128]
+    assert memory.writes == []
+    assert hierarchy.dram_writebacks == 0

@@ -145,15 +145,3 @@ def test_single_channel_controller_alias_preserved():
     assert system.memory.stats is system.controller.stats
 
 
-def test_use_caches_reduces_dram_traffic():
-    # A tiny, reused footprint: caches should absorb repeats.
-    records = synthesize_trace([0, 64, 128] * 50, gap_insts=10)
-    no_cache = System(
-        [records], config=small_test_config(), policy=NoMitigationPolicy(),
-        enable_abo=False, use_caches=False,
-    ).run()
-    cached = System(
-        [records], config=small_test_config(), policy=NoMitigationPolicy(),
-        enable_abo=False, use_caches=True,
-    ).run()
-    assert cached.dram_requests < no_cache.dram_requests

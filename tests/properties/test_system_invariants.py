@@ -12,12 +12,27 @@ from repro.mitigations.base import NoMitigationPolicy
 from repro.mitigations.tprac import TpracPolicy
 
 
+#: Hard cap on one example's simulated time (ns).  The chain's last
+#: completion stops the engine long before it.
+HORIZON_NS = 500_000_000
+
+#: Idle time (in tREFI) simulated after the chain, so REF and TB-RFM
+#: spacing on an idle channel is still exercised.
+IDLE_TAIL_TREFI = 20
+
+
 def _drive_random(mc, accesses):
-    """Replay (bank, row, is_write) tuples as a dependent chain."""
+    """Replay (bank, row, is_write) tuples as a dependent chain.
+
+    The final completion requests an engine stop: the REF/TB-RFM timers
+    re-arm forever, so without it every example would fire idle timer
+    events all the way to the horizon.
+    """
     state = {"i": 0}
 
     def issue(req=None):
         if state["i"] >= len(accesses):
+            mc.engine.request_stop()
             return
         bank, row, is_write = accesses[state["i"]]
         state["i"] += 1
@@ -30,8 +45,14 @@ def _drive_random(mc, accesses):
         )
 
     issue()
-    mc.engine.run(until=500_000_000)
+    mc.engine.run(until=HORIZON_NS)
     return state["i"]
+
+
+def _idle_tail(mc):
+    """Run the now-idle channel for :data:`IDLE_TAIL_TREFI` refreshes."""
+    engine = mc.engine
+    engine.run(until=engine.now + IDLE_TAIL_TREFI * mc.config.timing.tREFI)
 
 
 ACCESS = st.tuples(
@@ -39,7 +60,7 @@ ACCESS = st.tuples(
 )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(accesses=st.lists(ACCESS, min_size=1, max_size=80))
 def test_no_request_is_lost_or_duplicated(accesses):
     mc = MemoryController(
@@ -53,22 +74,26 @@ def test_no_request_is_lost_or_duplicated(accesses):
     assert mc.scheduler.pending() == 0
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(accesses=st.lists(ACCESS, min_size=5, max_size=60))
 def test_random_traffic_is_timing_clean(accesses):
-    """Any random dependent chain yields a JEDEC-legal command trace."""
+    """Any random dependent chain, then an idle tail of REF/TB-RFM
+    windows, yields a JEDEC-legal command trace."""
     config = small_test_config(nbo=10**6).with_prac(nbo=10**6)
     mc = MemoryController(
         Engine(), config, policy=TpracPolicy(tb_window=3000.0),
         enable_refresh=True, log_commands=True,
     )
-    _drive_random(mc, accesses)
+    assert _drive_random(mc, accesses) == len(accesses)
+    refreshes = mc.refresh.refresh_count
+    _idle_tail(mc)
+    assert mc.refresh.refresh_count >= refreshes + IDLE_TAIL_TREFI - 1
     checker = TimingChecker(config)
     checker.check(mc.command_log)
     assert checker.ok, checker.violations[:3]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     accesses=st.lists(ACCESS, min_size=1, max_size=60),
     window=st.floats(min_value=800.0, max_value=6000.0),
@@ -77,7 +102,8 @@ def test_tprac_counters_bounded_by_window_capacity(accesses, window):
     """No counter can exceed what fits between two TB-RFM pops plus the
     pre-existing backlog — and with the queue always tracking the max,
     the peak stays below 2x the per-window activation capacity once the
-    defense is active."""
+    defense is active.  Counters are read as the chain completes, before
+    idle TB-RFMs could drain them."""
     config = small_test_config(nbo=10**6).with_prac(nbo=10**6)
     mc = MemoryController(
         Engine(), config, policy=TpracPolicy(tb_window=window),

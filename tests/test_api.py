@@ -19,7 +19,6 @@ def test_facade_covers_the_component_registries():
         api.REFRESH_POLICIES,
         api.CACHES,
         api.INTERCONNECTS,
-        api.ENGINES,
     }
     assert set(registries.values()) == facade_registries
     assert "tprac" in api.MITIGATIONS.available()

@@ -5,8 +5,9 @@ component must derive all randomness from an explicit seed — never
 from module-level RNG state or from salted ``hash()`` values that
 differ per interpreter.  Two layers of regression net:
 
-* source audit — no module-level RNG seeding / global numpy RNG /
-  ``hash()``-derived seeds anywhere under ``src/repro``;
+* source audit — no module-level RNG seeding / global library RNG
+  namespaces (``np.random.*``-style) / ``hash()``-derived seeds
+  anywhere under ``src/repro``;
 * behavioural — identical traces across different ``PYTHONHASHSEED``
   interpreters, and bit-identical same-seed trials for both a cheap
   and a full-simulation trial kind.
@@ -32,8 +33,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Patterns that indicate process-dependent randomness.
 _FORBIDDEN = [
     re.compile(r"\brandom\.seed\("),          # module-level stdlib RNG
-    re.compile(r"\bnp\.random\.\w+\("),       # global numpy RNG state
-    re.compile(r"\bnumpy\.random\.\w+\("),
+    re.compile(r"\b\w+\.random\.\w+\("),       # any global <lib>.random.* state
     re.compile(r"Random\([^)]*\bhash\("),     # salted str hash as a seed
 ]
 

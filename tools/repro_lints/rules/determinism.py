@@ -17,12 +17,6 @@ three classic nondeterminism leaks out of the hot packages
 * ``iteration-order`` — iterating a ``set`` observes hash order, which
   varies across processes for str-keyed sets (PYTHONHASHSEED).  Iterate
   ``sorted(...)`` instead, or keep a list/dict (insertion-ordered).
-
-The scope deliberately includes the engine tier's worker-side code
-(``controller/batched.py``, ``controller/sharded.py``): the sharded
-backend's run-twice determinism holds only if the per-channel worker
-processes are free of wall-clock reads and unseeded randomness, so
-those files answer to exactly the same rules as the in-process core.
 """
 
 from __future__ import annotations

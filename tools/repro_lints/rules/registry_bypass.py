@@ -5,13 +5,12 @@ policies registry-backed (:mod:`repro.registry`): ``SCHEDULERS`` /
 ``MAPPINGS`` / ``REFRESH_POLICIES`` / ``MITIGATIONS`` own the
 name→factory mapping, and :class:`repro.config.SystemConfig` resolves
 names declaratively.  PR 9 extended the same discipline to the cache
-hierarchy and interconnect axes (``CACHES`` / ``INTERCONNECTS``), and
-the engine tier added execution backends (``ENGINES``: the event
-kernel, the batched controller loop, the sharded channel workers).  Direct ``FrFcfsScheduler()``-style construction
-outside the defining module silently bypasses that layer: the call
-site stops honoring registry aliases, misses factory-side defaulting
-(e.g. ``mitigations.make_policy`` wiring), and drifts from what
-campaign scenarios can express.
+hierarchy and interconnect axes (``CACHES`` / ``INTERCONNECTS``).
+Direct ``FrFcfsScheduler()``-style construction outside the defining
+module silently bypasses that layer: the call site stops honoring
+registry aliases, misses factory-side defaulting (e.g.
+``mitigations.make_policy`` wiring), and drifts from what campaign
+scenarios can express.
 
 The rule flags any call whose callee *name* is a registered component
 class, except inside the module that defines (and registers) it.
@@ -57,32 +56,11 @@ COMPONENT_CLASSES: Dict[str, tuple] = {
     "CrossbarInterconnect": (
         "src/repro/cpu/interconnect.py", 'INTERCONNECTS.get("crossbar")'
     ),
-    # core/engines.py + controller/{batched,sharded}.py — ENGINES
-    "EngineBackend": ("src/repro/core/engines.py", 'ENGINES.make("event")'),
-    "BatchedEngineBackend": (
-        "src/repro/controller/batched.py", 'ENGINES.make("batched")'
-    ),
-    "BatchedMemoryController": (
-        "src/repro/controller/batched.py",
-        'ENGINES.make("batched").make_controller(...)',
-    ),
-    "ShardedEngineBackend": (
-        "src/repro/controller/sharded.py", 'ENGINES.make("sharded")'
-    ),
-    "ShardedMemorySystem": (
-        "src/repro/controller/sharded.py",
-        'ENGINES.make("sharded").make_memory(...)',
-    ),
 }
 
 #: Modules allowed to construct any component directly: the registry
 #: assembly points themselves.
-_ASSEMBLY_MODULES = (
-    "src/repro/mitigations/__init__.py",
-    # ENGINES assembly point: its late-bound factories construct the
-    # backend classes they register.
-    "src/repro/core/engines.py",
-)
+_ASSEMBLY_MODULES = ("src/repro/mitigations/__init__.py",)
 
 
 def _callee_name(node: ast.Call) -> str:
