@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify smoke test suite bench bench-smoke bench-artifacts lint lints typecheck coverage
+.PHONY: verify smoke test suite bench bench-artifacts lint lints typecheck coverage
 
 verify:            ## tier-1 tests + 2-artifact parallel suite run
 	./scripts/verify.sh
@@ -28,11 +28,8 @@ coverage:          ## tier-1 suite under coverage; needs `pip install pytest-cov
 suite:             ## all registered artifacts, parallel + cached
 	$(PYTHON) -m repro.cli suite --out results
 
-bench:             ## kernel throughput on the pinned workloads -> trajectory
-	$(PYTHON) -m repro.cli bench
-
-bench-smoke:       ## single-rep bench run (CI-friendly, soft compare)
-	$(PYTHON) -m repro.cli bench --smoke --out "$${BENCH_OUT:-bench-results}"
+bench:             ## the benchmark (BENCHMARK.json): all three perfbench workloads
+	python3 perfbench/run.py --workload all
 
 bench-artifacts:   ## per-artifact regeneration benchmarks (pytest-benchmark)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -34,9 +34,7 @@ def _feinting_max_counter(queue_factory, nbo=64, pool=8, tb_window=2000.0):
     )
     engine = Engine()
     policy = TpracPolicy(tb_window=tb_window, queue_factory=queue_factory)
-    mc = MemoryController(
-        engine, config, policy=policy, enable_refresh=False, record_samples=False
-    )
+    mc = MemoryController(engine, config, policy=policy, enable_refresh=False)
     rows = list(range(pool))
     state = {"i": 0, "peak": 0}
     total_accesses = pool * nbo

@@ -89,9 +89,7 @@ class AcbRfmChannel:
                 self.config.with_prac(nbo=1024), 1024, with_reset=True
             )
             policy = make_policy("tprac", tb_window=window)
-        controller = MemoryController(
-            engine, self.config, policy=policy, record_samples=False
-        )
+        controller = MemoryController(engine, self.config, policy=policy)
         probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
         probe.start()
 

@@ -125,9 +125,7 @@ class ActivityChannel:
         into the run as scheduling noise.
         """
         engine = Engine()
-        controller = MemoryController(
-            engine, self.config, policy=self.policy_factory(), record_samples=False
-        )
+        controller = MemoryController(engine, self.config, policy=self.policy_factory())
         if setup is not None:
             setup(engine, controller)
         sender = RowHammerSender(controller, bank=0, core_id=0)
@@ -227,9 +225,7 @@ class ActivationCountChannel:
         background workload noise), as on :meth:`ActivityChannel.run`.
         """
         engine = Engine()
-        controller = MemoryController(
-            engine, self.config, policy=self.policy_factory(), record_samples=False
-        )
+        controller = MemoryController(engine, self.config, policy=self.policy_factory())
         if setup is not None:
             setup(engine, controller)
         decoded: List[int] = []

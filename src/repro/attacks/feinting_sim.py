@@ -76,8 +76,7 @@ class FeintingAttack:
         engine = Engine()
         policy = make_policy("tprac", tb_window=self.tb_window)
         controller = MemoryController(
-            engine, self.config, policy=policy,
-            enable_refresh=False, record_samples=False,
+            engine, self.config, policy=policy, enable_refresh=False
         )
         bank = controller.channel.bank(0)
         state = {

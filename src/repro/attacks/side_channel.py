@@ -110,9 +110,7 @@ class AesSideChannelAttack:
             policy = make_policy("tprac", tb_window=self.tb_window)
         else:
             policy = make_policy("abo_only")
-        return MemoryController(
-            engine, self.config, policy=policy, record_samples=False
-        )
+        return MemoryController(engine, self.config, policy=policy)
 
     def run_single(
         self, target_byte: int = 0, fixed_value: int = 0

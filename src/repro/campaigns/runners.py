@@ -49,12 +49,6 @@ TrialFn = Callable[[Scenario, int], Dict[str, float]]
 
 _TRIAL_KINDS: Dict[str, TrialFn] = {}
 
-#: Optional observer called with every :class:`~repro.cpu.system.System`
-#: a ``perf`` trial runs (baseline and mitigated, in that order).  The
-#: bench harness (:mod:`repro.bench`) uses it to read engine telemetry
-#: (events fired, simulated ns) without altering trial metric payloads.
-system_probe: Optional[Callable[[Any], None]] = None
-
 #: Directory (str path) that perf trials export per-trial telemetry
 #: into when the scenario carries the ``trace``/``metrics`` axes.  Set
 #: by the campaign worker (:func:`repro.campaigns.trials._execute_trial`)
@@ -113,14 +107,13 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     )
     config = scenario.dram_config()
     system_config = scenario.system_config()
-    baseline_system = System(
+    baseline = System(
         traces,
         config=config,
         policy_factory=lambda: make_policy("none"),
         enable_abo=False,
         system=system_config,
-    )
-    baseline = baseline_system.run()
+    ).run()
     # Mitigation state is strictly per-channel: the factory gives every
     # controller its own policy instance, each with a distinct seed so
     # stochastic policies (obfuscation) inject independent noise per
@@ -136,9 +129,6 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         system=system_config,
     )
     mitigated = mitigated_system.run()
-    if system_probe is not None:
-        system_probe(baseline_system)
-        system_probe(mitigated_system)
     memory = mitigated_system.memory
     if telemetry_dir is not None and (
         memory.recorder is not None or memory.sampler is not None

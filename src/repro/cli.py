@@ -43,17 +43,6 @@ per scenario on a process pool; ``--resume`` skips scenarios already
 persisted under their content-hash IDs, ``--list`` prints the expanded
 grid without running it.
 
-``bench`` measures kernel throughput (events/sec, simulated-ns/sec) on
-the pinned workloads of :mod:`repro.bench` and writes a
-``BENCH_<rev>.json`` into the committed trajectory directory
-(``benchmarks/trajectory`` by default), with a soft regression warning
-against the most recent baseline::
-
-    python -m repro.cli bench                 # full: 5 reps + warmup
-    python -m repro.cli bench --smoke         # 1 rep, CI-friendly
-    python -m repro.cli bench --only perf_multi_core --reps 9
-    python -m repro.cli bench --strict        # fail on acceptance regression
-
 ``obs`` reads back the telemetry a campaign collected (see
 :mod:`repro.obs`): ``obs report <campaign-dir>`` summarizes the index,
 heartbeat stream and per-trial traces/metrics; ``obs export-trace``
@@ -372,104 +361,6 @@ def _run_suite(args) -> int:
 #: matrix family); the only commands the structural flags apply to.
 PERF_SYSTEM_COMMANDS = {"fig10", "fig11", "fig12", "fig13", "fig14", "table5"}
 
-#: default committed trajectory directory for ``bench`` results
-BENCH_TRAJECTORY_DIR = "benchmarks/trajectory"
-
-
-def _run_bench(args) -> int:
-    """``bench`` subcommand: pinned-workload kernel throughput."""
-    from repro import bench
-
-    if args.list:
-        width = max(len(n) for n in bench.workload_names())
-        for name in bench.workload_names():
-            workload = bench.get_workload(name)
-            mark = "*" if workload.acceptance else " "
-            print(f"{mark} {name:<{width}}  {workload.title}")
-        print("(* = acceptance workload)")
-        return 0
-    if args.only is not None and not args.only:
-        print("error: --only given but no workload names followed",
-              file=sys.stderr)
-        return 2
-    names = None
-    if args.only:
-        try:
-            for name in args.only:
-                bench.get_workload(name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        names = args.only
-    reps = args.reps if args.reps is not None else (1 if args.smoke else bench.DEFAULT_REPS)
-    warmup = (
-        args.warmup
-        if args.warmup is not None
-        else (0 if args.smoke else bench.DEFAULT_WARMUP)
-    )
-    if reps <= 0 or warmup < 0:
-        print("error: --reps must be positive and --warmup non-negative",
-              file=sys.stderr)
-        return 2
-    rev = args.rev or bench.detect_revision()
-    out_dir = args.out if args.out is not None else BENCH_TRAJECTORY_DIR
-    report = bench.run_bench(names, reps=reps, warmup=warmup, rev=rev)
-    # Baseline: explicit file/dir beats the output dir beats the
-    # committed trajectory.  Comparison is soft — warnings, exit 0.
-    import os
-
-    baseline = None
-    baseline_file = None
-    if args.baseline:
-        baseline_path = args.baseline
-        if os.path.isdir(baseline_path):
-            baseline, baseline_file = bench.find_baseline_with_path(
-                baseline_path, exclude_rev=rev
-            )
-        else:
-            try:
-                baseline = bench.load_report(baseline_path)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-                return 2
-            baseline_file = baseline_path
-    else:
-        for search_dir in (out_dir, BENCH_TRAJECTORY_DIR):
-            baseline, baseline_file = bench.find_baseline_with_path(
-                search_dir, exclude_rev=rev
-            )
-            if baseline is not None:
-                break
-    if baseline is not None:
-        report["comparison"] = bench.compare(report, baseline)
-    path = bench.write_report(report, out_dir)
-    print(bench.format_report(report))
-    if baseline_file is not None:
-        print(f"baseline: {baseline_file}")
-    else:
-        print("baseline: none found (first trajectory point?)")
-    print(f"-> {path}")
-    # --strict turns the soft acceptance-workload warning into a hard
-    # failure; other workloads stay advisory (they are noise-prone
-    # microbenches) and a missing baseline still passes (first point).
-    if args.strict and baseline is not None:
-        comparison = report["comparison"]
-        regressed = [
-            name
-            for name, ratio in comparison["ratios"].items()
-            if report["workloads"].get(name, {}).get("acceptance")
-            and ratio < 1.0 - bench.REGRESSION_THRESHOLD
-        ]
-        if regressed:
-            print(
-                f"error: acceptance workload regression beyond "
-                f"{bench.REGRESSION_THRESHOLD:.0%} vs baseline rev "
-                f"{comparison.get('baseline_rev')}: {', '.join(regressed)}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
 
 def _run_campaign(args) -> int:
     """``campaign`` subcommand: declarative grid + Monte Carlo trials."""
@@ -626,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(COMMANDS)
-        + ["all", "bench", "campaign", "list", "obs", "suite"],
+        + ["all", "campaign", "list", "obs", "suite"],
         help=(
             "which artifact to regenerate ('suite' for the parallel runner, "
-            "'campaign' for declarative scenario sweeps, 'bench' for the "
-            "kernel performance harness, 'obs' for telemetry reports)"
+            "'campaign' for declarative scenario sweeps, 'obs' for "
+            "telemetry reports)"
         ),
     )
     parser.add_argument(
@@ -696,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--out", default=None,
-        help="results directory (default: 'results'; for 'bench' the "
-             "committed trajectory, benchmarks/trajectory)",
+        help="results directory (default: 'results')",
     )
     shared.add_argument(
         "--list", action="store_true",
@@ -764,33 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live progress line on stderr driven by campaign heartbeat "
              "events (scenarios/trials done, faults)",
     )
-    bench_group = parser.add_argument_group("bench options")
-    bench_group.add_argument(
-        "--smoke", action="store_true",
-        help="single repetition, no warmup (CI-friendly; soft compare only)",
-    )
-    bench_group.add_argument(
-        "--reps", type=int, default=None,
-        help="timed repetitions per workload (default 5; best rep reported)",
-    )
-    bench_group.add_argument(
-        "--warmup", type=int, default=None,
-        help="untimed warmup repetitions per workload (default 2)",
-    )
-    bench_group.add_argument(
-        "--rev", default=None, metavar="LABEL",
-        help="revision label for BENCH_<rev>.json (default: git short rev)",
-    )
-    bench_group.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="BENCH json file or trajectory directory to compare against "
-             "(default: newest report in the output/trajectory directory)",
-    )
-    bench_group.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero when the acceptance workload regresses beyond "
-             "the threshold vs baseline (other workloads stay advisory)",
-    )
     return parser
 
 
@@ -822,13 +685,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--resume": args.resume,
         "--retries": args.retries is not None,
         "--timeout": args.timeout is not None,
-        "--smoke": args.smoke,
-        "--reps": args.reps is not None,
-        "--warmup": args.warmup is not None,
-        "--rev": args.rev is not None,
-        "--baseline": args.baseline is not None,
         "--progress": args.progress,
-        "--strict": args.strict,
     }
     allowed = {
         "suite": {"--jobs", "--only", "--out", "--list", "--no-cache",
@@ -836,22 +693,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "campaign": {"--jobs", "--only", "--out", "--list", "--grid",
                      "--campaign", "--trials", "--seed", "--resume",
                      "--progress", "--retries", "--timeout"},
-        "bench": {"--only", "--out", "--list", "--smoke", "--reps",
-                  "--warmup", "--rev", "--baseline", "--strict"},
         "obs": {"--out"},
     }.get(args.experiment, set())
     rejected = [
         flag for flag, on in flags_used.items() if on and flag not in allowed
     ]
     if rejected:
-        applies = "'suite'/'campaign'/'bench'/'obs'" if not allowed else (
-            f"'{args.experiment}'"
-        )
         scope = (
-            f"not applicable to {applies}"
+            f"not applicable to '{args.experiment}'"
             if allowed
-            else "only applies to the 'suite', 'campaign', 'bench' "
-                 "and 'obs' commands"
+            else "only applies to the 'suite', 'campaign' and 'obs' commands"
         )
         print(f"error: {', '.join(rejected)} {scope}", file=sys.stderr)
         return 2
@@ -904,8 +755,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_suite(args)
     if args.experiment == "campaign":
         return _run_campaign(args)
-    if args.experiment == "bench":
-        return _run_bench(args)
     if args.experiment == "obs":
         return _run_obs(args)
     names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]

@@ -23,7 +23,7 @@ from repro.controller.scheduler import (
     FrFcfsScheduler,
     make_scheduler,
 )
-from repro.controller.stats import ControllerStats, LatencySample, RfmRecord
+from repro.controller.stats import ControllerStats, RfmRecord
 
 __all__ = [
     "BankQueueScheduler",
@@ -31,7 +31,6 @@ __all__ = [
     "FcfsScheduler",
     "FrFcfsCapScheduler",
     "FrFcfsScheduler",
-    "LatencySample",
     "MemRequest",
     "MemoryController",
     "MemorySystem",

@@ -28,9 +28,9 @@ spends its time, so it avoids per-wake allocations and repeated
 attribute chains: timing parameters are cached as plain floats at
 construction, the busy-bank scan reads the scheduler's maintained
 sorted list, the device-side "must mitigate" flag is only re-read after
-a serve (the only action that can change it), and per-request latency
-samples are built lazily — :class:`~repro.controller.stats.LatencySample`
-objects exist only when ``record_samples=True``.  All fast paths are
+a serve (the only action that can change it), and a completed request
+only bumps the aggregate counters of
+:class:`~repro.controller.stats.ControllerStats`.  All fast paths are
 bit-for-bit equivalent to the straightforward formulation.
 """
 
@@ -85,11 +85,6 @@ class MemoryController:
         Whether periodic REFab is simulated (tests may disable it).
     tref_per_trefi:
         Targeted-Refresh rate for the TPRAC co-design (Section 4.3).
-    record_samples:
-        Keep per-request :class:`LatencySample` records.  Off by
-        default: the aggregate counters in :class:`ControllerStats`
-        cover the performance experiments, and attacker-observation
-        harnesses opt in explicitly.
     recorder:
         A ready-made :class:`~repro.obs.trace.TraceRecorder` instance,
         overriding the one ``system.trace`` would create (the
@@ -111,7 +106,6 @@ class MemoryController:
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
-        record_samples: bool = False,
         log_commands: bool = False,
         channel_id: int = 0,
         recorder: Optional[TraceRecorder] = None,
@@ -130,7 +124,7 @@ class MemoryController:
         self.mapping = mapping or system.make_mapping(config.organization)
         self.page_policy = page_policy
         self.enable_abo = enable_abo
-        self.stats = ControllerStats(record_samples=record_samples)
+        self.stats = ControllerStats()
         self.scheduler = system.make_scheduler(
             config.organization.banks_per_channel
         )
@@ -671,23 +665,14 @@ class MemoryController:
                 trace(CommandKind.PRE, bank_id, -1, pre_time)
 
         engine.schedule(
-            data_end,
-            partial(self._finish, request, bank_id, row, was_hit),
-            2,
-            "mc-done",
+            data_end, partial(self._finish, request, was_hit), 2, "mc-done"
         )
 
-    def _finish(self, request: MemRequest, bank_id: int, row: int, was_hit: bool) -> None:
+    def _finish(self, request: MemRequest, was_hit: bool) -> None:
         now = self.engine.now
         stats = self.stats
         stats.record_completion(
-            now,
-            now - request.arrive_time,
-            request.core_id,
-            bank_id,
-            row,
-            was_hit,
-            request.is_write,
+            now - request.arrive_time, request.core_id, was_hit, request.is_write
         )
         if request.is_write:
             stats.writes += 1

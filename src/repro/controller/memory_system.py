@@ -80,7 +80,6 @@ class MemorySystem:
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
-        record_samples: bool = False,
         system: Optional[SystemConfig] = None,
         page_policy: Optional[str] = None,
         mapping: Optional[AddressMapping] = None,
@@ -135,7 +134,6 @@ class MemorySystem:
                 enable_abo=enable_abo,
                 enable_refresh=enable_refresh,
                 tref_per_trefi=tref_per_trefi,
-                record_samples=record_samples,
                 page_policy=page_policy,
                 channel_id=channel_id,
                 recorder=self.recorder,

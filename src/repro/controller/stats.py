@@ -1,15 +1,15 @@
-"""Controller statistics: latency samples, RFM records, bandwidth.
+"""Controller statistics: latency aggregates, RFM records.
 
-The attacks observe *memory access latency over time*; the defense
-evaluation observes *how many RFMs of which provenance were issued*.
-Both observables are recorded here.
+The defense evaluation observes *how many RFMs of which provenance
+were issued*; the performance experiments observe latency and row-hit
+aggregates.  Both are recorded here.  (The attacks time their own
+probes through ``MemRequest.on_complete``.)
 
-Hot-path design: the default path keeps **aggregate counters only** —
-per-request scalars plus per-core and per-provenance running totals —
-so a long performance run allocates nothing per request.  Full
-:class:`LatencySample` records are opt-in (``record_samples=True``,
-for attacker-observation experiments); RFM records are always kept
-(RFMs are ~10⁴× rarer than requests) but counted incrementally so
+Hot-path design: requests are kept as **aggregate counters only** —
+per-request scalars plus per-core and per-provenance running totals
+and a fixed-bucket read-latency histogram — so a long performance run
+allocates nothing per request.  RFM records are always kept (RFMs are
+~10⁴× rarer than requests) but counted incrementally so
 :meth:`rfm_count` never rescans the list.
 """
 
@@ -34,18 +34,6 @@ LATENCY_BUCKET_BOUNDS = (
 
 
 @dataclass
-class LatencySample:
-    """One completed request, as seen by a latency-monitoring attacker."""
-
-    time: float          # completion time (ns)
-    latency: float       # end-to-end latency (ns)
-    core_id: int
-    bank_id: int
-    row: int
-    was_hit: bool
-
-
-@dataclass
 class RfmRecord:
     """One issued RFM command (burst member)."""
 
@@ -67,9 +55,7 @@ class ControllerStats:
     row_conflicts: int = 0
     total_latency: float = 0.0
     refreshes: int = 0
-    latency_samples: List[LatencySample] = field(default_factory=list)
     rfm_records: List[RfmRecord] = field(default_factory=list)
-    record_samples: bool = True
     #: per-core running aggregates (kept on every path; O(1) updates)
     core_requests: Dict[int, int] = field(default_factory=dict)
     core_latency_total: Dict[int, float] = field(default_factory=dict)
@@ -77,15 +63,12 @@ class ControllerStats:
     rfm_counts: Dict[RfmProvenance, int] = field(default_factory=dict)
     #: total rows mitigated across all RFMs (energy model input)
     mitigated_row_total: int = 0
-    #: per-core sample index, maintained only when ``record_samples``
-    _samples_by_core: Dict[int, List[LatencySample]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # The always-on read-latency histogram lives in plain (non-field)
         # attributes: dataclass fields would enter dataclasses.asdict /
         # to_jsonable output and change persisted artifact bytes.  One
-        # bisect per read keeps p50/p95/p99 available without the
-        # default-off record_samples sample list.
+        # bisect per read keeps p50/p95/p99 available on every run.
         self.read_latency_bucket_counts: List[int] = (
             [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
         )
@@ -93,20 +76,11 @@ class ControllerStats:
 
     # ------------------------------------------------------------------
     def record_completion(
-        self,
-        time: float,
-        latency: float,
-        core_id: int,
-        bank_id: int,
-        row: int,
-        was_hit: bool,
-        is_write: bool = False,
+        self, latency: float, core_id: int, was_hit: bool, is_write: bool = False
     ) -> None:
-        """Account one completed request from scalars (hot path).
+        """Account one completed request (hot path: counters only).
 
-        Builds a :class:`LatencySample` only when sample recording is
-        enabled; the default path touches counters alone.  Read
-        latencies (``is_write=False``) additionally land in the
+        Read latencies (``is_write=False``) additionally land in the
         fixed-bucket histogram behind the percentile accessors.
         """
         self.requests_served += 1
@@ -126,21 +100,6 @@ class ControllerStats:
         else:
             core_requests[core_id] = 1
             self.core_latency_total[core_id] = latency
-        if self.record_samples:
-            sample = LatencySample(time, latency, core_id, bank_id, row, was_hit)
-            self.latency_samples.append(sample)
-            self._samples_by_core.setdefault(core_id, []).append(sample)
-
-    def record_request(self, sample: LatencySample) -> None:
-        """Account one completed request given a pre-built sample."""
-        self.record_completion(
-            sample.time,
-            sample.latency,
-            sample.core_id,
-            sample.bank_id,
-            sample.row,
-            sample.was_hit,
-        )
 
     def record_rfm(self, record: RfmRecord) -> None:
         """Append one issued-RFM record and bump its provenance counter."""
@@ -168,10 +127,6 @@ class ControllerStats:
             return len(self.rfm_records)
         return self.rfm_counts.get(provenance, 0)
 
-    def core_samples(self, core_id: int) -> List[LatencySample]:
-        """Latency samples belonging to one core (O(1) index lookup)."""
-        return self._samples_by_core.get(core_id, [])
-
     def core_mean_latency(self, core_id: int) -> float:
         """Mean end-to-end latency for one core's requests (no rescans)."""
         n = self.core_requests.get(core_id, 0)
@@ -186,8 +141,7 @@ class ControllerStats:
         Linear interpolation inside the always-on fixed-bucket
         histogram (:data:`LATENCY_BUCKET_BOUNDS`); the overflow bucket
         clamps to the last edge (see :attr:`read_latency_max` for the
-        true tail).  Available on every run — unlike the sample-based
-        path, which needs the default-off ``record_samples``.
+        true tail).
         """
         from repro.obs.metrics import percentile_from_buckets
 
@@ -209,19 +163,18 @@ class ControllerStats:
         """Merge per-channel statistics into one aggregate view.
 
         Counters sum; per-core and per-provenance dicts merge by key;
-        latency samples and RFM records interleave into global time
-        order (stable within a channel, so equal timestamps keep
-        channel order).  The result is a **snapshot**: it does not
-        track the source objects afterwards.  A single part is
-        returned as-is (the live object), which keeps the
-        single-channel path allocation-free and bit-identical.
+        RFM records interleave into global time order (stable within a
+        channel, so equal timestamps keep channel order).  The result is
+        a **snapshot**: it does not track the source objects afterwards.
+        A single part is returned as-is (the live object), which keeps
+        the single-channel path allocation-free and bit-identical.
         """
         parts = list(parts)
         if not parts:
-            return cls(record_samples=False)
+            return cls()
         if len(parts) == 1:
             return parts[0]
-        out = cls(record_samples=all(p.record_samples for p in parts))
+        out = cls()
         for part in parts:
             out.requests_served += part.requests_served
             out.reads += part.reads
@@ -252,10 +205,4 @@ class ControllerStats:
             (r for part in parts for r in part.rfm_records),
             key=lambda r: r.time,
         )
-        out.latency_samples = sorted(
-            (s for part in parts for s in part.latency_samples),
-            key=lambda s: s.time,
-        )
-        for sample in out.latency_samples:
-            out._samples_by_core.setdefault(sample.core_id, []).append(sample)
         return out

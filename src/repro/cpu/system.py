@@ -83,7 +83,6 @@ class System:
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
         max_requests_per_core: Optional[int] = None,
-        record_samples: bool = False,
         system: Optional[SystemConfig] = None,
     ) -> None:
         if not traces:
@@ -98,7 +97,6 @@ class System:
             enable_abo=enable_abo,
             enable_refresh=enable_refresh,
             tref_per_trefi=tref_per_trefi,
-            record_samples=record_samples,
             system=system,
         )
         # The memory system may have projected the declarative system
@@ -144,8 +142,8 @@ class System:
     def controller(self) -> MemoryController:
         """The channel-0 controller.
 
-        Kept for the large single-channel surface (attacks, energy,
-        bench probes).  Multi-channel callers should aggregate via
+        Kept for the large single-channel surface (attacks, energy).
+        Multi-channel callers should aggregate via
         :attr:`memory` (``memory.stats``, ``memory.controllers``) or
         the per-channel slices on :class:`SystemResult`.
         """
@@ -164,25 +162,14 @@ class System:
 
         The refresh/TB-RFM timers re-arm forever, so the run terminates
         on core completion rather than queue exhaustion: the per-core
-        finish hooks request the engine stop, or an explicit horizon
-        steps the engine until it is reached.
+        finish hooks request the engine stop.  An explicit horizon
+        fires no event past ``until`` and, if the cores are still
+        running there, leaves the clock at ``until``.
         """
         for core in self.cores:
             core.start()
-        engine = self.engine
-        if until is None:
-            if self._unfinished > 0:
-                engine.run(max_events=max_events)
-        else:
-            fired = 0
-            while fired < max_events:
-                if engine.now >= until:
-                    break
-                if self._unfinished == 0:
-                    break
-                if not engine.step():
-                    break
-                fired += 1
+        if self._unfinished > 0:
+            self.engine.run(until=until, max_events=max_events)
         return self._gather_result()
 
     # ------------------------------------------------------------------

@@ -104,9 +104,7 @@ def _one_timeline(
 ) -> LatencyTimeline:
     config = ddr5_8000b().with_prac(nbo=nbo, prac_level=prac_level, abo_act=0)
     engine = Engine()
-    controller = MemoryController(
-        engine, config, policy=make_policy("abo_only"), record_samples=False
-    )
+    controller = MemoryController(engine, config, policy=make_policy("abo_only"))
     probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
     probe.start()
     if victim_active:

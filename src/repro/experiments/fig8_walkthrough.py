@@ -73,9 +73,7 @@ def run(nbo: int = 100, acts_per_window: int = 40, epochs: int = 4) -> Fig8Resul
     window = acts_per_window * chain_ns
     engine = Engine()
     policy = make_policy("tprac", tb_window=window)
-    controller = MemoryController(
-        engine, config, policy=policy, enable_refresh=False, record_samples=False
-    )
+    controller = MemoryController(engine, config, policy=policy, enable_refresh=False)
     names = {10: "A", 11: "B", 12: "C", 13: "T"}
     rows_by_epoch = [
         [10, 11, 12, 13],   # epoch 1: uniform over the full pool

@@ -101,7 +101,7 @@ def _channel_against(
         policy = make_policy("tprac", tb_window=tb_window)
     else:
         raise ValueError(defense)
-    controller = MemoryController(engine, config, policy=policy, record_samples=False)
+    controller = MemoryController(engine, config, policy=policy)
     sender = RowHammerSender(controller, bank=0, core_id=0)
     probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
     probe.start()

@@ -184,12 +184,3 @@ def test_banks_progress_in_parallel():
         return max(r.done_time for r in done)
 
     assert run_pair(diff_bank) < run_pair(same_bank)
-
-
-def test_latency_samples_recorded_when_enabled():
-    mc = _controller(record_samples=True)
-    _run_request(mc, 0)
-    assert len(mc.stats.latency_samples) == 1
-    sample = mc.stats.latency_samples[0]
-    assert sample.bank_id == 0
-    assert sample.latency > 0

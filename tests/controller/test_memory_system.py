@@ -149,11 +149,11 @@ def test_per_channel_mitigation_state_is_independent():
 # Merged statistics
 # ----------------------------------------------------------------------
 def test_merged_stats_counters_sum_and_records_interleave():
-    a = ControllerStats(record_samples=True)
-    b = ControllerStats(record_samples=True)
-    a.record_completion(10.0, 5.0, core_id=0, bank_id=0, row=1, was_hit=True)
-    a.record_completion(30.0, 7.0, core_id=1, bank_id=0, row=2, was_hit=False)
-    b.record_completion(20.0, 9.0, core_id=0, bank_id=3, row=4, was_hit=False)
+    a = ControllerStats()
+    b = ControllerStats()
+    a.record_completion(5.0, core_id=0, was_hit=True)
+    a.record_completion(7.0, core_id=1, was_hit=False)
+    b.record_completion(9.0, core_id=0, was_hit=False)
     a.record_rfm(RfmRecord(time=25.0, provenance=RfmProvenance.ABO))
     b.record_rfm(RfmRecord(time=15.0, provenance=RfmProvenance.TB))
     merged = ControllerStats.merged([a, b])
@@ -162,12 +162,10 @@ def test_merged_stats_counters_sum_and_records_interleave():
     assert merged.total_latency == 21.0
     assert merged.core_requests == {0: 2, 1: 1}
     assert merged.core_latency_total == {0: 14.0, 1: 7.0}
-    assert [s.time for s in merged.latency_samples] == [10.0, 20.0, 30.0]
     assert [r.time for r in merged.rfm_records] == [15.0, 25.0]
     assert merged.rfm_count(RfmProvenance.ABO) == 1
     assert merged.rfm_count(RfmProvenance.TB) == 1
     assert merged.rfm_count() == 2
-    assert [s.time for s in merged.core_samples(0)] == [10.0, 20.0]
 
 
 def test_merged_stats_single_part_returns_live_object():

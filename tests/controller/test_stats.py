@@ -3,20 +3,14 @@
 
 import pytest
 
-from repro.controller.stats import ControllerStats, LatencySample, RfmRecord
+from repro.controller.stats import ControllerStats, RfmRecord
 from repro.dram.commands import RfmProvenance
-
-
-def _sample(latency=100.0, core_id=0, was_hit=False, time=0.0):
-    return LatencySample(
-        time=time, latency=latency, core_id=core_id, bank_id=0, row=0, was_hit=was_hit
-    )
 
 
 def test_mean_latency():
     stats = ControllerStats()
-    stats.record_request(_sample(latency=100.0))
-    stats.record_request(_sample(latency=300.0))
+    stats.record_completion(100.0, core_id=0, was_hit=False)
+    stats.record_completion(300.0, core_id=0, was_hit=False)
     assert stats.mean_latency == 200.0
     assert stats.requests_served == 2
 
@@ -27,8 +21,8 @@ def test_mean_latency_empty_is_zero():
 
 def test_row_hit_rate():
     stats = ControllerStats()
-    stats.record_request(_sample(was_hit=True))
-    stats.record_request(_sample(was_hit=False))
+    stats.record_completion(100.0, core_id=0, was_hit=True)
+    stats.record_completion(100.0, core_id=0, was_hit=False)
     assert stats.row_hit_rate == 0.5
 
 
@@ -42,21 +36,6 @@ def test_rfm_counting_by_provenance():
     assert stats.rfm_count(RfmProvenance.ACB) == 0
 
 
-def test_sample_recording_can_be_disabled():
-    stats = ControllerStats(record_samples=False)
-    stats.record_request(_sample())
-    assert stats.requests_served == 1
-    assert stats.latency_samples == []
-
-
-def test_core_samples_filtering():
-    stats = ControllerStats()
-    stats.record_request(_sample(core_id=0))
-    stats.record_request(_sample(core_id=1))
-    stats.record_request(_sample(core_id=1))
-    assert len(stats.core_samples(1)) == 2
-
-
 def test_rfm_counts_are_maintained_incrementally():
     stats = ControllerStats()
     stats.record_rfm(RfmRecord(time=0.0, provenance=RfmProvenance.ABO,
@@ -68,35 +47,21 @@ def test_rfm_counts_are_maintained_incrementally():
 
 
 def test_per_core_running_counters_on_the_default_path():
-    stats = ControllerStats(record_samples=False)
-    stats.record_completion(10.0, 100.0, core_id=0, bank_id=0, row=0, was_hit=False)
-    stats.record_completion(20.0, 300.0, core_id=0, bank_id=1, row=2, was_hit=True)
-    stats.record_completion(30.0, 50.0, core_id=1, bank_id=0, row=0, was_hit=False)
+    stats = ControllerStats()
+    stats.record_completion(100.0, core_id=0, was_hit=False)
+    stats.record_completion(300.0, core_id=0, was_hit=True)
+    stats.record_completion(50.0, core_id=1, was_hit=False)
     assert stats.core_requests == {0: 2, 1: 1}
     assert stats.core_mean_latency(0) == 200.0
     assert stats.core_mean_latency(1) == 50.0
     assert stats.core_mean_latency(9) == 0.0
-    assert stats.latency_samples == []        # no samples allocated
-    assert stats.core_samples(0) == []
-
-
-def test_core_samples_index_when_recording_enabled():
-    stats = ControllerStats(record_samples=True)
-    stats.record_request(_sample(core_id=2, latency=80.0))
-    stats.record_request(_sample(core_id=3, latency=90.0))
-    stats.record_request(_sample(core_id=2, latency=100.0))
-    assert [s.latency for s in stats.core_samples(2)] == [80.0, 100.0]
-    assert stats.core_samples(2) == [s for s in stats.latency_samples if s.core_id == 2]
 
 
 def test_read_latency_histogram_counts_reads_only():
-    stats = ControllerStats(record_samples=False)
-    stats.record_completion(1.0, 30.0, core_id=0, bank_id=0, row=0,
-                            was_hit=True)
-    stats.record_completion(2.0, 70.0, core_id=0, bank_id=0, row=0,
-                            was_hit=False)
-    stats.record_completion(3.0, 500.0, core_id=0, bank_id=0, row=0,
-                            was_hit=False, is_write=True)
+    stats = ControllerStats()
+    stats.record_completion(30.0, core_id=0, was_hit=True)
+    stats.record_completion(70.0, core_id=0, was_hit=False)
+    stats.record_completion(500.0, core_id=0, was_hit=False, is_write=True)
     counts = stats.read_latency_bucket_counts
     assert sum(counts) == 2                      # the write is excluded
     assert counts[1] == 1                        # 30.0 in (20, 40]
@@ -105,10 +70,9 @@ def test_read_latency_histogram_counts_reads_only():
 
 
 def test_read_latency_percentiles_interpolate():
-    stats = ControllerStats(record_samples=False)
+    stats = ControllerStats()
     for _ in range(10):
-        stats.record_completion(0.0, 30.0, core_id=0, bank_id=0, row=0,
-                                was_hit=False)
+        stats.record_completion(30.0, core_id=0, was_hit=False)
     # all mass in the (20, 40] bucket: linear interpolation inside it
     assert stats.read_latency_percentile(0.5) == pytest.approx(30.0)
     pcts = stats.latency_percentiles()
@@ -117,19 +81,18 @@ def test_read_latency_percentiles_interpolate():
 
 
 def test_read_latency_overflow_bucket_clamps_to_last_edge():
-    stats = ControllerStats(record_samples=False)
-    stats.record_completion(0.0, 50_000.0, core_id=0, bank_id=0, row=0,
-                            was_hit=False)
+    stats = ControllerStats()
+    stats.record_completion(50_000.0, core_id=0, was_hit=False)
     assert stats.read_latency_percentile(0.99) == 9600.0
     assert stats.read_latency_max == 50_000.0
 
 
 def test_merged_sums_histogram_buckets_and_maxes():
-    a = ControllerStats(record_samples=False)
-    b = ControllerStats(record_samples=False)
-    a.record_completion(0.0, 30.0, core_id=0, bank_id=0, row=0, was_hit=False)
-    b.record_completion(0.0, 30.0, core_id=0, bank_id=0, row=0, was_hit=False)
-    b.record_completion(0.0, 700.0, core_id=1, bank_id=0, row=0, was_hit=False)
+    a = ControllerStats()
+    b = ControllerStats()
+    a.record_completion(30.0, core_id=0, was_hit=False)
+    b.record_completion(30.0, core_id=0, was_hit=False)
+    b.record_completion(700.0, core_id=1, was_hit=False)
     merged = ControllerStats.merged([a, b])
     assert merged.read_latency_bucket_counts[1] == 2
     assert sum(merged.read_latency_bucket_counts) == 3

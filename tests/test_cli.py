@@ -71,8 +71,8 @@ def test_unknown_scheduler_flag_gets_registry_error(capsys):
 
 def test_system_flags_rejected_outside_perf_artifacts(capsys):
     # Anywhere the flag would be accepted-and-ignored must reject it:
-    # suite, campaign (which sweeps via --grid), bench, non-perf figs.
-    for command in ("suite", "campaign", "bench", "fig7"):
+    # suite, campaign (which sweeps via --grid), non-perf figs.
+    for command in ("suite", "campaign", "fig7"):
         assert main([command, "--scheduler", "fcfs"]) == 2
         assert "--scheduler" in capsys.readouterr().err
 
@@ -127,52 +127,27 @@ def test_suite_command_reports_cache_hits(tmp_path, capsys):
     assert "cached" in capsys.readouterr().out
 
 
-def test_bench_list_prints_workloads(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("perf_multi_core", "perf_single_core",
-                 "campaign_smoke", "scheduler_pick"):
-        assert name in out
-    assert "acceptance workload" in out
+def test_bench_command_is_gone(capsys):
+    # Performance is measured by perfbench/ (see BENCHMARK.json); the
+    # CLI has no bench command.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_bench_flags_rejected_on_other_commands(capsys):
-    assert main(["fig7", "--smoke"]) == 2
-    err = capsys.readouterr().err
-    assert "--smoke" in err
-    assert main(["suite", "--reps", "3"]) == 2
-
-
-def test_bench_rejects_unknown_workload(capsys):
-    assert main(["bench", "--only", "nope", "--out", "ignored"]) == 2
-    assert "unknown bench workload" in capsys.readouterr().err
-
-
-def test_bench_smoke_writes_report_with_comparison(tmp_path, capsys):
-    out_dir = tmp_path / "trajectory"
-    out_dir.mkdir()
-    code = main([
-        "bench", "--smoke", "--only", "scheduler_pick",
-        "--out", str(out_dir), "--rev", "first", "--baseline", str(out_dir),
-    ])
-    assert code == 0
-    first = json.loads((out_dir / "BENCH_first.json").read_text())
-    assert "scheduler_pick" in first["workloads"]
-    assert "comparison" not in first  # nothing to compare against yet
-    code = main([
-        "bench", "--smoke", "--only", "scheduler_pick",
-        "--out", str(out_dir), "--rev", "second", "--baseline", str(out_dir),
-    ])
-    assert code == 0
-    second = json.loads((out_dir / "BENCH_second.json").read_text())
-    assert second["comparison"]["baseline_rev"] == "first"
-    out = capsys.readouterr().out
-    assert "vs baseline rev first" in out
-
-
-def test_bench_only_without_names_rejected(capsys):
-    assert main(["bench", "--only"]) == 2
-    assert "no workload names" in capsys.readouterr().err
+    # The options of the removed bench command are unknown to every
+    # remaining command.
+    for flag in ("--smoke", "--reps", "--warmup", "--rev", "--baseline"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig7", flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["suite", "--reps", "3"])
+    assert excinfo.value.code == 2
+    assert "--reps" in capsys.readouterr().err
 
 
 def test_obs_report_renders_campaign_summary(tmp_path, capsys):
@@ -226,7 +201,11 @@ def test_progress_flag_only_valid_for_campaign(capsys):
 
 
 def test_strict_flag_only_valid_for_bench(capsys):
-    assert main(["fig7", "--strict"]) == 2
+    # --strict belonged to the removed bench command, so no command
+    # accepts it now.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig7", "--strict"])
+    assert excinfo.value.code == 2
     assert "--strict" in capsys.readouterr().err
 
 
@@ -255,7 +234,7 @@ def test_retries_and_timeout_accepted_for_suite_and_campaign(tmp_path, capsys):
 
 
 def test_retries_and_timeout_rejected_on_other_commands(capsys):
-    for command in ("bench", "fig7", "fig10"):
+    for command in ("fig7", "fig10"):
         assert main([command, "--retries", "2"]) == 2
         assert "--retries" in capsys.readouterr().err
         assert main([command, "--timeout", "5"]) == 2

@@ -167,7 +167,7 @@ class TestFloatFormatDrift:
 
     def test_display_modules_out_of_scope(self):
         src = "def f(x):\n    return f'{x:.3f}'\n"
-        assert lint_source(src, "src/repro/bench/report.py") == []
+        assert lint_source(src, "src/repro/obs/report.py") == []
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """``float-format-drift``: persisted results carry full-precision floats.
 
-Campaign results, experiment artifacts and bench trajectories are
-byte-compared — across resumed runs, across the multiprocess pool, and
-by CI's determinism legs.  ``repr(float)`` (what :mod:`json` emits) is
-exact and stable; the moment a writer rounds (``round(x, 3)``) or
-formats (``f"{x:.3f}"``) a value *before* persisting it, two runs that
-differ only below the rounding threshold collide, resumability checks
-pass vacuously, and downstream analysis quietly loses precision.
+Campaign results and experiment artifacts are byte-compared — across
+resumed runs, across the multiprocess pool, and by CI's determinism
+legs.  ``repr(float)`` (what :mod:`json` emits) is exact and stable;
+the moment a writer rounds (``round(x, 3)``) or formats
+(``f"{x:.3f}"``) a value *before* persisting it, two runs that differ
+only below the rounding threshold collide, resumability checks pass
+vacuously, and downstream analysis quietly loses precision.
 
 Scope: the modules that write persisted artifacts.  Display layers
 (reports, table renderers) format freely — they are not in scope.
@@ -44,7 +44,6 @@ class FloatFormatDriftRule(Rule):
         "src/repro/analysis/storage.py",
         "src/repro/campaigns/trials.py",
         "src/repro/experiments/runner.py",
-        "src/repro/bench/harness.py",
     )
 
     def check(self, module: Module) -> Iterator[Violation]:
