@@ -77,6 +77,17 @@ python -m repro.cli campaign --grid sanitize=true \
     mitigation=abo_only,tprac,qprac requests_per_core=5000 --trials 1 \
     --jobs 2 --out "$san_dir"
 
+echo "== campaign: sanitized non-default schedulers (protocol-checker smoke) =="
+# The same checker under the other two schedulers: the controller
+# serves the banks its ready-time agenda says are due, in ascending
+# bank id, whichever request each scheduler picks within a bank, and
+# TPRAC's TB-RFM bursts and the REFs keep marking the agenda stale.
+sched_san_dir="$(mktemp -d)"
+cleanup_dirs+=("$sched_san_dir")
+python -m repro.cli campaign --grid sanitize=true scheduler=fcfs,fr_fcfs_cap \
+    mitigation=tprac requests_per_core=2000 --trials 1 --jobs 2 \
+    --out "$sched_san_dir"
+
 echo "== campaign: traced perf scenario (telemetry smoke) =="
 # One perf scenario with the full telemetry layer attached: the run
 # must produce a loadable Chrome trace, a metrics time-series file and

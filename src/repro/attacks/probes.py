@@ -26,11 +26,25 @@ from repro.dram.address import DramAddress
 
 
 def bank_address(
-    controller: MemoryController, bank: int, row: int, column: int = 0, rank: int = 0
+    controller: MemoryController, bank: int, row: int, column: int = 0
 ) -> int:
-    """Physical address of (rank, flat-bank, row, column) on the channel."""
+    """Physical address of (flat bank, row, column) on the channel.
+
+    ``bank`` is the channel-wide flat id, rank-major as
+    :meth:`~repro.dram.address.DramAddress.flat_bank` numbers it, so the
+    rank is derived from it.  Raises ``ValueError`` outside
+    ``range(banks_per_channel)``.
+    """
     org = controller.config.organization
-    bank_group, bank_in_group = divmod(bank % org.banks_per_rank, org.banks_per_group)
+    banks_per_group = org.banks_per_group
+    # Attackers call this once per access, so banks per rank is
+    # multiplied out here rather than read through its property.
+    rank, bank_in_rank = divmod(bank, org.bank_groups * banks_per_group)
+    if not 0 <= rank < org.ranks:
+        raise ValueError(
+            f"bank {bank} out of range for {org.banks_per_channel} banks per channel"
+        )
+    bank_group, bank_in_group = divmod(bank_in_rank, banks_per_group)
     return controller.mapping.encode(
         DramAddress(
             channel=0,

@@ -24,20 +24,30 @@ Fidelity notes
 Hot-path notes
 --------------
 The wake loop below is, with the event kernel, where every perf sweep
-spends its time, so it avoids per-wake allocations and repeated
-attribute chains: timing parameters are cached as plain floats at
-construction, the busy-bank scan reads the scheduler's maintained
-sorted list, the device-side "must mitigate" flag is only re-read after
-a serve (the only action that can change it), and a completed request
-only bumps the aggregate counters of
-:class:`~repro.controller.stats.ControllerStats`.  All fast paths are
-bit-for-bit equivalent to the straightforward formulation.
+spends its time, so it serves only the banks that are due: a min-heap
+of ``(ready_time, bank_id)`` (the *agenda*) holds one entry per busy
+bank, so a wake pops the banks whose head request could start now and
+takes its next target from the heap top.  A bank's ready time
+(:meth:`MemoryController._bank_ready_time`, the one formula) depends
+only on its own pipeline state, its queue head and the channel-wide
+blocking window, so an entry is pushed when a bank goes idle->busy and
+again after each serve that leaves it busy; an enqueue to a busy bank
+leaves its head, and so its entry, unchanged.  Channel-wide moves
+(REFab, RFMab bursts, RFMpb's ``block_bank``) only mark the agenda
+stale, and the next wake rebuilds it from the busy banks.  Timing
+parameters are cached as plain floats at construction, the device-side
+"must mitigate" flag is only re-read after a serve (the only action
+that can change it), and a completed request only bumps the aggregate
+counters of :class:`~repro.controller.stats.ControllerStats`.  All fast
+paths are bit-for-bit equivalent to a scan of every busy bank in
+ascending id.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.request import MemRequest
@@ -149,17 +159,13 @@ class MemoryController:
         self._tWR = timing.tWR
         self._banks = self.channel.banks
         self._queues = self.scheduler.queues
-        # Per-bank ready-time cache.  A bank's earliest-start time is a
-        # pure function of (its pipeline state, its queue head, the
-        # channel blocking window); the wake loop recomputes it only
-        # after one of those inputs changed.  Invalidation:
-        # * bank-local (enqueue / pick+serve)  -> _ready_gen[bank] = -1
-        # * channel-wide (RFMab burst, REFab)  -> _gen += 1
-        # Every write point is in this module or hooked below; see
-        # docs/performance.md for the inventory.
-        self._ready_cache: List[float] = [0.0] * n
-        self._ready_gen: List[int] = [-1] * n
-        self._gen = 0
+        # The agenda: a min-heap of (ready time, bank id), one entry per
+        # busy bank (see the module's hot-path notes).  Channel-wide
+        # moves set the stale flag; the next wake rebuilds the heap.
+        self._agenda: List[Tuple[float, int]] = []
+        self._agenda_stale = False
+        #: reused for the bank ids due at a wake when there are several
+        self._due: List[int] = []
         #: phys_addr -> (DramAddress, flat bank id); decode is pure and
         #: workload footprints are bounded, so a plain dict suffices.
         self._decode_cache: Dict[int, Tuple[object, int]] = {}
@@ -175,7 +181,7 @@ class MemoryController:
         )
         self.refresh.on_refw.append(self._on_refw)
         self.refresh.on_tref.append(self._on_tref)
-        # REFab blocks the whole channel: drop every cached ready time.
+        # REFab blocks the whole channel: every ready time moves.
         self.refresh.on_refresh.append(self._invalidate_ready_cache)
         if enable_refresh:
             self.refresh.start()
@@ -325,8 +331,12 @@ class MemoryController:
         request.addr = addr
         now = self.engine.now
         request.arrive_time = now
+        queue = self._queues[bank_id]
         self.scheduler.enqueue(request, bank_id)
-        self._ready_gen[bank_id] = -1  # queue head may have changed
+        if len(queue) == 1 and not self._agenda_stale:
+            # Idle -> busy: the bank joins the agenda.  A busy bank's
+            # head, and so its ready time, is unchanged by an enqueue.
+            heappush(self._agenda, (self._bank_ready_time(bank_id), bank_id))
         wake = self._wake_event
         if wake is None or wake.cancelled or wake.time > now:
             self._schedule_wake(now)
@@ -420,109 +430,58 @@ class MemoryController:
             self._schedule_wake(channel.blocked_until)
             return
 
-        # 3. Serve requests ------------------------------------------
-        next_wake: Optional[float] = self._abo_deadline
+        # 3. Serve the due banks --------------------------------------
+        agenda = self._agenda
+        if self._agenda_stale:
+            self._agenda_stale = False
+            ready_time = self._bank_ready_time
+            agenda[:] = [(ready_time(b), b) for b in scheduler.banks_with_work()]
+            heapify(agenda)
         served_any = False
-        banks = self._banks
-        queues = self._queues
-        cmd_ready = self._bank_cmd_ready
-        last_act = self._last_act_time
-        last_cas = self._last_cas_time
-        wr_recovery = self._wr_recovery_until
-        ready_cache = self._ready_cache
-        ready_gen = self._ready_gen
-        gen = self._gen
-        tRP = self._tRP
-        tRAS = self._tRAS
-        tRTP = self._tRTP
-        blocked_until = channel.blocked_until
-        # The ABO grace countdown only moves when this loop issues an
-        # ACT (via _serve), so the flag is re-read after serves rather
-        # than on every bank iteration.
-        must_mitigate = enable_abo and abo.must_mitigate_now
-        # Iterate the scheduler's live sorted list: pick() may remove
-        # the *current* bank (position i), never a later one, so the
-        # post-serve identity check keeps the scan exact with no
-        # per-wake snapshot allocation.
-        busy = scheduler.banks_with_work()
-        i = 0
-        n = len(busy)
-        while i < n:
-            bank_id = busy[i]
-            # ABO grace exhausted mid-loop: stop ACTs, mitigate first.
-            if must_mitigate:
-                self._schedule_wake(now)
-                break
-            if ready_gen[bank_id] == gen:
-                ready = ready_cache[bank_id]
-            else:
-                bank = banks[bank_id]
-                # --- inline _bank_ready_time (kept in sync with the
-                # method, which remains the readable reference).
-                ready = cmd_ready[bank_id]
-                if blocked_until > ready:
-                    ready = blocked_until
-                head = queues[bank_id][0]
-                open_row = bank.open_row
-                if open_row is None:
-                    act_at = bank.ready_at
-                    pd = bank.precharge_done_at
-                    if pd > act_at:
-                        act_at = pd
-                    if act_at > ready:
-                        ready = act_at
-                elif head.addr.row != open_row:
-                    pre_at = head.arrive_time
-                    t = last_act[bank_id] + tRAS
-                    if t > pre_at:
-                        pre_at = t
-                    t = last_cas[bank_id] + tRTP
-                    if t > pre_at:
-                        pre_at = t
-                    t = wr_recovery[bank_id]
-                    if t > pre_at:
-                        pre_at = t
-                    act_at = pre_at + tRP
-                    t = bank.ready_at
-                    if t > act_at:
-                        act_at = t
-                    if act_at > ready:
-                        ready = act_at
-                # --- end inline
-                ready_cache[bank_id] = ready
-                ready_gen[bank_id] = gen
-            if ready > now:
-                if next_wake is None or ready < next_wake:
-                    next_wake = ready
-                i += 1
-                continue
-            request = scheduler.pick(bank_id, banks[bank_id])
-            if request is None:
-                i += 1
-                continue
-            self._serve(request, bank_id)
-            ready_gen[bank_id] = -1  # pipeline state + queue head changed
+        if agenda and agenda[0][0] <= now:
             served_any = True
-            if enable_abo:
-                must_mitigate = abo.must_mitigate_now
-            n = len(busy)
-            if i < n and busy[i] == bank_id:
-                # Bank still busy: refresh its cached ready time for the
-                # re-examination pass this serve will schedule.
-                ready = self._bank_ready_time(bank_id)
-                ready_cache[bank_id] = ready
-                ready_gen[bank_id] = gen
-                if next_wake is None or ready < next_wake:
-                    next_wake = ready
-                i += 1
+            first = heappop(agenda)[1]
+            due: Sequence[int]
+            if agenda and agenda[0][0] <= now:
+                # Several banks due: serve them in ascending id, the
+                # order of a scan over the busy banks.
+                several = self._due
+                several.clear()
+                several.append(first)
+                while agenda and agenda[0][0] <= now:
+                    several.append(heappop(agenda)[1])
+                several.sort()
+                due = several
+            else:
+                due = (first,)
+            banks = self._banks
+            queues = self._queues
+            for bank_id in due:
+                request = scheduler.pick(bank_id, banks[bank_id])
+                assert request is not None  # the bank has work
+                self._serve(request, bank_id)
+                if queues[bank_id]:
+                    heappush(agenda, (self._bank_ready_time(bank_id), bank_id))
+                # The wake gets here with no grace-exhausted Alert (step
+                # 1 mitigates first) and only an ACT issued by _serve
+                # can exhaust it.  Once it does, stop issuing: the next
+                # wake's Alert burst marks the agenda stale, and the
+                # rebuild brings back the due banks not served here.
+                if enable_abo and abo.must_mitigate_now:
+                    break
 
+        target: Optional[float]
         if served_any and scheduler._total_pending:
             # Re-examine immediately: serving may have changed state.
             target = now
-        elif next_wake is not None:
-            target = next_wake if next_wake > now else now
         else:
-            return
+            target = self._abo_deadline
+            if agenda and (target is None or agenda[0][0] < target):
+                target = agenda[0][0]
+            if target is None:
+                return
+            if target < now:
+                target = now
         # Inline _schedule_wake (the wake handle is usually None here:
         # it was cleared on entry and only hooks re-arm it mid-wake).
         wake = self._wake_event
@@ -534,12 +493,13 @@ class MemoryController:
 
     # ------------------------------------------------------------------
     def _invalidate_ready_cache(self, _time: float = 0.0) -> None:
-        """Drop every cached bank ready time (channel-wide state moved).
+        """Mark the agenda stale (channel-wide state moved).
 
+        O(1): the next wake rebuilds the agenda from the busy banks.
         Registered on the refresh hook and called after RFM bursts; any
         out-of-band mutation of bank timing state must call it too.
         """
-        self._gen += 1
+        self._agenda_stale = True
 
     # ------------------------------------------------------------------
     def _earliest_precharge(self, bank_id: int, arrival: float) -> float:
@@ -563,20 +523,16 @@ class MemoryController:
         return pre_at
 
     def _bank_ready_time(self, bank_id: int) -> float:
-        """Earliest time the head request of this bank could start.
+        """Earliest time the head request of a bank with work could start.
 
-        Readable reference for the inlined fast path in :meth:`_wake`;
-        keep the two in sync.
+        The one ready-time formula: the agenda's keys come from here.
         """
         bank = self._banks[bank_id]
         t = self._bank_cmd_ready[bank_id]
         blocked = self.channel.blocked_until
         if blocked > t:
             t = blocked
-        queue = self._queues[bank_id]
-        if not queue:
-            return t
-        head = queue[0]
+        head = self._queues[bank_id][0]
         open_row = bank.open_row
         if open_row is not None and head.addr.row == open_row:
             return t

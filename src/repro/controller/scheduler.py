@@ -20,8 +20,9 @@ registered scheduling policies (:data:`SCHEDULERS`, addressed by the
 
 All policies share the per-bank queue machinery
 (:class:`BankQueueScheduler`): O(1) enqueue, a maintained sorted
-busy-bank list for the controller's wake scan, and a total-pending
-counter — the hot-path contract the controller relies on.
+busy-bank list the controller rebuilds its ready-time agenda from, and
+a total-pending counter — the hot-path contract the controller relies
+on.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ class BankQueueScheduler:
     """Shared per-bank queue machinery behind every scheduling policy.
 
     Subclasses implement :meth:`pick` (choose and remove the next
-    request for a bank) and inherit the bookkeeping: busy-bank
-    tracking via a sorted list maintained at the (rare) empty<->busy
-    transitions, so the controller's per-wake scan needs no per-call
-    sort or set copy, and ``_total_pending`` avoids re-summing queue
-    lengths.
+    request for a bank; it is only called for a bank with work) and
+    inherit the bookkeeping: busy-bank tracking via a sorted list
+    maintained at the (rare) empty<->busy transitions, so reading the
+    busy banks needs no per-call sort or set copy, and
+    ``_total_pending`` avoids re-summing queue lengths.
     """
 
     def __init__(self, num_banks: int, queue_depth: int = 64) -> None:

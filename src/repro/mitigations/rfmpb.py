@@ -67,7 +67,7 @@ class PerBankRfmPolicy(MitigationPolicy):
             CommandKind.RFM_PB, bank_id, -1, start, RfmProvenance.TB
         )
         # block_bank mutates bank timing state outside the controller's
-        # serve/RFM-burst paths: its ready-time cache must be dropped.
+        # serve/RFM-burst paths: its ready-time agenda must go stale.
         controller._invalidate_ready_cache()
         victim = self.queues[bank_id].pop_victim()
         mitigated = {}

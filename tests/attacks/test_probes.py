@@ -24,11 +24,16 @@ def _controller(config=None, enable_refresh=False):
 
 
 def test_bank_address_targets_requested_bank_and_row():
-    mc = _controller()
-    for bank in range(mc.config.organization.banks_per_rank):
+    mc = _controller(ddr5_8000b())
+    org = mc.config.organization
+    assert org.ranks > 1
+    for bank in range(org.banks_per_channel):
         addr = mc.mapping.decode(bank_address(mc, bank, row=7))
-        assert addr.flat_bank(mc.config.organization) == bank
+        assert addr.flat_bank(org) == bank
         assert addr.row == 7
+    for bank in (-1, org.banks_per_channel, 1000):
+        with pytest.raises(ValueError, match="out of range"):
+            bank_address(mc, bank, row=7)
 
 
 def test_same_row_probe_causes_no_activations_after_first():

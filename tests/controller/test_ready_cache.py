@@ -1,29 +1,37 @@
-"""Equivalence net for the controller's per-bank ready-time cache.
+"""Equivalence net for the controller's ready-time agenda.
 
-The cache must be invisible: every simulation must produce exactly the
-results it would with caching disabled (cache dropped before every
-wake).  Running both variants across the mitigation registry exercises
-every policy's bank/channel mutation pattern — a policy that mutates
-bank timing state without invalidating the cache (the rfmpb
-``block_bank`` regression) fails here.
+The agenda (a min-heap of ``(ready_time, bank_id)``, one entry per busy
+bank) is a cache of ready times, kept current at enqueue and serve and
+marked stale by channel-wide moves.  It must be invisible: every
+simulation must produce exactly the results it would if the agenda were
+rebuilt from the busy banks before every wake.  Running both variants
+across the mitigation registry and every scheduler exercises each
+policy's bank/channel mutation pattern and each pick order — a policy
+that mutates bank timing state without marking the agenda stale (the
+rfmpb ``block_bank`` regression) fails here.
 """
 
 import pytest
 
 from repro.campaigns.runners import build_policy
 from repro.campaigns.scenario import Scenario
+from repro.config import DEFAULT_SCHEDULER, SystemConfig
 from repro.cpu.system import System
 from repro.mitigations import available
 from repro.workloads.synthetic import homogeneous_traces
 
 
-def _run(mitigation, disable_cache):
+def _run(mitigation, scheduler, rebuild_every_wake):
     scenario = Scenario(
         attack="perf", mitigation=mitigation, workload="433.milc", nbo=64
     )
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=400, seed=3)
-    system = System(traces, policy=build_policy(scenario, seed=3))
-    if disable_cache:
+    system = System(
+        traces,
+        policy=build_policy(scenario, seed=3),
+        system=SystemConfig(scheduler=scheduler),
+    )
+    if rebuild_every_wake:
         controller = system.controller
         original_wake = controller._wake
 
@@ -46,9 +54,22 @@ def _run(mitigation, disable_cache):
     )
 
 
+#: Every (mitigation, scheduler) pair; the default scheduler's cases
+#: keep the bare mitigation name as their id.
+CASES = [
+    pytest.param(
+        mitigation,
+        scheduler,
+        id=mitigation if scheduler == DEFAULT_SCHEDULER else f"{mitigation}-{scheduler}",
+    )
+    for mitigation in sorted(available())
+    for scheduler in ("fr_fcfs", "fcfs", "fr_fcfs_cap")
+]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("mitigation", sorted(available()))
-def test_ready_cache_is_invisible_for_every_mitigation(mitigation):
-    assert _run(mitigation, disable_cache=False) == _run(
-        mitigation, disable_cache=True
+@pytest.mark.parametrize("mitigation,scheduler", CASES)
+def test_ready_cache_is_invisible_for_every_mitigation(mitigation, scheduler):
+    assert _run(mitigation, scheduler, rebuild_every_wake=False) == _run(
+        mitigation, scheduler, rebuild_every_wake=True
     )
