@@ -106,43 +106,6 @@ assert doc['traceEvents'], 'empty Chrome trace'
 obs_report="$(python -m repro.cli obs report "$obs_dir")"
 grep -q 'heartbeat:' <<<"$obs_report"
 
-echo "== campaign: chaos smoke (fault injection vs clean run) =="
-# The same seeded selftest campaign twice: once clean, once under a
-# fault plan that raises a transient error, crashes one worker
-# (os._exit inside the pool) and hangs another into its --timeout
-# deadline.  The chaos run must still exit 0 — retries, pool rebuild
-# and the deadline kill absorb every fault — and its scenario metrics
-# must be byte-identical to the clean run's, which is the whole
-# robustness contract: recovery never changes results.
-chaos_clean="$(mktemp -d)"
-chaos_dir="$(mktemp -d)"
-cleanup_dirs+=("$chaos_clean" "$chaos_dir")
-chaos_grid=(--grid attack=selftest x=1,2,3 --trials 3 --jobs 2 --seed 0)
-python -m repro.cli campaign "${chaos_grid[@]}" --out "$chaos_clean"
-REPRO_FAULT_PLAN='{"rules": [
-    {"action": "raise", "match": "*:0", "attempts": [0]},
-    {"action": "crash", "match": "*:1", "attempts": [0]},
-    {"action": "hang",  "match": "*:2", "attempts": [0], "seconds": 60}
-]}' python -m repro.cli campaign "${chaos_grid[@]}" \
-    --timeout 5 --retries 3 --out "$chaos_dir"
-python - "$chaos_clean" "$chaos_dir" <<'PY'
-import json, pathlib, sys
-clean, chaos = (pathlib.Path(p) for p in sys.argv[1:3])
-names = sorted(p.name for p in clean.glob("scenario-*.json"))
-assert names and names == sorted(p.name for p in chaos.glob("scenario-*.json"))
-for name in names:
-    a = json.loads((clean / name).read_text())
-    b = json.loads((chaos / name).read_text())
-    assert a["metrics"] == b["metrics"], f"{name}: chaos changed metrics"
-    assert b["trials_ok"] == len(b["trials"]), f"{name}: chaos trial failed"
-print(f"chaos: {len(names)} scenarios recovered with identical metrics")
-PY
-# The recovery must also be visible: the chaos heartbeat records at
-# least one retry and one pool rebuild, and obs report surfaces them.
-chaos_report="$(python -m repro.cli obs report "$chaos_dir")"
-grep -q 'health:' <<<"$chaos_report"
-grep -q 'pool_rebuilds' <<<"$chaos_report"
-
 echo "== lints: custom invariant suite =="
 python -m tools.repro_lints
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.core.executor import FAULT_PLAN_ENV
 from repro.dram.config import DramConfig, ddr5_8000b
 
 PathLike = Union[str, Path]
@@ -87,13 +86,7 @@ def atomic_write_json(path: PathLike, payload: Any) -> Path:
     — readers (resumed suites, dashboards) always see either the old or
     the new file.
     """
-    path = Path(path)
-    text = json.dumps(payload, indent=2) + "\n"
-    if os.environ.get(FAULT_PLAN_ENV):  # chaos-leg output corruption
-        from repro import faults
-
-        text = faults.mangle_output(path.name, text)
-    return atomic_write_text(path, text)
+    return atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def atomic_write_text(path: PathLike, text: str) -> Path:

@@ -20,11 +20,8 @@ repository's simulators and returns a flat ``{metric: number}`` dict:
 * ``feinting`` — the executed worst-case Feinting attack against
   TPRAC; checks the analytical bound holds.
 * ``selftest`` — a microsecond-scale deterministic kind used by smoke
-  grids and the fault-injection tests; ``crash_seeds`` makes chosen
-  trials raise (deterministic failure) and ``flaky_seeds`` makes them
-  raise :class:`~repro.core.executor.TransientError` (retried, then
-  quarantined), so campaigns can prove both their per-trial isolation
-  and the supervisor's retry/quarantine pipeline.
+  grids and the fault-isolation tests; ``crash_seeds`` makes chosen
+  trials raise, so campaigns can prove their per-trial isolation.
 
 Every kind derives all randomness from the trial seed, so a scenario
 trial is bit-for-bit reproducible in any worker process.
@@ -442,13 +439,6 @@ def _crash_seeds(raw: Any) -> List[int]:
 def _selftest_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     if seed in _crash_seeds(scenario.params.get("crash_seeds")):
         raise RuntimeError(f"injected selftest crash (seed {seed})")
-    if seed in _crash_seeds(scenario.params.get("flaky_seeds")):
-        from repro.core.executor import TransientError
-
-        # Transient, and persistently so: the supervisor retries it
-        # until the attempt budget runs out and then quarantines —
-        # exercising the whole retry/quarantine pipeline from a grid.
-        raise TransientError(f"injected selftest flake (seed {seed})")
     rng = random.Random(
         seed * 1_000_003 + zlib.crc32(scenario.scenario_id.encode())
     )

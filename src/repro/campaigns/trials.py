@@ -1,10 +1,13 @@
 """The Monte Carlo campaign engine: batched seeded trials per scenario.
 
 ``run_campaign`` executes N seeded trials for every scenario of a grid
-on the shared process-pool executor (:mod:`repro.core.executor`) with
-per-trial fault isolation: a crashing trial becomes a structured error
-entry inside its scenario's result, and every other trial — including
-the rest of that same scenario — still completes.
+on the shared pool loop (:func:`repro.core.executor.map_tasks`) with
+per-trial fault isolation: a trial that raises, outlives ``timeout``
+or loses its worker process becomes a structured error entry inside
+its scenario's result, and every other trial — including the rest of
+that same scenario — still completes.  Nothing is retried (trials are
+seeded and deterministic); the scenario ends ``partial`` or ``error``
+and a ``resume=True`` re-run runs it again.
 
 Results are **streamed** and **resumable**:
 
@@ -45,7 +48,7 @@ from repro.analysis.storage import (
     load_checked_json,
     quarantine_corrupt,
 )
-from repro.core.executor import RetryPolicy, error_entry, supervise_tasks
+from repro.core.executor import error_entry, map_tasks
 from repro.campaigns import runners
 from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import Scenario
@@ -156,19 +159,13 @@ class ScenarioRun:
         return sum(1 for t in self.trials.values() if t["status"] == "error")
 
     @property
-    def quarantined_count(self) -> int:
-        return sum(
-            1 for t in self.trials.values() if t["status"] == "quarantined"
-        )
-
-    @property
     def complete(self) -> bool:
         return len(self.trials) >= self.trials_requested
 
     @property
     def status(self) -> str:
         """ok / partial / error once complete (all, some, no trials ok)."""
-        if self.error_count == 0 and self.quarantined_count == 0:
+        if self.error_count == 0:
             return "ok"
         return "partial" if self.ok_count else "error"
 
@@ -193,8 +190,6 @@ class ScenarioRun:
                 ci_seed=self.base_seed,
             ),
         }
-        if self.quarantined_count:
-            doc["trials_quarantined"] = self.quarantined_count
         if self.complete:
             doc["cache_key"] = self.cache_key
         return doc
@@ -256,15 +251,6 @@ def _resumable(path: Path, key: str, trials: int) -> bool:
     )
 
 
-#: supervisor event -> campaign heartbeat event (trial-level naming)
-_SUPERVISE_EVENTS = {
-    "task.retry": "trial.retry",
-    "task.timeout": "trial.timeout",
-    "task.quarantined": "trial.quarantined",
-    "pool.rebuild": "pool.rebuild",
-}
-
-
 def run_campaign(
     scenarios: Sequence[Scenario],
     output_dir: PathLike,
@@ -273,7 +259,6 @@ def run_campaign(
     jobs: Optional[int] = None,
     seed: int = 0,
     resume: bool = False,
-    retries: int = 2,
     timeout: Optional[float] = None,
     on_event: Optional[EventHook] = None,
     heartbeat: bool = True,
@@ -297,11 +282,10 @@ def run_campaign(
         and trial count; they are reported as ``"cached"``.  Documents
         that fail validation (truncation, bad JSON, checksum mismatch)
         are moved to ``*.corrupt`` sidecars and their scenarios re-run.
-    retries / timeout:
-        Resilience knobs forwarded to the supervising executor
-        (:class:`~repro.core.executor.RetryPolicy`): transient-failure
-        retry budget per trial, and the per-attempt wall-clock deadline
-        in seconds (pool mode only).
+    timeout:
+        Per-trial wall-clock deadline in seconds, inline or pooled (see
+        :func:`~repro.core.executor.map_tasks`); a trial that outlives
+        it records a ``TaskDeadlineExceeded`` error entry.
     on_event:
         Optional subscriber called with every lifecycle event the
         heartbeat records — ``(event, fields)`` pairs in completion
@@ -427,20 +411,8 @@ def run_campaign(
             for sid, run in runs.items()
             for t in range(trials)
         ]
-        policy = RetryPolicy(retries=retries, timeout=timeout, seed=seed)
-
-        def forward(event: str, fields: Dict[str, Any]) -> None:
-            """Translate supervisor events into trial-level heartbeat ones."""
-            fields = dict(fields)
-            fields.pop("task", None)  # redundant with scenario_id/trial
-            key = fields.pop("key", None)
-            if isinstance(key, tuple) and len(key) == 2:
-                fields["scenario_id"] = key[0]
-                fields["trial"] = key[1]
-            emit(_SUPERVISE_EVENTS.get(event, event), **fields)
-
-        for (sid, t), payload in supervise_tasks(
-            _execute_trial, tasks, jobs=jobs, policy=policy, on_event=forward
+        for (sid, t), payload in map_tasks(
+            _execute_trial, tasks, jobs=jobs, timeout=timeout
         ):
             run = runs[sid]
             payload.setdefault("seed", seed + t)
@@ -461,7 +433,7 @@ def run_campaign(
                 status=payload.get("status", "?"),
                 elapsed=payload.get("elapsed_seconds", 0.0),
             )
-            if payload.get("status") in ("error", "quarantined"):
+            if payload.get("status") == "error":
                 error = payload.get("error", {})
                 emit(
                     "trial.fault",
@@ -493,13 +465,11 @@ def run_campaign(
                     "trials_ok": run.ok_count,
                     "trials_error": run.error_count,
                 }
-                if run.quarantined_count:
-                    entry["trials_quarantined"] = run.quarantined_count
-                if run.error_count or run.quarantined_count:
+                if run.error_count:
                     first_error = next(
                         run.trials[t].get("error", {})
                         for t in sorted(run.trials)
-                        if run.trials[t]["status"] in ("error", "quarantined")
+                        if run.trials[t]["status"] == "error"
                     )
                     entry["error"] = {
                         "type": first_error.get("type", "?"),
@@ -516,9 +486,9 @@ def run_campaign(
             ),
         )
     except KeyboardInterrupt:
-        # The supervisor's generator already tore the pool down on the
-        # way out; every landed trial is flushed.  Record the abort and
-        # persist the index of what completed before re-raising.
+        # map_tasks already tore the pool down on the way out; every
+        # landed trial is flushed.  Record the abort and persist the
+        # index of what completed before re-raising.
         emit(
             "campaign.interrupted",
             completed=len(statuses),

@@ -24,7 +24,7 @@ Usage::
     python -m repro.cli campaign --grid attack=eviction_set cache=l1l2 \\
         mitigation=abo_only,tprac --trials 5
     python -m repro.cli campaign --grid trace=true metrics=true --progress
-    python -m repro.cli campaign --campaign security --timeout 120 --retries 3
+    python -m repro.cli campaign --campaign security --timeout 120
     python -m repro.cli obs report results/
     python -m repro.cli obs export-trace results/obs/trace-abc123-s0.jsonl
 
@@ -33,9 +33,14 @@ Each artifact subcommand runs the matching harness from
 plus an ASCII rendering where the paper's artifact is a plot.
 
 ``suite`` runs the registered artifact harnesses through the parallel,
-fault-tolerant, cached orchestrator (:mod:`repro.experiments.runner`)
+fault-isolated, cached orchestrator (:mod:`repro.experiments.runner`)
 and persists JSON results + a ``summary.json`` index; ``suite --list``
 prints the registry without running anything.
+
+``suite`` and ``campaign`` fail fast: an artifact or trial that raises,
+outlives ``--timeout`` or loses its worker process is recorded as an
+error entry and the command exits 1; re-running the same command (the
+suite's cache, ``campaign --resume``) re-runs only the failed work.
 
 ``campaign`` expands a declarative attack×defense grid into scenarios
 (:mod:`repro.campaigns`) and runs batched seeded Monte Carlo trials
@@ -319,7 +324,6 @@ def _run_suite(args) -> int:
             scale="full" if args.full else "quick",
             use_cache=not args.no_cache,
             force=args.force,
-            retries=args.retries if args.retries is not None else 2,
             timeout=args.timeout,
         )
     except KeyError as exc:
@@ -425,7 +429,6 @@ def _run_campaign(args) -> int:
             jobs=args.jobs,
             seed=args.seed or 0,
             resume=args.resume,
-            retries=args.retries if args.retries is not None else 2,
             timeout=args.timeout,
             on_event=on_event,
         )
@@ -597,15 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     shared.add_argument(
-        "--retries", type=int, default=None,
-        help="transient-failure retry budget per task before quarantine "
-             "(default 2; deterministic failures are never retried)",
-    )
-    shared.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt wall-clock deadline; a hung worker is killed, "
-             "the pool rebuilt, and the task charged a transient attempt "
-             "(default: no deadline; needs --jobs > 1)",
+        help="per-artifact / per-trial wall-clock deadline; a task that "
+             "outlives it is recorded as a TaskDeadlineExceeded error "
+             "(default: no deadline)",
     )
     suite = parser.add_argument_group("suite options")
     suite.add_argument(
@@ -683,16 +681,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trials": args.trials is not None,
         "--seed": args.seed is not None,
         "--resume": args.resume,
-        "--retries": args.retries is not None,
         "--timeout": args.timeout is not None,
         "--progress": args.progress,
     }
     allowed = {
         "suite": {"--jobs", "--only", "--out", "--list", "--no-cache",
-                  "--force", "--full", "--retries", "--timeout"},
+                  "--force", "--full", "--timeout"},
         "campaign": {"--jobs", "--only", "--out", "--list", "--grid",
                      "--campaign", "--trials", "--seed", "--resume",
-                     "--progress", "--retries", "--timeout"},
+                     "--progress", "--timeout"},
         "obs": {"--out"},
     }.get(args.experiment, set())
     rejected = [
@@ -705,9 +702,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else "only applies to the 'suite', 'campaign' and 'obs' commands"
         )
         print(f"error: {', '.join(rejected)} {scope}", file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
         return 2
     if args.timeout is not None and args.timeout <= 0:
         print("error: --timeout must be positive", file=sys.stderr)

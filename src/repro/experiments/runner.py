@@ -1,4 +1,4 @@
-"""Experiment orchestration: parallel, fault-tolerant, cached suite runs.
+"""Experiment orchestration: parallel, fault-isolated, cached suite runs.
 
 ``run_suite`` executes any subset of the registered artifact harnesses
 (see :mod:`repro.experiments.registry` — all fourteen paper artifacts
@@ -10,17 +10,17 @@ reproduction results without re-running simulations.
 Execution model:
 
 * **Parallel** — registered experiments are independent simulations,
-  so they fan out over the shared supervising executor
-  (:func:`repro.core.executor.supervise_tasks`; ``jobs=N``, default
-  ``os.cpu_count()``), the same machinery the scenario campaign engine
+  so they fan out over the shared pool loop
+  (:func:`repro.core.executor.map_tasks`; ``jobs=N``, default
+  ``os.cpu_count()``), the same loop the scenario campaign engine
   uses.  Custom in-process runners (arbitrary callables) execute inline
   in the parent, since closures do not survive pickling.
-* **Fault-isolated** — a crashing harness records a structured error
-  entry (type, message, traceback) in ``summary.json``; every other
-  experiment still completes and the suite does not raise.  Transient
-  failures (including hung or hard-crashed workers) are retried per
-  :class:`~repro.core.executor.RetryPolicy`; repeat offenders are
-  quarantined rather than aborting the run.
+* **Fault-isolated, fail-fast** — a crashing harness, one that outlives
+  ``timeout``, or one whose worker process dies records a structured
+  error entry (type, message, traceback) in ``summary.json``; every
+  other experiment still completes and the suite does not raise.
+  Nothing is retried: the harnesses are deterministic, so the next
+  cached run re-runs exactly the failed experiments.
 * **Cached** — each result embeds a content hash of experiment name +
   run kwargs + package version.  Re-runs over the same results
   directory skip artifacts whose hash matches (``use_cache=False`` or
@@ -50,18 +50,9 @@ from repro.analysis.storage import (
     load_checked_json,
     quarantine_corrupt,
 )
-from repro.core.executor import (
-    RetryPolicy,
-    error_entry,
-    supervise_tasks,
-    to_jsonable,
-)
+from repro.core.executor import error_entry, map_tasks, to_jsonable
 from repro.experiments import registry
 from repro.obs.log import get_logger
-
-#: Backward-compatible alias; the implementation moved to
-#: :mod:`repro.core.executor` when the campaign engine began sharing it.
-_to_jsonable = to_jsonable
 
 
 def _cache_key(name: str, module: str, kwargs: Dict[str, Any]) -> str:
@@ -70,7 +61,7 @@ def _cache_key(name: str, module: str, kwargs: Dict[str, Any]) -> str:
         {
             "experiment": name,
             "module": module,
-            "kwargs": _to_jsonable(kwargs),
+            "kwargs": to_jsonable(kwargs),
             "version": __version__,
         }
     )
@@ -82,7 +73,7 @@ def _payload_from_result(name: str, result: Any, elapsed: float) -> Dict[str, An
         "status": "ok",
         # advisory wall-clock, never part of result identity
         "elapsed_seconds": round(elapsed, 3),  # repro-lint: allow(float-format-drift)
-        "result": _to_jsonable(result),
+        "result": to_jsonable(result),
     }
     if hasattr(result, "format_table"):
         payload["table"] = result.format_table()
@@ -173,9 +164,6 @@ def _summary_entry(payload: Dict[str, Any], path: Path) -> Dict[str, Any]:
     }
     if payload["status"] == "error":
         entry["error"] = dict(payload["error"])
-    elif payload["status"] == "quarantined":
-        entry["error"] = dict(payload.get("error", {}))
-        entry["attempts"] = len(payload.get("attempts", []))
     else:
         entry["file"] = path.name
         entry["elapsed_seconds"] = payload.get("elapsed_seconds", 0.0)
@@ -191,7 +179,6 @@ def run_suite(
     scale: str = "quick",
     use_cache: bool = True,
     force: bool = False,
-    retries: int = 2,
     timeout: Optional[float] = None,
 ) -> Dict[str, Path]:
     """Run each named experiment and persist its result.
@@ -203,7 +190,8 @@ def run_suite(
         incrementally-flushed ``summary.json`` index.
     experiments:
         Artifact names to run (default: every registered artifact plus
-        any custom ``runners``).  Unknown names raise ``KeyError``.
+        any custom ``runners``); a repeated name runs once.  Unknown
+        names raise ``KeyError``.
     runners:
         Custom ``name -> callable`` runners that override or extend the
         registry; they execute inline in the parent process.
@@ -221,13 +209,11 @@ def run_suite(
         it, so later cached runs re-execute them.  Cache files that
         fail validation are quarantined to ``*.corrupt`` sidecars and
         their experiments re-run.
-    retries / timeout:
-        Resilience knobs forwarded to the supervising executor
-        (:class:`~repro.core.executor.RetryPolicy`): transient-failure
-        retry budget per experiment, and the per-attempt wall-clock
-        deadline in seconds (pool mode only).  Experiments that exhaust
-        the budget appear as ``"quarantined"`` entries in
-        ``summary.json``.
+    timeout:
+        Per-experiment wall-clock deadline in seconds for registered
+        experiments, inline or pooled (see
+        :func:`~repro.core.executor.map_tasks`); an experiment that
+        outlives it records a ``TaskDeadlineExceeded`` error entry.
 
     Returns a mapping of experiment name -> written JSON path for every
     artifact that succeeded (fresh or cached).  Failures never abort
@@ -236,7 +222,7 @@ def run_suite(
     specs = registry.discover()
     custom = dict(runners or {})
     available = sorted(set(specs) | set(custom))
-    names = list(experiments) if experiments is not None else available
+    names = list(dict.fromkeys(experiments)) if experiments is not None else available
     unknown = [n for n in names if n not in specs and n not in custom]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}; have {available}")
@@ -296,31 +282,21 @@ def run_suite(
         pooled.append((name, spec.module, kwargs, key if use_cache else None))
 
     tasks = [
-        # Key on the name alone: it is unique within a suite and gives
-        # fault plans a stable, human-addressable task id ("fig10").
         (name, (name, module, kwargs))
         for name, module, kwargs, _key in pooled
     ]
     keys = {name: key for name, _module, _kwargs, key in pooled}
-    policy = RetryPolicy(retries=retries, timeout=timeout)
-
-    def on_supervise_event(event: str, fields: Dict[str, Any]) -> None:
-        log.info(f"suite.{event.split('.', 1)[-1]}", **fields)
 
     try:
-        for name, payload in supervise_tasks(
-            _execute_spec,
-            tasks,
-            jobs=jobs,
-            policy=policy,
-            on_event=on_supervise_event,
+        for name, payload in map_tasks(
+            _execute_spec, tasks, jobs=jobs, timeout=timeout
         ):
             finish(name, payload, keys[name])
 
         for name, runner in inline:
             finish(name, _execute_callable(name, runner), None)
     except KeyboardInterrupt:
-        # The supervisor tore the pool down on the way out; the index
+        # map_tasks tore the pool down on the way out; the index
         # already records everything that completed.
         log.warning(
             "suite.interrupted", completed=len(written), total=len(names)

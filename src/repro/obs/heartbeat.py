@@ -1,11 +1,11 @@
 """The campaign heartbeat: an append-only JSONL lifecycle stream.
 
 ``run_campaign`` writes one line per lifecycle event into
-``heartbeat.jsonl`` inside the campaign directory — campaign start and
-finish, scenario start / finish / cache-hit, trial finish and fault,
-plus the recovery machinery's events (trial retry / timeout /
-quarantine, pool rebuilds, corrupt-result quarantines on resume) — so
-an external watcher (``tail -f``, the ``--progress`` renderer, the
+``heartbeat.jsonl`` inside the campaign directory — campaign start,
+finish and interrupt, scenario start / finish / cache-hit, trial
+finish and fault (a raised exception, a missed deadline or a dead
+worker), and corrupt result files moved aside on resume — so an
+external watcher (``tail -f``, the ``--progress`` renderer, the
 ``repro obs report`` summary, or the future campaign-as-a-service
 dashboard) can follow a long campaign without touching the atomic
 result documents.
@@ -100,28 +100,15 @@ def last_run(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return records[start:]
 
 
-#: heartbeat events folded into ``summarize()``'s health sub-dict
-HEALTH_EVENTS = {
-    "trial.retry": "retries",
-    "trial.timeout": "timeouts",
-    "trial.quarantined": "quarantined",
-    "pool.rebuild": "pool_rebuilds",
-    "scenario.corrupt": "corrupt_results",
-}
-
-
 def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Compact statistics over one attempt's heartbeat records."""
     counts: Dict[str, int] = {}
     faults: List[Dict[str, Any]] = []
-    health = {name: 0 for name in HEALTH_EVENTS.values()}
     for record in records:
         event = str(record.get("event"))
         counts[event] = counts.get(event, 0) + 1
         if event == "trial.fault":
             faults.append(record)
-        if event in HEALTH_EVENTS:
-            health[HEALTH_EVENTS[event]] += 1
     times = [r["wall_time"] for r in records if "wall_time" in r]
     wall_seconds: Optional[float] = None
     if len(times) >= 2:
@@ -129,7 +116,6 @@ def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "events": counts,
         "faults": faults,
-        "health": health,
         "wall_seconds": wall_seconds,
         "finished": counts.get("campaign.finish", 0) > 0,
         "interrupted": counts.get("campaign.interrupted", 0) > 0,

@@ -34,7 +34,6 @@ class CampaignProgressRenderer:
         self.trials_done = 0
         self.cached = 0
         self.faults = 0
-        self.retries = 0
         self.current_label = ""
         self._last_paint = 0.0
         self._line_open = False
@@ -56,9 +55,6 @@ class CampaignProgressRenderer:
             self._paint()
         elif event == "trial.fault":
             self.faults += 1
-        elif event == "trial.retry":
-            self.retries += 1
-            self._paint()
         elif event == "scenario.finish":
             self.scenarios_done += 1
             self.current_label = str(fields.get("label", self.current_label))
@@ -74,10 +70,6 @@ class CampaignProgressRenderer:
         ]
         if self.cached:
             parts.append(f"{self.cached} cached")
-        if self.retries:
-            parts.append(
-                f"{self.retries} retr{'ies' if self.retries != 1 else 'y'}"
-            )
         if self.faults:
             parts.append(f"{self.faults} fault{'s' if self.faults != 1 else ''}")
         if self.current_label:

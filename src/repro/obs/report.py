@@ -133,14 +133,6 @@ def campaign_report(campaign_dir: PathLike) -> str:
             lines.append(
                 f"heartbeat: {state} after {summary['wall_seconds']:.1f}s wall"
             )
-        health = summary.get("health", {})
-        if any(health.values()):
-            tally = "  ".join(
-                f"{name}={count}"
-                for name, count in sorted(health.items())
-                if count
-            )
-            lines.append(f"health: {tally}")
         attempts = sum(
             1 for r in records if r.get("event") == "campaign.start"
         )

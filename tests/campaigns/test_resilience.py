@@ -1,18 +1,39 @@
-"""Campaign-level resilience: corruption recovery, quarantine, interrupts."""
+"""Campaign-level resilience: corruption recovery, fail-fast trials, interrupts."""
 
 import json
+import os
+import time
 
 import pytest
 
-from repro.analysis.storage import attach_checksum, verify_checksum
+from repro.analysis.storage import verify_checksum
 from repro.campaigns import trials as trials_mod
 from repro.campaigns.grid import expand_grid
 from repro.campaigns.trials import load_scenario_result, run_campaign
-from repro.obs.heartbeat import last_run, read_heartbeat, summarize
+from repro.cli import main
+from repro.obs.heartbeat import read_heartbeat
 
 pytestmark = pytest.mark.smoke
 
 AXES = {"attack": ["selftest"], "nbo": [64]}
+
+_REAL_EXECUTE_TRIAL = trials_mod._execute_trial
+
+
+# Module-level (picklable) stand-ins for trials._execute_trial: trial 1
+# of the nbo=256 scenario fails one way each, every other trial runs
+# for real.
+def _nbo256_trial1_hangs(spec, seed, obs_dir=None):
+    if spec["nbo"] == 256 and seed == 1:
+        time.sleep(30)
+    return _REAL_EXECUTE_TRIAL(spec, seed, obs_dir)
+
+
+def _nbo256_trial1_exits(spec, seed, obs_dir=None):
+    if spec["nbo"] == 256 and seed == 1:
+        time.sleep(0.5)  # the other trials land first
+        os._exit(3)
+    return _REAL_EXECUTE_TRIAL(spec, seed, obs_dir)
 
 
 def _scenario_path(result):
@@ -113,37 +134,49 @@ def test_corrupt_campaign_index_is_quarantined(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Quarantined trials (persistent transient failure via flaky_seeds)
+# Fail fast: a hung trial or a dead worker is an error, not a retry
 # ----------------------------------------------------------------------
-def test_flaky_trial_is_quarantined_and_accounted(tmp_path):
-    scenarios = expand_grid(dict(AXES, flaky_seeds=[1]))
-    result = run_campaign(
-        scenarios, tmp_path, trials=3, jobs=1, seed=0, retries=1
+@pytest.mark.parametrize(
+    "stand_in, flags, error_type",
+    [
+        (_nbo256_trial1_hangs, ["--timeout", "1"], "TaskDeadlineExceeded"),
+        (_nbo256_trial1_exits, [], "BrokenProcessPool"),
+    ],
+    ids=["hang", "worker-exit"],
+)
+def test_failed_trial_exits_1_and_resume_reruns_only_its_scenario(
+    tmp_path, capsys, monkeypatch, stand_in, flags, error_type
+):
+    args = [
+        "campaign", "--grid", "attack=selftest", "nbo=64,256",
+        "--trials", "2", "--jobs", "2", "--out", str(tmp_path),
+    ]
+    monkeypatch.setattr(trials_mod, "_execute_trial", stand_in)
+    assert main(args + flags) == 1
+    capsys.readouterr()
+    rows = {
+        row["label"]: row
+        for row in json.loads((tmp_path / "campaign.json").read_text())
+    }
+    assert rows["selftest/abo_only/nbo64"]["status"] == "ok"
+    failed = rows["selftest/abo_only/nbo256"]
+    assert failed["status"] == "partial"
+    assert failed["error"]["type"] == error_type
+    doc = load_scenario_result(tmp_path / failed["file"])
+    assert doc["trials"][1]["status"] == "error"
+    assert doc["trials"][1]["error"]["type"] == error_type
+
+    monkeypatch.undo()
+    assert main(args + ["--resume"]) == 0
+    statuses = dict(
+        line.split()[:2]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("selftest/")
     )
-    (sid,) = result.statuses
-    assert result.statuses[sid] == "partial"
-    doc = load_scenario_result(result.paths[sid])
-    assert doc["trials_ok"] == 2
-    assert doc["trials_quarantined"] == 1
-    quarantined = doc["trials"][1]
-    assert quarantined["status"] == "quarantined"
-    assert len(quarantined["attempts"]) == 2  # retries=1 -> 2 attempts
-    assert quarantined["error"]["type"] == "TransientError"
-    events = _events(tmp_path)
-    assert "trial.retry" in events
-    assert "trial.quarantined" in events
-    # The index records the quarantine like any other failure.
-    rows = json.loads((tmp_path / "campaign.json").read_text())
-    assert rows[0]["trials_quarantined"] == 1
-    assert rows[0]["error"]["type"] == "TransientError"
-
-
-def test_health_summary_counts_recovery_events(tmp_path):
-    scenarios = expand_grid(dict(AXES, flaky_seeds=[0]))
-    run_campaign(scenarios, tmp_path, trials=2, jobs=1, seed=0, retries=2)
-    health = summarize(last_run(read_heartbeat(tmp_path)))["health"]
-    assert health["retries"] == 2
-    assert health["quarantined"] == 1
+    assert statuses == {
+        "selftest/abo_only/nbo64": "cached",
+        "selftest/abo_only/nbo256": "ok",
+    }
 
 
 # ----------------------------------------------------------------------

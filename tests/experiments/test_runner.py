@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.runner import (
-    _to_jsonable,
-    load_result,
-    load_summary,
-    run_suite,
-)
+from repro.core.executor import to_jsonable
+from repro.experiments.runner import load_result, load_summary, run_suite
 
 pytestmark = pytest.mark.smoke
 
@@ -61,7 +57,7 @@ def test_to_jsonable_handles_nested_structures():
         x: int
         y: float
 
-    converted = _to_jsonable({(1, 2): [Point(1, 2.5), {"k": (3,)}]})
+    converted = to_jsonable({(1, 2): [Point(1, 2.5), {"k": (3,)}]})
     assert converted == {"(1, 2)": [{"x": 1, "y": 2.5}, {"k": [3]}]}
 
 
@@ -70,7 +66,7 @@ def test_to_jsonable_falls_back_to_repr():
         def __repr__(self):
             return "<weird>"
 
-    assert _to_jsonable(Weird()) == "<weird>"
+    assert to_jsonable(Weird()) == "<weird>"
 
 
 class _FakeResult:
@@ -200,7 +196,7 @@ def test_scale_feeds_the_cache_key():
 
 
 # ----------------------------------------------------------------------
-# Resilience: corrupt caches, retries, quarantine, interrupts
+# Resilience: corrupt caches, interrupts
 # ----------------------------------------------------------------------
 def test_corrupt_cache_file_is_quarantined_and_rerun(tmp_path):
     run_suite(tmp_path, experiments=["fig8"])
@@ -211,59 +207,6 @@ def test_corrupt_cache_file_is_quarantined_and_rerun(tmp_path):
     assert payload["status"] == "ok" and "cache_key" in payload
     summary = {e["experiment"]: e for e in load_summary(tmp_path)}
     assert summary["fig8"]["status"] == "ok"  # re-ran, not "cached"
-
-
-def test_transient_failure_is_retried_via_fault_plan(tmp_path, monkeypatch):
-    import json as json_mod
-
-    from repro import faults
-    from repro.core.executor import FAULT_PLAN_ENV
-
-    monkeypatch.setenv(
-        FAULT_PLAN_ENV,
-        json_mod.dumps(
-            {"rules": [{"action": "raise", "match": "fig8", "attempts": [0]}]}
-        ),
-    )
-    faults.clear_plan_cache()
-    try:
-        written = run_suite(tmp_path, experiments=["fig8"], use_cache=False)
-    finally:
-        faults.clear_plan_cache()
-    payload = load_result(written["fig8"])
-    assert payload["status"] == "ok"
-    assert payload["retries"] == 1
-    assert payload["attempt_errors"][0]["type"] == "InjectedFault"
-
-
-def test_exhausted_retries_quarantine_the_experiment(tmp_path, monkeypatch):
-    import json as json_mod
-
-    from repro import faults
-    from repro.core.executor import FAULT_PLAN_ENV
-
-    monkeypatch.setenv(
-        FAULT_PLAN_ENV,
-        json_mod.dumps(
-            {
-                "rules": [
-                    {"action": "raise", "match": "fig8", "attempts": [0, 1]}
-                ]
-            }
-        ),
-    )
-    faults.clear_plan_cache()
-    try:
-        written = run_suite(
-            tmp_path, experiments=["fig8"], use_cache=False, retries=1
-        )
-    finally:
-        faults.clear_plan_cache()
-    assert "fig8" not in written
-    summary = {e["experiment"]: e for e in load_summary(tmp_path)}
-    assert summary["fig8"]["status"] == "quarantined"
-    assert summary["fig8"]["attempts"] == 2
-    assert summary["fig8"]["error"]["type"] == "InjectedFault"
 
 
 def test_interrupted_suite_reraises_with_consistent_index(tmp_path, monkeypatch):

@@ -1,13 +1,38 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
-from repro.experiments import registry
+from repro.experiments import registry, runner
 
 pytestmark = pytest.mark.smoke
+
+_REAL_EXECUTE_SPEC = runner._execute_spec
+
+
+# Module-level (picklable) stand-ins for runner._execute_spec: fig8
+# fails one way each, every other artifact runs for real.
+def _fig8_raises(name, module, kwargs):
+    if name == "fig8":
+        raise RuntimeError("deliberate fig8 failure")
+    return _REAL_EXECUTE_SPEC(name, module, kwargs)
+
+
+def _fig8_hangs(name, module, kwargs):
+    if name == "fig8":
+        time.sleep(30)
+    return _REAL_EXECUTE_SPEC(name, module, kwargs)
+
+
+def _fig8_exits(name, module, kwargs):
+    if name == "fig8":
+        time.sleep(0.5)  # fig7 lands first
+        os._exit(3)
+    return _REAL_EXECUTE_SPEC(name, module, kwargs)
 
 
 def test_every_registered_artifact_has_a_command():
@@ -110,6 +135,73 @@ def test_suite_exit_code_ignores_stale_entries_from_other_runs(tmp_path, capsys)
     # ...but the stale entry is still preserved in the index itself.
     summary = json.loads((out_dir / "summary.json").read_text())
     assert {e["experiment"] for e in summary} == {"fig3", "fig8"}
+
+
+def _suite_with_failing_fig8(out_dir, capsys, monkeypatch, stand_in, *flags):
+    """Run fig7+fig8 on a 2-wide pool with fig8 failing via ``stand_in``;
+    then check that a plain re-run serves fig7 from the cache and
+    re-runs only fig8.  Returns the failing run's exit code, output
+    and summary entries."""
+    args = ["suite", "--only", "fig7", "fig8", "--jobs", "2", "--out", str(out_dir)]
+    monkeypatch.setattr(runner, "_execute_spec", stand_in)
+    code = main(args + list(flags))
+    printed = capsys.readouterr().out
+    summary = {
+        e["experiment"]: e
+        for e in json.loads((out_dir / "summary.json").read_text())
+    }
+    monkeypatch.undo()
+    assert main(args) == 0
+    statuses = dict(
+        line.split()[:2] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("fig")
+    )
+    assert statuses == {"fig7": "cached", "fig8": "ok"}
+    return code, printed, summary
+
+
+def test_suite_exits_nonzero_when_an_artifact_times_out(tmp_path, capsys, monkeypatch):
+    code, printed, summary = _suite_with_failing_fig8(
+        tmp_path, capsys, monkeypatch, _fig8_hangs, "--timeout", "1"
+    )
+    assert code == 1
+    assert "suite: 1/2 artifacts ok" in printed
+    assert summary["fig7"]["status"] == "ok"
+    assert summary["fig8"]["status"] == "error"
+    assert summary["fig8"]["error"]["type"] == "TaskDeadlineExceeded"
+
+
+@pytest.mark.parametrize(
+    "stand_in, error_type",
+    [(_fig8_raises, "RuntimeError"), (_fig8_exits, "BrokenProcessPool")],
+    ids=["raise", "worker-exit"],
+)
+def test_suite_exits_nonzero_when_an_artifact_fails(
+    tmp_path, capsys, monkeypatch, stand_in, error_type
+):
+    code, printed, summary = _suite_with_failing_fig8(
+        tmp_path, capsys, monkeypatch, stand_in
+    )
+    assert code == 1
+    assert "suite: 1/2 artifacts ok" in printed
+    assert summary["fig8"]["status"] == "error"
+    assert summary["fig8"]["error"]["type"] == error_type
+
+
+def test_suite_runs_a_repeated_artifact_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(name, module, kwargs):
+        calls.append(name)
+        return _REAL_EXECUTE_SPEC(name, module, kwargs)
+
+    monkeypatch.setattr(runner, "_execute_spec", counting)
+    code = main([
+        "suite", "--only", "fig8", "fig8", "--jobs", "1", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert calls == ["fig8"]
+    assert "suite: 1/1 artifacts ok" in capsys.readouterr().out
 
 
 def test_suite_only_flags_rejected_on_other_commands(capsys):
@@ -219,31 +311,40 @@ def test_verbosity_flags_are_global_and_exclusive(capsys):
     capsys.readouterr()
 
 
+def _assert_unknown_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_retries_and_timeout_accepted_for_suite_and_campaign(tmp_path, capsys):
+    # Failures are not retried any more, so no command takes a retry
+    # budget; --timeout stays.
     code = main([
-        "suite", "--only", "fig7", "--out", str(tmp_path),
-        "--retries", "0", "--timeout", "300",
+        "suite", "--only", "fig7", "--out", str(tmp_path), "--timeout", "300",
     ])
     assert code == 0
     capsys.readouterr()
     code = main([
         "campaign", "--grid", "attack=selftest", "--out", str(tmp_path / "c"),
-        "--trials", "1", "--jobs", "1", "--retries", "1", "--timeout", "60",
+        "--trials", "1", "--jobs", "1", "--timeout", "60",
     ])
     assert code == 0
+    capsys.readouterr()
+    for command in ("suite", "campaign"):
+        _assert_unknown_flag(capsys, [command, "--retries", "1"], "--retries")
 
 
 def test_retries_and_timeout_rejected_on_other_commands(capsys):
     for command in ("fig7", "fig10"):
-        assert main([command, "--retries", "2"]) == 2
-        assert "--retries" in capsys.readouterr().err
+        _assert_unknown_flag(capsys, [command, "--retries", "2"], "--retries")
         assert main([command, "--timeout", "5"]) == 2
         assert "--timeout" in capsys.readouterr().err
 
 
 def test_invalid_retry_and_timeout_values_exit_2(capsys):
-    assert main(["suite", "--retries", "-1"]) == 2
-    assert "--retries" in capsys.readouterr().err
+    _assert_unknown_flag(capsys, ["suite", "--retries", "-1"], "--retries")
     assert main(["campaign", "--grid", "attack=selftest", "--timeout", "0"]) == 2
     assert "--timeout" in capsys.readouterr().err
 
