@@ -136,6 +136,9 @@ class LatencyProbe:
         self.bank = bank
         self.mode = mode
         self.rows = rows or ([0] if mode == "same_row" else list(range(64)))
+        # Resolved once (an out-of-range bank raises here): the probe
+        # reissues to these addresses on every access.
+        self._addrs = [bank_address(controller, bank, row) for row in self.rows]
         self.core_id = core_id
         self.gap_ns = gap_ns
         self.result = ProbeResult()
@@ -151,16 +154,16 @@ class LatencyProbe:
         """Stop after the in-flight access completes."""
         self._running = False
 
-    def _next_row(self) -> int:
-        row = self.rows[self._row_cursor % len(self.rows)]
+    def _next_addr(self) -> int:
+        addr = self._addrs[self._row_cursor % len(self._addrs)]
         if self.mode == "rotate_rows":
             self._row_cursor += 1
-        return row
+        return addr
 
     def _issue(self) -> None:
         if not self._running:
             return
-        addr = bank_address(self.controller, self.bank, self._next_row())
+        addr = self._next_addr()
         request = MemRequest(
             phys_addr=addr, core_id=self.core_id, on_complete=self._completed
         )

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.request import MemRequest
 from repro.controller.stats import ControllerStats, RfmRecord
-from repro.core.engine import Engine
+from repro.core.engine import Engine, EventHandle
 from repro.dram.address import AddressMapping
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import DramConfig
@@ -62,6 +62,8 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.prac.abo import AboProtocol
+
+_INF = float("inf")
 
 
 class MemoryController:
@@ -192,7 +194,11 @@ class MemoryController:
         if policy is not None:
             policy.attach(self)
 
-        self._wake_event = None
+        #: the pending wake's handle and time (infinity when none is
+        #: pending): the time is read on every enqueue, so it sits in a
+        #: float beside the handle rather than inside it
+        self._wake_event: Optional[EventHandle] = None
+        self._wake_time = _INF
 
         #: optional command-level trace for post-hoc timing verification
         self.command_log: Optional[List[Command]] = [] if log_commands else None
@@ -337,8 +343,7 @@ class MemoryController:
             # Idle -> busy: the bank joins the agenda.  A busy bank's
             # head, and so its ready time, is unchanged by an enqueue.
             heappush(self._agenda, (self._bank_ready_time(bank_id), bank_id))
-        wake = self._wake_event
-        if wake is None or wake.cancelled or wake.time > now:
+        if self._wake_time > now:
             self._schedule_wake(now)
 
     def request_rfm(self, provenance: RfmProvenance, count: int = 1) -> None:
@@ -385,18 +390,21 @@ class MemoryController:
     # Scheduling loop
     # ==================================================================
     def _schedule_wake(self, time: float) -> None:
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         if time < now:
             time = now
+        if self._wake_time <= time:
+            return  # the pending wake comes no later
         wake = self._wake_event
-        if wake is not None and not wake.cancelled:
-            if wake.time <= time:
-                return
-            wake.cancel()
-        self._wake_event = self.engine.schedule(time, self._wake, 1, "mc-wake")
+        if wake is not None:
+            engine.cancel(wake)
+        self._wake_time = time
+        self._wake_event = engine.schedule(time, self._wake, 1, "mc-wake")
 
     def _wake(self) -> None:
         self._wake_event = None
+        self._wake_time = _INF
         engine = self.engine
         now = engine.now
         channel = self.channel
@@ -484,11 +492,12 @@ class MemoryController:
                 target = now
         # Inline _schedule_wake (the wake handle is usually None here:
         # it was cleared on entry and only hooks re-arm it mid-wake).
+        if self._wake_time <= target:
+            return
         wake = self._wake_event
-        if wake is not None and not wake.cancelled:
-            if wake.time <= target:
-                return
-            wake.cancel()
+        if wake is not None:
+            engine.cancel(wake)
+        self._wake_time = target
         self._wake_event = engine.schedule(target, self._wake, 1, "mc-wake")
 
     # ------------------------------------------------------------------

@@ -8,80 +8,49 @@ deterministic when two events share a timestamp.
 
 Hot-path design (this is the innermost loop of every experiment):
 
-* Heap entries are plain ``(time, priority, seq, event)`` tuples, so
-  ``heapq`` sift comparisons run entirely in C tuple comparison code and
-  short-circuit at ``seq`` (which is unique) — the :class:`Event` object
-  itself is never compared.
-* :class:`Event` is a ``__slots__`` handle (no dataclass machinery, no
-  per-comparison key tuples); it exists only so callers can ``cancel()``.
-* Cancellation is lazy (O(1)): the entry stays in the heap and is
-  skipped when popped.  A live-event counter keeps :attr:`Engine.pending`
-  O(1) instead of rescanning the heap.
+* Each scheduled event is one list, ``[time, priority, seq, callback,
+  label]`` (an :data:`EventHandle`).  That list is both the heap entry
+  and the handle :meth:`Engine.schedule` returns, so scheduling
+  allocates nothing else.  ``heapq`` compares entries in C and stops at
+  ``seq`` (unique), so the callback is never compared.
+* The callback slot is the event's state: it holds the callback while
+  the event is pending and is cleared to ``None`` once the event fires,
+  is cancelled or is drained.  :meth:`Engine.cancel` clears it in O(1);
+  the entry stays in the heap and is skipped when popped.  Clearing the
+  slot also releases the closure, and makes a late cancel a no-op.
+* :attr:`Engine.pending` and :attr:`Engine.events_fired` are derived
+  from the heap length, the sequence counter and two tallies (cancelled
+  entries still queued, entries removed without firing), so both are
+  O(1) and exact at any moment, mid-run included.
 * :meth:`Engine.run` is a single inlined loop with a same-time fast
   path: consecutive events at the current timestamp skip the horizon
   comparison and the clock write.
+* Every event enters through :meth:`Engine.schedule`
+  (:meth:`Engine.schedule_after` and :meth:`Engine.every` call it), so
+  wrapping that one method sees every event; perfbench's traced run
+  does exactly that to attribute each callback's time.
 
 Time unit: **nanoseconds** throughout the code base.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 _INF = float("inf")
 
-
-def _noop() -> None:
-    """Replaces a cancelled event's callback, releasing its closure."""
-
-
-class Event:
-    """A scheduled callback handle.
-
-    The engine orders events by ``(time, priority, seq)``; ``cancelled``
-    events are skipped when popped (lazy deletion keeps cancellation
-    O(1)).  Once fired or cancelled an event is inert: ``cancel()`` on a
-    fired event is a no-op.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "engine")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], Any],
-        label: str,
-        engine: Optional["Engine"],
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-        self.engine = engine
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        engine = self.engine
-        if self.cancelled or engine is None:
-            return  # already cancelled, already fired, or detached
-        self.cancelled = True
-        self.callback = _noop  # release the closure immediately
-        engine._live -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.engine is None else "pending")
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq} {state} {self.label!r}>"
+#: A scheduled event, ``[time, priority, seq, callback, label]``: the
+#: heap entry itself, returned by :meth:`Engine.schedule` as the handle
+#: :meth:`Engine.cancel` takes.  ``callback`` is ``None`` once the event
+#: has fired, been cancelled or been drained.
+EventHandle = List[Any]
 
 
 class RepeatingTimer:
     """A self-re-arming periodic callback (see :meth:`Engine.every`).
 
-    The underlying :class:`Event` changes at every re-arm, so callers
+    The underlying event handle changes at every re-arm, so callers
     hold this stable handle instead; :meth:`stop` cancels the pending
     occurrence and prevents further re-arms.  Used by observability
     samplers — the periodic event is ordinary engine traffic, so
@@ -106,7 +75,7 @@ class RepeatingTimer:
         self.priority = priority
         self.label = label
         self.stopped = False
-        self._event: Optional[Event] = engine.schedule_after(
+        self._event: Optional[EventHandle] = engine.schedule_after(
             interval, self._fire, priority=priority, label=label
         )
 
@@ -122,7 +91,7 @@ class RepeatingTimer:
         self.stopped = True
         event = self._event
         if event is not None:
-            event.cancel()
+            self.engine.cancel(event)
             self._event = None
 
 
@@ -139,12 +108,11 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[EventHandle] = []
         self._seq: int = 0
-        self._events_fired: int = 0
-        self._live: int = 0
+        self._dead: int = 0  # cancelled entries still in the heap
+        self._discarded: int = 0  # entries that left the heap unfired
         self._stop: bool = False
-        self._drained: bool = False  # drain() happened inside run()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -155,12 +123,12 @@ class Engine:
         callback: Callable[[], Any],
         priority: int = 0,
         label: str = "",
-    ) -> Event:
+    ) -> EventHandle:
         """Schedule ``callback`` to run at absolute ``time``.
 
         ``time`` must not be in the past.  Lower ``priority`` runs first
-        among same-time events.  Returns the :class:`Event`, which the
-        caller may :meth:`Event.cancel`.
+        among same-time events.  Returns the event's handle, which the
+        caller may pass to :meth:`cancel`.
         """
         if time < self.now:
             raise ValueError(
@@ -168,18 +136,8 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        # Inline Event construction (no __init__ call): this runs once
-        # per scheduled event and is measurably hot.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.callback = callback
-        event.label = label
-        event.cancelled = False
-        event.engine = self
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
+        event: EventHandle = [time, priority, seq, callback, label]
+        heappush(self._heap, event)
         return event
 
     def schedule_after(
@@ -188,7 +146,7 @@ class Engine:
         callback: Callable[[], Any],
         priority: int = 0,
         label: str = "",
-    ) -> Event:
+    ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -210,6 +168,16 @@ class Engine:
         """
         return RepeatingTimer(self, interval, callback, priority, label)
 
+    def cancel(self, event: EventHandle) -> None:
+        """Cancel a pending event in O(1); the run loop skips it.
+
+        Cancelling an event that already fired, was already cancelled
+        or was drained is a no-op.
+        """
+        if event[3] is not None:
+            event[3] = None  # release the closure
+            self._dead += 1
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -217,14 +185,15 @@ class Engine:
         """Run the next pending event.  Returns False when none remain."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
+            event = heappop(heap)
+            callback = event[3]
+            if callback is None:
+                self._dead -= 1
+                self._discarded += 1
                 continue
-            event.engine = None  # mark fired; cancel() becomes a no-op
-            self._live -= 1
-            self.now = event.time
-            event.callback()
-            self._events_fired += 1
+            event[3] = None  # mark fired; cancel() becomes a no-op
+            self.now = event[0]
+            callback()
             return True
         return False
 
@@ -239,48 +208,37 @@ class Engine:
         the stopper wants the clock frozen at the stopping event).
         """
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         horizon = _INF if until is None else until
         limit = -1 if max_events is None else max_events
         fired = 0
         now = self.now
         self._stop = False
-        self._drained = False  # only a drain *during* this run matters
         if horizon < now:
             return  # horizon already in the past: nothing can fire
-        try:
-            while heap:
-                if fired == limit:
-                    return
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                time = entry[0]
-                if time != now:
-                    # New timestamp: check the horizon and advance the
-                    # clock.  Same-time events (the cascade case) skip both.
-                    if time > horizon:
-                        break
-                    self.now = now = time
-                pop(heap)
-                event.engine = None  # mark fired; cancel() becomes a no-op
-                fired += 1  # counted at pop so the tallies stay exact
-                event.callback()    # even if the callback raises
-                if self._stop:
-                    self._stop = False
-                    return
-        finally:
-            # Batched outside the loop; exact on every exit path.
-            self._events_fired += fired
-            if self._drained:
-                # drain() ran inside a callback and zeroed the counter
-                # mid-run: the heap is now the ground truth.
-                self._drained = False
-                self._live = sum(1 for entry in heap if not entry[3].cancelled)
-            else:
-                self._live -= fired
+        while heap:
+            if fired == limit:
+                return
+            event = pop(heap)
+            callback = event[3]
+            if callback is None:  # cancelled
+                self._dead -= 1
+                self._discarded += 1
+                continue
+            time = event[0]
+            if time != now:
+                # New timestamp: check the horizon and advance the
+                # clock.  Same-time events (the cascade case) skip both.
+                if time > horizon:
+                    heappush(heap, event)  # keys are unique: order holds
+                    break
+                self.now = now = time
+            event[3] = None  # mark fired; cancel() becomes a no-op
+            fired += 1
+            callback()
+            if self._stop:
+                self._stop = False
+                return
         if until is not None and self.now < until:
             self.now = until
 
@@ -295,22 +253,23 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1).
-
-        Exact between :meth:`run` calls; while a run is in progress the
-        batched bookkeeping settles when the run returns.
-        """
-        return self._live
+        """Number of live (non-cancelled) events still queued.  O(1)."""
+        return len(self._heap) - self._dead
 
     @property
     def events_fired(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_fired
+        """Total number of events fired so far, the running one included.
+
+        O(1) and exact at any moment: every sequence number belongs to
+        an event still queued, one removed unfired, or one fired.
+        """
+        return self._seq - len(self._heap) - self._discarded
 
     def drain(self) -> None:
         """Discard all pending events (used by tests and teardown)."""
-        for entry in self._heap:
-            entry[3].engine = None  # detach so late cancel() stays a no-op
-        self._heap.clear()
-        self._live = 0
-        self._drained = True  # tell an in-flight run() the count was reset
+        heap = self._heap
+        for event in heap:
+            event[3] = None  # a late cancel() stays a no-op
+        self._discarded += len(heap)
+        self._dead = 0
+        heap.clear()

@@ -44,9 +44,9 @@ class DramAddress(NamedTuple):
 
     def flat_bank(self, org: DramOrganization) -> int:
         """Flat bank index across the whole channel (rank-major)."""
-        per_rank = org.banks_per_rank
-        within_rank = self.bank_group * org.banks_per_group + self.bank
-        return self.rank * per_rank + within_rank
+        # Multiplied out rather than read through the banks_per_rank
+        # property: the controller runs this once per decoded address.
+        return (self.rank * org.bank_groups + self.bank_group) * org.banks_per_group + self.bank
 
 
 class AddressMapping:
@@ -144,33 +144,35 @@ class MopMapping(AddressMapping):
                 f"({org.columns_per_row})"
             )
         self.mop_width = mop_width
+        # decode's field sizes, LSB first, read from the organization
+        # once (columns_per_row is a property).
+        self._radices = (
+            org.cacheline_bytes, org.channels, mop_width, org.banks_per_group,
+            org.bank_groups, org.ranks, org.columns_per_row // mop_width,
+            org.rows_per_bank,
+        )
 
     def decode(self, phys_addr: int) -> DramAddress:
         # Direct div/mod chain (equivalent to _split, without the
         # temporary list/tuple): this runs once per DRAM request.
-        org = self.org
-        mop_width = self.mop_width
-        line = phys_addr // org.cacheline_bytes
-        channel = line % org.channels
-        line //= org.channels
+        (line_bytes, channels, mop_width, banks_per_group, bank_groups,
+         ranks, col_blocks, rows_per_bank) = self._radices
+        line = phys_addr // line_bytes
+        channel = line % channels
+        line //= channels
         col_low = line % mop_width
         line //= mop_width
-        bank = line % org.banks_per_group
-        line //= org.banks_per_group
-        bank_group = line % org.bank_groups
-        line //= org.bank_groups
-        rank = line % org.ranks
-        line //= org.ranks
-        col_blocks = org.columns_per_row // mop_width
+        bank = line % banks_per_group
+        line //= banks_per_group
+        bank_group = line % bank_groups
+        line //= bank_groups
+        rank = line % ranks
+        line //= ranks
         col_high = line % col_blocks
         row = line // col_blocks
         return DramAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row % org.rows_per_bank,
-            column=col_high * mop_width + col_low,
+            channel, rank, bank_group, bank, row % rows_per_bank,
+            col_high * mop_width + col_low,
         )
 
     def encode(self, addr: DramAddress) -> int:

@@ -27,6 +27,7 @@ from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
+    from repro.core.engine import EventHandle
 
 
 class TpracPolicy(MitigationPolicy):
@@ -59,7 +60,7 @@ class TpracPolicy(MitigationPolicy):
         self.tb_rfms_issued = 0
         self.tb_rfms_skipped = 0   # skipped thanks to a TREF in-window
         self._tref_in_window = False
-        self._timer_event = None
+        self._timer_event: Optional["EventHandle"] = None
 
     # ------------------------------------------------------------------
     def on_attached(self, controller: "MemoryController") -> None:

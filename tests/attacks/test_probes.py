@@ -65,6 +65,14 @@ def test_probe_mode_validation():
         LatencyProbe(mc, bank=0, mode="chaotic")
 
 
+def test_probe_rejects_an_out_of_range_bank_at_construction():
+    mc = _controller()
+    banks = mc.config.organization.banks_per_channel
+    for mode in ("same_row", "rotate_rows"):
+        with pytest.raises(ValueError, match="out of range"):
+            LatencyProbe(mc, bank=banks, mode=mode)
+
+
 def test_probe_observes_rfm_blocking():
     mc = _controller()
     probe = LatencyProbe(mc, bank=1, mode="same_row")

@@ -31,15 +31,17 @@ def _run(mitigation, scheduler, rebuild_every_wake):
         policy=build_policy(scenario, seed=3),
         system=SystemConfig(scheduler=scheduler),
     )
+    uncached_wakes = 0
     if rebuild_every_wake:
         controller = system.controller
         original_wake = controller._wake
 
         def uncached_wake():
+            nonlocal uncached_wakes
+            uncached_wakes += 1
             controller._invalidate_ready_cache()
             original_wake()
 
-        controller._wake_event = None
         controller._wake = uncached_wake  # type: ignore[method-assign]
     result = system.run()
     stats = system.controller.stats
@@ -51,7 +53,7 @@ def _run(mitigation, scheduler, rebuild_every_wake):
         stats.row_conflicts,
         len(stats.rfm_records),
         system.engine.events_fired,
-    )
+    ), uncached_wakes
 
 
 #: Every (mitigation, scheduler) pair; the default scheduler's cases
@@ -70,6 +72,9 @@ CASES = [
 @pytest.mark.slow
 @pytest.mark.parametrize("mitigation,scheduler", CASES)
 def test_ready_cache_is_invisible_for_every_mitigation(mitigation, scheduler):
-    assert _run(mitigation, scheduler, rebuild_every_wake=False) == _run(
-        mitigation, scheduler, rebuild_every_wake=True
-    )
+    cached, _ = _run(mitigation, scheduler, rebuild_every_wake=False)
+    uncached, uncached_wakes = _run(mitigation, scheduler, rebuild_every_wake=True)
+    # The swap must reach the wake loop: a controller that bound its
+    # wake before the swap would run the agenda in both variants.
+    assert uncached_wakes > 0
+    assert cached == uncached

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import weakref
+
 import pytest
 
 from repro.core.engine import Engine
@@ -53,7 +55,7 @@ def test_cancelled_event_does_not_fire():
     engine = Engine()
     fired = []
     event = engine.schedule(10.0, lambda: fired.append("x"))
-    event.cancel()
+    engine.cancel(event)
     engine.schedule(20.0, lambda: fired.append("y"))
     engine.run()
     assert fired == ["y"]
@@ -106,7 +108,7 @@ def test_pending_counts_live_events():
     e1 = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
     assert engine.pending == 2
-    e1.cancel()
+    engine.cancel(e1)
     assert engine.pending == 1
 
 
@@ -130,7 +132,7 @@ def test_cancel_from_inside_a_callback_suppresses_the_pending_event():
     engine = Engine()
     fired = []
     victim = engine.schedule(20.0, lambda: fired.append("victim"))
-    engine.schedule(10.0, lambda: victim.cancel())
+    engine.schedule(10.0, lambda: engine.cancel(victim))
     engine.run()
     assert fired == []
     assert engine.now == 10.0          # the cancelled event never advanced time
@@ -142,7 +144,7 @@ def test_cancel_same_time_lower_priority_event_from_a_callback():
     engine = Engine()
     fired = []
     victim = engine.schedule(5.0, lambda: fired.append("victim"), priority=1)
-    engine.schedule(5.0, lambda: victim.cancel(), priority=0)
+    engine.schedule(5.0, lambda: engine.cancel(victim), priority=0)
     engine.run()
     assert fired == []
 
@@ -151,8 +153,8 @@ def test_cancel_is_idempotent_and_counts_drop_once():
     engine = Engine()
     event = engine.schedule(5.0, lambda: None)
     assert engine.pending == 1
-    event.cancel()
-    event.cancel()
+    engine.cancel(event)
+    engine.cancel(event)
     assert engine.pending == 0
     engine.run()
     assert engine.events_fired == 0
@@ -163,7 +165,7 @@ def test_cancelled_head_is_skipped_without_firing_during_run_until():
     fired = []
     head = engine.schedule(1.0, lambda: fired.append("head"))
     engine.schedule(2.0, lambda: fired.append("tail"))
-    head.cancel()
+    engine.cancel(head)
     engine.run(until=5.0)
     assert fired == ["tail"]
     assert engine.now == 5.0
@@ -210,7 +212,7 @@ def test_empty_queue_run_with_until_still_advances_the_clock():
 def test_run_with_only_cancelled_events_drains_cleanly():
     engine = Engine()
     for t in (1.0, 2.0, 3.0):
-        engine.schedule(t, lambda: None).cancel()
+        engine.cancel(engine.schedule(t, lambda: None))
     engine.run(until=10.0)
     assert engine.events_fired == 0
     assert engine.pending == 0
@@ -227,13 +229,13 @@ def test_events_fired_counts_across_multiple_runs():
 
 
 # ----------------------------------------------------------------------
-# Fast-path kernel behaviors (slots Event, live counter, stop flag)
+# Fast-path kernel behaviors (entry handles, derived counts, stop flag)
 # ----------------------------------------------------------------------
 def test_pending_is_maintained_without_heap_scans():
     engine = Engine()
     events = [engine.schedule(float(i), lambda: None) for i in range(5)]
     assert engine.pending == 5
-    events[2].cancel()
+    engine.cancel(events[2])
     assert engine.pending == 4
     engine.run()
     assert engine.pending == 0
@@ -243,8 +245,8 @@ def test_double_cancel_decrements_pending_once():
     engine = Engine()
     event = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    engine.cancel(event)
+    engine.cancel(event)
     assert engine.pending == 1
 
 
@@ -253,7 +255,7 @@ def test_cancel_after_fire_is_a_noop():
     event = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
     engine.run(until=1.5)
-    event.cancel()  # already fired: must not corrupt the live counter
+    engine.cancel(event)  # already fired: must not corrupt the counts
     assert engine.pending == 1
     assert engine.events_fired == 1
 
@@ -262,21 +264,33 @@ def test_cancel_after_drain_is_a_noop():
     engine = Engine()
     event = engine.schedule(1.0, lambda: None)
     engine.drain()
-    event.cancel()
+    engine.cancel(event)
     assert engine.pending == 0
 
 
 def test_cancelled_event_releases_its_callback():
     engine = Engine()
     closure = lambda: None  # noqa: E731 - identity matters here
+    released = weakref.ref(closure)
     event = engine.schedule(1.0, closure)
-    event.cancel()
-    # The slot is re-pointed at a module-level no-op (it stays a
-    # callable, so the attribute type never widens to Optional) and the
-    # scheduled closure is released.
-    assert event.callback is not closure
-    assert callable(event.callback)
-    assert event.cancelled
+    engine.cancel(event)
+    del closure
+    # The callback slot is cleared (the handle reads as no longer
+    # pending) and the engine keeps no other reference to the closure.
+    assert event[3] is None
+    assert released() is None
+    assert engine.pending == 0
+
+
+def test_fired_event_releases_its_callback():
+    engine = Engine()
+    closure = lambda: None  # noqa: E731 - identity matters here
+    released = weakref.ref(closure)
+    event = engine.schedule(1.0, closure)
+    del closure
+    engine.run()
+    assert event[3] is None
+    assert released() is None
 
 
 def test_request_stop_halts_before_the_next_event():
@@ -312,8 +326,9 @@ def test_run_with_until_in_the_past_fires_nothing():
 def test_event_exposes_its_sort_key_fields():
     engine = Engine()
     event = engine.schedule(7.0, lambda: None, priority=3, label="x")
-    assert (event.time, event.priority, event.seq) == (7.0, 3, 0)
-    assert event.label == "x"
+    time, priority, seq, _callback, label = event
+    assert (time, priority, seq) == (7.0, 3, 0)
+    assert label == "x"
 
 
 def test_events_fired_is_exact_when_a_callback_raises():
@@ -428,3 +443,49 @@ def test_repeating_timer_stop_from_inside_callback():
     timer = engine.every(10.0, lambda: (fired.append(engine.now), timer.stop()))
     engine.run(until=100.0)
     assert fired == [10.0]
+
+
+def test_counts_read_inside_a_callback_are_exact_mid_run():
+    """``events_fired`` read from a callback counts every event fired so
+    far, in this run and earlier ones, the running event included;
+    ``pending`` counts the live events still queued."""
+    engine = Engine()
+    seen = []
+    engine.schedule(1.0, lambda: None)
+    engine.run()
+    for t in (2.0, 2.0, 3.0):
+        engine.schedule(t, lambda: seen.append((engine.events_fired, engine.pending)))
+    engine.cancel(engine.schedule(2.5, lambda: None))
+    engine.schedule(9.0, lambda: None)
+    engine.run(until=5.0)
+    assert seen == [(2, 3), (3, 2), (4, 1)]
+    assert (engine.events_fired, engine.pending) == (4, 1)
+
+
+def test_schedule_after_and_every_enter_through_schedule(monkeypatch):
+    """Every event enters through ``Engine.schedule``: a wrapper put on
+    the class (as perfbench's traced run does) must see ``schedule_after``
+    and ``every``, on the first arm and on every re-arm."""
+    seen = []
+    original = Engine.schedule
+
+    def schedule(self, time, callback, priority=0, label=""):
+        seen.append(label)
+        return original(self, time, callback, priority, label)
+
+    monkeypatch.setattr(Engine, "schedule", schedule)
+    engine = Engine()
+    engine.schedule_after(
+        1.0,
+        lambda: engine.schedule_after(1.0, lambda: None, label="after-2"),
+        label="after-1",
+    )
+    timer = engine.every(3.0, lambda: None, label="tick")
+    assert seen == ["after-1", "tick"]
+    engine.run(until=10.0)
+    timer.stop()
+    assert seen == ["after-1", "tick", "after-2", "tick", "tick", "tick"]
+    # Everything that fired was scheduled through the wrapper; the one
+    # wrapped event that did not fire is the tick stop() cancelled.
+    assert engine.events_fired == len(seen) - 1
+    assert engine.pending == 0

@@ -30,7 +30,7 @@ def test_cancellation_removes_exactly_one_event(times, cancel_index):
         engine.schedule(t, lambda i=i: fired.append(i)) for i, t in enumerate(times)
     ]
     victim = events[cancel_index % len(events)]
-    victim.cancel()
+    engine.cancel(victim)
     engine.run()
     assert len(fired) == len(times) - 1
     assert (cancel_index % len(times)) not in fired

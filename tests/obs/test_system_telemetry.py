@@ -14,10 +14,12 @@ from repro.config import SystemConfig
 from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
+from repro.cpu.system import System
 from repro.dram.config import small_test_config
 from repro.obs.export import export_system_telemetry
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import TRACE_SCHEMA, load_trace_jsonl
+from repro.workloads.synthetic import homogeneous_traces
 
 pytestmark = pytest.mark.smoke
 
@@ -99,6 +101,19 @@ def test_sampler_records_windowed_series():
         "t", "queue_depth", "row_hit_rate", "bus_occupancy",
         "alerts_per_s", "events_per_wall_s",
     }
+
+
+def test_sampler_sees_events_in_every_window_of_a_run():
+    # System.run fires everything inside one engine.run(), and the
+    # sampler reads events_fired from inside it: each window's count
+    # must cover the events that fired in it, not read 0 until the run
+    # returns.
+    traces = homogeneous_traces("433.milc", cores=2, num_accesses=4000, seed=1)
+    system = System(traces, system=SystemConfig(metrics=True))
+    system.run()
+    rates = system.memory.sampler.series["events_per_wall_s"]
+    assert len(rates) >= 2
+    assert all(rate > 0 for rate in rates), rates
 
 
 def test_multi_channel_shares_one_recorder_and_registry():

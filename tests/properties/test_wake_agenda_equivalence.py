@@ -62,6 +62,7 @@ class ScanController(MemoryController):
 
     def _wake(self) -> None:
         self._wake_event = None
+        self._wake_time = math.inf
         now = self.engine.now
         channel = self.channel
         abo = self.abo

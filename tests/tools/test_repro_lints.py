@@ -132,17 +132,17 @@ class TestRegistryBypass:
 # ----------------------------------------------------------------------
 class TestSlotsRequired:
     def test_missing_slots_flagged(self):
-        src = "class Event:\n    def __init__(self):\n        self.time = 0.0\n"
-        found = lint_source(src, "src/repro/core/engine.py")
+        src = "class MemRequest:\n    def __init__(self):\n        self.addr = None\n"
+        found = lint_source(src, "src/repro/controller/request.py")
         assert rules_of(found) == ["slots-required"]
 
     def test_declared_slots_clean(self):
-        src = 'class Event:\n    __slots__ = ("time",)\n'
-        assert lint_source(src, "src/repro/core/engine.py") == []
+        src = 'class MemRequest:\n    __slots__ = ("addr",)\n'
+        assert lint_source(src, "src/repro/controller/request.py") == []
 
     def test_other_classes_in_module_free(self):
-        src = "class Engine:\n    pass\n"
-        assert lint_source(src, "src/repro/core/engine.py") == []
+        src = "class RequestPool:\n    pass\n"
+        assert lint_source(src, "src/repro/controller/request.py") == []
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """``slots-required``: hot-path record classes must declare ``__slots__``.
 
-The engine allocates one :class:`Event` per scheduled callback and one
-:class:`MemRequest` per memory access — millions per campaign.  Without
-``__slots__`` each instance carries a per-object ``__dict__`` (~2x the
-memory, slower attribute access); with it, accidental attribute
-creation (a typo'd assignment in a scheduler) raises instead of
-silently spawning state the rest of the pipeline never sees.  The
-sanitizer's per-bank shadow state rides the same hot path when enabled.
+The controller allocates one :class:`MemRequest` per memory access —
+millions per campaign.  Without ``__slots__`` each instance carries a
+per-object ``__dict__`` (~2x the memory, slower attribute access);
+with it, accidental attribute creation (a typo'd assignment in a
+scheduler) raises instead of silently spawning state the rest of the
+pipeline never sees.  The sanitizer's per-bank shadow state rides the
+same hot path when enabled.
 
 The rule pins specific (module, class) pairs rather than guessing at
 "hotness" from heuristics: extending it is one entry in
@@ -22,7 +22,6 @@ from tools.repro_lints.base import Module, Rule, Violation, register
 
 #: module path -> class names that must declare ``__slots__``.
 SLOTTED_CLASSES: Dict[str, Tuple[str, ...]] = {
-    "src/repro/core/engine.py": ("Event",),
     "src/repro/controller/request.py": ("MemRequest",),
     "src/repro/dram/sanitizer.py": ("_BankState",),
 }
