@@ -88,20 +88,37 @@ python -m repro.cli campaign --grid sanitize=true scheduler=fcfs,fr_fcfs_cap \
     mitigation=tprac requests_per_core=2000 --trials 1 --jobs 2 \
     --out "$sched_san_dir"
 
-echo "== campaign: traced perf scenario (telemetry smoke) =="
-# One perf scenario with the full telemetry layer attached: the run
-# must produce a loadable Chrome trace, a metrics time-series file and
-# a heartbeat stream that `obs report` can summarize.
+echo "== campaign: traced perf scenarios (telemetry smoke) =="
+# Two perf scenarios with the full telemetry layer attached, one with
+# TPRAC's all-bank TB-RFMs and one with RFMpb's per-bank TB-RFMs.  The
+# runs must produce a loadable Chrome trace, a metrics file per trial
+# and a heartbeat stream that `obs report` can summarize.  Each metrics
+# file must also count: its rfm.* counters add up to the trial's `rfms`
+# metric (one trial, so the scenario mean is that trial's value), and
+# it saw at least one REFab.
 obs_dir="$(mktemp -d)"
 cleanup_dirs+=("$obs_dir")
-python -m repro.cli campaign --grid trace=true metrics=true --trials 1 \
-    --jobs 2 --out "$obs_dir" --progress
+python -m repro.cli campaign --grid trace=true metrics=true \
+    mitigation=tprac,rfmpb --trials 1 --jobs 2 --out "$obs_dir" --progress
 ls "$obs_dir"/obs/trace-*.chrome.json "$obs_dir"/obs/metrics-*.json \
     "$obs_dir"/heartbeat.jsonl > /dev/null
 python -c "import json, sys, glob
 path = glob.glob(sys.argv[1] + '/obs/trace-*.chrome.json')[0]
 doc = json.load(open(path))
 assert doc['traceEvents'], 'empty Chrome trace'
+" "$obs_dir"
+python -c "import glob, json, os, re, sys
+root = sys.argv[1]
+paths = sorted(glob.glob(root + '/obs/metrics-*.json'))
+assert len(paths) == 2, paths
+for path in paths:
+    scenario_id = re.fullmatch(r'metrics-(.+)-s\d+\.json', os.path.basename(path))[1]
+    counters = json.load(open(path))['registry']['counters']
+    scenario = json.load(open(root + '/scenario-' + scenario_id + '.json'))
+    rfms = scenario['metrics']['rfms']['mean']
+    exported = sum(v for k, v in counters.items() if k.startswith('rfm.'))
+    assert exported == rfms > 0, (path, exported, rfms)
+    assert counters['dram.refab'] > 0, (path, counters['dram.refab'])
 " "$obs_dir"
 obs_report="$(python -m repro.cli obs report "$obs_dir")"
 grep -q 'heartbeat:' <<<"$obs_report"

@@ -137,6 +137,7 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
             telemetry_dir,
             stem=f"{scenario.scenario_id}-s{seed}",
             meta={"scenario": scenario.label, "seed": seed},
+            hierarchy=mitigated_system.hierarchy,
         )
     metrics = {
         "normalized_perf": mitigated.total_ipc / baseline.total_ipc,

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dram.config import DramConfig, DramOrganization
     from repro.dram.rank import Channel
     from repro.dram.refresh import RefreshScheduler
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import TraceRecorder
     from repro.registry import Registry
 
@@ -120,11 +119,12 @@ class SystemConfig:
     #: trace_event.  Observational like ``sanitize``: results are
     #: bit-identical, the off path is untouched.
     trace: bool = False
-    #: Attach the metrics registry + periodic time-series sampler
-    #: (:mod:`repro.obs.metrics` / :mod:`repro.obs.sampler`): windowed
+    #: Attach the periodic time-series sampler
+    #: (:class:`repro.obs.sampler.TimeSeriesSampler`): windowed
     #: queue-depth / row-hit-rate / bus-occupancy / alert-rate series
     #: over sim-time intervals.  Simulation results are unchanged (the
-    #: sampler only reads state); the off path does no telemetry work.
+    #: sampler only reads state); the off path schedules no sampling
+    #: events.  The run's counts are always kept and need no switch.
     metrics: bool = False
 
     # ------------------------------------------------------------------
@@ -224,7 +224,6 @@ class SystemConfig:
         num_cores: int,
         interconnect: "Optional[Interconnect]" = None,
         recorder: "Optional[TraceRecorder]" = None,
-        metrics: "Optional[MetricsRegistry]" = None,
     ) -> "Optional[MemoryHierarchy]":
         """Build this config's cache hierarchy (``None`` for ``"none"``).
 
@@ -241,7 +240,6 @@ class SystemConfig:
             num_cores,
             interconnect=interconnect,
             recorder=recorder,
-            metrics=metrics,
             **dict(self.cache_params),
         )
 

@@ -59,7 +59,6 @@ from repro.dram.config import DramConfig
 from repro.dram.rank import Channel
 from repro.dram.sanitizer import ProtocolChecker
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.prac.abo import AboProtocol
 
@@ -101,10 +100,6 @@ class MemoryController:
         A ready-made :class:`~repro.obs.trace.TraceRecorder` instance,
         overriding the one ``system.trace`` would create (the
         multi-channel facade passes its shared recorder this way).
-    metrics:
-        A ready-made :class:`~repro.obs.metrics.MetricsRegistry`,
-        overriding the one ``system.metrics`` would create (shared
-        across channels by the facade).
     """
 
     def __init__(
@@ -121,7 +116,6 @@ class MemoryController:
         log_commands: bool = False,
         channel_id: int = 0,
         recorder: Optional[TraceRecorder] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
         if page_policy is None:
@@ -234,21 +228,6 @@ class MemoryController:
         if recorder is not None:
             self._register_trace_hooks(recorder)
 
-        # Metrics registry ----------------------------------------------
-        if metrics is None and system.metrics:
-            metrics = MetricsRegistry()
-        #: counters/gauges/histograms registry; the no-op singleton when
-        #: metrics are off, so handles are always safe to bump.
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else NULL_REGISTRY
-        )
-        self._rfm_counters = {
-            p: self.metrics.counter(f"rfm.{p.value}") for p in RfmProvenance
-        }
-        self._mitigated_rows_counter = self.metrics.counter("mitigation.rows")
-        if self.metrics.enabled:
-            self._bind_metrics(self.metrics)
-
     def _log(
         self,
         kind: CommandKind,
@@ -310,17 +289,6 @@ class MemoryController:
                     detail={"count": count},
                 )
             )
-
-    def _bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Attach counting hooks for an enabled registry."""
-        alerts = metrics.counter("abo.alerts")
-        self.abo.on_alert.append(
-            lambda time, bank_id, row: alerts.inc()
-        )
-        self.refresh.bind_metrics(metrics)
-        bind = getattr(self.policy, "bind_metrics", None)
-        if bind is not None:
-            bind(metrics)
 
     # ==================================================================
     # Public API
@@ -669,8 +637,6 @@ class MemoryController:
                 )
             )
             self.channel.rfm_count += 1
-            self._rfm_counters[provenance].inc()
-            self._mitigated_rows_counter.inc(len(mitigated))
             t = end
         # Only banks activated since the previous burst can have a
         # nonzero count.

@@ -37,7 +37,6 @@ from repro.core.engine import Engine
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
 
@@ -112,14 +111,11 @@ class MemorySystem:
         #: the facade routes with its ``channel_of`` — one source of
         #: truth for where the channel bits live.
         self.mapping = mapping or system.make_mapping(config.organization)
-        #: shared telemetry (SystemConfig(trace=True) / metrics=True):
-        #: one trace recorder and one metrics registry span all
-        #: channels, so exported artifacts show the whole system.
+        #: shared trace recorder (SystemConfig(trace=True)): one
+        #: recorder spans all channels, so exported traces show the
+        #: whole system.
         self.recorder: Optional[TraceRecorder] = (
             TraceRecorder(config) if system.trace else None
-        )
-        self.metrics: MetricsRegistry = (
-            MetricsRegistry() if system.metrics else NULL_REGISTRY
         )
         # Channel order is construction order: each controller arms its
         # refresh timers at construction, so event seq numbers (and
@@ -137,7 +133,6 @@ class MemorySystem:
                 page_policy=page_policy,
                 channel_id=channel_id,
                 recorder=self.recorder,
-                metrics=self.metrics if self.metrics.enabled else None,
             )
             for channel_id in range(channels)
         ]
@@ -210,8 +205,8 @@ class MemorySystem:
 
     @property
     def rfm_count(self) -> int:
-        """Total RFM commands issued across all channels."""
-        return sum(c.channel.rfm_count for c in self.controllers)
+        """Total RFM commands (all-bank and per-bank) across all channels."""
+        return sum(c.stats.rfm_count() for c in self.controllers)
 
     def __len__(self) -> int:
         return self.channels

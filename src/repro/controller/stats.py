@@ -33,6 +33,36 @@ LATENCY_BUCKET_BOUNDS = (
 )
 
 
+def percentile_from_buckets(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> float:
+    """Estimate the ``q``-quantile (0..1) of a fixed-bucket histogram.
+
+    Linear interpolation inside the bucket holding the quantile rank;
+    the overflow bucket reports its lower bound (the histogram cannot
+    see past its last edge).  Returns 0.0 for an empty histogram.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be within [0, 1], got {q}")
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    rank = q * total
+    cumulative = 0.0
+    for index, count in enumerate(counts):
+        if count == 0:
+            continue
+        if cumulative + count >= rank:
+            lower = bounds[index - 1] if index > 0 else 0.0
+            if index >= len(bounds):
+                return float(lower)  # overflow bucket: clamp to last edge
+            upper = bounds[index]
+            fraction = (rank - cumulative) / count
+            return float(lower + (upper - lower) * fraction)
+        cumulative += count
+    return float(bounds[-1]) if bounds else 0.0
+
+
 @dataclass
 class RfmRecord:
     """One issued RFM command (burst member)."""
@@ -54,7 +84,6 @@ class ControllerStats:
     row_misses: int = 0
     row_conflicts: int = 0
     total_latency: float = 0.0
-    refreshes: int = 0
     rfm_records: List[RfmRecord] = field(default_factory=list)
     #: per-core running aggregates (kept on every path; O(1) updates)
     core_requests: Dict[int, int] = field(default_factory=dict)
@@ -143,8 +172,6 @@ class ControllerStats:
         clamps to the last edge (see :attr:`read_latency_max` for the
         true tail).
         """
-        from repro.obs.metrics import percentile_from_buckets
-
         return percentile_from_buckets(
             LATENCY_BUCKET_BOUNDS, self.read_latency_bucket_counts, q
         )
@@ -183,7 +210,6 @@ class ControllerStats:
             out.row_misses += part.row_misses
             out.row_conflicts += part.row_conflicts
             out.total_latency += part.total_latency
-            out.refreshes += part.refreshes
             out.mitigated_row_total += part.mitigated_row_total
             for core_id, count in part.core_requests.items():
                 out.core_requests[core_id] = (

@@ -36,7 +36,6 @@ from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Engine
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import TraceRecorder
 
 #: Registry of cache hierarchies addressed by ``SystemConfig.cache`` /
@@ -299,7 +298,6 @@ class MemoryHierarchy:
         replacement: str = "lru",
         interconnect: Optional[Interconnect] = None,
         recorder: Optional["TraceRecorder"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if num_cores < 1:
             raise ValueError("hierarchy needs at least one core")
@@ -333,16 +331,6 @@ class MemoryHierarchy:
         self.mshr_stalls = 0
         self.dram_reads = 0
         self.dram_writebacks = 0
-        if metrics is None:
-            from repro.obs.metrics import NULL_REGISTRY
-
-            metrics = NULL_REGISTRY
-        self._m_l1_hit = metrics.counter("cache.l1.hit")
-        self._m_l1_miss = metrics.counter("cache.l1.miss")
-        self._m_l2_hit = metrics.counter("cache.l2.hit")
-        self._m_l2_miss = metrics.counter("cache.l2.miss")
-        self._m_writeback = metrics.counter("cache.writeback")
-        self._m_merge = metrics.counter("cache.mshr.merge")
 
     # ------------------------------------------------------------------
     # Memory-target contract
@@ -353,7 +341,6 @@ class MemoryHierarchy:
         now = engine.now
         core = request.core_id % self.num_cores
         if self.l1s[core].access(request.phys_addr, request.is_write):
-            self._m_l1_hit.inc()
             engine.schedule(
                 now + self.l1_latency_ns,
                 partial(self._complete, request),
@@ -361,7 +348,6 @@ class MemoryHierarchy:
                 "cache-l1",
             )
             return
-        self._m_l1_miss.inc()
         # L2 probe: after the L1 lookup, serialized on the set's bank.
         set_index, _ = self.l2.locate(request.phys_addr)
         bank = set_index % self.l2_banks
@@ -371,12 +357,10 @@ class MemoryHierarchy:
         self._bank_free[bank] = start + self.l2_latency_ns
         done = start + self.l2_latency_ns
         if self.l2.access(request.phys_addr, is_write=False):
-            self._m_l2_hit.inc()
             engine.schedule(
                 done, partial(self._l2_hit, request, core), 0, "cache-l2"
             )
         else:
-            self._m_l2_miss.inc()
             if self.recorder is not None:
                 from repro.obs.trace import CACHE_MISS
 
@@ -403,7 +387,6 @@ class MemoryHierarchy:
         if waiters is not None:
             waiters.append(request)
             self.mshr_merges += 1
-            self._m_merge.inc()
             return
         if len(self._mshr) >= self.mshrs:
             self.mshr_stalls += 1
@@ -445,7 +428,6 @@ class MemoryHierarchy:
     def _write_dram(self, phys_addr: int) -> None:
         """A dirty L2 victim becomes a DRAM write (fire and forget)."""
         self.dram_writebacks += 1
-        self._m_writeback.inc()
         if self.recorder is not None:
             from repro.obs.trace import CACHE_WRITEBACK
 

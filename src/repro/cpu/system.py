@@ -114,7 +114,6 @@ class System:
             num_cores=len(traces),
             interconnect=self.interconnect,
             recorder=self.memory.recorder,
-            metrics=self.memory.metrics,
         )
         front = self.memory
         if self.hierarchy is not None:

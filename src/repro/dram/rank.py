@@ -35,7 +35,9 @@ class Channel:
         ]
         self.bus_free_at: float = 0.0      # shared data bus occupancy
         self.blocked_until: float = 0.0    # REF / RFMab channel-wide blocking
-        self.rfm_count: int = 0            # total RFMs issued (any provenance)
+        #: all-bank RFMs (RFMab) issued, of any provenance; per-bank
+        #: RFMpb commands are counted only in ControllerStats
+        self.rfm_count: int = 0
 
     def bank(self, flat_bank_id: int) -> Bank:
         """The bank at a flat channel-wide index."""

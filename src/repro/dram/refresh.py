@@ -15,15 +15,12 @@ mechanisms:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import Any, Callable, List
 
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig
 from repro.dram.rank import Channel
 from repro.registry import Registry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
 
 #: Refresh-policy registry: ``SystemConfig.refresh`` names resolve
 #: here.  Factories are called as
@@ -65,21 +62,6 @@ class RefreshScheduler:
         self.on_refresh: List[Callable[[float], None]] = []
         self._tref_accumulator = 0.0
         self._started = False
-
-    def bind_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Count refresh activity in a registry (``metrics=True``).
-
-        Appends counting hooks; a disabled registry installs nothing,
-        so the metrics-off path fires no extra callbacks.
-        """
-        if not metrics.enabled:
-            return
-        refab = metrics.counter("dram.refab")
-        self.on_refresh.append(lambda start: refab.inc())
-        tref = metrics.counter("dram.tref")
-        self.on_tref.append(lambda start: tref.inc())
-        resets = metrics.counter("prac.counter_resets")
-        self.on_refw.append(lambda time: resets.inc())
 
     def start(self) -> None:
         """Arm the periodic refresh; idempotent."""

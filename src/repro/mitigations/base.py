@@ -15,13 +15,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.dram.commands import RfmProvenance
-from repro.obs.metrics import NULL_COUNTER
 from repro.prac.mitigation_queue import MitigationQueue, SingleEntryFrequencyQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
     from repro.dram.bank import Bank
-    from repro.obs.metrics import MetricsRegistry
 
 #: Builds one per-bank mitigation queue; policies take it so tests can
 #: substitute deeper/fifo queues without subclassing.
@@ -41,13 +39,6 @@ class MitigationPolicy:
         self.armed: Set[int] = set()
         self.controller: Optional["MemoryController"] = None
         self.mitigations_performed = 0
-        #: per-row mitigation counter; a live handle when the owning
-        #: controller runs with ``metrics=True`` (see :meth:`bind_metrics`)
-        self.mitigation_counter = NULL_COUNTER
-
-    def bind_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Expose mitigation volume as ``policy.mitigations`` counts."""
-        self.mitigation_counter = metrics.counter("policy.mitigations")
 
     # ------------------------------------------------------------------
     def attach(self, controller: "MemoryController") -> None:
@@ -97,7 +88,6 @@ class MitigationPolicy:
             banks[bank_id].mitigate(victim)
             mitigated[bank_id] = victim
             self.mitigations_performed += 1
-            self.mitigation_counter.inc()
         return mitigated
 
     def on_tref(self, controller: "MemoryController", time: float) -> None:

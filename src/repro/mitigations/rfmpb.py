@@ -75,7 +75,6 @@ class PerBankRfmPolicy(MitigationPolicy):
             controller.channel.bank(bank_id).mitigate(victim)
             mitigated[bank_id] = victim
             self.mitigations_performed += 1
-            self.mitigation_counter.inc()
         controller.stats.record_rfm(
             RfmRecord(
                 time=start,

@@ -133,7 +133,7 @@ class TimeSeriesSampler:
 
     def export(self, path: Any, extra: Optional[Dict[str, Any]] = None) -> Any:
         """Atomically persist the series (plus optional extra sections,
-        e.g. a metrics-registry snapshot) next to the run's results."""
+        e.g. the run's counts) next to the run's results."""
         from repro.analysis.storage import atomic_write_json
 
         payload = self.to_payload()

@@ -3,7 +3,11 @@
 
 import pytest
 
-from repro.controller.stats import ControllerStats, RfmRecord
+from repro.controller.stats import (
+    ControllerStats,
+    RfmRecord,
+    percentile_from_buckets,
+)
 from repro.dram.commands import RfmProvenance
 
 
@@ -99,3 +103,24 @@ def test_merged_sums_histogram_buckets_and_maxes():
     assert merged.read_latency_max == 700.0
     # a single part is returned as-is (live object, no copy)
     assert ControllerStats.merged([a]) is a
+
+
+# ----------------------------------------------------------------------
+# percentile_from_buckets (the estimator behind the latency percentiles)
+# ----------------------------------------------------------------------
+def test_percentile_empty_histogram_is_zero():
+    assert percentile_from_buckets((10.0, 20.0), [0, 0, 0], 0.5) == 0.0
+
+
+def test_percentile_interpolates_inside_bucket():
+    # 10 observations uniformly in the (0, 10] bucket: median ~ 5.
+    assert percentile_from_buckets((10.0,), [10, 0], 0.5) == pytest.approx(5.0)
+
+
+def test_percentile_overflow_clamps_to_last_edge():
+    assert percentile_from_buckets((10.0, 20.0), [0, 0, 5], 0.99) == 20.0
+
+
+def test_percentile_rejects_bad_quantile():
+    with pytest.raises(ValueError, match="quantile"):
+        percentile_from_buckets((10.0,), [1, 0], 1.5)
