@@ -11,10 +11,18 @@
 # named revision is exported with `git archive` into a scratch
 # directory and run from there with PYTHONPATH=<tree>/src, so neither
 # side sees the other's source.  Each side runs the quick suite (every
-# registered artifact, or the given subset) plus the fig3/fig10 CLI
-# renderings.  The result trees are diffed byte-for-byte after dropping
-# the two advisory wall-clock keys (elapsed_seconds, cache_key) that
-# never participate in result identity.
+# registered artifact, or the given subset), the fig3/fig10 CLI
+# renderings, and three campaigns at one trial per scenario: the
+# builtin `perf` and `security` grids (the perf, covert and AES trial
+# kinds) and a perf grid over abo_acb/tprac/rfmpb/obfuscation
+# at one and two channels (the solved TB-Window and BAT, and the
+# per-channel seeds).  The result trees are diffed byte-for-byte after
+# dropping the advisory wall-clock keys (elapsed_seconds, cache_key)
+# that never participate in result identity, and the campaign
+# documents' checksum, which covers the per-trial wall clock.  A
+# campaign.json index lists scenarios in completion order, so its
+# entries are sorted by scenario id first.  The campaigns'
+# heartbeat.jsonl (timestamps) is not compared.
 #
 # This is what licenses a refactor or deletion: if the bytes do not
 # move between the parent and the change, the change moved nothing.
@@ -86,6 +94,15 @@ run_side() {
             --out "$out/suite" --no-cache "${only_flag[@]}" > /dev/null
         python -m repro.cli fig3 > "$out/fig3.txt"
         python -m repro.cli fig10 > "$out/fig10.txt"
+        for name in perf security; do
+            python -m repro.cli --quiet campaign --campaign "$name" \
+                --trials 1 --jobs 2 --out "$out/campaign-$name" > /dev/null
+        done
+        python -m repro.cli --quiet campaign --grid attack=perf \
+            workload=433.milc nbo=256 \
+            mitigation=abo_acb,tprac,rfmpb,obfuscation channels=1,2 \
+            --trials 1 --jobs 2 --out "$out/campaign-channels" > /dev/null
+        rm -f "$out"/campaign-*/heartbeat.jsonl
     )
 }
 
@@ -96,16 +113,26 @@ strip_volatile() {
 import json, pathlib, sys
 
 VOLATILE = {"elapsed_seconds", "cache_key"}
+# A campaign document's checksum covers its trials' wall clock.
+CAMPAIGN_VOLATILE = VOLATILE | {"checksum"}
 
-def scrub(node):
+def scrub(node, volatile):
     if isinstance(node, dict):
-        return {k: scrub(v) for k, v in node.items() if k not in VOLATILE}
+        return {
+            k: scrub(v, volatile) for k, v in node.items() if k not in volatile
+        }
     if isinstance(node, list):
-        return [scrub(item) for item in node]
+        return [scrub(item, volatile) for item in node]
     return node
 
 for path in sorted(pathlib.Path(sys.argv[1]).rglob("*.json")):
-    doc = scrub(json.loads(path.read_text()))
+    campaign = path.parent.name.startswith("campaign-")
+    doc = scrub(
+        json.loads(path.read_text()),
+        CAMPAIGN_VOLATILE if campaign else VOLATILE,
+    )
+    if campaign and path.name == "campaign.json":
+        doc.sort(key=lambda entry: entry["experiment"])
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 PY
     # The CLI renderings end with an advisory "---- <name> done in X.Xs"

@@ -6,30 +6,23 @@ threshold: TMAX(TB-Window) < N_BO (Equation 1).  TMAX is monotone
 increasing in the window, so a binary search over the window length
 yields the optimum.
 
-The paper ties N_BO to the RowHammer threshold N_RH (mitigating the
-most-activated row before N_BO keeps every row below N_RH); with the
-default ``nbo_of_nrh`` mapping (N_BO = N_RH) the solver reproduces the
-paper's operating points, e.g. ~1.6 tREFI at N_RH = 1024 with counter
-reset (Section 6.2).
+The paper alerts at the RowHammer threshold: N_BO = N_RH.  PRAC
+mitigation refreshes the victims of the alerted row, so keeping every
+counter below N_BO = N_RH guarantees no bit flips; TPRAC additionally
+guarantees the counter never *reaches* N_BO.  :func:`tb_window_for_nrh`
+solves at that operating point and reproduces the paper's windows,
+e.g. ~1.6 tREFI at N_RH = 1024 with counter reset (Section 6.2).
+:func:`repro.mitigations.policy_factory` solves the window a simulated
+TPRAC or RFMpb policy runs with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.feinting import feinting_tmax
 from repro.dram.config import DramConfig, ddr5_8000b
-
-
-def default_nbo_of_nrh(nrh: int) -> int:
-    """The paper's operating point: Alert at the RowHammer threshold.
-
-    PRAC mitigation refreshes the victims of the alerted row, so
-    keeping every counter below N_BO = N_RH guarantees no bit flips;
-    TPRAC additionally guarantees the counter never *reaches* N_BO.
-    """
-    return nrh
 
 
 @dataclass(frozen=True)
@@ -81,16 +74,15 @@ def tb_window_for_nrh(
     nrh: int,
     config: Optional[DramConfig] = None,
     with_reset: bool = True,
-    nbo_of_nrh: Callable[[int], int] = default_nbo_of_nrh,
 ) -> TbWindowChoice:
-    """Solve the TB-Window for a RowHammer threshold (Figures 10-14)."""
+    """Solve the TB-Window for a RowHammer threshold at N_BO = N_RH
+    (Figures 10-14)."""
     config = config or ddr5_8000b()
-    nbo = nbo_of_nrh(nrh)
-    window = required_tb_window(config, nbo, with_reset=with_reset)
+    window = required_tb_window(config, nrh, with_reset=with_reset)
     result = feinting_tmax(config, window, with_reset=with_reset)
     return TbWindowChoice(
         nrh=nrh,
-        nbo=nbo,
+        nbo=nrh,
         with_reset=with_reset,
         tb_window=window,
         tb_window_trefi=window / config.timing.tREFI,

@@ -20,13 +20,12 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.analysis.tb_window import required_tb_window
 from repro.attacks.probes import LatencyProbe, bank_address, is_rfm_spike
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig, ddr5_8000b
-from repro.mitigations import make_policy
+from repro.mitigations import make_policy, policy_factory
 
 
 @dataclass
@@ -68,7 +67,7 @@ class AcbRfmChannel:
         self.message = message or [rng.randrange(2) for _ in range(16)]
         self.defense = defense
         # High N_BO so the ABO path never interferes with the study.
-        self.config = (config or ddr5_8000b()).with_prac(nbo=100_000, bat=bat)
+        self.config = (config or ddr5_8000b()).with_prac(nbo=100_000)
         self.spike_threshold_ns = spike_threshold_ns
         timing = self.config.timing
         chain_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
@@ -85,10 +84,8 @@ class AcbRfmChannel:
         if self.defense == "acb":
             policy = make_policy("abo_acb", bat=self.bat)
         else:
-            window = required_tb_window(
-                self.config.with_prac(nbo=1024), 1024, with_reset=True
-            )
-            policy = make_policy("tprac", tb_window=window)
+            # TPRAC sized for N_BO 1024, not the study's ABO-free N_BO.
+            policy = policy_factory("tprac", self.config.with_prac(nbo=1024))()
         controller = MemoryController(engine, self.config, policy=policy)
         probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
         probe.start()

@@ -105,6 +105,9 @@ class FeintingAttack:
             if state["phase"] == "final":
                 if state["final_acts"] >= acts_per_window + 4:
                     state["phase"] = "done"
+                    # The target's peak is in: the rest would be TB-RFMs
+                    # on an idle bank.
+                    engine.request_stop()
                     return
                 state["final_acts"] += 1
                 row = (
@@ -141,6 +144,7 @@ class FeintingAttack:
             )
 
         issue()
+        # Caps only: the attack stops the engine once it is done.
         engine.run(until=500_000_000, max_events=20_000_000)
         state["target_peak"] = max(
             state["target_peak"], bank.counter(self.target_row)

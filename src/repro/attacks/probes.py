@@ -99,10 +99,6 @@ class ProbeResult:
         """Indices of probe accesses whose latency exceeded the threshold."""
         return [i for i, lat in enumerate(self.latencies) if lat > threshold_ns]
 
-    def spike_times(self, threshold_ns: float) -> List[float]:
-        """Completion times of probe accesses above the threshold."""
-        return [self.times[i] for i in self.spikes(threshold_ns)]
-
     @property
     def mean_latency(self) -> float:
         if not self.latencies:
@@ -248,39 +244,3 @@ class RowHammerSender:
         self.controller.enqueue(
             MemRequest(phys_addr=addr, core_id=self.core_id, on_complete=on_complete)
         )
-
-    def hammer_rate(
-        self,
-        row: int,
-        target_acts: int,
-        decoy_row: int,
-        interval_ns: Optional[float] = None,
-        done=None,
-    ) -> None:
-        """Timer-driven hammering: one access every ``interval_ns``.
-
-        A real attacker issues independent loads, so the bank pipeline
-        stays full and activations proceed at the tRAS+tRTP+tRP cadence
-        rather than the dependent-chain round trip.  The default
-        interval is exactly that cadence.
-        """
-        timing = self.controller.config.timing
-        if interval_ns is None:
-            interval_ns = timing.tRAS + timing.tRTP + timing.tRP
-        engine = self.controller.engine
-        state = {"sent_target": 0, "toggle": False}
-        total_accesses = 2 * target_acts
-
-        def tick(step: int) -> None:
-            if step >= total_accesses:
-                if done is not None:
-                    done()
-                return
-            target = decoy_row if state["toggle"] else row
-            if not state["toggle"]:
-                state["sent_target"] += 1
-            state["toggle"] = not state["toggle"]
-            self._access(target, None)
-            engine.schedule_after(interval_ns, lambda: tick(step + 1))
-
-        tick(0)

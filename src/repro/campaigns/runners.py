@@ -4,7 +4,8 @@
 repository's simulators and returns a flat ``{metric: number}`` dict:
 
 * ``perf`` — no attacker: the scenario's workload runs under the named
-  mitigation vs the PRAC-without-ABO baseline; the metric is the
+  mitigation vs the PRAC-without-ABO baseline, both built by
+  :func:`repro.experiments.common.build_system`; the metric is the
   paper's normalized-performance figure of merit.  With the
   ``channels`` axis > 1 the systems run the full multi-channel memory
   model (one controller + policy instance per channel) and the metrics
@@ -36,11 +37,10 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
     from repro.core.engine import Engine
+    from repro.cpu.system import System
 
 from repro.campaigns.scenario import NO_WORKLOAD, Scenario
-from repro.mitigations import make_policy
-from repro.mitigations.acb_rfm import AcbRfmPolicy
-from repro.mitigations.base import MitigationPolicy
+from repro.mitigations import policy_factory
 
 TrialFn = Callable[[Scenario, int], Dict[str, float]]
 
@@ -68,30 +68,11 @@ def run_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Policy construction shared by the trial kinds
-# ----------------------------------------------------------------------
-def build_policy(scenario: Scenario, seed: int = 0) -> MitigationPolicy:
-    """Instantiate the scenario's mitigation, solving config-dependent
-    parameters (TB-Window, BAT) from the scenario's device config."""
-    name = scenario.mitigation
-    if name in ("tprac", "rfmpb"):
-        from repro.analysis.tb_window import required_tb_window
-
-        window = required_tb_window(scenario.dram_config(), scenario.nbo)
-        return make_policy(name, tb_window=window)
-    if name == "abo_acb":
-        return make_policy(name, bat=AcbRfmPolicy.bat_for_threshold(scenario.nbo))
-    if name == "obfuscation":
-        return make_policy(name, seed=seed)
-    return make_policy(name)
-
-
-# ----------------------------------------------------------------------
 # perf: mitigation overhead on a workload (no attacker)
 # ----------------------------------------------------------------------
 @_kind("perf")
 def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
-    from repro.cpu.system import System
+    from repro.experiments.common import DesignPoint, build_system
     from repro.workloads.synthetic import homogeneous_traces
 
     if scenario.workload == NO_WORKLOAD:
@@ -103,28 +84,18 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         scenario.workload, cores=cores, num_accesses=requests, seed=seed
     )
     config = scenario.dram_config()
-    system_config = scenario.system_config()
-    baseline = System(
-        traces,
-        config=config,
-        policy_factory=lambda: make_policy("none"),
-        enable_abo=False,
-        system=system_config,
-    ).run()
-    # Mitigation state is strictly per-channel: the factory gives every
-    # controller its own policy instance, each with a distinct seed so
-    # stochastic policies (obfuscation) inject independent noise per
-    # channel.  Channel 0 keeps the bare trial seed, so single-channel
-    # scenarios reproduce the historical policy exactly.
-    mitigated_system = System(
-        traces,
-        config=config,
-        policy_factory=lambda channel_id: build_policy(
-            scenario, seed=seed + 100_003 * channel_id
-        ),
-        enable_abo=scenario.mitigation != "none",
-        system=system_config,
-    )
+
+    def build(design: str) -> "System":
+        return build_system(
+            DesignPoint(design, scenario.nbo, prac_level=scenario.prac_level),
+            traces,
+            config=config,
+            system=scenario.system_config(),
+            seed=seed,
+        )
+
+    baseline = build("none").run()
+    mitigated_system = build(scenario.mitigation)
     mitigated = mitigated_system.run()
     memory = mitigated_system.memory
     if telemetry_dir is not None and (
@@ -218,12 +189,13 @@ def _covert_activity_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 
     rng = random.Random(seed)
     symbols = int(scenario.params.get("symbols", 8))
+    config = scenario.dram_config().with_prac(abo_act=0)
     channel = ActivityChannel(
         nbo=scenario.nbo,
         prac_level=scenario.prac_level,
         message=[rng.randrange(2) for _ in range(symbols)],
-        config=scenario.dram_config().with_prac(abo_act=0),
-        policy_factory=lambda: build_policy(scenario, seed=seed),
+        config=config,
+        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
     )
     setup = _covert_noise_setup(scenario, seed, symbols * channel.window_ns)
     return _covert_metrics(channel.run(setup=setup))
@@ -235,12 +207,13 @@ def _covert_count_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 
     rng = random.Random(seed)
     symbols = int(scenario.params.get("symbols", 4))
+    config = scenario.dram_config().with_prac(abo_act=0)
     channel = ActivationCountChannel(
         nbo=scenario.nbo,
         prac_level=scenario.prac_level,
         values=[rng.randrange(scenario.nbo) for _ in range(symbols)],
-        config=scenario.dram_config().with_prac(abo_act=0),
-        policy_factory=lambda: build_policy(scenario, seed=seed),
+        config=config,
+        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
     )
     setup = _covert_noise_setup(scenario, seed, symbols * channel.window_ns)
     return _covert_metrics(channel.run(setup=setup))
@@ -310,11 +283,12 @@ def _eviction_set_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     symbols = int(params.get("symbols", 16))
     message = [rng.randrange(2) for _ in range(symbols)]
     sysconf = scenario.system_config().validate()
+    config = scenario.dram_config()
     engine = Engine()
     memory = MemorySystem(
         engine,
-        scenario.dram_config(),
-        policy_factory=lambda: build_policy(scenario, seed=seed),
+        config,
+        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
         enable_refresh=False,
         system=sysconf,
     )

@@ -85,9 +85,9 @@ class SystemConfig:
     ``channels`` scales the memory system (one controller per
     channel); the name fields select registered components and the
     ``*_params`` mappings carry component-specific knobs (``cap`` /
-    ``batch`` / ``queue_depth`` for schedulers, ``mop_width`` for the
-    MOP mapping).  The default instance reproduces the historical
-    hard-wired system bit-for-bit.
+    ``batch`` for schedulers, ``mop_width`` for the MOP mapping).  The
+    default instance reproduces the historical hard-wired system
+    bit-for-bit.
     """
 
     channels: int = 1

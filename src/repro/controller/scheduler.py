@@ -51,10 +51,9 @@ class BankQueueScheduler:
     ``_total_pending`` avoids re-summing queue lengths.
     """
 
-    def __init__(self, num_banks: int, queue_depth: int = 64) -> None:
+    def __init__(self, num_banks: int) -> None:
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
-        self.queue_depth = queue_depth
         self.queues: List[Deque[MemRequest]] = [deque() for _ in range(num_banks)]
         self._busy: List[int] = []
         self._total_pending = 0
@@ -75,10 +74,6 @@ class BankQueueScheduler:
         if bank_id is not None:
             return len(self.queues[bank_id])
         return self._total_pending
-
-    def is_full(self, bank_id: int) -> bool:
-        """Whether a bank queue reached its depth limit."""
-        return len(self.queues[bank_id]) >= self.queue_depth
 
     def banks_with_work(self) -> Sequence[int]:
         """Bank ids with at least one queued request, ascending.
@@ -112,10 +107,10 @@ class BankQueueScheduler:
 class FrFcfsScheduler(BankQueueScheduler):
     """Per-bank FR-FCFS queues with a configurable row-hit cap."""
 
-    def __init__(self, num_banks: int, cap: int = 4, queue_depth: int = 64) -> None:
+    def __init__(self, num_banks: int, cap: int = 4) -> None:
         if cap <= 0:
             raise ValueError("cap must be positive")
-        super().__init__(num_banks, queue_depth=queue_depth)
+        super().__init__(num_banks)
         self.cap = cap
         self._consecutive_hits: List[int] = [0] * num_banks
 
@@ -190,12 +185,10 @@ class FrFcfsCapScheduler(BankQueueScheduler):
     current one drains.
     """
 
-    def __init__(
-        self, num_banks: int, batch: int = 8, queue_depth: int = 64
-    ) -> None:
+    def __init__(self, num_banks: int, batch: int = 8) -> None:
         if batch <= 0:
             raise ValueError("batch must be positive")
-        super().__init__(num_banks, queue_depth=queue_depth)
+        super().__init__(num_banks)
         self.batch = batch
         self._batch_left: List[int] = [0] * num_banks
 
@@ -225,7 +218,7 @@ def make_scheduler(name: str, num_banks: int, **params: Any) -> BankQueueSchedul
     """Instantiate the scheduler registered under ``name``.
 
     Names: see ``SCHEDULERS.available()`` (``fr_fcfs``, ``fcfs``,
-    ``fr_fcfs_cap``).  ``params`` are policy-specific knobs (``cap``,
-    ``batch``, ``queue_depth``).
+    ``fr_fcfs_cap``).  ``params`` are policy-specific knobs (``cap``
+    for ``fr_fcfs``, ``batch`` for ``fr_fcfs_cap``).
     """
     return SCHEDULERS.make(name, num_banks=num_banks, **params)

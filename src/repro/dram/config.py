@@ -127,14 +127,12 @@ class PracConfig:
     ``prac_level`` (N_mit) is the number of RFMab commands issued per
     ABO: 1, 2 or 4.  ``abo_act`` is the number of extra activations the
     controller may issue between Alert and the RFM.  ``abo_delay``
-    equals the PRAC level per the JEDEC spec.  ``bat`` is the Bank
-    Activation threshold used by proactive ACB-RFMs (Targeted RFM).
+    equals the PRAC level per the JEDEC spec.
     """
 
     nbo: int = 1024
     prac_level: int = 1
     abo_act: int = 3
-    bat: int = 75
     reset_on_refresh: bool = True  # reset per-row counters every tREFW
 
     @property
@@ -150,8 +148,6 @@ class PracConfig:
             raise ValueError("N_BO must be positive")
         if self.abo_act < 0:
             raise ValueError("ABO_ACT must be non-negative")
-        if self.bat <= 0:
-            raise ValueError("BAT must be positive")
 
 
 @dataclass(frozen=True)
@@ -182,11 +178,6 @@ class DramConfig:
         return replace(self, organization=replace(self.organization, **overrides))
 
     # Convenience accessors used throughout the code base -------------
-    @property
-    def acts_per_trefi(self) -> float:
-        """Maximum activations to one bank per tREFI (= tREFI / tRC)."""
-        return self.timing.tREFI / self.timing.tRC
-
     @property
     def max_acts_per_trefw(self) -> int:
         """Maximum activations in a refresh window (~550K in the paper).

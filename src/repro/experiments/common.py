@@ -7,12 +7,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import geometric_mean
-from repro.analysis.tb_window import tb_window_for_nrh
 from repro.config import SystemConfig
 from repro.cpu.system import System
 from repro.dram.config import DramConfig, ddr5_8000b
-from repro.mitigations import make_policy as make_mitigation
-from repro.mitigations.acb_rfm import AcbRfmPolicy as _Acb
+from repro.mitigations import policy_factory
 from repro.workloads.catalog import CATALOG, workload_names
 from repro.workloads.synthetic import homogeneous_traces
 
@@ -44,7 +42,7 @@ def default_workloads(limit: Optional[int] = None) -> List[str]:
 class DesignPoint:
     """One (design, N_RH) operating point for the performance studies."""
 
-    design: str               # none / abo_only / abo_acb / tprac / tprac_noreset
+    design: str               # a mitigation registry name, or tprac_noreset
     nrh: int
     tref_per_trefi: float = 0.0
     prac_level: int = 1
@@ -61,54 +59,35 @@ def build_system(
     config: Optional[DramConfig] = None,
     max_requests_per_core: Optional[int] = None,
     system: Optional[SystemConfig] = None,
+    seed: int = 0,
 ) -> System:
     """Instantiate the simulated system for a design point.
 
-    ``system`` declares the structural knobs — channel count, request
-    scheduler, address mapping, refresh policy
+    ``point.design`` is any mitigation registry name
+    (:func:`repro.mitigations.available`) or ``tprac_noreset`` (TPRAC
+    without the tREFW counter reset).  N_BO is ``point.nrh``; the
+    policies, one per channel, come from
+    :func:`repro.mitigations.policy_factory`, which derives TB-Window
+    or BAT from the device and seeds ``obfuscation`` from ``seed``.
+    ``none`` is the paper's normalization baseline: PRAC timings
+    without ABO.  ``system`` declares the structural knobs — channel
+    count, request scheduler, address mapping, refresh policy
     (:class:`repro.config.SystemConfig`); the default builds the
-    historical single-channel FR-FCFS/MOP system with one controller —
-    and one fresh policy instance — per channel, keeping outputs
-    exactly.
+    historical single-channel FR-FCFS/MOP system.
     """
     config = config or ddr5_8000b()
     with_reset = point.design != "tprac_noreset"
+    name = "tprac" if point.design == "tprac_noreset" else point.design
     config = config.with_prac(
         nbo=point.nrh, prac_level=point.prac_level, reset_on_refresh=with_reset
     )
     if system is not None:
         config = system.apply_to(config)
-    enable_abo = True
-
-    # The TB-Window search is channel-independent: solve it once and
-    # close over the value instead of re-searching per channel.
-    tb_window = (
-        tb_window_for_nrh(point.nrh, config=config, with_reset=with_reset).tb_window
-        if point.design in ("tprac", "tprac_noreset")
-        else None
-    )
-
-    def make_policy():
-        if point.design == "abo_only":
-            return make_mitigation("abo_only")
-        if point.design == "abo_acb":
-            return make_mitigation("abo_acb", bat=_Acb.bat_for_threshold(point.nrh))
-        if point.design in ("tprac", "tprac_noreset"):
-            return make_mitigation("tprac", tb_window=tb_window)
-        return make_mitigation("none")
-
-    if point.design == "none":
-        enable_abo = False
-    elif point.design not in ("abo_only", "abo_acb", "tprac", "tprac_noreset"):
-        raise ValueError(f"unknown design {point.design!r}")
-    # The factory path covers every channel count: at channels=1 the
-    # memory system calls it exactly once, and the policies above are
-    # deterministic, so single-channel outputs are unchanged.
     return System(
         traces,
         config=config,
-        policy_factory=make_policy,
-        enable_abo=enable_abo,
+        policy_factory=policy_factory(name, config, seed=seed),
+        enable_abo=name != "none",
         tref_per_trefi=point.tref_per_trefi,
         max_requests_per_core=max_requests_per_core,
         system=system,

@@ -29,10 +29,6 @@ class LatencyTimeline:
     latencies: List[float]
     abo_count: int
 
-    def spike_latencies(self, threshold_ns: float = 250.0) -> List[float]:
-        """Latencies above the threshold (raw, unclassified)."""
-        return [lat for lat in self.latencies if lat > threshold_ns]
-
     def mean_spike_latency(self, config: Optional[DramConfig] = None) -> float:
         """Mean latency of RFM-attributable spikes (paper's 545/976/1669)."""
         config = config or ddr5_8000b()

@@ -20,8 +20,7 @@ from repro.attacks.probes import LatencyProbe, RowHammerSender, is_rfm_spike
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
 from repro.dram.config import ddr5_8000b
-from repro.mitigations import make_policy
-from repro.analysis.tb_window import required_tb_window
+from repro.mitigations import make_policy, policy_factory
 from repro.experiments.registry import ArtifactSpec
 
 
@@ -97,8 +96,7 @@ def _channel_against(
     elif defense == "obfuscation":
         policy = make_policy("obfuscation", inject_prob=inject_prob, seed=5)
     elif defense == "tprac":
-        tb_window = required_tb_window(config, nbo, with_reset=True)
-        policy = make_policy("tprac", tb_window=tb_window)
+        policy = policy_factory("tprac", config)()
     else:
         raise ValueError(defense)
     controller = MemoryController(engine, config, policy=policy)

@@ -14,6 +14,10 @@
   per-bank RFMs (RFMpb) to reduce bandwidth loss.
 * :class:`NoMitigationPolicy` — the normalization baseline: PRAC
   timings, no mitigation traffic at all.
+
+:func:`make_policy` builds a policy by name from explicit parameters;
+:func:`policy_factory` derives the device-dependent ones (TB-Window,
+BAT, per-channel seed) and is what every system builder uses.
 """
 
 from repro.mitigations.base import MitigationPolicy, NoMitigationPolicy
@@ -24,7 +28,10 @@ from repro.mitigations.obfuscation import ObfuscationPolicy
 from repro.mitigations.rfmpb import PerBankRfmPolicy
 from repro.mitigations.qprac import QpracPolicy
 from repro.registry import Registry
-from typing import Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dram.config import DramConfig
 
 __all__ = [
     "AboOnlyPolicy",
@@ -39,6 +46,7 @@ __all__ = [
     "available",
     "get",
     "make_policy",
+    "policy_factory",
 ]
 
 #: The string -> factory registry (:class:`repro.registry.Registry`).
@@ -78,3 +86,40 @@ def make_policy(name: str, **kwargs: Any) -> MitigationPolicy:
     ``tprac``, ``obfuscation``, ``rfmpb``, ``qprac``).
     """
     return get(name)(**kwargs)
+
+
+def policy_factory(
+    name: str, config: "DramConfig", seed: int = 0
+) -> Callable[..., MitigationPolicy]:
+    """A per-channel factory for the policy ``name`` on ``config``.
+
+    The device-dependent parameters are derived here, once per call,
+    from ``config.prac``: TPRAC's and RFMpb's TB-Window is the longest
+    window whose Feinting worst case stays below N_BO (Equation 1,
+    honouring ``reset_on_refresh``), and ACB-RFM's BAT is
+    :meth:`AcbRfmPolicy.bat_for_threshold` of N_BO.  The returned
+    callable takes ``channel_id`` (default 0), as
+    :class:`~repro.controller.memory_system.MemorySystem` passes it,
+    and builds a fresh policy per call; ``obfuscation`` on channel
+    ``c`` is seeded ``seed + 100_003 * c``, so channel 0 keeps the bare
+    seed and the channels inject independent noise.
+    """
+    factory = get(name)
+    params: Dict[str, Any] = {}
+    if name in ("tprac", "rfmpb"):
+        # Looked up at call time (not imported at module top), so a
+        # wrapper installed on the module attribute sees every solve.
+        from repro.analysis.tb_window import required_tb_window
+
+        params["tb_window"] = required_tb_window(
+            config, config.prac.nbo, with_reset=config.prac.reset_on_refresh
+        )
+    elif name == "abo_acb":
+        params["bat"] = AcbRfmPolicy.bat_for_threshold(config.prac.nbo)
+
+    def make(channel_id: int = 0) -> MitigationPolicy:
+        if name == "obfuscation":
+            return factory(seed=seed + 100_003 * channel_id)
+        return factory(**params)
+
+    return make

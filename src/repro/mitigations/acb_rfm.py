@@ -28,18 +28,19 @@ class AcbRfmPolicy(MitigationPolicy):
 
     def __init__(
         self,
-        bat: int = 0,
+        bat: int,
         queue_factory: QueueFactory = SingleEntryFrequencyQueue,
     ) -> None:
-        """``bat=0`` means "use the device config's BAT"."""
+        """``bat`` is the Bank Activation threshold (see
+        :meth:`bat_for_threshold` for the one derived from N_BO)."""
         super().__init__(queue_factory=queue_factory)
-        self._bat_override = bat
+        if bat <= 0:
+            raise ValueError("BAT must be positive")
         self.bat = bat
         self.acb_rfms_requested = 0
         self._rfm_outstanding = False
 
     def on_attached(self, controller: "MemoryController") -> None:
-        self.bat = self._bat_override or controller.config.prac.bat
         for bank in controller.channel:
             bank.on_activate(self._check_bat)
 

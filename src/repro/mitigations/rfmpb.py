@@ -10,7 +10,7 @@ bank is still mitigated once per TB-Window.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.dram.commands import CommandKind, RfmProvenance
 from repro.controller.stats import RfmRecord
@@ -28,27 +28,17 @@ class PerBankRfmPolicy(MitigationPolicy):
 
     def __init__(
         self,
-        tb_window: Optional[float] = None,
-        tb_window_trefi: Optional[float] = None,
+        tb_window: float,
         queue_factory: QueueFactory = SingleEntryFrequencyQueue,
     ) -> None:
         super().__init__(queue_factory=queue_factory)
-        if (tb_window is None) == (tb_window_trefi is None):
-            raise ValueError("give exactly one of tb_window / tb_window_trefi")
-        self._tb_window_ns = tb_window
-        self._tb_window_trefi = tb_window_trefi
-        self.tb_window: float = 0.0
+        if tb_window <= 0:
+            raise ValueError("TB-Window must be positive")
+        self.tb_window = float(tb_window)
         self.pb_rfms_issued = 0
         self._next_bank = 0
 
     def on_attached(self, controller: "MemoryController") -> None:
-        timing = controller.config.timing
-        if self._tb_window_ns is not None:
-            self.tb_window = float(self._tb_window_ns)
-        else:
-            self.tb_window = float(self._tb_window_trefi) * timing.tREFI
-        if self.tb_window <= 0:
-            raise ValueError("TB-Window must be positive")
         self._period = self.tb_window / len(controller.channel.banks)
         self._arm(controller)
 
@@ -63,9 +53,10 @@ class PerBankRfmPolicy(MitigationPolicy):
         self._next_bank = (self._next_bank + 1) % len(controller.channel.banks)
         start = max(controller.engine.now, controller.channel.blocked_until)
         controller.channel.block_bank(bank_id, start, controller.config.timing.tRFMpb)
-        controller._log(
-            CommandKind.RFM_PB, bank_id, -1, start, RfmProvenance.TB
-        )
+        if controller._trace is not None:
+            controller._log(
+                CommandKind.RFM_PB, bank_id, -1, start, RfmProvenance.TB
+            )
         # block_bank mutates bank timing state outside the controller's
         # serve/RFM-burst paths: its ready-time agenda must go stale.
         controller._invalidate_ready_cache()

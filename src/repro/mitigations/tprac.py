@@ -37,26 +37,15 @@ class TpracPolicy(MitigationPolicy):
 
     def __init__(
         self,
-        tb_window: Optional[float] = None,
-        tb_window_trefi: Optional[float] = None,
+        tb_window: float,
         queue_factory: QueueFactory = SingleEntryFrequencyQueue,
-        use_rfmpb: bool = False,
     ) -> None:
-        """Configure the TB-Window.
-
-        Exactly one of ``tb_window`` (ns) or ``tb_window_trefi``
-        (multiples of tREFI, resolved at attach time) must be given.
-        ``use_rfmpb`` switches the TB mitigation to per-bank RFMs
-        (Section 7.2 extension; see :class:`PerBankRfmPolicy` for the
-        standalone policy).
-        """
+        """``tb_window`` is the TB-RFM period in ns (see
+        :func:`repro.mitigations.policy_factory` for the solved one)."""
         super().__init__(queue_factory=queue_factory)
-        if (tb_window is None) == (tb_window_trefi is None):
-            raise ValueError("give exactly one of tb_window / tb_window_trefi")
-        self._tb_window_ns = tb_window
-        self._tb_window_trefi = tb_window_trefi
-        self.tb_window: float = 0.0
-        self.use_rfmpb = use_rfmpb
+        if tb_window <= 0:
+            raise ValueError("TB-Window must be positive")
+        self.tb_window = float(tb_window)
         self.tb_rfms_issued = 0
         self.tb_rfms_skipped = 0   # skipped thanks to a TREF in-window
         self._tref_in_window = False
@@ -64,13 +53,6 @@ class TpracPolicy(MitigationPolicy):
 
     # ------------------------------------------------------------------
     def on_attached(self, controller: "MemoryController") -> None:
-        timing = controller.config.timing
-        if self._tb_window_ns is not None:
-            self.tb_window = float(self._tb_window_ns)
-        else:
-            self.tb_window = float(self._tb_window_trefi) * timing.tREFI
-        if self.tb_window <= 0:
-            raise ValueError("TB-Window must be positive")
         self._arm_timer(controller)
 
     def _arm_timer(self, controller: "MemoryController") -> None:
@@ -99,6 +81,6 @@ class TpracPolicy(MitigationPolicy):
     @property
     def bandwidth_loss(self) -> float:
         """Upper bound on DRAM bandwidth lost to TB-RFMs: tRFMab / window."""
-        if self.controller is None or self.tb_window == 0:
+        if self.controller is None:
             return 0.0
         return self.controller.config.timing.tRFMab / self.tb_window

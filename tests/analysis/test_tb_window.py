@@ -47,9 +47,3 @@ def test_no_reset_requires_shorter_window():
 def test_unachievable_threshold_raises():
     with pytest.raises(ValueError):
         required_tb_window(CONFIG, nbo=8, with_reset=True)
-
-
-def test_custom_nbo_mapping():
-    choice = tb_window_for_nrh(1024, nbo_of_nrh=lambda nrh: nrh // 2)
-    assert choice.nbo == 512
-    assert choice.tmax < 512

@@ -15,6 +15,23 @@ def test_measured_peak_never_exceeds_analytical_bound(pool_size):
     )
 
 
+def test_run_stops_once_the_attack_is_done(monkeypatch):
+    from repro.attacks import feinting_sim
+
+    engines = []
+
+    class RecordingEngine(feinting_sim.Engine):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr(feinting_sim, "Engine", RecordingEngine)
+    result = FeintingAttack(pool_size=8).run()
+    assert result.within_bound
+    # The attack ends within microseconds; the 500 ms horizon is a cap.
+    assert engines[0].now < 1_000_000.0
+
+
 def test_tprac_prevents_alerts_under_feinting():
     result = FeintingAttack(pool_size=16, nbo=200).run()
     assert result.defense_held

@@ -130,17 +130,15 @@ def test_channel_blocking_does_not_cross_channels():
 
 def test_rfm_count_includes_per_bank_rfms():
     """RFMpb TB-RFMs count too: the campaign's rfmpb perf trial."""
-    from repro.campaigns.runners import build_policy
     from repro.campaigns.scenario import Scenario
     from repro.cpu.system import System
+    from repro.mitigations import policy_factory
     from repro.workloads.synthetic import homogeneous_traces
 
-    scenario = Scenario(attack="perf", mitigation="rfmpb", workload="433.milc")
+    config = Scenario(attack="perf", mitigation="rfmpb").dram_config()
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=600, seed=0)
     system = System(
-        traces,
-        config=scenario.dram_config(),
-        policy_factory=lambda: build_policy(scenario),
+        traces, config=config, policy_factory=policy_factory("rfmpb", config)
     )
     result = system.run()
     assert system.memory.rfm_count == result.rfm_total > 0

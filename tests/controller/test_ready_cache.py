@@ -13,22 +13,18 @@ rfmpb ``block_bank`` regression) fails here.
 
 import pytest
 
-from repro.campaigns.runners import build_policy
-from repro.campaigns.scenario import Scenario
 from repro.config import DEFAULT_SCHEDULER, SystemConfig
 from repro.cpu.system import System
-from repro.mitigations import available
+from repro.dram.config import ddr5_8000b
+from repro.mitigations import available, policy_factory
 from repro.workloads.synthetic import homogeneous_traces
 
 
 def _run(mitigation, scheduler, rebuild_every_wake):
-    scenario = Scenario(
-        attack="perf", mitigation=mitigation, workload="433.milc", nbo=64
-    )
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=400, seed=3)
     system = System(
         traces,
-        policy=build_policy(scenario, seed=3),
+        policy=policy_factory(mitigation, ddr5_8000b().with_prac(nbo=64), seed=3)(),
         system=SystemConfig(scheduler=scheduler),
     )
     uncached_wakes = 0

@@ -99,6 +99,26 @@ def test_build_system_rejects_unknown_design():
         build_system(DesignPoint(design="magic", nrh=1024), traces)
 
 
+def test_build_system_takes_any_registered_design_and_a_seed():
+    from repro.config import SystemConfig
+    from repro.mitigations import available
+    from repro.mitigations.obfuscation import ObfuscationPolicy
+
+    traces = homogeneous_traces("453.povray", cores=1, num_accesses=10)
+    for name in available():
+        system = build_system(DesignPoint(design=name, nrh=256), traces)
+        assert system.controller.policy.name == name
+    system = build_system(
+        DesignPoint(design="obfuscation", nrh=256),
+        traces,
+        system=SystemConfig(channels=2),
+        seed=5,
+    )
+    for channel, controller in enumerate(system.memory.controllers):
+        expected = ObfuscationPolicy(seed=5 + 100_003 * channel)
+        assert controller.policy._rng.random() == expected._rng.random()
+
+
 def test_default_workloads_category_balanced():
     names = default_workloads()
     assert len(names) >= 10

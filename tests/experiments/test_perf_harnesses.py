@@ -72,3 +72,39 @@ def test_design_point_labels():
     assert DesignPoint(design="tprac", nrh=512).label() == "tprac@512"
     labelled = DesignPoint(design="tprac", nrh=512, tref_per_trefi=0.5).label()
     assert "tref0.5" in labelled
+
+
+def test_none_baseline_ignores_nrh_and_prac_level():
+    """The PRAC-without-ABO baseline is one run at every N_RH and PRAC
+    level, even on a trace that asserts Alerts at the low thresholds."""
+    from repro.config import SystemConfig
+    from repro.cpu.trace import TraceRecord
+    from repro.dram.address import DramAddress
+    from repro.dram.config import ddr5_8000b
+    from repro.experiments.common import DesignPoint, build_system
+
+    mapping = SystemConfig().make_mapping(ddr5_8000b().organization)
+
+    def row_address(row):
+        return mapping.encode(
+            DramAddress(channel=0, rank=0, bank_group=0, bank=0, row=row, column=0)
+        )
+
+    # Two cores, each alternating two rows of bank 0.
+    traces = [
+        [TraceRecord(0, row_address(rows[i % 2])) for i in range(3000)]
+        for rows in ((1, 2), (3, 4))
+    ]
+    outcomes = set()
+    alerts = {}
+    for nrh in (64, 128, 1024):
+        for level in (1, 4):
+            system = build_system(DesignPoint("none", nrh, prac_level=level), traces)
+            result = system.run()
+            assert result.rfm_total == 0
+            outcomes.add(
+                (tuple(result.ipcs), result.elapsed_ns, system.engine.events_fired)
+            )
+            alerts[nrh] = system.controller.abo.alert_count
+    assert len(outcomes) == 1
+    assert alerts[64] > alerts[128] > alerts[1024] == 0

@@ -46,9 +46,10 @@ def test_injection_is_deterministic_per_seed():
 
 
 class TestPerBankRfm:
-    def test_requires_exactly_one_window_spec(self):
-        with pytest.raises(ValueError):
-            PerBankRfmPolicy()
+    def test_rejects_non_positive_window(self):
+        for window in (0.0, -1.0):
+            with pytest.raises(ValueError, match="TB-Window must be positive"):
+                PerBankRfmPolicy(tb_window=window)
 
     def test_rotates_over_banks(self):
         config = small_test_config()
@@ -77,3 +78,22 @@ class TestPerBankRfm:
         mc.engine.run(until=1100.0)
         assert bank.counter(7) == 0
         assert policy.mitigations_performed == 1
+
+    def test_no_command_built_without_a_consumer(self):
+        """With no command log, sanitizer or recorder attached, a per-bank
+        RFM builds no command record (the attached path is covered by
+        the sanitizer's RFMpb test)."""
+        config = small_test_config()
+        policy = PerBankRfmPolicy(tb_window=4000.0)
+        mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
+        calls = []
+        original = mc._log
+
+        def counting_log(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        mc._log = counting_log  # type: ignore[method-assign]
+        mc.engine.run(until=8200.0)
+        assert calls == []
+        assert len(mc.stats.rfm_records) == 8

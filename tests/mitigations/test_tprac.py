@@ -19,11 +19,10 @@ def _build(tb_window=1000.0, config=None, **mc_kwargs):
     return mc, policy
 
 
-def test_requires_exactly_one_window_spec():
-    with pytest.raises(ValueError):
-        TpracPolicy()
-    with pytest.raises(ValueError):
-        TpracPolicy(tb_window=1.0, tb_window_trefi=1.0)
+def test_rejects_non_positive_window():
+    for window in (0.0, -1.0):
+        with pytest.raises(ValueError, match="TB-Window must be positive"):
+            TpracPolicy(tb_window=window)
 
 
 def test_tb_rfms_fire_periodically_without_activity():
@@ -34,13 +33,6 @@ def test_tb_rfms_fire_periodically_without_activity():
     assert all(r.provenance is RfmProvenance.TB for r in records)
     gaps = [b.time - a.time for a, b in zip(records, records[1:])]
     assert all(g == pytest.approx(1000.0, abs=400) for g in gaps)
-
-
-def test_tb_window_in_trefi_units_resolved_at_attach():
-    config = small_test_config()
-    policy = TpracPolicy(tb_window_trefi=2.0)
-    MemoryController(Engine(), config, policy=policy, enable_refresh=False)
-    assert policy.tb_window == pytest.approx(2.0 * config.timing.tREFI)
 
 
 def test_rfms_are_activity_independent():
@@ -89,7 +81,7 @@ def test_tb_rfm_mitigates_hottest_row():
 
 def test_tref_skips_next_tb_rfm():
     config = small_test_config()
-    policy = TpracPolicy(tb_window_trefi=1.0)
+    policy = TpracPolicy(tb_window=config.timing.tREFI)
     mc = MemoryController(
         Engine(), config, policy=policy, enable_refresh=True, tref_per_trefi=1.0
     )
@@ -102,7 +94,7 @@ def test_tref_skips_next_tb_rfm():
 
 def test_tref_mitigates_from_queue():
     config = small_test_config(nbo=1_000_000).with_prac(nbo=1_000_000)
-    policy = TpracPolicy(tb_window_trefi=4.0)
+    policy = TpracPolicy(tb_window=4.0 * config.timing.tREFI)
     mc = MemoryController(
         Engine(), config, policy=policy, enable_refresh=True, tref_per_trefi=1.0
     )

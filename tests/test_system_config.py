@@ -13,7 +13,11 @@ import pytest
 from repro.analysis.storage import content_key
 from repro.campaigns.scenario import Scenario
 from repro.config import DEFAULT_SYSTEM, SystemConfig
-from repro.controller.scheduler import FcfsScheduler, FrFcfsScheduler
+from repro.controller.scheduler import (
+    FcfsScheduler,
+    FrFcfsCapScheduler,
+    FrFcfsScheduler,
+)
 from repro.dram.address import LinearMapping, MopMapping
 from repro.dram.config import ddr5_8000b
 from repro.dram.refresh import RefreshScheduler, StaggeredRefreshScheduler
@@ -125,11 +129,19 @@ def test_component_factories_build_the_named_components():
         SystemConfig(mapping="linear").make_mapping(org), LinearMapping
     )
     assert isinstance(SystemConfig().make_scheduler(4), FrFcfsScheduler)
-    scheduler = SystemConfig(
-        scheduler="fcfs", scheduler_params={"queue_depth": 8}
+    assert isinstance(
+        SystemConfig(scheduler="fcfs").make_scheduler(4), FcfsScheduler
+    )
+    capped = SystemConfig(
+        scheduler="fr_fcfs_cap", scheduler_params={"batch": 3}
     ).make_scheduler(4)
-    assert isinstance(scheduler, FcfsScheduler)
-    assert scheduler.queue_depth == 8
+    assert isinstance(capped, FrFcfsCapScheduler)
+    assert capped.batch == 3
+    # The queues are unbounded: there is no depth knob to accept.
+    with pytest.raises(TypeError, match="queue_depth"):
+        SystemConfig(
+            scheduler="fcfs", scheduler_params={"queue_depth": 8}
+        ).make_scheduler(4)
 
 
 def test_refresh_factory_and_staggered_phase():
