@@ -20,9 +20,10 @@
 # dropping the advisory wall-clock keys (elapsed_seconds, cache_key)
 # that never participate in result identity, and the campaign
 # documents' checksum, which covers the per-trial wall clock.  A
-# campaign.json index lists scenarios in completion order, so its
-# entries are sorted by scenario id first.  The campaigns'
-# heartbeat.jsonl (timestamps) is not compared.
+# campaign.json index lists scenarios in grid order, but revisions
+# from before that fix wrote completion order, so its entries are
+# still sorted by scenario id first.  The campaigns' heartbeat.jsonl
+# (timestamps) is not compared.
 #
 # This is what licenses a refactor or deletion: if the bytes do not
 # move between the parent and the change, the change moved nothing.

@@ -35,6 +35,16 @@ out_dir="$(mktemp -d)"
 cleanup_dirs+=("$out_dir")
 python -m repro.cli suite --jobs 2 --only fig7 fig8 --out "$out_dir" --no-cache
 
+echo "== examples: every script runs =="
+# Nothing else runs examples/: an example still using a removed public
+# name would otherwise break unnoticed.
+for example in examples/*.py; do
+    if ! python "$example" > /dev/null; then
+        echo "error: $example exited non-zero" >&2
+        exit 1
+    fi
+done
+
 echo "== campaign: 12-scenario smoke grid (pool + resume) =="
 camp_dir="$(mktemp -d)"
 cleanup_dirs+=("$camp_dir")

@@ -4,10 +4,12 @@ A *grid* is a mapping of axis name to the list of values to sweep,
 e.g. ``{"attack": ["aes_side_channel"], "mitigation": ["abo_only",
 "tprac"], "nbo": [128, 256]}``.  :func:`expand_grid` takes the
 cartesian product and returns validated :class:`Scenario` instances in
-deterministic order.  Axis names that are not scenario fields become
-per-scenario ``params`` entries, so attack tuning knobs (``symbols``,
+deterministic order.  Axis names that are trial params
+(:data:`repro.campaigns.runners.TRIAL_PARAMS`) become per-scenario
+``params`` entries, so attack tuning knobs (``symbols``,
 ``encryptions``, ``crash_seeds``…) sweep exactly like first-class axes;
-the names of removed axes (:data:`REMOVED_AXES`) raise instead.
+any other name that is not a scenario field raises, and the names of
+removed axes (:data:`REMOVED_AXES`) say why they are gone.
 
 :func:`parse_grid_tokens` turns CLI tokens (``nbo=128,256``) into such
 a mapping, coercing ints/floats/bools while leaving names as strings.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Mapping, Sequence
 
+from repro.campaigns.runners import TRIAL_PARAMS
 from repro.campaigns.scenario import Scenario
 
 #: First-class scenario fields an axis can address directly.
@@ -27,10 +30,9 @@ SCENARIO_AXES = (
     "sanitize", "trace", "metrics",
 )
 
-#: Axes earlier revisions accepted -> why they are gone.  As unknown
-#: names they would become ``params`` entries that no runner reads,
-#: silently repeating one simulation under new scenario IDs, so they
-#: (and their ``<axis>_params`` spelling) fail fast instead.
+#: Axes earlier revisions accepted -> why they are gone.  Like any
+#: unknown axis they (and their ``<axis>_params`` spelling) fail at
+#: expansion, but with this reason instead of the generic message.
 REMOVED_AXES = {
     "engine": "every system runs on the one event kernel",
 }
@@ -42,8 +44,9 @@ def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Scenario]:
     Order is deterministic: axes iterate in their given (insertion)
     order, values in their given order — so a grid expands to the same
     scenario list on every run, which keeps content-hash IDs stable and
-    diffs readable.  Duplicate scenarios (identical specs reached by
-    different axis spellings) raise.
+    diffs readable.  An axis that is neither a scenario field nor a
+    trial param raises, as do duplicate scenarios (identical specs
+    reached by different axis spellings).
     """
     if "attack" not in axes:
         raise ValueError("a grid needs an 'attack' axis")
@@ -51,6 +54,12 @@ def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Scenario]:
         reason = REMOVED_AXES.get(name.removesuffix("_params"))
         if reason is not None:
             raise ValueError(f"grid axis {name!r} was removed: {reason}")
+        if name not in SCENARIO_AXES and name not in TRIAL_PARAMS:
+            raise ValueError(
+                f"unknown grid axis {name!r}; scenario fields are "
+                f"{list(SCENARIO_AXES)}, trial params are "
+                f"{sorted(TRIAL_PARAMS)}"
+            )
     names = list(axes)
     value_lists = []
     for name in names:

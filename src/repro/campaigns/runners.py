@@ -46,6 +46,23 @@ TrialFn = Callable[[Scenario, int], Dict[str, float]]
 
 _TRIAL_KINDS: Dict[str, TrialFn] = {}
 
+#: Every ``params`` key some trial kind below reads.  A grid axis that
+#: is neither a scenario field nor one of these is rejected by
+#: :func:`repro.campaigns.grid.expand_grid`: as a param no trial reads,
+#: it would repeat one simulation under new scenario IDs.
+TRIAL_PARAMS = frozenset({
+    "cores",
+    "requests_per_core",
+    "noise_accesses",
+    "symbols",
+    "encryptions",
+    "target_byte",
+    "fixed_value",
+    "threshold_ns",
+    "pool_size",
+    "crash_seeds",
+})
+
 #: Directory (str path) that perf trials export per-trial telemetry
 #: into when the scenario carries the ``trace``/``metrics`` axes.  Set
 #: by the campaign worker (:func:`repro.campaigns.trials._execute_trial`)
@@ -75,8 +92,6 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     from repro.experiments.common import DesignPoint, build_system
     from repro.workloads.synthetic import homogeneous_traces
 
-    if scenario.workload == NO_WORKLOAD:
-        raise ValueError("perf scenarios need a workload axis")
     params = scenario.params
     cores = int(params.get("cores", 2))
     requests = int(params.get("requests_per_core", 600))

@@ -9,8 +9,8 @@ plus the PRAC knobs ``nbo`` / ``prac_level``), and how the controller
 itself is assembled — ``channels``, ``scheduler``, ``mapping`` and
 ``refresh`` are registry-backed structural axes that project onto a
 :class:`repro.config.SystemConfig` (:meth:`Scenario.system_config`).
-Free-form ``params`` carry per-attack tuning (symbol counts,
-encryption budgets, pool sizes).
+``params`` carry per-attack tuning (symbol counts, encryption budgets,
+pool sizes).
 
 Scenarios are plain data: they round-trip through dicts/JSON, cross
 process-pool boundaries by value, and are identified by a stable
@@ -92,6 +92,8 @@ class Scenario:
                 f"unknown workload {self.workload!r}; "
                 f"see repro.workloads.workload_names()"
             )
+        if self.attack == "perf" and self.workload == NO_WORKLOAD:
+            raise ValueError("perf scenarios need a workload axis")
         if self.dram not in PRESETS:
             raise ValueError(
                 f"unknown DRAM preset {self.dram!r}; have {sorted(PRESETS)}"

@@ -17,7 +17,8 @@ Results are **streamed** and **resumable**:
   streaming aggregates (Welford mean/variance + bootstrap CIs from
   :mod:`repro.analysis.stats_utils`);
 * a ``campaign.json`` index (:class:`~repro.analysis.storage.
-  SummaryIndex`) is flushed after every scenario completion;
+  SummaryIndex`) lists the scenarios in grid order and is flushed
+  after every scenario completion;
 * a re-run with ``resume=True`` skips any scenario whose persisted
   document matches its content-hash cache key (same spec, base seed,
   package version) and already covers the requested trial count.
@@ -335,6 +336,9 @@ def run_campaign(
             sid = scenario.scenario_id
             if sid in runs or sid in statuses:
                 raise ValueError(f"duplicate scenario id {sid} ({scenario.label})")
+            # Grid order, not completion order, fixes the index's rows.
+            if sid not in index.order:
+                index.order.append(sid)
             labels[sid] = scenario.label
             path = out_root / f"scenario-{sid}.json"
             paths[sid] = path

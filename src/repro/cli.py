@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "grid axes, e.g. attack=aes_side_channel mitigation=abo_only,tprac "
             "nbo=128,256 channels=1,2,4 scheduler=fr_fcfs,fcfs "
-            "mapping=linear,mop refresh=periodic,staggered; unknown axes "
-            "become per-scenario params; a grid without an attack axis "
+            "mapping=linear,mop refresh=periodic,staggered; trial params "
+            "(symbols, encryptions, ...) become per-scenario params and any "
+            "other axis is an error; a grid without an attack axis "
             "defaults to a perf sweep on the 433.milc workload"
         ),
     )

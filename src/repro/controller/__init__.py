@@ -21,7 +21,6 @@ from repro.controller.scheduler import (
     FcfsScheduler,
     FrFcfsCapScheduler,
     FrFcfsScheduler,
-    make_scheduler,
 )
 from repro.controller.stats import ControllerStats, RfmRecord
 
@@ -36,5 +35,4 @@ __all__ = [
     "MemorySystem",
     "RfmRecord",
     "SCHEDULERS",
-    "make_scheduler",
 ]

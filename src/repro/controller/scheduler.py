@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Any, Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from repro.controller.request import MemRequest
 from repro.dram.bank import Bank
@@ -212,13 +212,3 @@ class FrFcfsCapScheduler(BankQueueScheduler):
                     break
         self._batch_left[bank_id] = size - 1
         return self._remove(bank_id, index)
-
-
-def make_scheduler(name: str, num_banks: int, **params: Any) -> BankQueueScheduler:
-    """Instantiate the scheduler registered under ``name``.
-
-    Names: see ``SCHEDULERS.available()`` (``fr_fcfs``, ``fcfs``,
-    ``fr_fcfs_cap``).  ``params`` are policy-specific knobs (``cap``
-    for ``fr_fcfs``, ``batch`` for ``fr_fcfs_cap``).
-    """
-    return SCHEDULERS.make(name, num_banks=num_banks, **params)

@@ -25,7 +25,7 @@ through :data:`INTERCONNECTS` exactly like schedulers and mappings:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.registry import Registry
 
@@ -179,8 +179,3 @@ class InterconnectFront:
         engine.schedule(
             departure, partial(self.memory.enqueue, request), 0, "interconnect"
         )
-
-
-def make_interconnect(name: str, **params: Any) -> Optional[Interconnect]:
-    """Build a registered interconnect (``None`` for ``"none"``)."""
-    return INTERCONNECTS.make(name, **params)

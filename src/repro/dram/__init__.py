@@ -21,7 +21,6 @@ from repro.dram.address import (
     DramAddress,
     LinearMapping,
     MopMapping,
-    make_mapping,
 )
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandKind
@@ -31,7 +30,6 @@ from repro.dram.refresh import (
     REFRESH_POLICIES,
     RefreshScheduler,
     StaggeredRefreshScheduler,
-    make_refresh,
 )
 
 __all__ = [
@@ -50,6 +48,4 @@ __all__ = [
     "REFRESH_POLICIES",
     "RefreshScheduler",
     "StaggeredRefreshScheduler",
-    "make_mapping",
-    "make_refresh",
 ]

@@ -15,7 +15,7 @@ Two mappings are provided:
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from repro.dram.config import DramOrganization
 from repro.registry import Registry
@@ -186,12 +186,3 @@ class MopMapping(AddressMapping):
         line = line * self.mop_width + col_low
         line = line * org.channels + addr.channel
         return line * org.cacheline_bytes
-
-
-def make_mapping(name: str, org: DramOrganization, **params: Any) -> AddressMapping:
-    """Instantiate the mapping registered under ``name``.
-
-    Names: see ``MAPPINGS.available()`` (``linear``, ``mop``).
-    ``params`` are mapping-specific knobs (``mop_width``).
-    """
-    return MAPPINGS.make(name, org, **params)

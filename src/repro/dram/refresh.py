@@ -15,7 +15,7 @@ mechanisms:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Callable, List
 
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig
@@ -138,21 +138,3 @@ class StaggeredRefreshScheduler(RefreshScheduler):
             priority=-3,
             label="tREFW",
         )
-
-
-def make_refresh(
-    name: str,
-    engine: Engine,
-    channel: Channel,
-    config: DramConfig,
-    tref_per_trefi: float = 0.0,
-    **params: Any,
-) -> RefreshScheduler:
-    """Instantiate the refresh policy registered under ``name``.
-
-    Names: see ``REFRESH_POLICIES.available()`` (``periodic``,
-    ``staggered``).
-    """
-    return REFRESH_POLICIES.make(
-        name, engine, channel, config, tref_per_trefi=tref_per_trefi, **params
-    )

@@ -1,14 +1,16 @@
 """Online DRAM timing-protocol sanitizer.
 
-Where :mod:`repro.dram.timing` re-checks a *recorded* command stream
-after the fact, this module validates commands **as the controller
-issues them**.  An opt-in :class:`ProtocolChecker` (enabled with
-``SystemConfig(sanitize=True)``) observes every traced command from
+This module is the repository's one DRAM timing checker, and it
+validates commands **as the controller issues them**.  An opt-in
+:class:`ProtocolChecker` (enabled with ``SystemConfig(sanitize=True)``)
+observes every traced command from
 :meth:`repro.controller.controller.MemoryController._serve` and raises
 a structured :class:`ProtocolViolation` — with the offending command
 and its recent history — the instant a JEDEC-style constraint breaks,
 so the failing stack trace points at the code that issued the bad
-command rather than at a post-mortem diff.
+command rather than at a post-mortem diff.  Tests that assert a
+controller's command stream is timing-clean run it sanitized; tests of
+the rules themselves feed synthetic streams to a bare checker.
 
 Checked invariants:
 

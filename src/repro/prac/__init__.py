@@ -18,7 +18,6 @@ from repro.prac.mitigation_queue import (
     MitigationQueue,
     PriorityMitigationQueue,
     SingleEntryFrequencyQueue,
-    make_queue,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "MitigationQueue",
     "PriorityMitigationQueue",
     "SingleEntryFrequencyQueue",
-    "make_queue",
 ]

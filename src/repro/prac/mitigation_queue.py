@@ -22,7 +22,7 @@ mitigation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class MitigationQueue:
@@ -185,17 +185,3 @@ class FifoMitigationQueue(MitigationQueue):
 
     def __len__(self) -> int:
         return len(self._fifo)
-
-
-def make_queue(name: str, **kwargs: Any) -> MitigationQueue:
-    """Factory: ``single``, ``priority`` or ``fifo``."""
-    factories = {
-        "single": SingleEntryFrequencyQueue,
-        "priority": PriorityMitigationQueue,
-        "fifo": FifoMitigationQueue,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ValueError(f"unknown mitigation queue {name!r}") from None
-    return factory(**kwargs)

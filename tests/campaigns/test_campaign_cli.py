@@ -86,6 +86,20 @@ def test_campaign_removed_axis_errors_before_running(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_campaign_misspelled_axis_errors_before_running(tmp_path, capsys):
+    out_dir = tmp_path / "camp"
+    args = [
+        "campaign", "--grid", "attack=perf", "workload=433.milc",
+        "mitigations=tprac,qprac",
+    ]
+    assert main(args + ["--list"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown grid axis 'mitigations'" in captured.err
+    assert "scenarios" not in captured.out
+    assert main(args + ["--trials", "1", "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_campaign_empty_grid_errors_instead_of_running_builtin(capsys):
     assert main(["campaign", "--grid"]) == 2
     assert "--grid given but no" in capsys.readouterr().err

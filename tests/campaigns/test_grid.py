@@ -1,7 +1,11 @@
 """Grid expansion and CLI token parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.campaigns import runners
 from repro.campaigns.builtin import builtin_names, builtin_scenarios
 from repro.campaigns.grid import expand_grid, parse_grid_tokens
 
@@ -36,11 +40,37 @@ def test_unknown_axes_become_params():
     assert scenario.params == {"crash_seeds": "1+2", "symbols": 6}
 
 
+def test_misspelled_axis_fails_at_expansion():
+    # As a param no trial reads, "mitigations" would run two copies of
+    # the default abo_only scenario under different IDs.
+    with pytest.raises(ValueError) as excinfo:
+        expand_grid({
+            "attack": ["perf"],
+            "workload": ["433.milc"],
+            "mitigations": ["tprac", "qprac"],
+        })
+    message = str(excinfo.value)
+    assert "unknown grid axis 'mitigations'" in message
+    assert "'mitigation'" in message          # the scenario fields...
+    assert "'requests_per_core'" in message   # ...and the trial params
+
+
+def test_perf_without_workload_fails_at_expansion():
+    with pytest.raises(ValueError, match="workload"):
+        expand_grid({"attack": ["perf"]})
+
+
+def test_trial_params_match_what_the_runners_read():
+    # Source audit: every params.get("<name>") in runners.py is declared
+    # in TRIAL_PARAMS, and nothing is declared that no trial reads.
+    source = Path(runners.__file__).read_text()
+    read = set(re.findall(r"params\.get\(\s*\"(\w+)\"", source))
+    assert read == set(runners.TRIAL_PARAMS)
+
+
 @pytest.mark.parametrize("suffix", ["", "_params"], ids=["axis", "params"])
 def test_removed_engine_axis_fails_fast(suffix):
-    # Unknown axes become params, but no runner reads a removed axis
-    # there: the sweep would silently repeat one simulation under new
-    # scenario IDs.  Name the axis and refuse instead.
+    # A removed axis fails like any unknown one, but says why.
     name = "engine" + suffix
     with pytest.raises(ValueError, match=f"grid axis '{name}' was removed"):
         expand_grid({"attack": ["perf"], name: ["event", "batched"]})

@@ -1,9 +1,11 @@
 """The Monte Carlo trial engine: isolation, persistence, resume, stats."""
 
 import json
+import time
 
 import pytest
 
+from repro.campaigns import trials as trials_mod
 from repro.campaigns.grid import expand_grid
 from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import Scenario
@@ -37,6 +39,28 @@ def test_campaign_runs_grid_and_persists_scenario_documents(tmp_path):
         assert doc["metrics"]["value"]["n"] == 3
         lo, hi = doc["metrics"]["value"]["bootstrap_ci95"]
         assert lo <= doc["metrics"]["value"]["mean"] <= hi
+    index = load_campaign_index(tmp_path)
+    assert [e["experiment"] for e in index] == [
+        s.scenario_id for s in scenarios
+    ]
+
+
+_REAL_EXECUTE_TRIAL = trials_mod._execute_trial
+
+
+# Module-level (picklable) stand-in for trials._execute_trial: the first
+# grid scenario finishes last.
+def _nbo64_trial_sleeps(spec, seed, obs_dir=None):
+    if spec["nbo"] == 64:
+        time.sleep(0.5)
+    return _REAL_EXECUTE_TRIAL(spec, seed, obs_dir)
+
+
+def test_pooled_index_keeps_grid_order(tmp_path, monkeypatch):
+    scenarios = expand_grid({"attack": ["selftest"], "nbo": [64, 128, 256]})
+    monkeypatch.setattr(trials_mod, "_execute_trial", _nbo64_trial_sleeps)
+    result = run_campaign(scenarios, tmp_path, trials=1, jobs=2, seed=0)
+    assert set(result.statuses.values()) == {"ok"}
     index = load_campaign_index(tmp_path)
     assert [e["experiment"] for e in index] == [
         s.scenario_id for s in scenarios

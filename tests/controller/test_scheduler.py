@@ -8,7 +8,6 @@ from repro.controller.scheduler import (
     FcfsScheduler,
     FrFcfsCapScheduler,
     FrFcfsScheduler,
-    make_scheduler,
 )
 from repro.dram.address import DramAddress
 from repro.dram.bank import Bank
@@ -110,24 +109,24 @@ def test_banks_with_work_stays_sorted_through_churn(bank):
 # ----------------------------------------------------------------------
 def test_registry_names_and_factories():
     assert SCHEDULERS.available() == ["fcfs", "fr_fcfs", "fr_fcfs_cap"]
-    assert isinstance(make_scheduler("fr_fcfs", num_banks=1), FrFcfsScheduler)
-    assert isinstance(make_scheduler("fcfs", num_banks=1), FcfsScheduler)
+    assert isinstance(SCHEDULERS.make("fr_fcfs", num_banks=1), FrFcfsScheduler)
+    assert isinstance(SCHEDULERS.make("fcfs", num_banks=1), FcfsScheduler)
     assert isinstance(
-        make_scheduler("fr_fcfs_cap", num_banks=1), FrFcfsCapScheduler
+        SCHEDULERS.make("fr_fcfs_cap", num_banks=1), FrFcfsCapScheduler
     )
 
 
 def test_registry_unknown_name_lists_field_and_names():
     with pytest.raises(ValueError) as excinfo:
-        make_scheduler("round_robin", num_banks=1)
+        SCHEDULERS.make("round_robin", num_banks=1)
     message = str(excinfo.value)
     assert "'scheduler'" in message          # the config field
     assert "fr_fcfs" in message and "fcfs" in message
 
 
 def test_registry_params_forwarded():
-    assert make_scheduler("fr_fcfs", num_banks=1, cap=7).cap == 7
-    assert make_scheduler("fr_fcfs_cap", num_banks=1, batch=3).batch == 3
+    assert SCHEDULERS.make("fr_fcfs", num_banks=1, cap=7).cap == 7
+    assert SCHEDULERS.make("fr_fcfs_cap", num_banks=1, batch=3).batch == 3
 
 
 # ----------------------------------------------------------------------

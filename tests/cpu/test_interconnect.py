@@ -9,7 +9,6 @@ from repro.cpu.interconnect import (
     CrossbarInterconnect,
     FixedLatencyInterconnect,
     InterconnectFront,
-    make_interconnect,
 )
 
 
@@ -81,9 +80,9 @@ def test_crossbar_validation():
 # ----------------------------------------------------------------------
 def test_interconnect_registry_spellings():
     assert sorted(INTERCONNECTS.available()) == ["crossbar", "fixed", "none"]
-    assert make_interconnect("none") is None
-    assert isinstance(make_interconnect("fixed"), FixedLatencyInterconnect)
-    bar = make_interconnect("crossbar", ports=8)
+    assert INTERCONNECTS.make("none") is None
+    assert isinstance(INTERCONNECTS.make("fixed"), FixedLatencyInterconnect)
+    bar = INTERCONNECTS.make("crossbar", ports=8)
     assert isinstance(bar, CrossbarInterconnect) and bar.ports == 8
     with pytest.raises(ValueError) as excinfo:
         INTERCONNECTS.get("mesh")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import DramAddress, LinearMapping, MopMapping, make_mapping
+from repro.dram.address import MAPPINGS, DramAddress, LinearMapping, MopMapping
 from repro.dram.config import ddr5_8000b
 
 ORG = ddr5_8000b().organization
@@ -11,12 +11,12 @@ ORG = ddr5_8000b().organization
 
 @pytest.fixture(params=["linear", "mop"])
 def mapping(request):
-    return make_mapping(request.param, ORG)
+    return MAPPINGS.make(request.param, ORG)
 
 
 def test_factory_rejects_unknown_name():
     with pytest.raises(ValueError):
-        make_mapping("hashed", ORG)
+        MAPPINGS.make("hashed", ORG)
 
 
 def test_decode_zero_is_origin(mapping):

@@ -15,7 +15,7 @@ The multi-channel contract both mappings must honour:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import LinearMapping, MopMapping, make_mapping
+from repro.dram.address import MAPPINGS, MopMapping
 from repro.dram.config import ddr5_8000b
 
 CHANNEL_COUNTS = (1, 2, 4)
@@ -30,7 +30,7 @@ def _org(channels):
 @settings(max_examples=150, deadline=None)
 @given(line=st.integers(min_value=0, max_value=2**30))
 def test_roundtrip_across_channel_counts(name, channels, line):
-    mapping = make_mapping(name, _org(channels))
+    mapping = MAPPINGS.make(name, _org(channels))
     phys = line * 64
     addr = mapping.decode(phys)
     assert mapping.encode(addr) == phys
@@ -42,7 +42,7 @@ def test_roundtrip_across_channel_counts(name, channels, line):
 @settings(max_examples=150, deadline=None)
 @given(line=st.integers(min_value=0, max_value=2**30))
 def test_channel_of_agrees_with_decode(name, channels, line):
-    mapping = make_mapping(name, _org(channels))
+    mapping = MAPPINGS.make(name, _org(channels))
     phys = line * 64
     assert mapping.channel_of(phys) == mapping.decode(phys).channel
 
@@ -50,7 +50,7 @@ def test_channel_of_agrees_with_decode(name, channels, line):
 @pytest.mark.parametrize("channels", (2, 4))
 @pytest.mark.parametrize("name", ["linear", "mop"])
 def test_consecutive_cache_lines_stripe_across_channels(name, channels):
-    mapping = make_mapping(name, _org(channels))
+    mapping = MAPPINGS.make(name, _org(channels))
     decoded = [mapping.decode(i * 64) for i in range(4 * channels)]
     # Any window of `channels` consecutive lines covers every channel —
     # in particular consecutive lines always land on distinct channels.
@@ -77,7 +77,7 @@ def test_mop_channel_bits_sit_below_the_mop_block(channels):
 def test_single_channel_matches_historical_layout(name):
     """channels=1 must decode bit-identically to the pre-multi-channel
     mapping (channel contributes zero address bits)."""
-    mapping = make_mapping(name, _org(1))
+    mapping = MAPPINGS.make(name, _org(1))
     for line in (0, 1, 7, 128, 4095, 2**20 + 3):
         addr = mapping.decode(line * 64)
         assert addr.channel == 0

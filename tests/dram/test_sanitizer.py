@@ -1,4 +1,4 @@
-"""Tests for the online DRAM protocol sanitizer.
+"""Tests for the online DRAM protocol sanitizer, the one timing checker.
 
 Three layers:
 
@@ -205,6 +205,18 @@ class TestConstraintMatrix:
         ])
         assert "ORDER" in out
 
+    def test_banks_may_interleave_out_of_global_order(self):
+        # The controller stamps banks independently, so two banks'
+        # commands can arrive out of global time order; only one bank's
+        # stream going backwards is an ORDER violation (test_order).
+        out = self._violations([
+            (CommandKind.ACT, 1, 3, 10.0),
+            (CommandKind.ACT, 0, 1, 0.0),
+            (CommandKind.RD, 0, 1, 16.0),
+            (CommandKind.RD, 1, 3, 26.0),
+        ])
+        assert out == []
+
     def test_refresh_must_wait_for_bus_drain(self):
         # RD at 16 occupies the bus until 16+16+2 = 34.
         out = self._violations([
@@ -313,6 +325,88 @@ class TestRealTrafficIsClean:
         mc = MemoryController(Engine(), small_test_config())
         assert mc.sanitizer is None
         assert mc._trace is None
+
+
+class TestRealControllerTraces:
+    """Dependent chains on a bare sanitized controller with a command log.
+
+    The sanitizer raises at the first broken rule; the log only backs
+    the ACT-count and REF/RFM-presence checks.
+    """
+
+    def _controller(self, policy, enable_refresh):
+        config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
+        return MemoryController(
+            Engine(), config, policy=policy,
+            system=SystemConfig(sanitize=True),
+            enable_refresh=enable_refresh, log_commands=True,
+        )
+
+    def _verify(self, mc):
+        assert mc.sanitizer is not None
+        assert mc.sanitizer.ok, mc.sanitizer.violations[:5]
+
+    def test_conflict_heavy_trace_is_timing_clean(self):
+        mc = self._controller(NoMitigationPolicy(), enable_refresh=False)
+        state = {"n": 0}
+
+        def issue(req=None):
+            if state["n"] >= 60:
+                return
+            row = [1, 2, 3][state["n"] % 3]
+            state["n"] += 1
+            mc.enqueue(
+                MemRequest(phys_addr=bank_address(mc, 0, row), on_complete=issue)
+            )
+
+        issue()
+        mc.engine.run(until=50_000)
+        assert sum(1 for c in mc.command_log if c.kind is CommandKind.ACT) == 60
+        self._verify(mc)
+
+    def test_trace_with_refresh_and_tb_rfms_is_timing_clean(self):
+        mc = self._controller(TpracPolicy(tb_window=2000.0), enable_refresh=True)
+        state = {"n": 0}
+
+        def issue(req=None):
+            if state["n"] >= 120:
+                return
+            row = state["n"] % 5
+            bank = state["n"] % 3
+            state["n"] += 1
+            mc.enqueue(
+                MemRequest(
+                    phys_addr=bank_address(mc, bank, row), on_complete=issue
+                )
+            )
+
+        issue()
+        mc.engine.run(until=60_000)
+        kinds = {c.kind for c in mc.command_log}
+        assert CommandKind.RFM_AB in kinds
+        assert CommandKind.REF in kinds
+        self._verify(mc)
+
+    def test_multibank_write_trace_is_timing_clean(self):
+        mc = self._controller(NoMitigationPolicy(), enable_refresh=False)
+        state = {"n": 0}
+
+        def issue(req=None):
+            if state["n"] >= 80:
+                return
+            n = state["n"]
+            state["n"] += 1
+            mc.enqueue(
+                MemRequest(
+                    phys_addr=bank_address(mc, n % 4, (n * 7) % 9),
+                    is_write=(n % 3 == 0),
+                    on_complete=issue,
+                )
+            )
+
+        issue()
+        mc.engine.run(until=50_000)
+        self._verify(mc)
 
 
 class TestFig10ByteIdentical:

@@ -1,26 +1,41 @@
-"""Tests for the post-hoc timing checker, including on real traces."""
+"""Recorded command streams replayed through the protocol sanitizer.
 
+``MemoryController.command_log`` keeps every issued command as a
+:class:`~repro.dram.commands.Command`, and the controller hands the same
+records to :meth:`ProtocolChecker.observe_command`.  These tests replay
+hand-built records through a checker in its default raise mode: a
+broken stream stops at the offending command with the expected
+constraint, and a clean stream passes whole.  The collect-mode cases in
+``tests/dram/test_sanitizer.py`` scan the same rules over whole streams.
+"""
 
-from repro.attacks.probes import bank_address
-from repro.controller.controller import MemoryController
-from repro.controller.request import MemRequest
-from repro.core.engine import Engine
+import pytest
+
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import small_test_config
-from repro.dram.timing import TimingChecker
-from repro.mitigations.base import NoMitigationPolicy
-from repro.mitigations.tprac import TpracPolicy
+from repro.dram.sanitizer import ProtocolChecker, ProtocolViolation
 
 
 def _cmd(kind, bank=0, row=0, t=0.0):
     return Command(kind=kind, bank_id=bank, row=row, issue_time=t)
 
 
+def _replay(commands):
+    checker = ProtocolChecker(small_test_config())
+    for command in commands:
+        checker.observe_command(command)
+    return checker
+
+
+def _first_violation(commands):
+    with pytest.raises(ProtocolViolation) as err:
+        _replay(commands)
+    return err.value
+
+
 class TestSyntheticStreams:
     def test_clean_sequence_passes(self):
-        config = small_test_config()
-        checker = TimingChecker(config)
-        checker.check([
+        checker = _replay([
             _cmd(CommandKind.ACT, row=1, t=0.0),
             _cmd(CommandKind.RD, row=1, t=16.0),
             _cmd(CommandKind.PRE, t=21.0),
@@ -29,155 +44,67 @@ class TestSyntheticStreams:
         assert checker.ok
 
     def test_trc_violation_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
+        bad = _cmd(CommandKind.ACT, row=2, t=52.0 - 1.0)
+        violation = _first_violation([
             _cmd(CommandKind.ACT, row=1, t=0.0),
             _cmd(CommandKind.PRE, t=16.0),
-            _cmd(CommandKind.ACT, row=2, t=52.0 - 1.0),
+            bad,
         ])
-        assert any(v.constraint == "tRC" for v in checker.violations)
+        assert violation.constraint == "tRC"
+        assert violation.command is bad
 
     def test_tras_violation_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
+        bad = _cmd(CommandKind.PRE, t=10.0)
+        violation = _first_violation([
             _cmd(CommandKind.ACT, row=1, t=0.0),
-            _cmd(CommandKind.PRE, t=10.0),
+            bad,
         ])
-        assert any(v.constraint == "tRAS" for v in checker.violations)
+        assert violation.constraint == "tRAS"
+        assert violation.command is bad
 
     def test_trcd_violation_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
+        bad = _cmd(CommandKind.RD, row=1, t=10.0)
+        violation = _first_violation([
             _cmd(CommandKind.ACT, row=1, t=0.0),
-            _cmd(CommandKind.RD, row=1, t=10.0),
+            bad,
         ])
-        assert any(v.constraint == "tRCD" for v in checker.violations)
+        assert violation.constraint == "tRCD"
+        assert violation.command is bad
 
     def test_act_on_open_bank_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
+        bad = _cmd(CommandKind.ACT, row=2, t=100.0)
+        violation = _first_violation([
             _cmd(CommandKind.ACT, row=1, t=0.0),
-            _cmd(CommandKind.ACT, row=2, t=100.0),
+            bad,
         ])
-        assert any(v.constraint == "OPEN" for v in checker.violations)
+        assert violation.constraint == "OPEN"
+        assert violation.command is bad
 
     def test_cas_to_wrong_row_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
+        bad = _cmd(CommandKind.RD, row=2, t=20.0)
+        violation = _first_violation([
             _cmd(CommandKind.ACT, row=1, t=0.0),
-            _cmd(CommandKind.RD, row=2, t=20.0),
+            bad,
         ])
-        assert any(v.constraint == "ROW" for v in checker.violations)
+        assert violation.constraint == "ROW"
+        assert violation.command is bad
 
     def test_command_inside_rfm_window_detected(self):
-        checker = TimingChecker(small_test_config())
-        checker.check([
-            _cmd(CommandKind.RFM_AB, t=0.0),
-            _cmd(CommandKind.ACT, row=1, t=100.0),   # inside 350ns block
+        bad = _cmd(CommandKind.ACT, row=1, t=100.0)  # inside 350ns block
+        violation = _first_violation([
+            _cmd(CommandKind.RFM_AB, bank=-1, row=-1, t=0.0),
+            bad,
         ])
-        assert any(v.constraint == "BLOCKED" for v in checker.violations)
+        assert violation.constraint == "BLOCKED"
+        assert violation.command is bad
 
     def test_out_of_order_stream_detected_without_sort(self):
-        checker = TimingChecker(small_test_config())
-        checker.check(
-            [
-                _cmd(CommandKind.ACT, row=1, t=100.0),
-                _cmd(CommandKind.PRE, t=50.0),
-            ],
-            sort=False,
-        )
-        assert any(v.constraint == "ORDER" for v in checker.violations)
-
-    def test_sort_reorders_interleaved_bank_streams(self):
-        checker = TimingChecker(small_test_config())
-        # Appended out of order (different banks) but valid once sorted.
-        checker.check([
-            _cmd(CommandKind.ACT, bank=1, row=3, t=10.0),
-            _cmd(CommandKind.ACT, bank=0, row=1, t=0.0),
-            _cmd(CommandKind.RD, bank=0, row=1, t=16.0),
-            _cmd(CommandKind.RD, bank=1, row=3, t=26.0),
+        # The checker takes records in the order given and never sorts
+        # them, so one bank's stream going backwards is caught.
+        bad = _cmd(CommandKind.PRE, t=50.0)
+        violation = _first_violation([
+            _cmd(CommandKind.ACT, row=1, t=100.0),
+            bad,
         ])
-        assert checker.ok
-
-
-class TestRealControllerTraces:
-    """The controller's actual command stream must satisfy the spec."""
-
-    def _verify(self, mc):
-        checker = TimingChecker(mc.config)
-        checker.check(mc.command_log)
-        assert checker.ok, checker.violations[:5]
-
-    def test_conflict_heavy_trace_is_timing_clean(self):
-        config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
-        mc = MemoryController(
-            Engine(), config, policy=NoMitigationPolicy(),
-            enable_refresh=False, log_commands=True,
-        )
-        state = {"n": 0}
-
-        def issue(req=None):
-            if state["n"] >= 60:
-                return
-            row = [1, 2, 3][state["n"] % 3]
-            state["n"] += 1
-            mc.enqueue(
-                MemRequest(phys_addr=bank_address(mc, 0, row), on_complete=issue)
-            )
-
-        issue()
-        mc.engine.run(until=50_000)
-        assert sum(1 for c in mc.command_log if c.kind is CommandKind.ACT) == 60
-        self._verify(mc)
-
-    def test_trace_with_refresh_and_tb_rfms_is_timing_clean(self):
-        config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
-        mc = MemoryController(
-            Engine(), config, policy=TpracPolicy(tb_window=2000.0),
-            enable_refresh=True, log_commands=True,
-        )
-        state = {"n": 0}
-
-        def issue(req=None):
-            if state["n"] >= 120:
-                return
-            row = state["n"] % 5
-            bank = state["n"] % 3
-            state["n"] += 1
-            mc.enqueue(
-                MemRequest(
-                    phys_addr=bank_address(mc, bank, row), on_complete=issue
-                )
-            )
-
-        issue()
-        mc.engine.run(until=60_000)
-        kinds = {c.kind for c in mc.command_log}
-        assert CommandKind.RFM_AB in kinds
-        assert CommandKind.REF in kinds
-        self._verify(mc)
-
-    def test_multibank_write_trace_is_timing_clean(self):
-        config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
-        mc = MemoryController(
-            Engine(), config, policy=NoMitigationPolicy(),
-            enable_refresh=False, log_commands=True,
-        )
-        state = {"n": 0}
-
-        def issue(req=None):
-            if state["n"] >= 80:
-                return
-            n = state["n"]
-            state["n"] += 1
-            mc.enqueue(
-                MemRequest(
-                    phys_addr=bank_address(mc, n % 4, (n * 7) % 9),
-                    is_write=(n % 3 == 0),
-                    on_complete=issue,
-                )
-            )
-
-        issue()
-        mc.engine.run(until=50_000)
-        self._verify(mc)
+        assert violation.constraint == "ORDER"
+        assert violation.command is bad

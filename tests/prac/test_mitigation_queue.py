@@ -7,7 +7,6 @@ from repro.prac.mitigation_queue import (
     FifoMitigationQueue,
     PriorityMitigationQueue,
     SingleEntryFrequencyQueue,
-    make_queue,
 )
 
 
@@ -136,11 +135,3 @@ class TestFifoQueue:
         assert len(queue) == 0
         queue.observe(1, 10)
         assert len(queue) == 1
-
-
-def test_factory_builds_each_kind():
-    assert isinstance(make_queue("single"), SingleEntryFrequencyQueue)
-    assert isinstance(make_queue("priority", capacity=8), PriorityMitigationQueue)
-    assert isinstance(make_queue("fifo"), FifoMitigationQueue)
-    with pytest.raises(ValueError):
-        make_queue("lru")

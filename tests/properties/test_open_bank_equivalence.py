@@ -20,11 +20,20 @@ from repro.core.engine import Engine
 from repro.dram.commands import RfmProvenance
 from repro.dram.config import DramConfig, DramOrganization, PracConfig
 from repro.mitigations.tprac import TpracPolicy
-from repro.prac.mitigation_queue import MitigationQueue, make_queue
+from repro.prac.mitigation_queue import (
+    FifoMitigationQueue,
+    MitigationQueue,
+    PriorityMitigationQueue,
+    SingleEntryFrequencyQueue,
+)
 
 BANKS = 8
 ROWS = 16
-QUEUE_KINDS = ("single", "priority", "fifo")
+QUEUES = {
+    "single": SingleEntryFrequencyQueue,
+    "priority": PriorityMitigationQueue,
+    "fifo": FifoMitigationQueue,
+}
 
 
 def _config() -> DramConfig:
@@ -54,7 +63,7 @@ class RefChannel:
 
     def __init__(self, config: DramConfig, kind: str) -> None:
         self.timing = config.timing
-        self.banks = [RefBank(make_queue(kind)) for _ in range(BANKS)]
+        self.banks = [RefBank(QUEUES[kind]()) for _ in range(BANKS)]
         self.blocked_until = 0.0
         self.bus_free_at = 0.0
 
@@ -154,14 +163,14 @@ def _assert_same_banks(mc: MemoryController, ref: RefChannel) -> None:
         assert len(queue) == len(expected.queue)
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize("kind", list(QUEUES))
 @settings(max_examples=80, deadline=None)
 @given(ops=st.lists(_op, min_size=5, max_size=80))
 # A pop that leaves rows queued must keep its bank armed for the next.
 @example(ops=[("act", 3, 1, 0.0), ("act", 3, 2, 0.0), ("rfm", 1), ("tref",)])
 def test_matches_full_scan_reference(kind, ops):
     config = _config()
-    policy = TpracPolicy(tb_window=1e9, queue_factory=lambda: make_queue(kind))
+    policy = TpracPolicy(tb_window=1e9, queue_factory=QUEUES[kind])
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     ref = RefChannel(config, kind)
     channel = mc.channel

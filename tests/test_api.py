@@ -42,6 +42,7 @@ def test_facade_expands_the_new_axes():
     scenarios = api.expand_grid(
         {
             "attack": ["perf"],
+            "workload": ["433.milc"],
             "cache": ["none", "l1l2"],
             "interconnect": ["fixed"],
         }
