@@ -153,6 +153,7 @@ class MemoryController:
         self._tBL = timing.tBL
         self._tCCD = timing.tCCD
         self._tWR = timing.tWR
+        self._tRFMab = timing.tRFMab
         self._banks = self.channel.banks
         self._queues = self.scheduler.queues
         # The agenda: a min-heap of (ready time, bank id), one entry per
@@ -321,7 +322,15 @@ class MemoryController:
         the obfuscation defense's random injector).
         """
         self._pending_rfms.append((provenance, count))
-        self._schedule_wake(self.engine.now)
+        # Inline _schedule_wake(now), as enqueue gates it.
+        engine = self.engine
+        now = engine.now
+        if self._wake_time > now:
+            wake = self._wake_event
+            if wake is not None:
+                engine.cancel(wake)
+            self._wake_time = now
+            self._wake_event = engine.schedule(now, self._wake, 1, "mc-wake")
 
     @property
     def now(self) -> float:
@@ -376,13 +385,19 @@ class MemoryController:
         engine = self.engine
         now = engine.now
         channel = self.channel
+
+        # Inside a REF/RFMab window: wake again when it ends.  The wake
+        # slot was cleared above, so this branch and the RFM branch
+        # below fill it directly instead of through _schedule_wake.
+        blocked = channel.blocked_until
+        if now < blocked:
+            self._wake_time = blocked
+            self._wake_event = engine.schedule(blocked, self._wake, 1, "mc-wake")
+            return
+
         abo = self.abo
         enable_abo = self.enable_abo
         scheduler = self.scheduler
-
-        if now < channel.blocked_until:
-            self._schedule_wake(channel.blocked_until)
-            return
 
         # 1. Mandatory ABO mitigation --------------------------------
         if enable_abo and abo.alert_pending:
@@ -403,16 +418,25 @@ class MemoryController:
         if self._pending_rfms:
             provenance, count = self._pending_rfms.pop(0)
             self._issue_rfm_burst(count, provenance)
-            self._schedule_wake(channel.blocked_until)
+            # Filling the slot directly would orphan a wake that a burst
+            # hook (the policy's mitigate_on_rfm) had scheduled.
+            assert self._wake_event is None, "an RFM burst scheduled a wake"
+            blocked = channel.blocked_until
+            self._wake_time = blocked
+            self._wake_event = engine.schedule(blocked, self._wake, 1, "mc-wake")
             return
 
         # 3. Serve the due banks --------------------------------------
         agenda = self._agenda
         if self._agenda_stale:
             self._agenda_stale = False
-            ready_time = self._bank_ready_time
-            agenda[:] = [(ready_time(b), b) for b in scheduler.banks_with_work()]
-            heapify(agenda)
+            busy = scheduler.banks_with_work()
+            if busy:
+                ready_time = self._bank_ready_time
+                agenda[:] = [(ready_time(b), b) for b in busy]
+                heapify(agenda)
+            else:
+                agenda.clear()
         served_any = False
         if agenda and agenda[0][0] <= now:
             served_any = True
@@ -473,8 +497,9 @@ class MemoryController:
         """Mark the agenda stale (channel-wide state moved).
 
         O(1): the next wake rebuilds the agenda from the busy banks.
-        Registered on the refresh hook and called after RFM bursts; any
-        out-of-band mutation of bank timing state must call it too.
+        Registered on the refresh hook (``_issue_rfm_burst`` sets the
+        flag itself); any out-of-band mutation of bank timing state must
+        call it too.
         """
         self._agenda_stale = True
 
@@ -616,34 +641,40 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _issue_rfm_burst(self, count: int, provenance: RfmProvenance) -> None:
         """Issue ``count`` back-to-back RFMab commands, mitigating rows."""
-        timing = self.config.timing
+        channel = self.channel
+        policy = self.policy
+        stats = self.stats
+        tRFMab = self._tRFMab
         # Like refresh, an RFM waits for in-flight transfers to drain.
-        t = max(
-            self.engine.now, self.channel.blocked_until, self.channel.bus_free_at
-        )
+        t = self.engine.now
+        v = channel.blocked_until
+        if v > t:
+            t = v
+        v = channel.bus_free_at
+        if v > t:
+            t = v
         for _ in range(count):
-            start = max(t, self.channel.blocked_until)
-            end = self.channel.block(start, timing.tRFMab)
+            start = t
+            v = channel.blocked_until
+            if v > start:
+                start = v
+            end = channel.block(start, tRFMab)
             if self._trace is not None:
                 self._log(CommandKind.RFM_AB, -1, -1, start, provenance)
-            mitigated: Dict[int, int] = {}
-            if self.policy is not None:
-                mitigated = self.policy.mitigate_on_rfm(self, start, provenance)
-            self.stats.record_rfm(
-                RfmRecord(
-                    time=start,
-                    provenance=provenance,
-                    mitigated_rows=mitigated,
-                )
+            mitigated: Dict[int, int] = (
+                {} if policy is None
+                else policy.mitigate_on_rfm(self, start, provenance)
             )
-            self.channel.rfm_count += 1
+            stats.record_rfm(RfmRecord(start, provenance, -1, mitigated))
+            channel.rfm_count += 1
             t = end
         # Only banks activated since the previous burst can have a
         # nonzero count.
-        activated = self.channel.activated_banks
-        banks = self._banks
-        for bank_id in sorted(activated):
-            banks[bank_id].activations_since_rfm = 0
-        activated.clear()
+        activated = channel.activated_banks
+        if activated:
+            banks = self._banks
+            for bank_id in sorted(activated):
+                banks[bank_id].activations_since_rfm = 0
+            activated.clear()
         # The burst moved blocked_until and closed every open row.
-        self._invalidate_ready_cache()
+        self._agenda_stale = True

@@ -134,8 +134,11 @@ class ControllerStats:
         """Append one issued-RFM record and bump its provenance counter."""
         self.rfm_records.append(record)
         counts = self.rfm_counts
-        counts[record.provenance] = counts.get(record.provenance, 0) + 1
-        self.mitigated_row_total += len(record.mitigated_rows)
+        provenance = record.provenance
+        counts[provenance] = counts.get(provenance, 0) + 1
+        rows = record.mitigated_rows
+        if rows:
+            self.mitigated_row_total += len(rows)
 
     # ------------------------------------------------------------------
     @property

@@ -41,13 +41,19 @@ def gf_mul(a: int, b: int) -> int:
 
 def _build_sbox() -> Tuple[List[int], List[int]]:
     """Derive the AES S-box: GF(2^8) inverse + affine transformation."""
-    # Multiplicative inverses via exhaustive search (256 entries; cheap).
+    # Multiplicative inverses from exp/log tables: the powers of the
+    # generator 0x03 run through all 255 nonzero elements, and the
+    # inverse of 3^i is 3^(255 - i).  Multiplying by 3 is xtime + xor.
+    power = [0] * 255
+    log = [0] * 256
+    value = 1
+    for exponent in range(255):
+        power[exponent] = value
+        log[value] = exponent
+        value ^= _xtime(value)
     inverse = [0] * 256
     for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+        inverse[x] = power[(255 - log[x]) % 255]
     sbox = [0] * 256
     for x in range(256):
         b = inverse[x]

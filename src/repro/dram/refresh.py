@@ -62,6 +62,10 @@ class RefreshScheduler:
         self.on_refresh: List[Callable[[float], None]] = []
         self._tref_accumulator = 0.0
         self._started = False
+        # REF runs every tREFI whatever the traffic: its timings are
+        # cached as plain floats (the config is frozen).
+        self._tRFC = config.timing.tRFC
+        self._tREFI = config.timing.tREFI
 
     def start(self) -> None:
         """Arm the periodic refresh; idempotent."""
@@ -77,25 +81,33 @@ class RefreshScheduler:
 
     # ------------------------------------------------------------------
     def _do_refresh(self) -> None:
-        timing = self.config.timing
-        now = self.engine.now
+        engine = self.engine
+        channel = self.channel
+        now = engine.now
         # Refresh waits for in-flight transfers (banks must be idle);
         # this mirrors real controllers' refresh scheduling flexibility.
-        start = max(now, self.channel.blocked_until, self.channel.bus_free_at)
-        self.channel.block(start, timing.tRFC)
+        start = now
+        v = channel.blocked_until
+        if v > start:
+            start = v
+        v = channel.bus_free_at
+        if v > start:
+            start = v
+        channel.block(start, self._tRFC)
         self.refresh_count += 1
         for hook in self.on_refresh:
             hook(start)
-        # TREF slots: accumulate fractional rate, fire when it reaches 1.
-        self._tref_accumulator += self.tref_per_trefi
-        if self._tref_accumulator >= 1.0 - 1e-12:
-            self._tref_accumulator -= 1.0
-            self.tref_count += 1
-            for hook in self.on_tref:
-                hook(start)
-        self.engine.schedule_after(
-            timing.tREFI, self._do_refresh, priority=-2, label="REF"
-        )
+        # TREF slots: accumulate fractional rate, fire when it reaches 1
+        # (at rate 0 the accumulator never moves, so it is skipped).
+        rate = self.tref_per_trefi
+        if rate:
+            self._tref_accumulator += rate
+            if self._tref_accumulator >= 1.0 - 1e-12:
+                self._tref_accumulator -= 1.0
+                self.tref_count += 1
+                for hook in self.on_tref:
+                    hook(start)
+        engine.schedule(now + self._tREFI, self._do_refresh, -2, "REF")
 
     def _do_refw(self) -> None:
         now = self.engine.now

@@ -29,15 +29,22 @@ Checked invariants:
   (``ABO-WINDOW``).
 
 The checker is deliberately *independent* state: it rebuilds bus
-occupancy and blocking windows from the command stream alone (fed in
-issue order per bank, which the controller guarantees), so a controller
-bug cannot corrupt the reference the checker compares against.
+occupancy, blocking windows and the set of open banks from the command
+stream alone (fed in issue order per bank, which the controller
+guarantees), so a controller bug cannot corrupt the reference the
+checker compares against.  A REF/RFMab costs in proportion to the banks
+the stream left open: it closes those, and raises one channel-wide
+``ORDER`` floor that every bank's monotonicity check folds in, instead
+of stamping all banks.  The floor stays at the latest REF/RFMab start,
+so in collect mode (``raise_on_violation=False``) every later command
+stamped before that start reports ``ORDER``, not only the first one on
+its bank.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import DramConfig
@@ -112,7 +119,9 @@ class ProtocolChecker:
     fed when issued, after every already-stamped command).  The default
     ``raise_on_violation=True`` raises :class:`ProtocolViolation` at
     the first broken rule; tests that want to scan a whole stream pass
-    ``False`` and read :attr:`violations`.
+    ``False`` and read :attr:`violations`.  In that collect mode each
+    command is still checked against the latest REF/RFMab start, so one
+    late command does not lower the bar for the ones after it.
     """
 
     def __init__(
@@ -152,6 +161,12 @@ class ProtocolChecker:
         self._abo_act = config.prac.abo_act
         self._banks_per_rank = org.banks_per_rank
         self._banks = [_BankState() for _ in range(org.banks_per_channel)]
+        #: ids of banks with an open row in the observed stream: ACT
+        #: adds, PRE / RFMpb / REF / RFMab remove
+        self._open: Set[int] = set()
+        #: start of the latest REF/RFMab, an all-bank command: no bank's
+        #: later command may be stamped before it (``ORDER``)
+        self._order_floor = _NEG_INF
         # Per-rank ACT issue times inside the rolling four-activate
         # window; a fifth ACT within tFAW of the oldest is a violation.
         self._rank_acts: List[Deque[float]] = [
@@ -243,12 +258,16 @@ class ProtocolChecker:
             raise violation
 
     def _check_order(self, state: _BankState, command: Command) -> None:
-        if command.issue_time < state.last_time - _EPS:
+        last = state.last_time
+        floor = self._order_floor
+        if floor > last:
+            last = floor
+        if command.issue_time < last - _EPS:
             self._fail(
                 "ORDER",
                 command,
                 f"bank stream went backwards: previous command at "
-                f"{state.last_time:.1f}ns",
+                f"{last:.1f}ns",
             )
 
     def _check_not_blocked(self, command: Command) -> None:
@@ -313,6 +332,7 @@ class ProtocolChecker:
         state.last_time = t
         state.last_act = t
         state.open_row = command.row
+        self._open.add(command.bank_id)
 
     def _on_pre(self, command: Command) -> None:
         t = command.issue_time
@@ -342,6 +362,7 @@ class ProtocolChecker:
         state.last_time = t
         state.last_pre_done = t + self._tRP
         state.open_row = None
+        self._open.discard(command.bank_id)
 
     def _on_cas(self, command: Command) -> None:
         t = command.issue_time
@@ -414,12 +435,20 @@ class ProtocolChecker:
             self._acts_since_alert = 0
             self._skip_next_act = False
         # REF / RFMab require all banks precharged: the device closes
-        # every open row at the window start.
-        for state in self._banks:
-            state.last_time = max(state.last_time, t)
-            if state.open_row is not None:
+        # every open row at the window start.  An all-bank command
+        # orders every bank's stream, which the floor records once.
+        if t > self._order_floor:
+            self._order_floor = t
+        opened = self._open
+        if opened:
+            banks = self._banks
+            pre_done = t + self._tRP
+            for bank_id in opened:
+                state = banks[bank_id]
                 state.open_row = None
-                state.last_pre_done = max(state.last_pre_done, t + self._tRP)
+                if pre_done > state.last_pre_done:
+                    state.last_pre_done = pre_done
+            opened.clear()
         end = t + duration
         if end > self._blocked_until:
             self._blocked_until = end
@@ -443,4 +472,5 @@ class ProtocolChecker:
         if state.open_row is not None:
             state.open_row = None
             state.last_pre_done = max(state.last_pre_done, t + self._tRP)
+            self._open.discard(command.bank_id)
         state.blocked_until = t + self._tRFMpb

@@ -74,8 +74,10 @@ class MitigationPolicy:
         the result matches a pop over every queue: the others are
         empty, and popping an empty queue changes nothing.
         """
-        mitigated: Dict[int, int] = {}
         armed = self.armed
+        if not armed:
+            return {}
+        mitigated: Dict[int, int] = {}
         queues = self.queues
         banks = controller.channel.banks
         for bank_id in sorted(armed):

@@ -56,9 +56,10 @@ class TpracPolicy(MitigationPolicy):
         self._arm_timer(controller)
 
     def _arm_timer(self, controller: "MemoryController") -> None:
-        self._timer_event = controller.engine.schedule_after(
-            self.tb_window, lambda: self._tb_fire(controller), priority=-1,
-            label="tb-rfm",
+        engine = controller.engine
+        self._timer_event = engine.schedule(
+            engine.now + self.tb_window, lambda: self._tb_fire(controller), -1,
+            "tb-rfm",
         )
 
     def _tb_fire(self, controller: "MemoryController") -> None:

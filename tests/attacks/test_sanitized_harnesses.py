@@ -37,6 +37,10 @@ HARNESSES = {
     "aes_abo_only": lambda: AesSideChannelAttack(KEY, encryptions=80).run_single(
         target_byte=0, fixed_value=0
     ),
+    # 80 ms of TB-RFMs and REFs on a mostly idle channel.
+    "aes_tprac": lambda: AesSideChannelAttack(
+        KEY, encryptions=80, defense="tprac"
+    ).run_single(target_byte=0, fixed_value=0),
 }
 
 

@@ -120,6 +120,21 @@ def test_rfm_burst_count_respected():
     assert all(g == pytest.approx(mc.config.timing.tRFMab) for g in gaps)
 
 
+def test_rfm_burst_hook_may_not_schedule_a_wake():
+    # After a proactive burst the controller fills its empty wake slot
+    # directly; a policy asking for a wake from mitigate_on_rfm would
+    # have it orphaned, so the controller fails loudly instead.
+    class Chaining(NoMitigationPolicy):
+        def mitigate_on_rfm(self, controller, time, provenance):
+            controller.request_rfm(RfmProvenance.TB)
+            return {}
+
+    mc = _controller(policy=Chaining())
+    mc.request_rfm(RfmProvenance.TB)
+    with pytest.raises(AssertionError, match="scheduled a wake"):
+        mc.engine.run(until=10_000)
+
+
 def test_refresh_window_counter_reset():
     config = small_test_config()
     engine = Engine()

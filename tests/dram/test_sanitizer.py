@@ -205,6 +205,44 @@ class TestConstraintMatrix:
         ])
         assert "ORDER" in out
 
+    @pytest.mark.parametrize("block", [CommandKind.REF, CommandKind.RFM_AB])
+    def test_order_holds_across_a_channel_block(self, block):
+        # REF/RFMab is a command on every bank: a later command stamped
+        # before its start goes backwards, on the bank it closed (0) and
+        # on one it found idle (1) alike.
+        out = self._violations([
+            (CommandKind.ACT, 0, 1, 100.0),
+            (block, -1, -1, 1000.0),
+            (CommandKind.PRE, 0, -1, 900.0),
+            (CommandKind.PRE, 1, -1, 950.0),
+        ])
+        assert out == ["ORDER", "ORDER"]
+
+    def test_collect_mode_orders_against_the_latest_channel_block(self):
+        # A late PRE does not lower bank 0's bar: the ACT after it is
+        # still stamped before the REF, so it reports ORDER too (and
+        # lands inside the REF window).
+        out = self._violations([
+            (CommandKind.ACT, 0, 1, 100.0),
+            (CommandKind.REF, -1, -1, 1000.0),
+            (CommandKind.PRE, 0, -1, 900.0),
+            (CommandKind.ACT, 0, 2, 950.0),
+        ])
+        assert out == ["ORDER", "ORDER", "BLOCKED"]
+
+    def test_channel_block_closes_the_open_rows(self):
+        # The REF closes bank 0's row, so re-activating it after the
+        # window (tRFC = 410) is clean; RD on the closed row is not.
+        out = self._violations([
+            (CommandKind.ACT, 0, 1, 100.0),
+            (CommandKind.REF, -1, -1, 1000.0),
+            (CommandKind.ACT, 0, 2, 1410.0),
+            (CommandKind.RD, 0, 2, 1426.0),
+            (CommandKind.REF, -1, -1, 2000.0),
+            (CommandKind.RD, 0, 2, 2500.0),
+        ])
+        assert out == ["CLOSED"]
+
     def test_banks_may_interleave_out_of_global_order(self):
         # The controller stamps banks independently, so two banks'
         # commands can arrive out of global time order; only one bank's
