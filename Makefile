@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify smoke test suite bench bench-artifacts lint lints typecheck coverage
+.PHONY: verify smoke test suite bench lint lints typecheck coverage
 
 verify:            ## tier-1 tests + 2-artifact parallel suite run
 	./scripts/verify.sh
@@ -30,6 +30,3 @@ suite:             ## all registered artifacts, parallel + cached
 
 bench:             ## the benchmark (BENCHMARK.json): all three perfbench workloads
 	python3 perfbench/run.py --workload all
-
-bench-artifacts:   ## per-artifact regeneration benchmarks (pytest-benchmark)
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only

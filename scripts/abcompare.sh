@@ -11,11 +11,13 @@
 # named revision is exported with `git archive` into a scratch
 # directory and run from there with PYTHONPATH=<tree>/src, so neither
 # side sees the other's source.  Each side runs the quick suite (every
-# registered artifact, or the given subset), the fig3/fig10 CLI
-# renderings, and three campaigns at one trial per scenario: the
-# builtin `perf` and `security` grids (the perf, covert and AES trial
-# kinds) and a perf grid over abo_acb/tprac/rfmpb/obfuscation
-# at one and two channels (the solved TB-Window and BAT, and the
+# registered artifact, or the given subset), the CLI output of fig3,
+# fig4, fig5, fig7, fig8, fig10, table2 and obfuscation at their
+# harness defaults (five of the six plot renderings, all but fig13's,
+# and plain tables), and three campaigns at one trial per scenario:
+# the builtin `perf` and `security` grids (the perf, covert and AES
+# trial kinds) and a perf grid over abo_acb/tprac/rfmpb/obfuscation at
+# one and two channels (the solved TB-Window and BAT, and the
 # per-channel seeds).  The result trees are diffed byte-for-byte after
 # dropping the advisory wall-clock keys (elapsed_seconds, cache_key)
 # that never participate in result identity, and the campaign
@@ -93,8 +95,9 @@ run_side() {
         # make the compare vacuous.
         python -m repro.cli suite --jobs 2 \
             --out "$out/suite" --no-cache "${only_flag[@]}" > /dev/null
-        python -m repro.cli fig3 > "$out/fig3.txt"
-        python -m repro.cli fig10 > "$out/fig10.txt"
+        for name in fig3 fig4 fig5 fig7 fig8 fig10 table2 obfuscation; do
+            python -m repro.cli "$name" > "$out/$name.txt"
+        done
         for name in perf security; do
             python -m repro.cli --quiet campaign --campaign "$name" \
                 --trials 1 --jobs 2 --out "$out/campaign-$name" > /dev/null

@@ -28,9 +28,17 @@ Usage::
     python -m repro.cli obs report results/
     python -m repro.cli obs export-trace results/obs/trace-abc123-s0.jsonl
 
-Each artifact subcommand runs the matching harness from
-:mod:`repro.experiments` and prints the regenerated rows/series,
-plus an ASCII rendering where the paper's artifact is a plot.
+The artifact subcommands, ``list`` and ``all`` come from the artifact
+registry (:mod:`repro.experiments.registry`).  ``repro <name>`` calls
+the registered harness's ``run()`` — with no flags that is its own
+defaults, the same call ``suite --full`` makes — and prints the
+regenerated rows/series, plus an ASCII rendering where the paper's
+artifact is a plot.  The artifact flags (``--nbo``, ``--requests``,
+``--workloads`` and the structural ``--scheduler``/``--mapping``/
+``--refresh``/``--cache``/``--interconnect``) fill only parameters
+that ``run()`` declares: a flag the harness has no parameter for exits
+2 before anything runs, and ``all`` passes each flag to the harnesses
+that take it.
 
 ``suite`` runs the registered artifact harnesses through the parallel,
 fault-isolated, cached orchestrator (:mod:`repro.experiments.runner`)
@@ -60,67 +68,43 @@ command (key=value lines on stderr; results stay on stdout).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis import plotting
+from repro.experiments import registry
 
 
-def _run_fig3(args) -> str:
-    from repro.experiments import fig3_latency
-
-    result = fig3_latency.run(nbo=args.nbo[0] if args.nbo else 256)
-    blocks = [result.format_table()]
-    for label, timeline in result.timelines.items():
-        blocks.append(
-            plotting.latency_strip(
-                timeline.times, timeline.latencies, title=label
-            )
-        )
-    return "\n\n".join(blocks)
+def _plot_fig3(result) -> str:
+    return "\n\n".join(
+        plotting.latency_strip(timeline.times, timeline.latencies, title=label)
+        for label, timeline in result.timelines.items()
+    )
 
 
-def _run_table2(args) -> str:
-    from repro.experiments import table2_covert
-
-    result = table2_covert.run(nbo_values=tuple(args.nbo or (256, 512, 1024)))
-    return result.format_table()
-
-
-def _run_fig4(args) -> str:
-    from repro.experiments import fig4_side_channel
-
-    result = fig4_side_channel.run(encryptions=args.requests or 200)
-    attack = result.attack
-    strip = plotting.latency_strip(
-        [t for t, _ in attack.probe_timeline],
-        [lat for _, lat in attack.probe_timeline],
+def _plot_fig4(result) -> str:
+    timeline = result.attack.probe_timeline
+    return plotting.latency_strip(
+        [t for t, _ in timeline],
+        [lat for _, lat in timeline],
         title="attacker probe latency (probe phase)",
     )
-    return result.format_table() + "\n\n" + strip
 
 
-def _run_fig5(args) -> str:
-    from repro.experiments import fig5_key_sweep
-
-    result = fig5_key_sweep.run(encryptions=args.requests or 200)
+def _plot_fig5(result) -> str:
     matrix = []
     labels = []
     for attack in result.results:
-        row = [attack.victim_histogram.get(r, 0) for r in range(16)]
-        matrix.append(row)
+        matrix.append([attack.victim_histogram.get(r, 0) for r in range(16)])
         labels.append(f"k0={attack.true_nibble << 4:3d}")
-    heat = plotting.heatmap(
+    return plotting.heatmap(
         matrix, row_labels=labels, title="victim activations per row (x=row 0..15)"
     )
-    return result.format_table() + "\n\n" + heat
 
 
-def _run_fig7(args) -> str:
-    from repro.experiments import fig7_security
-
-    result = fig7_security.run()
+def _plot_fig7(result) -> str:
     series = {
         "with reset": [
             (r.tb_window_trefi, r.tmax) for r in result.sweep["with_reset"]
@@ -129,43 +113,79 @@ def _run_fig7(args) -> str:
             (r.tb_window_trefi, r.tmax) for r in result.sweep["without_reset"]
         ],
     }
-    plot = plotting.line_plot(
-        series, title="TMAX vs TB-Window (tREFI)", logy=True
+    return plotting.line_plot(series, title="TMAX vs TB-Window (tREFI)", logy=True)
+
+
+def _plot_fig10(result) -> str:
+    labels = list(result.matrix)
+    return plotting.bar_chart(
+        labels,
+        [result.slowdown_pct(label) for label in labels],
+        unit="%",
+        title="geomean slowdown",
     )
-    return result.format_table() + "\n\n" + plot
 
 
-def _run_fig9(args) -> str:
-    from repro.experiments import fig9_defense
+def _plot_fig13(result) -> str:
+    series = {
+        design: [(nrh, result.slowdown_pct(nrh, design)) for nrh in sorted(result.by_nrh)]
+        for design in ("abo_only", "abo_acb", "tprac")
+    }
+    return plotting.line_plot(series, title="slowdown% vs N_RH")
 
-    result = fig9_defense.run(encryptions=args.requests or 150)
-    return result.format_table()
+
+#: ASCII renderings of the artifacts the paper draws as plots; an
+#: artifact command prints one below the result's table.
+_PLOTS: Dict[str, Callable[[Any], str]] = {
+    "fig3": _plot_fig3,
+    "fig4": _plot_fig4,
+    "fig5": _plot_fig5,
+    "fig7": _plot_fig7,
+    "fig10": _plot_fig10,
+    "fig13": _plot_fig13,
+}
+
+#: The structural flags; each sets the ``SystemConfig`` field it names.
+_SYSTEM_FLAGS = ("scheduler", "mapping", "refresh", "cache", "interconnect")
+
+#: Artifact flag -> the ``run()`` parameters it can fill.  A harness
+#: declares at most one target of each flag; one that declares none
+#: rejects the flag.
+_FLAG_TARGETS: Dict[str, Tuple[str, ...]] = {
+    "--nbo": ("nbo", "nbo_values"),
+    "--requests": ("requests_per_core", "encryptions"),
+    "--workloads": ("workloads",),
+    **{f"--{name}": ("system",) for name in _SYSTEM_FLAGS},
+}
 
 
-def _perf_args(args) -> dict:
-    return dict(
-        workloads=args.workloads or None,
-        requests_per_core=args.requests or None,
-        system=_system_config(args),
-    )
+def _parameters(name: str) -> Mapping[str, inspect.Parameter]:
+    """The parameters of artifact ``name``'s ``run()``."""
+    return inspect.signature(registry.get(name).load_runner()).parameters
+
+
+def _takers(param: str) -> str:
+    """Comma list of the artifacts whose ``run()`` declares ``param``."""
+    return ", ".join(name for name in registry.names() if param in _parameters(name))
+
+
+def _artifact_flags(args) -> Dict[str, Any]:
+    """The artifact flags given on the command line -> their values."""
+    values = {"--nbo": args.nbo, "--requests": args.requests, "--workloads": args.workloads}
+    values.update({f"--{name}": getattr(args, name) for name in _SYSTEM_FLAGS})
+    return {flag: value for flag, value in values.items() if value is not None}
 
 
 def _system_config(args):
-    """``--scheduler/--mapping/--refresh`` -> SystemConfig (or None).
+    """``--scheduler/--mapping/...`` -> SystemConfig (or None).
 
     None (no flag given) keeps the experiments on the default system —
     the historically hard-wired FR-FCFS / MOP / periodic assembly.
     """
     overrides = {
-        name: value
-        for name, value in (
-            ("scheduler", args.scheduler),
-            ("mapping", args.mapping),
-            ("refresh", args.refresh),
-            ("cache", args.cache),
-            ("interconnect", args.interconnect),
-        )
-        if value is not None
+        name: getattr(args, name)
+        for name in _SYSTEM_FLAGS
+        if getattr(args, name) is not None
     }
     if not overrides:
         return None
@@ -174,123 +194,95 @@ def _system_config(args):
     return SystemConfig(**overrides).validate()
 
 
-def _run_fig10(args) -> str:
-    from repro.experiments import fig10_performance
+def _run_kwargs(
+    name: str, flags: Mapping[str, Any], system
+) -> Tuple[Dict[str, Any], List[str]]:
+    """Fill artifact ``name``'s ``run()`` parameters from ``flags``.
 
-    result = fig10_performance.run(**_perf_args(args))
-    labels = list(result.matrix)
-    chart = plotting.bar_chart(
-        labels,
-        [result.slowdown_pct(label) for label in labels],
-        unit="%",
-        title="geomean slowdown",
-    )
-    return result.format_table() + "\n\n" + chart
-
-
-def _run_fig11(args) -> str:
-    from repro.experiments import fig11_prac_levels
-
-    return fig11_prac_levels.run(**_perf_args(args)).format_table()
-
-
-def _run_fig12(args) -> str:
-    from repro.experiments import fig12_tref
-
-    return fig12_tref.run(**_perf_args(args)).format_table()
-
-
-def _run_fig13(args) -> str:
-    from repro.experiments import fig13_nrh
-
-    result = fig13_nrh.run(**_perf_args(args))
-    series = {
-        design: [
-            (nrh, result.slowdown_pct(nrh, design)) for nrh in sorted(result.by_nrh)
-        ]
-        for design in ("abo_only", "abo_acb", "tprac")
-    }
-    plot = plotting.line_plot(series, title="slowdown% vs N_RH")
-    return result.format_table() + "\n\n" + plot
+    Returns the keyword arguments and the flags whose parameters
+    ``run()`` does not declare.  Raises ``ValueError`` when ``--nbo``
+    gives several values to a harness that takes one.
+    """
+    params = _parameters(name)
+    kwargs: Dict[str, Any] = {}
+    unused = []
+    for flag, value in flags.items():
+        param = next((p for p in _FLAG_TARGETS[flag] if p in params), None)
+        if param is None:
+            unused.append(flag)
+            continue
+        if param == "nbo":
+            if len(value) != 1:
+                raise ValueError(f"--nbo takes one value for '{name}', got {len(value)}")
+            value = value[0]
+        elif param == "nbo_values":
+            value = tuple(value)
+        elif param == "system":
+            value = system
+        kwargs[param] = value
+    return kwargs, unused
 
 
-def _run_fig14(args) -> str:
-    from repro.experiments import fig14_reset
+def _run_artifacts(args) -> int:
+    """An artifact command (or ``all``): run the registered harnesses.
 
-    return fig14_reset.run(**_perf_args(args)).format_table()
+    Every flag is checked against every harness before anything runs.
+    """
+    from repro.workloads.catalog import get_workload
 
-
-def _run_table5(args) -> str:
-    from repro.experiments import table5_energy
-
-    return table5_energy.run(**_perf_args(args)).format_table()
-
-
-def _run_fig8(args) -> str:
-    from repro.experiments import fig8_walkthrough
-
-    return fig8_walkthrough.run(nbo=args.nbo[0] if args.nbo else 100).format_table()
-
-
-def _run_scorecard(args) -> str:
-    from repro.experiments import scorecard
-
-    return scorecard.run().format_table()
-
-
-def _run_obfuscation(args) -> str:
-    from repro.experiments import obfuscation_defense
-
-    return obfuscation_defense.run().format_table()
-
-
-COMMANDS: Dict[str, Callable] = {
-    "fig3": _run_fig3,
-    "table2": _run_table2,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fig12": _run_fig12,
-    "fig13": _run_fig13,
-    "fig14": _run_fig14,
-    "table5": _run_table5,
-    "scorecard": _run_scorecard,
-    "obfuscation": _run_obfuscation,
-}
+    names = registry.names() if args.experiment == "all" else [args.experiment]
+    flags = _artifact_flags(args)
+    calls = []
+    try:
+        system = _system_config(args)
+        for name in names:
+            kwargs, unused = _run_kwargs(name, flags, system)
+            if unused and args.experiment != "all":
+                targets = dict.fromkeys(p for flag in unused for p in _FLAG_TARGETS[flag])
+                raise ValueError(
+                    f"{', '.join(unused)} not applicable to '{name}' "
+                    f"(its run() takes none of {', '.join(targets)})"
+                )
+            calls.append((name, kwargs))
+        # A registry typo gets the registry's error, not a traceback
+        # from inside a harness.
+        for workload in args.workloads or ():
+            get_workload(workload)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    for name, kwargs in calls:
+        started = time.time()
+        print(f"==== {name} " + "=" * max(0, 60 - len(name)))
+        result = registry.get(name).load_runner()(**kwargs)
+        text = result.format_table()
+        if name in _PLOTS:
+            text += "\n\n" + _PLOTS[name](result)
+        print(text)
+        print(f"---- {name} done in {time.time() - started:.1f}s\n")
+    return 0
 
 
 def _list_artifacts() -> int:
     """``suite --list``: print the registry without running anything."""
-    from repro.experiments import registry
-
     specs = registry.discover()
     width = max(len(name) for name in specs)
     art_width = max(len(spec.artifact) for spec in specs.values())
     for name in sorted(specs):
         spec = specs[name]
-        kwargs = []
+        detail = ""
         if spec.quick:
-            kwargs.append("quick: " + _format_kwargs(spec.quick))
-        if spec.full:
-            kwargs.append("full: " + _format_kwargs(spec.full))
-        detail = f"  [{'; '.join(kwargs)}]" if kwargs else ""
+            quick = ", ".join(f"{k}={v!r}" for k, v in sorted(spec.quick.items()))
+            detail = f"  [quick: {quick}]"
         print(
             f"{name:<{width}}  {spec.artifact:<{art_width}}  {spec.title}{detail}"
         )
     return 0
 
 
-def _format_kwargs(kwargs) -> str:
-    return ", ".join(f"{k}={v!r}" for k, v in sorted(kwargs.items()))
-
-
 def _run_suite(args) -> int:
     """``suite`` subcommand: parallel cached run over registered artifacts."""
-    from repro.experiments import registry, runner
+    from repro.experiments import runner
 
     if args.out is None:
         args.out = "results"
@@ -298,22 +290,6 @@ def _run_suite(args) -> int:
         return _list_artifacts()
     if args.only is not None and not args.only:
         print("error: --only given but no artifact names followed", file=sys.stderr)
-        return 2
-    artifact_flags = [
-        flag
-        for flag, on in (
-            ("--nbo", args.nbo is not None),
-            ("--requests", args.requests is not None),
-            ("--workloads", args.workloads is not None),
-        )
-        if on
-    ]
-    if artifact_flags:
-        print(
-            f"error: not applicable to 'suite': {', '.join(artifact_flags)} "
-            "(scale is controlled by --full and the registry's ARTIFACT kwargs)",
-            file=sys.stderr,
-        )
         return 2
     started = time.time()
     try:
@@ -359,11 +335,6 @@ def _run_suite(args) -> int:
         f"in {time.time() - started:.1f}s -> {args.out}"
     )
     return 1 if errors else 0
-
-
-#: artifact commands whose harnesses accept ``system=`` (the perf
-#: matrix family); the only commands the structural flags apply to.
-PERF_SYSTEM_COMMANDS = {"fig10", "fig11", "fig12", "fig13", "fig14", "table5"}
 
 
 def _run_campaign(args) -> int:
@@ -519,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(COMMANDS)
-        + ["all", "campaign", "list", "obs", "suite"],
+        choices=registry.names() + ["all", "campaign", "list", "obs", "suite"],
         help=(
             "which artifact to regenerate ('suite' for the parallel runner, "
             "'campaign' for declarative scenario sweeps, 'obs' for "
@@ -543,39 +513,47 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress structured logs below warning (any command)",
     )
-    parser.add_argument(
-        "--nbo", type=int, nargs="*", help="Back-Off threshold(s) where applicable"
+    artifact = parser.add_argument_group(
+        "artifact options",
+        "each fills the named run() parameter of the artifact it is given "
+        "to; an artifact whose run() lacks the parameter rejects the flag, "
+        "and 'all' passes each flag to the artifacts that take it.  "
+        "--scheduler/--mapping/--refresh/--cache/--interconnect set "
+        f"system= ({_takers('system')})",
     )
-    parser.add_argument(
-        "--requests", type=int, help="per-core request / encryption budget"
+    artifact.add_argument(
+        "--nbo", type=int, nargs="+", metavar="N",
+        help=(
+            f"Back-Off threshold N_BO: one value for nbo= ({_takers('nbo')}), "
+            f"one or more for nbo_values= ({_takers('nbo_values')})"
+        ),
     )
-    parser.add_argument(
-        "--workloads", nargs="*", help="workload names (default: balanced subset)"
+    artifact.add_argument(
+        "--requests", type=int, metavar="N",
+        help=(
+            f"run length: requests_per_core= ({_takers('requests_per_core')}) "
+            f"or encryptions= ({_takers('encryptions')})"
+        ),
     )
-    parser.add_argument(
-        "--scheduler", default=None, metavar="NAME",
-        help="request scheduler for the perf artifacts "
-             "(fr_fcfs/fcfs/fr_fcfs_cap; default fr_fcfs)",
+    artifact.add_argument(
+        "--workloads", nargs="+", metavar="NAME",
+        help=(
+            f"workload names for workloads= ({_takers('workloads')}; "
+            "default: a category-balanced subset)"
+        ),
     )
-    parser.add_argument(
-        "--mapping", default=None, metavar="NAME",
-        help="address mapping for the perf artifacts (linear/mop; default mop)",
-    )
-    parser.add_argument(
-        "--refresh", default=None, metavar="NAME",
-        help="refresh policy for the perf artifacts "
-             "(periodic/staggered; default periodic)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="NAME",
-        help="cache hierarchy for the perf artifacts "
-             "(none/l1l2; default none, the direct core->DRAM wiring)",
-    )
-    parser.add_argument(
-        "--interconnect", default=None, metavar="NAME",
-        help="cache<->memory interconnect for the perf artifacts "
-             "(none/fixed/crossbar; default none)",
-    )
+    system_help = {
+        "scheduler": "request scheduler (fr_fcfs/fcfs/fr_fcfs_cap; default fr_fcfs)",
+        "mapping": "address mapping (linear/mop; default mop)",
+        "refresh": "refresh policy (periodic/staggered; default periodic)",
+        "cache": "cache hierarchy (none/l1l2; default none, the direct core->DRAM wiring)",
+        "interconnect": "cache<->memory interconnect (none/fixed/crossbar; default none)",
+    }
+    for name in _SYSTEM_FLAGS:
+        artifact.add_argument(
+            f"--{name}", default=None, metavar="NAME",
+            help=system_help[name],
+        )
     shared = parser.add_argument_group("suite/campaign shared options")
     shared.add_argument(
         "--jobs", type=int, default=None,
@@ -616,7 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--full", action="store_true",
-        help="paper-scale runs instead of quick laptop-scale",
+        help=(
+            "run each harness at its own defaults, the run 'repro <name>' "
+            "makes, instead of the registry's quick kwargs"
+        ),
     )
     campaign = parser.add_argument_group("campaign options")
     campaign.add_argument(
@@ -684,6 +665,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--resume": args.resume,
         "--timeout": args.timeout is not None,
         "--progress": args.progress,
+        **{flag: True for flag in _artifact_flags(args)},
     }
     allowed = {
         "suite": {"--jobs", "--only", "--out", "--list", "--no-cache",
@@ -692,58 +674,34 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "--campaign", "--trials", "--seed", "--resume",
                      "--progress", "--timeout"},
         "obs": {"--out"},
-    }.get(args.experiment, set())
+        "list": set(),
+    }.get(args.experiment, set(_FLAG_TARGETS))
     rejected = [
         flag for flag, on in flags_used.items() if on and flag not in allowed
     ]
     if rejected:
-        scope = (
-            f"not applicable to '{args.experiment}'"
-            if allowed
-            else "only applies to the 'suite', 'campaign' and 'obs' commands"
-        )
-        print(f"error: {', '.join(rejected)} {scope}", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    # The structural flags only reach the perf harnesses (which thread
-    # system= through run_perf_matrix/build_system); reject them
-    # anywhere else so they can never be accepted-and-ignored —
-    # campaign sweeps these axes via --grid scheduler=... instead.
-    system_flags = [
-        flag
-        for flag, on in (
-            ("--scheduler", args.scheduler is not None),
-            ("--mapping", args.mapping is not None),
-            ("--refresh", args.refresh is not None),
-            ("--cache", args.cache is not None),
-            ("--interconnect", args.interconnect is not None),
-        )
-        if on
-    ]
-    if system_flags and args.experiment not in PERF_SYSTEM_COMMANDS | {"all"}:
         hint = (
-            " (campaign sweeps these via --grid scheduler=... mapping=...)"
-            if args.experiment == "campaign"
+            " (campaign sweeps these via --grid, e.g. --grid nbo=128 scheduler=fcfs)"
+            if args.experiment == "campaign" and set(rejected) & set(_FLAG_TARGETS)
             else ""
         )
         print(
-            f"error: {', '.join(system_flags)} only applies to the perf "
-            f"artifacts ({', '.join(sorted(PERF_SYSTEM_COMMANDS))}) and "
-            f"'all'{hint}",
+            f"error: {', '.join(rejected)} not applicable to "
+            f"'{args.experiment}'{hint}",
             file=sys.stderr,
         )
         return 2
-    # Validate registry-backed flags up front so a typo yields the
-    # uniform registry error, not a traceback from inside a harness.
-    try:
-        _system_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    positive = {
+        "--timeout": [args.timeout],
+        "--requests": [args.requests],
+        "--nbo": args.nbo or [],
+    }
+    for flag, values in positive.items():
+        if any(value is not None and value <= 0 for value in values):
+            print(f"error: {flag} must be positive", file=sys.stderr)
+            return 2
     if args.experiment == "list":
-        for name in sorted(COMMANDS):
+        for name in registry.names():
             print(name)
         return 0
     if args.experiment == "suite":
@@ -752,13 +710,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_campaign(args)
     if args.experiment == "obs":
         return _run_obs(args)
-    names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        started = time.time()
-        print(f"==== {name} " + "=" * max(0, 60 - len(name)))
-        print(COMMANDS[name](args))
-        print(f"---- {name} done in {time.time() - started:.1f}s\n")
-    return 0
+    return _run_artifacts(args)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 Every harness exposes a ``run(...)`` function returning a plain-data
 result object with a ``format_table()`` method that prints the same
-rows/series the paper reports, so the benchmark suite and the examples
-can share them.  Scale knobs (encryptions, requests per core, workload
-subsets) default to laptop-friendly values; pass ``full=True`` (or the
-REPRO_FULL=1 environment variable) for the paper-scale versions.
+rows/series the paper reports, so the CLI, the suite runner and the
+examples share them.  Scale knobs (encryptions, requests per core,
+workload subsets) are ``run()`` keyword arguments.  Their defaults are
+the run ``repro <name>`` and ``suite --full`` make, which is shorter
+than the paper's; pass larger values (``repro fig10 --requests 20000
+--workloads ...``) for paper-scale runs.
 
-Index (see DESIGN.md for the experiment table):
+Index:
 
 ===========  =======================================================
 fig3         ABO-induced latency timelines (1/2/4 RFMs per ABO)

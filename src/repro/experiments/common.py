@@ -1,8 +1,7 @@
-"""Shared experiment plumbing: design builders and run-scale control."""
+"""Shared experiment plumbing: design builders and the perf matrix."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -11,31 +10,17 @@ from repro.config import SystemConfig
 from repro.cpu.system import System
 from repro.dram.config import DramConfig, ddr5_8000b
 from repro.mitigations import policy_factory
-from repro.workloads.catalog import CATALOG, workload_names
+from repro.workloads.catalog import workload_names
 from repro.workloads.synthetic import homogeneous_traces
 
 
-def full_scale() -> bool:
-    """Whether to run paper-scale experiments (REPRO_FULL=1)."""
-    return os.environ.get("REPRO_FULL", "0") == "1"
-
-
-def default_requests_per_core() -> int:
-    """Per-core DRAM request budget for the current scale."""
-    return 20_000 if full_scale() else 2_500
-
-
 def default_workloads(limit: Optional[int] = None) -> List[str]:
-    """A category-balanced workload subset for quick runs; all 50+ when
-    REPRO_FULL=1."""
-    if full_scale() and limit is None:
-        return sorted(CATALOG)
+    """A category-balanced workload subset (six high-, three medium- and
+    three low-intensity workloads), cut to the first ``limit``."""
     names = (
         workload_names("H")[:6] + workload_names("M")[:3] + workload_names("L")[:3]
     )
-    if limit is not None:
-        names = names[:limit]
-    return names
+    return names[:limit]
 
 
 @dataclass
@@ -123,7 +108,7 @@ def run_perf_matrix(
     designs alike, so the normalization stays apples-to-apples.
     """
     workloads = list(workloads or default_workloads())
-    requests = requests_per_core or default_requests_per_core()
+    requests = requests_per_core or 2_500
     out: Dict[str, List[PerfRow]] = {p.label(): [] for p in designs}
     for name in workloads:
         traces = homogeneous_traces(name, cores=cores, num_accesses=requests, seed=seed)

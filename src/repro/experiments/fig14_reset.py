@@ -4,7 +4,8 @@ With counters reset every tREFW, the Feinting attacker's optimal pool
 is smaller, so TMAX is lower and the TB-Window can be longer — fewer
 TB-RFMs and better performance, noticeably so at ultra-low N_RH where
 TB-RFMs dominate.  (Direction check: reset lowers TMAX, hence for the
-same N_BO it allows a *longer* window than no-reset.)
+same N_BO it allows a *longer* window than no-reset.)  The paper
+measures under 1% difference between the two policies at N_RH >= 1024.
 """
 
 from __future__ import annotations

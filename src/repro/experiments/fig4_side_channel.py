@@ -3,7 +3,8 @@
 For p0 = 0 and k0 = 0: the victim's 200 encryptions put roughly double
 activations on Row-0 of T-table 0; the attacker's probe loop then
 triggers the ABO on Row-0 after N_BO minus the victim's count further
-activations, observed as a latency spike.
+activations, observed as a latency spike.  The paper's instance has 207
+victim activations on Row-0 and the ABO after 49 attacker activations.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 Every experiment module under :mod:`repro.experiments` self-describes
 by exporting an ``ARTIFACT`` :class:`ArtifactSpec` naming the paper
 artifact it reproduces plus the keyword arguments for its quick-scale
-(laptop) and full-scale (paper) runs.  :func:`discover` walks the
-package once and returns the complete registry, so orchestration code
-(`runner.run_suite`, the CLI) never hand-maintains an experiment list
-— the 6-of-14 drift the old ``_quick_experiments()`` dict suffered
-from cannot recur.
+(laptop) run.  The full scale is the harness's own ``run()`` defaults,
+which ``repro <name>`` and ``suite --full`` both call.
+:func:`discover` walks the package once and returns the complete
+registry, so orchestration code (`runner.run_suite`, the CLI) never
+hand-maintains an experiment list — the 6-of-14 drift the old
+``_quick_experiments()`` dict suffered from cannot recur.
 
 Specs are plain data (module path + kwargs, no callables), so suite
 execution can ship them to worker processes without pickling closures.
@@ -53,13 +54,13 @@ class ArtifactSpec:
     title: str
     module: str = ""
     quick: Mapping[str, Any] = field(default_factory=dict)
-    full: Mapping[str, Any] = field(default_factory=dict)
 
     def kwargs(self, scale: str = "quick") -> Dict[str, Any]:
-        """Keyword arguments for ``run()`` at the given scale."""
+        """Keyword arguments for ``run()`` at the given scale; ``full``
+        passes none, so ``run()`` keeps its own defaults."""
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; expected one of {SCALES}")
-        return dict(self.quick if scale == "quick" else self.full)
+        return dict(self.quick) if scale == "quick" else {}
 
     def load_runner(self):
         """Import the module and return its ``run`` callable."""

@@ -199,7 +199,9 @@ def run_suite(
         Worker-process count for registered experiments (default
         ``os.cpu_count()``); ``jobs=1`` runs everything inline.
     scale:
-        ``"quick"`` (laptop-scale kwargs) or ``"full"`` (paper-scale).
+        ``"quick"`` (the registry's laptop-scale kwargs) or ``"full"``
+        (no kwargs: each harness's own ``run()`` defaults, the call
+        ``repro <name>`` makes; shorter than the paper's runs).
     use_cache / force:
         With caching on (the default), artifacts whose content hash
         already matches a result file in ``output_dir`` are skipped and

@@ -20,8 +20,8 @@ TREFI = CONFIG.timing.tREFI
 
 
 class TestPaperFigure7Values:
-    """The calibrated model reproduces the paper's numbers exactly
-    (within one activation of rounding)."""
+    """The calibrated model reproduces the paper's numbers exactly (at 4
+    tREFI within one activation of rounding)."""
 
     @pytest.mark.parametrize(
         "trefi_multiple, expected",
@@ -29,7 +29,7 @@ class TestPaperFigure7Values:
     )
     def test_with_reset(self, trefi_multiple, expected):
         result = feinting_tmax(CONFIG, trefi_multiple * TREFI, with_reset=True)
-        assert abs(result.tmax - expected) <= 1
+        assert abs(result.tmax - expected) <= (1 if trefi_multiple == 4.0 else 0)
 
     @pytest.mark.parametrize(
         "trefi_multiple, expected",
@@ -37,7 +37,22 @@ class TestPaperFigure7Values:
     )
     def test_without_reset(self, trefi_multiple, expected):
         result = feinting_tmax(CONFIG, trefi_multiple * TREFI, with_reset=False)
-        assert abs(result.tmax - expected) <= 1
+        assert abs(result.tmax - expected) <= (1 if trefi_multiple == 4.0 else 0)
+
+
+def test_alternative_strategies_never_beat_feinting():
+    """Section 4.2.3: the equal and early-aggressive activation patterns
+    reach fewer target activations than the Feinting pattern."""
+    acts = acts_per_tb_window(CONFIG, TREFI)
+    feinting = feinting_target_acts(8192, acts)
+    # Equal activations forever: mitigated rows keep soaking acts, so
+    # the target gets at most about two windows' worth.
+    equal = 2 * acts
+    # Early-aggressive: the target is always the queue's top entry, so
+    # it is mitigated every window: at most one window of acts.
+    aggressive = acts
+    assert feinting > equal
+    assert feinting > 5 * aggressive
 
 
 def test_acts_per_window_at_one_trefi():

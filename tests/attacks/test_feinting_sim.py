@@ -6,13 +6,14 @@ from repro.analysis.safety import SafetyMonitor
 from repro.attacks.feinting_sim import FeintingAttack
 
 
-@pytest.mark.parametrize("pool_size", [4, 8, 16])
+@pytest.mark.parametrize("pool_size", [4, 8, 16, 32])
 def test_measured_peak_never_exceeds_analytical_bound(pool_size):
     result = FeintingAttack(pool_size=pool_size).run()
     assert result.within_bound, (
         f"simulated Feinting beat the analytical bound: "
         f"{result.target_peak} > {result.analytical_tmax}"
     )
+    assert result.defense_held
 
 
 def test_run_stops_once_the_attack_is_done(monkeypatch):

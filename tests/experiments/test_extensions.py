@@ -14,6 +14,10 @@ def test_fig8_is_secure_and_tracks_decoys():
     # The target monotonically accumulates until its own mitigation.
     target = [s.counters["T"] for s in result.snapshots]
     assert target[1] > target[0]
+    # Decoys are sacrificed one per epoch; the last TB-RFM takes T.
+    mitigated = [name for snap in result.snapshots for name in snap.mitigated]
+    assert mitigated == ["A", "B", "C", "T"]
+    assert result.secure
     assert "secure=True" in result.format_table()
 
 
@@ -29,4 +33,10 @@ def test_obfuscation_outcomes_cover_three_defenses():
     assert result.outcome("obfuscation").rfms_observed > result.outcome(
         "none"
     ).rfms_observed
+    # Both defenses break the single-window decoder, but injection
+    # leaves a statistical residue that TPRAC's schedule does not.
+    assert result.outcome("obfuscation").error_rate > 0.15
+    assert result.outcome("tprac").error_rate > 0.15
+    assert 0.0 < result.analytical.total_variation < 1.0
+    assert 0.5 < result.analytical.classifier_accuracy < 1.0
     assert result.format_table()

@@ -7,31 +7,44 @@ TINY = dict(workloads=["433.milc", "453.povray"], requests_per_core=800)
 
 
 def test_fig11_flat_across_levels():
-    result = fig11_prac_levels.run(prac_levels=(1, 4), **TINY)
-    for design in ("abo_only", "tprac"):
-        one = result.geomean(1, design)
-        four = result.geomean(4, design)
-        assert abs(one - four) < 0.02
+    # No design lets ABO-RFMs materialize, so the PRAC level never shows.
+    result = fig11_prac_levels.run(prac_levels=(1, 2, 4), **TINY)
+    for design in ("abo_only", "abo_acb", "tprac"):
+        values = [result.geomean(level, design) for level in (1, 2, 4)]
+        assert max(values) - min(values) < 0.01, design
     assert "PRAC-1" in result.format_table()
 
 
 def test_fig12_tref_monotone():
-    result = fig12_tref.run(tref_rates=(0.0, 1.0), **TINY)
-    assert result.geomean(1.0) >= result.geomean(0.0) - 0.003
+    # More TREFs -> fewer TB-RFMs -> less slowdown.
+    result = fig12_tref.run(tref_rates=(0.0, 0.25, 1.0), **TINY)
+    assert result.geomean(0.0) <= result.geomean(0.25) + 0.003
+    assert result.geomean(0.25) <= result.geomean(1.0) + 0.003
+    assert result.geomean(1.0) > 0.985  # ~zero overhead at 1 TREF per tREFI
     assert result.slowdown_pct(1.0) <= result.slowdown_pct(0.0) + 0.3
     assert "TREF" in result.format_table()
 
 
 def test_fig13_threshold_monotone():
-    result = fig13_nrh.run(nrh_values=(256, 2048), **TINY)
-    assert result.slowdown_pct(256, "tprac") > result.slowdown_pct(2048, "tprac")
-    assert result.slowdown_pct(2048, "abo_only") < 1.0
+    result = fig13_nrh.run(nrh_values=(256, 1024, 4096), **TINY)
+    tprac = [result.slowdown_pct(nrh, "tprac") for nrh in (256, 1024, 4096)]
+    assert tprac[0] > tprac[1] > tprac[2]
+    for nrh in (256, 1024, 4096):
+        assert result.slowdown_pct(nrh, "abo_only") < 1.0
+    # Closing the channel costs TPRAC more than ABO+ACB.
+    assert result.slowdown_pct(256, "tprac") >= result.slowdown_pct(256, "abo_acb")
     assert result.format_table()
 
 
 def test_fig14_reset_allows_longer_window():
-    result = fig14_reset.run(nrh_values=(512,), **TINY)
-    assert result.windows[(512, True)] >= result.windows[(512, False)]
+    result = fig14_reset.run(nrh_values=(256, 1024), **TINY)
+    # Reset lowers TMAX, so it allows a window at least as long.
+    for nrh in (256, 1024):
+        assert result.windows[(nrh, True)] >= result.windows[(nrh, False)]
+    # The longer window pays off at low N_RH; at 1024 the gap is small
+    # (the paper's <1% at full length; short runs widen it a little).
+    assert result.geomean(256, True) >= result.geomean(256, False) - 0.003
+    assert abs(result.geomean(1024, True) - result.geomean(1024, False)) < 0.04
     assert result.format_table()
 
 

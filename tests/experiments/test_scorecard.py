@@ -21,3 +21,4 @@ def test_quick_scorecard_without_perf():
     assert any("Fig7" in claim for claim in claims)
     assert any("Feinting" in claim for claim in claims)
     assert not any("slowdown" in claim for claim in claims)
+    assert len(card.checks) == 8

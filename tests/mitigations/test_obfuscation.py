@@ -4,10 +4,13 @@ import pytest
 
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
+from repro.cpu.system import System
 from repro.dram.commands import RfmProvenance
 from repro.dram.config import small_test_config
+from repro.mitigations import NoMitigationPolicy, TpracPolicy
 from repro.mitigations.obfuscation import ObfuscationPolicy
 from repro.mitigations.rfmpb import PerBankRfmPolicy
+from repro.workloads.synthetic import homogeneous_traces
 
 
 def test_injection_probability_validated():
@@ -97,3 +100,18 @@ class TestPerBankRfm:
         mc.engine.run(until=8200.0)
         assert calls == []
         assert len(mc.stats.rfm_records) == 8
+
+    def test_per_bank_tb_rfms_cost_less_than_all_bank_ones(self):
+        """Section 7.2: an RFMpb blocks one bank for tRFMpb instead of
+        the channel for tRFMab, so TPRAC on RFMpb slows a workload less."""
+        traces = homogeneous_traces("433.milc", cores=4, num_accesses=1_500)
+        base = System(traces, policy=NoMitigationPolicy(), enable_abo=False).run()
+        normalized = {
+            name: System(traces, policy=policy, enable_abo=False).run().total_ipc
+            / base.total_ipc
+            for name, policy in (
+                ("rfmab", TpracPolicy(tb_window=4000.0)),
+                ("rfmpb", PerBankRfmPolicy(tb_window=4000.0)),
+            )
+        }
+        assert normalized["rfmpb"] > normalized["rfmab"]

@@ -3,6 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attacks.probes import bank_address
+from repro.controller.controller import MemoryController
+from repro.controller.request import MemRequest
+from repro.core.engine import Engine
+from repro.dram.config import small_test_config
+from repro.mitigations import TpracPolicy
 from repro.prac.mitigation_queue import (
     FifoMitigationQueue,
     PriorityMitigationQueue,
@@ -135,3 +141,38 @@ class TestFifoQueue:
         assert len(queue) == 0
         queue.observe(1, 10)
         assert len(queue) == 1
+
+
+def _feinting_peak(queue_factory, nbo=64, pool=8, tb_window=2000.0):
+    """Round-robin ``pool`` rows of one bank against TPRAC built on
+    ``queue_factory``; return (highest counter any row reached, alerts)."""
+    config = small_test_config(rows_per_bank=1024, nbo=nbo).with_prac(
+        nbo=nbo, abo_act=0
+    )
+    engine = Engine()
+    policy = TpracPolicy(tb_window=tb_window, queue_factory=queue_factory)
+    mc = MemoryController(engine, config, policy=policy, enable_refresh=False)
+    bank = mc.channel.bank(0)
+    state = {"issued": 0, "peak": 0}
+
+    def issue(req=None):
+        state["peak"] = max(state["peak"], max(bank.counters.values(), default=0))
+        if state["issued"] >= pool * nbo:
+            return
+        row = state["issued"] % pool
+        state["issued"] += 1
+        mc.enqueue(MemRequest(phys_addr=bank_address(mc, 0, row), on_complete=issue))
+
+    issue()
+    engine.run(until=100_000_000)
+    return state["peak"], mc.abo.alert_count
+
+
+def test_single_entry_queue_matches_a_deeper_priority_queue_under_feinting():
+    """Section 4.2.3: TPRAC's single-entry frequency queue protects as
+    well as a 4-deep priority queue against round-robin Feinting."""
+    single_peak, single_alerts = _feinting_peak(SingleEntryFrequencyQueue)
+    priority_peak, _ = _feinting_peak(lambda: PriorityMitigationQueue(capacity=4))
+    assert single_alerts == 0
+    assert single_peak < 64
+    assert abs(single_peak - priority_peak) <= 8

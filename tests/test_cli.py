@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
+import functools
+import inspect
 import json
 import os
 import time
+import types
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.config import SystemConfig
 from repro.experiments import registry, runner
 
 pytestmark = pytest.mark.smoke
@@ -35,17 +40,118 @@ def _fig8_exits(name, module, kwargs):
     return _REAL_EXECUTE_SPEC(name, module, kwargs)
 
 
-def test_every_registered_artifact_has_a_command():
-    # The CLI must not drift from the registry: every registered
-    # artifact is individually invocable.
-    assert set(COMMANDS) == set(registry.discover())
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """Replace every registered harness's ``run`` with a stub of the
+    same signature that records its keyword arguments and simulates
+    nothing; returns the ``name -> [kwargs, ...]`` call log."""
+    calls = {name: [] for name in registry.names()}
+    for name in registry.names():
+        spec = registry.get(name)
+        real = spec.load_runner()
+
+        def stub(*, _name=name, _real=real, **kwargs):
+            inspect.signature(_real).bind(**kwargs)  # kwargs must fit run()
+            calls[_name].append(kwargs)
+            return types.SimpleNamespace(format_table=lambda: f"<{_name}>")
+
+        functools.update_wrapper(stub, real)
+        monkeypatch.setattr(f"{spec.module}.run", stub)
+    monkeypatch.setattr(cli, "_PLOTS", {})  # the stub results have no series
+    return calls
+
+
+def test_every_registered_artifact_has_a_command(stub_runs, capsys):
+    # The registry is the one artifact list: every registered artifact
+    # is a command, and with no flags it calls run() with no keyword
+    # arguments, the same call `suite --full` makes.
+    for name in registry.names():
+        build_parser().parse_args([name])
+        assert main([name]) == 0
+        assert stub_runs[name] == [{}]
+        assert f"<{name}>" in capsys.readouterr().out
+        assert registry.get(name).kwargs("full") == {}
 
 
 def test_list_prints_commands(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in COMMANDS:
-        assert name in out
+    assert capsys.readouterr().out.splitlines() == registry.names()
+
+
+#: (flag argv, run() parameter -> the value that parameter must get).
+#: A harness declares at most one of each flag's parameters.
+FLAG_CASES = [
+    (["--nbo", "300"], {"nbo": 300, "nbo_values": (300,)}),
+    (["--nbo", "300", "400"], {"nbo_values": (300, 400)}),
+    (["--requests", "7"], {"requests_per_core": 7, "encryptions": 7}),
+    (["--workloads", "433.milc", "470.lbm"], {"workloads": ["433.milc", "470.lbm"]}),
+    (["--scheduler", "fcfs"], {"system": SystemConfig(scheduler="fcfs")}),
+    (["--mapping", "linear"], {"system": SystemConfig(mapping="linear")}),
+    (["--refresh", "staggered"], {"system": SystemConfig(refresh="staggered")}),
+    (["--cache", "l1l2"], {"system": SystemConfig(cache="l1l2")}),
+    (["--interconnect", "fixed"], {"system": SystemConfig(interconnect="fixed")}),
+]
+
+
+@pytest.mark.parametrize(
+    "flag_argv, targets", FLAG_CASES, ids=[" ".join(argv) for argv, _ in FLAG_CASES]
+)
+def test_each_flag_lands_on_its_parameter_or_exits_2(stub_runs, capsys, flag_argv, targets):
+    # Nothing is simulated: every artifact x flag either reaches the one
+    # run() parameter it names or is refused before anything runs.
+    for name in registry.names():
+        params = inspect.signature(registry.get(name).load_runner()).parameters
+        declared = [param for param in targets if param in params]
+        assert len(declared) <= 1, (name, flag_argv)
+        code = main([name, *flag_argv])
+        captured = capsys.readouterr()
+        if declared:
+            assert code == 0, captured.err
+            assert stub_runs[name] == [{declared[0]: targets[declared[0]]}]
+        else:
+            assert code == 2
+            assert flag_argv[0] in captured.err and f"'{name}'" in captured.err
+            assert stub_runs[name] == []
+        stub_runs[name].clear()
+
+
+def test_all_passes_each_flag_to_the_harnesses_that_take_it(stub_runs, capsys):
+    assert main(["all", "--nbo", "300", "--requests", "7", "--cache", "l1l2"]) == 0
+    assert stub_runs["fig3"] == [{"nbo": 300}]
+    assert stub_runs["table2"] == [{"nbo_values": (300,)}]
+    assert stub_runs["fig9"] == [{"nbo": 300, "encryptions": 7}]
+    assert stub_runs["fig10"] == [
+        {"requests_per_core": 7, "system": SystemConfig(cache="l1l2")}
+    ]
+    assert stub_runs["fig7"] == [{}]
+    assert capsys.readouterr().out.count("==== ") == len(registry.names())
+    # A value one taker cannot use stops the whole command up front.
+    for calls in stub_runs.values():
+        calls.clear()
+    assert main(["all", "--nbo", "300", "400"]) == 2
+    assert "--nbo" in capsys.readouterr().err
+    assert not any(stub_runs.values())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fig7", "--nbo", "64", "--requests", "5", "--workloads", "433.milc"], "--nbo"),
+        (["fig10", "--nbo", "256", "--requests", "300", "--workloads", "433.milc"], "--nbo"),
+        (["fig8", "--workloads", "x"], "--workloads"),
+        (["campaign", "--nbo", "128", "--list"], "--nbo"),
+        (["list", "--requests", "3"], "--requests"),
+        (["fig3", "--nbo", "256", "512"], "--nbo"),
+        (["fig10", "--workloads", "x"], "'x'"),
+        (["fig10", "--requests", "0"], "--requests"),
+        (["fig8", "--nbo", "0"], "--nbo"),
+    ],
+)
+def test_flags_that_would_be_ignored_exit_2(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_fig7_runs_and_prints_values(capsys):
