@@ -66,15 +66,6 @@ cleanup_dirs+=("$sched_dir")
 python -m repro.cli campaign --grid scheduler=fr_fcfs,fcfs \
     mapping=linear,mop --trials 1 --jobs 2 --out "$sched_dir"
 
-echo "== campaign: cache x interconnect sweep (hierarchy smoke) =="
-# Both links with and without the hierarchy: cache=none exercises the
-# InterconnectFront shim, cache=l1l2 the full L1/L2 + MSHR front-end
-# behind each link.
-cache_dir="$(mktemp -d)"
-cleanup_dirs+=("$cache_dir")
-python -m repro.cli campaign --grid cache=none,l1l2 \
-    interconnect=fixed,crossbar --trials 1 --jobs 2 --out "$cache_dir"
-
 echo "== campaign: sanitized perf scenarios (protocol-checker smoke) =="
 # Perf scenarios with the DRAM protocol sanitizer attached: a timing
 # violation anywhere in the served command stream would raise

@@ -14,7 +14,7 @@ Layered architecture (bottom-up):
   request schedulers) + RFM issuing, behind a multi-channel
   :class:`MemorySystem` facade.
 * :mod:`repro.mitigations` — ABO-Only / ABO+ACB-RFM / TPRAC / §7 variants.
-* :mod:`repro.cpu` — trace-driven cores + cache hierarchy.
+* :mod:`repro.cpu` — trace-driven cores issuing into the memory system.
 * :mod:`repro.crypto` — AES-128 T-table substrate (the side-channel victim).
 * :mod:`repro.attacks` — PRACLeak covert and side channels.
 * :mod:`repro.workloads` — synthetic SPEC/CloudSuite-like catalog.

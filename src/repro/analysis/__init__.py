@@ -10,11 +10,7 @@ from repro.analysis.feinting import (
     tmax_sweep,
 )
 from repro.analysis.tb_window import required_tb_window, tb_window_for_nrh
-from repro.analysis.metrics import (
-    geometric_mean,
-    normalized_performance,
-    weighted_speedup,
-)
+from repro.analysis.metrics import geometric_mean
 from repro.analysis.energy import EnergyModel, EnergyBreakdown
 from repro.analysis.storage import storage_overhead_bits
 
@@ -26,11 +22,9 @@ __all__ = [
     "attack_rounds",
     "feinting_tmax",
     "geometric_mean",
-    "normalized_performance",
     "optimal_r1_with_reset",
     "required_tb_window",
     "storage_overhead_bits",
     "tb_window_for_nrh",
     "tmax_sweep",
-    "weighted_speedup",
 ]

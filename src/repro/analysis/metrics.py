@@ -1,42 +1,14 @@
-"""Performance metrics: weighted speedup and normalization helpers.
+"""Performance metrics: the geometric mean of normalized performance.
 
-The paper measures performance as *weighted speedup* — the sum over
-cores of IPC_shared / IPC_alone — and reports it normalized to the
-PRAC-enabled baseline without ABO.  Values below 1.0 are slowdowns.
+The paper reports each design's performance normalized to the
+PRAC-enabled baseline without ABO (values below 1.0 are slowdowns)
+and aggregates workloads by their geometric mean.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
-
-
-def weighted_speedup(
-    shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]
-) -> float:
-    """Sum of per-core IPC_shared / IPC_alone."""
-    if len(shared_ipcs) != len(alone_ipcs):
-        raise ValueError("per-core IPC lists must have equal length")
-    if not shared_ipcs:
-        raise ValueError("need at least one core")
-    total = 0.0
-    for shared, alone in zip(shared_ipcs, alone_ipcs):
-        if alone <= 0:
-            raise ValueError("alone IPC must be positive")
-        total += shared / alone
-    return total
-
-
-def normalized_performance(value: float, baseline: float) -> float:
-    """value / baseline; < 1.0 means slowdown relative to the baseline."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return value / baseline
-
-
-def slowdown_percent(normalized: float) -> float:
-    """Convert normalized performance (e.g. 0.966) to slowdown % (3.4)."""
-    return (1.0 - normalized) * 100.0
+from typing import Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -47,14 +19,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("values must be positive")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def summarize_by_group(
-    per_workload: Dict[str, float], groups: Dict[str, str]
-) -> Dict[str, float]:
-    """Geomean per workload group (e.g. SPEC2K6 / SPEC2K17 / CloudSuite)."""
-    buckets: Dict[str, list] = {}
-    for name, value in per_workload.items():
-        group = groups.get(name, "other")
-        buckets.setdefault(group, []).append(value)
-    return {group: geometric_mean(vals) for group, vals in buckets.items()}

@@ -4,16 +4,15 @@ Everything an experiment, test or downstream script needs to assemble
 and sweep simulated systems is re-exported here under one stable,
 deliberately small ``__all__``:
 
-* **Assembly** — :class:`SystemConfig` (the declarative spec, with its
-  :data:`COMPONENT_AXES` / :meth:`SystemConfig.component` uniform
-  component accessors), :func:`build_system` (design point + traces ->
+* **Assembly** — :class:`SystemConfig` (the declarative spec, with
+  :data:`COMPONENT_AXES` and :func:`component_registries` naming its
+  registry-backed axes), :func:`build_system` (design point + traces ->
   ready :class:`~repro.cpu.system.System`) and :class:`DesignPoint`.
 * **Sweeping** — :class:`Scenario`, :func:`expand_grid`,
   :func:`run_campaign`, :func:`run_trial`.
 * **Registries** — :data:`SCHEDULERS`, :data:`MAPPINGS`,
-  :data:`REFRESH_POLICIES`, :data:`CACHES`, :data:`INTERCONNECTS` and
-  :data:`MITIGATIONS`: the single source of truth for what each
-  component axis can spell.
+  :data:`REFRESH_POLICIES` and :data:`MITIGATIONS`: the single source
+  of truth for what each component axis can spell.
 
 Import from here (``from repro.api import SystemConfig, build_system``)
 instead of deep-importing construction internals; the internal module
@@ -35,8 +34,6 @@ from repro.config import (
 )
 from repro.controller.memory_system import MemorySystem
 from repro.controller.scheduler import SCHEDULERS
-from repro.cpu.hierarchy import CACHES
-from repro.cpu.interconnect import INTERCONNECTS
 from repro.cpu.system import System, SystemResult
 from repro.dram.address import MAPPINGS
 from repro.dram.refresh import REFRESH_POLICIES
@@ -65,7 +62,5 @@ __all__ = [
     "SCHEDULERS",
     "MAPPINGS",
     "REFRESH_POLICIES",
-    "CACHES",
-    "INTERCONNECTS",
     "MITIGATIONS",
 ]

@@ -250,12 +250,4 @@ class AesSideChannelAttack:
             results.append(attack.run_single(target_byte, fixed_value))
         return results
 
-    def recover_key_nibbles(self, fixed_value: int = 0) -> List[Optional[int]]:
-        """Run the attack for all 16 key bytes; returns recovered nibbles."""
-        nibbles: List[Optional[int]] = []
-        for byte_index in range(16):
-            result = self.run_single(byte_index, fixed_value)
-            nibbles.append(result.recovered_nibble)
-        return nibbles
-
 

@@ -26,8 +26,7 @@ from repro.campaigns.scenario import Scenario
 #: First-class scenario fields an axis can address directly.
 SCENARIO_AXES = (
     "attack", "mitigation", "workload", "dram", "nbo", "prac_level", "channels",
-    "scheduler", "mapping", "refresh", "cache", "interconnect",
-    "sanitize", "trace", "metrics",
+    "scheduler", "mapping", "refresh", "sanitize", "trace", "metrics",
 )
 
 #: Axes earlier revisions accepted -> why they are gone.  Like any
@@ -35,6 +34,8 @@ SCENARIO_AXES = (
 #: expansion, but with this reason instead of the generic message.
 REMOVED_AXES = {
     "engine": "every system runs on the one event kernel",
+    "cache": "cores issue straight into the memory system",
+    "interconnect": "cores issue straight into the memory system",
 }
 
 

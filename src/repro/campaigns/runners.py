@@ -58,7 +58,6 @@ TRIAL_PARAMS = frozenset({
     "encryptions",
     "target_byte",
     "fixed_value",
-    "threshold_ns",
     "pool_size",
     "crash_seeds",
 })
@@ -123,7 +122,6 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
             telemetry_dir,
             stem=f"{scenario.scenario_id}-s{seed}",
             meta={"scenario": scenario.label, "seed": seed},
-            hierarchy=mitigated_system.hierarchy,
         )
     metrics = {
         "normalized_perf": mitigated.total_ipc / baseline.total_ipc,
@@ -135,20 +133,6 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         for slice_ in mitigated.per_channel:
             metrics[f"rfms_ch{slice_.channel}"] = float(slice_.rfms)
             metrics[f"requests_ch{slice_.channel}"] = float(slice_.requests)
-    # The cache / interconnect axes surface their counters as metrics,
-    # so sweeps see hit-rate and occupancy next to normalized perf.
-    if mitigated.cache is not None:
-        cache = mitigated.cache
-        metrics["l1_hit_rate"] = cache["l1"]["hit_rate"]
-        metrics["l2_hit_rate"] = cache["l2"]["hit_rate"]
-        metrics["cache_writebacks"] = float(cache["dram_writebacks"])
-        metrics["mshr_merges"] = float(cache["mshr_merges"])
-        metrics["mshr_stalls"] = float(cache["mshr_stalls"])
-    if mitigated.interconnect is not None:
-        icn = mitigated.interconnect
-        metrics["interconnect_transfers"] = float(icn["transfers"])
-        metrics["interconnect_queued"] = float(icn["queued"])
-        metrics["interconnect_occupancy"] = icn["occupancy"]
     return metrics
 
 
@@ -270,125 +254,6 @@ def _aes_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         "recovered": 0.0 if result.recovered_nibble is None else 1.0,
         "attacker_acts_on_trigger": float(result.attacker_acts_on_trigger),
     }
-
-
-# ----------------------------------------------------------------------
-# Eviction-set covert channel through the shared L2
-# ----------------------------------------------------------------------
-@_kind("eviction_set")
-def _eviction_set_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
-    """Prime+probe over the shared L2 of the cache hierarchy.
-
-    Core 0 (victim) keeps one line resident; core 1 (attacker) transmits
-    a 1 by walking an eviction set — ``l2_ways + 2`` lines that map to
-    the victim's L2 set — and a 0 by staying idle.  Between symbols the
-    victim self-evicts its private-L1 copy (conflicting same-L1-set
-    lines), then re-probes and times the access: above
-    ``threshold_ns`` means the line came from DRAM, i.e. the attacker
-    spoke.  Every address is derived arithmetically from the seeded RNG
-    via the cache's own set/tag geometry, so the trial exercises
-    set-index round-tripping end to end.
-    """
-    from repro.controller.memory_system import MemorySystem
-    from repro.controller.request import MemRequest
-    from repro.core.engine import Engine
-
-    rng = random.Random(seed)
-    params = scenario.params
-    symbols = int(params.get("symbols", 16))
-    message = [rng.randrange(2) for _ in range(symbols)]
-    sysconf = scenario.system_config().validate()
-    config = scenario.dram_config()
-    engine = Engine()
-    memory = MemorySystem(
-        engine,
-        config,
-        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
-        enable_refresh=False,
-        system=sysconf,
-    )
-    interconnect = sysconf.make_interconnect()
-    hierarchy = sysconf.make_cache(
-        engine, memory, num_cores=2, interconnect=interconnect
-    )
-    assert hierarchy is not None  # validate() enforced cache != "none"
-    l1, l2 = hierarchy.l1s[0], hierarchy.l2
-    threshold = float(
-        params.get(
-            "threshold_ns",
-            hierarchy.l1_latency_ns + 2 * hierarchy.l2_latency_ns + 10.0,
-        )
-    )
-    # Victim line plus an eviction set: distinct tags, same L2 set.
-    l2_set = rng.randrange(l2.num_sets)
-    victim_tag = rng.randrange(256)
-    victim_addr = l2.line_addr(l2_set, victim_tag)
-    eviction_addrs = [
-        l2.line_addr(l2_set, victim_tag + 1 + i) for i in range(l2.ways + 2)
-    ]
-    # L1 self-eviction fillers: same L1 set as the victim line, but
-    # kept out of the victim's L2 set so they never evict it themselves.
-    victim_line = victim_addr // l1.line_bytes
-    fillers: List[int] = []
-    step = l1.num_sets
-    line = victim_line + step
-    while len(fillers) < l1.ways + 1:
-        if line % l2.num_sets != l2_set:
-            fillers.append(line * l1.line_bytes)
-        line += step
-
-    steps: List[Any] = []
-    for bit in message:
-        steps.append(("access", victim_addr, 0, None))
-        if bit:
-            for addr in eviction_addrs:
-                steps.append(("access", addr, 1, None))
-        for addr in fillers:
-            steps.append(("access", addr, 0, None))
-        steps.append(("probe", victim_addr, 0, bit))
-    stepper = iter(steps)
-    decoded: List[int] = []
-    probe_latency_total = [0.0]
-
-    def advance() -> None:
-        try:
-            kind, addr, core, _bit = next(stepper)
-        except StopIteration:
-            engine.request_stop()
-            return
-        start = engine.now
-
-        def done(req: Any, kind: str = kind, start: float = start) -> None:
-            if kind == "probe":
-                latency = engine.now - start
-                probe_latency_total[0] += latency
-                decoded.append(1 if latency > threshold else 0)
-            engine.schedule(engine.now, advance, 0, "evset")
-
-        hierarchy.enqueue(
-            MemRequest(phys_addr=addr, core_id=core, on_complete=done)
-        )
-
-    engine.schedule(0.0, advance, 0, "evset")
-    engine.run(max_events=5_000_000)
-    errors = sum(1 for got, sent in zip(decoded, message) if got != sent)
-    elapsed_ns = engine.now
-    metrics = {
-        "error_rate": errors / symbols if symbols else 0.0,
-        "symbols": float(symbols),
-        "bitrate_kbps": (
-            symbols / elapsed_ns * 1e6 if elapsed_ns > 0 else 0.0
-        ),
-        "mean_probe_ns": (
-            probe_latency_total[0] / len(decoded) if decoded else 0.0
-        ),
-        "l2_hit_rate": l2.stats.hit_rate,
-        "dram_reads": float(hierarchy.dram_reads),
-        "cache_writebacks": float(hierarchy.dram_writebacks),
-    }
-    if interconnect is not None:
-        metrics["interconnect_occupancy"] = interconnect.occupancy(elapsed_ns)
-    return metrics
 
 
 # ----------------------------------------------------------------------

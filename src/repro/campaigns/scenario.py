@@ -26,8 +26,6 @@ from typing import Any, Dict, Mapping
 from repro import mitigations
 from repro.analysis.storage import content_key
 from repro.config import (
-    DEFAULT_CACHE,
-    DEFAULT_INTERCONNECT,
     DEFAULT_MAPPING,
     DEFAULT_REFRESH,
     DEFAULT_SCHEDULER,
@@ -45,7 +43,6 @@ ATTACK_KINDS = (
     "covert_activity",
     "covert_count",
     "aes_side_channel",
-    "eviction_set",
     "feinting",
     "selftest",
 )
@@ -68,8 +65,6 @@ class Scenario:
     scheduler: str = DEFAULT_SCHEDULER
     mapping: str = DEFAULT_MAPPING
     refresh: str = DEFAULT_REFRESH
-    cache: str = DEFAULT_CACHE
-    interconnect: str = DEFAULT_INTERCONNECT
     sanitize: bool = False
     trace: bool = False
     metrics: bool = False
@@ -107,23 +102,7 @@ class Scenario:
         # the field and list the valid spellings) as every other
         # construction path.
         system = self.system_config().validate()
-        if self.attack == "eviction_set":
-            # The eviction-set covert trial times L2 conflicts, so it
-            # needs a hierarchy; beyond cache/interconnect it drives the
-            # same hard-wired controller as the other attack harnesses.
-            if system.cache == DEFAULT_CACHE:
-                raise ValueError(
-                    "eviction_set scenarios need a cache hierarchy; "
-                    "set cache (e.g. cache='l1l2')"
-                )
-            extra = sorted(set(system.to_dict()) - {"cache", "interconnect"})
-            if extra:
-                raise ValueError(
-                    f"non-default {'/'.join(extra)} is not modeled for "
-                    "eviction_set scenarios; only the cache/interconnect "
-                    "axes apply"
-                )
-        elif self.attack != "perf" and not system.is_default():
+        if self.attack != "perf" and not system.is_default():
             changed = sorted(system.to_dict())
             raise ValueError(
                 f"non-default {'/'.join(changed)} is only modeled for "
@@ -154,8 +133,6 @@ class Scenario:
             scheduler=self.scheduler,
             mapping=self.mapping,
             refresh=self.refresh,
-            cache=self.cache,
-            interconnect=self.interconnect,
             sanitize=self.sanitize,
             trace=self.trace,
             metrics=self.metrics,
@@ -223,10 +200,6 @@ class Scenario:
             parts.append(self.mapping)
         if self.refresh != DEFAULT_REFRESH:
             parts.append(self.refresh)
-        if self.cache != DEFAULT_CACHE:
-            parts.append(self.cache)
-        if self.interconnect != DEFAULT_INTERCONNECT:
-            parts.append(self.interconnect)
         if self.sanitize:
             parts.append("sanitize")
         if self.trace:

@@ -18,11 +18,6 @@ Usage::
         mitigation=abo_only,tprac nbo=128,256 --resume
     python -m repro.cli campaign --grid channels=1,2,4 --trials 3
     python -m repro.cli campaign --grid scheduler=fr_fcfs,fcfs mapping=linear,mop
-    python -m repro.cli fig10 --cache l1l2 --interconnect crossbar
-    python -m repro.cli campaign --grid cache=l1l2 interconnect=crossbar \\
-        scheduler=fr_fcfs,fcfs
-    python -m repro.cli campaign --grid attack=eviction_set cache=l1l2 \\
-        mitigation=abo_only,tprac --trials 5
     python -m repro.cli campaign --grid trace=true metrics=true --progress
     python -m repro.cli campaign --campaign security --timeout 120
     python -m repro.cli obs report results/
@@ -35,10 +30,10 @@ defaults, the same call ``suite --full`` makes — and prints the
 regenerated rows/series, plus an ASCII rendering where the paper's
 artifact is a plot.  The artifact flags (``--nbo``, ``--requests``,
 ``--workloads`` and the structural ``--scheduler``/``--mapping``/
-``--refresh``/``--cache``/``--interconnect``) fill only parameters
-that ``run()`` declares: a flag the harness has no parameter for exits
-2 before anything runs, and ``all`` passes each flag to the harnesses
-that take it.
+``--refresh``, one per :data:`repro.config.COMPONENT_AXES` entry) fill
+only parameters that ``run()`` declares: a flag the harness has no
+parameter for exits 2 before anything runs, and ``all`` passes each
+flag to the harnesses that take it.
 
 ``suite`` runs the registered artifact harnesses through the parallel,
 fault-isolated, cached orchestrator (:mod:`repro.experiments.runner`)
@@ -74,6 +69,7 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis import plotting
+from repro.config import COMPONENT_AXES
 from repro.experiments import registry
 
 
@@ -145,9 +141,6 @@ _PLOTS: Dict[str, Callable[[Any], str]] = {
     "fig13": _plot_fig13,
 }
 
-#: The structural flags; each sets the ``SystemConfig`` field it names.
-_SYSTEM_FLAGS = ("scheduler", "mapping", "refresh", "cache", "interconnect")
-
 #: Artifact flag -> the ``run()`` parameters it can fill.  A harness
 #: declares at most one target of each flag; one that declares none
 #: rejects the flag.
@@ -155,7 +148,8 @@ _FLAG_TARGETS: Dict[str, Tuple[str, ...]] = {
     "--nbo": ("nbo", "nbo_values"),
     "--requests": ("requests_per_core", "encryptions"),
     "--workloads": ("workloads",),
-    **{f"--{name}": ("system",) for name in _SYSTEM_FLAGS},
+    # The structural flags: each sets the SystemConfig field it names.
+    **{f"--{name}": ("system",) for name in COMPONENT_AXES},
 }
 
 
@@ -172,7 +166,7 @@ def _takers(param: str) -> str:
 def _artifact_flags(args) -> Dict[str, Any]:
     """The artifact flags given on the command line -> their values."""
     values = {"--nbo": args.nbo, "--requests": args.requests, "--workloads": args.workloads}
-    values.update({f"--{name}": getattr(args, name) for name in _SYSTEM_FLAGS})
+    values.update({f"--{name}": getattr(args, name) for name in COMPONENT_AXES})
     return {flag: value for flag, value in values.items() if value is not None}
 
 
@@ -184,7 +178,7 @@ def _system_config(args):
     """
     overrides = {
         name: getattr(args, name)
-        for name in _SYSTEM_FLAGS
+        for name in COMPONENT_AXES
         if getattr(args, name) is not None
     }
     if not overrides:
@@ -518,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         "each fills the named run() parameter of the artifact it is given "
         "to; an artifact whose run() lacks the parameter rejects the flag, "
         "and 'all' passes each flag to the artifacts that take it.  "
-        "--scheduler/--mapping/--refresh/--cache/--interconnect set "
+        "--scheduler/--mapping/--refresh set "
         f"system= ({_takers('system')})",
     )
     artifact.add_argument(
@@ -546,10 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
         "scheduler": "request scheduler (fr_fcfs/fcfs/fr_fcfs_cap; default fr_fcfs)",
         "mapping": "address mapping (linear/mop; default mop)",
         "refresh": "refresh policy (periodic/staggered; default periodic)",
-        "cache": "cache hierarchy (none/l1l2; default none, the direct core->DRAM wiring)",
-        "interconnect": "cache<->memory interconnect (none/fixed/crossbar; default none)",
     }
-    for name in _SYSTEM_FLAGS:
+    for name in COMPONENT_AXES:
         artifact.add_argument(
             f"--{name}", default=None, metavar="NAME",
             help=system_help[name],

@@ -26,18 +26,15 @@ from __future__ import annotations
 
 from dataclasses import MISSING as _MISSING
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.scheduler import BankQueueScheduler
     from repro.core.engine import Engine
-    from repro.cpu.hierarchy import MemoryHierarchy
-    from repro.cpu.interconnect import Interconnect
     from repro.dram.address import AddressMapping
     from repro.dram.config import DramConfig, DramOrganization
     from repro.dram.rank import Channel
     from repro.dram.refresh import RefreshScheduler
-    from repro.obs.trace import TraceRecorder
     from repro.registry import Registry
 
 #: The field defaults, used for default-omission in :meth:`to_dict`.
@@ -45,16 +42,15 @@ DEFAULT_SCHEDULER = "fr_fcfs"
 DEFAULT_MAPPING = "mop"
 DEFAULT_REFRESH = "periodic"
 DEFAULT_PAGE_POLICY = "open"
-DEFAULT_CACHE = "none"
-DEFAULT_INTERCONNECT = "none"
 
 #: Every registry-backed component axis, in declaration order.  Each
 #: axis ``a`` is a pair of fields — ``a`` (the registered name) and
 #: ``a_params`` (its keyword arguments) — and one registry; the generic
-#: :meth:`SystemConfig.validate` / :meth:`SystemConfig.component` paths
-#: are driven by this table, so a future axis is one tuple entry plus
-#: its two fields, not another hand-written clause.
-COMPONENT_AXES = ("scheduler", "mapping", "refresh", "cache", "interconnect")
+#: :meth:`SystemConfig.validate` / :meth:`SystemConfig.from_dict` paths
+#: and the CLI's structural flags are driven by this table, so a future
+#: axis is one tuple entry plus its two fields, not another
+#: hand-written clause.
+COMPONENT_AXES = ("scheduler", "mapping", "refresh")
 
 
 def component_registries() -> Dict[str, "Registry"]:
@@ -64,8 +60,6 @@ def component_registries() -> Dict[str, "Registry"]:
     components and the component modules import this one.
     """
     from repro.controller.scheduler import SCHEDULERS
-    from repro.cpu.hierarchy import CACHES
-    from repro.cpu.interconnect import INTERCONNECTS
     from repro.dram.address import MAPPINGS
     from repro.dram.refresh import REFRESH_POLICIES
 
@@ -73,8 +67,6 @@ def component_registries() -> Dict[str, "Registry"]:
         "scheduler": SCHEDULERS,
         "mapping": MAPPINGS,
         "refresh": REFRESH_POLICIES,
-        "cache": CACHES,
-        "interconnect": INTERCONNECTS,
     }
 
 
@@ -95,18 +87,9 @@ class SystemConfig:
     mapping: str = DEFAULT_MAPPING
     refresh: str = DEFAULT_REFRESH
     page_policy: str = DEFAULT_PAGE_POLICY
-    #: cache hierarchy in front of the memory system
-    #: (:data:`repro.cpu.hierarchy.CACHES`); ``"none"`` is the
-    #: historical direct core -> controller wiring.
-    cache: str = DEFAULT_CACHE
-    #: interconnect between the last cache level (or the cores) and the
-    #: memory system (:data:`repro.cpu.interconnect.INTERCONNECTS`).
-    interconnect: str = DEFAULT_INTERCONNECT
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
     mapping_params: Mapping[str, Any] = field(default_factory=dict)
     refresh_params: Mapping[str, Any] = field(default_factory=dict)
-    cache_params: Mapping[str, Any] = field(default_factory=dict)
-    interconnect_params: Mapping[str, Any] = field(default_factory=dict)
     #: Attach the online DRAM protocol sanitizer
     #: (:class:`repro.dram.sanitizer.ProtocolChecker`) to every
     #: controller.  Purely observational: results are bit-identical,
@@ -156,24 +139,6 @@ class SystemConfig:
         return self
 
     # ------------------------------------------------------------------
-    # Uniform component specs
-    # ------------------------------------------------------------------
-    def component(self, axis: str) -> "Tuple[str, Dict[str, Any]]":
-        """``(name, params)`` spec of one registry-backed axis.
-
-        The uniform accessor over :data:`COMPONENT_AXES`:
-        ``config.component("scheduler")`` replaces reaching for the
-        ``scheduler`` / ``scheduler_params`` field pair, and an unknown
-        axis fails with the registry-style error shape.
-        """
-        if axis not in COMPONENT_AXES:
-            raise ValueError(
-                f"unknown component axis {axis!r}; "
-                f"have {sorted(COMPONENT_AXES)}"
-            )
-        return getattr(self, axis), dict(getattr(self, axis + "_params"))
-
-    # ------------------------------------------------------------------
     # Component construction
     # ------------------------------------------------------------------
     def make_mapping(self, org: "DramOrganization") -> "AddressMapping":
@@ -207,40 +172,6 @@ class SystemConfig:
             config,
             tref_per_trefi=tref_per_trefi,
             **dict(self.refresh_params),
-        )
-
-    def make_interconnect(self) -> "Optional[Interconnect]":
-        """Build this config's interconnect (``None`` for ``"none"``)."""
-        from repro.cpu.interconnect import INTERCONNECTS
-
-        return INTERCONNECTS.make(
-            self.interconnect, **dict(self.interconnect_params)
-        )
-
-    def make_cache(
-        self,
-        engine: "Engine",
-        memory: Any,
-        num_cores: int,
-        interconnect: "Optional[Interconnect]" = None,
-        recorder: "Optional[TraceRecorder]" = None,
-    ) -> "Optional[MemoryHierarchy]":
-        """Build this config's cache hierarchy (``None`` for ``"none"``).
-
-        ``memory`` is the downstream request sink (usually the
-        :class:`~repro.controller.memory_system.MemorySystem`);
-        ``interconnect`` routes the hierarchy's DRAM traffic when set.
-        """
-        from repro.cpu.hierarchy import CACHES
-
-        return CACHES.make(
-            self.cache,
-            engine,
-            memory,
-            num_cores,
-            interconnect=interconnect,
-            recorder=recorder,
-            **dict(self.cache_params),
         )
 
     def apply_to(self, dram_config: "DramConfig") -> "DramConfig":

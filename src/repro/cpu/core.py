@@ -2,12 +2,12 @@
 
 The core replays a trace of (compute gap, memory access) records.
 Non-memory instructions retire at the pipeline's peak width; every
-memory access becomes a request to the memory target (the memory
-system, or the event-driven cache hierarchy in front of it).  The core
-may run ahead of its *oldest* outstanding request by at most
-``rob_size`` instructions — the same constraint a 352-entry reorder
-buffer imposes — so memory-intensive traces naturally exhibit limited
-MLP and are slowed by RFM-induced channel blocking exactly as in the
+memory access becomes a request to the memory target, the memory
+system (the traces are DRAM-level miss streams).  The core may run
+ahead of its *oldest* outstanding request by at most ``rob_size``
+instructions — the same constraint a 352-entry reorder buffer
+imposes — so memory-intensive traces naturally exhibit limited MLP
+and are slowed by RFM-induced channel blocking exactly as in the
 paper.
 """
 
@@ -59,11 +59,10 @@ class TraceCore:
         max_requests: Optional[int] = None,
     ) -> None:
         self.engine = engine
-        #: request sink: a bare :class:`MemoryController`, the
+        #: request sink: a bare :class:`MemoryController` or the
         #: multi-channel :class:`~repro.controller.memory_system.MemorySystem`
-        #: facade or a :class:`~repro.cpu.hierarchy.MemoryHierarchy` —
-        #: the core only calls ``enqueue`` and lets the memory side
-        #: route by physical address.
+        #: facade — the core only calls ``enqueue`` and lets the memory
+        #: side route by physical address.
         self.memory = memory
         self.cursor = cursor
         self.core_id = core_id

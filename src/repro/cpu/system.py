@@ -1,11 +1,11 @@
-"""Multicore system wiring: cores + caches + the memory system.
+"""Multicore system wiring: cores + the memory system.
 
 This is the reproduction's ChampSim stand-in.  A :class:`System`
 builds N trace-driven cores sharing a :class:`MemorySystem` — one
 memory controller per configured DDR5 channel, with requests routed by
 channel-interleaved physical address — runs them to completion (or a
 request budget) and reports per-core IPCs, from which the experiments
-derive weighted speedup and normalized performance.
+derive normalized performance.
 
 With the default single-channel organization the memory system is a
 zero-overhead alias for one controller and results are bit-for-bit
@@ -15,14 +15,13 @@ identical to the historical one-controller wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.core.engine import Engine
 from repro.cpu.core import CoreParams, TraceCore
-from repro.cpu.interconnect import InterconnectFront
 from repro.cpu.trace import TraceCursor, TraceRecord
 from repro.dram.config import DramConfig, ddr5_8000b
 
@@ -56,13 +55,6 @@ class SystemResult:
     reads: int = 0
     writes: int = 0
     per_channel: List[ChannelResult] = field(default_factory=list)
-    #: cache-hierarchy counters (``SystemConfig(cache="l1l2")``):
-    #: per-level hits/misses/hit-rate/writebacks plus MSHR accounting.
-    #: ``None`` on the default direct-wired path.
-    cache: Optional[Dict[str, Any]] = None
-    #: interconnect counters (``SystemConfig(interconnect=...)``):
-    #: transfers/queued/wait/occupancy.  ``None`` when direct-wired.
-    interconnect: Optional[Dict[str, Any]] = None
 
     @property
     def total_ipc(self) -> float:
@@ -102,32 +94,11 @@ class System:
         # The memory system may have projected the declarative system
         # (channel count) onto the device config; adopt its view.
         self.config = self.memory.config
-        # Optional cache hierarchy / interconnect front-end between the
-        # cores and the memory system.  On the default config both are
-        # "none": nothing is constructed and the cores keep enqueueing
-        # straight into the facade, byte-identical to the direct wiring.
-        sysconf = self.memory.system
-        self.interconnect = sysconf.make_interconnect()
-        self.hierarchy = sysconf.make_cache(
-            self.engine,
-            self.memory,
-            num_cores=len(traces),
-            interconnect=self.interconnect,
-            recorder=self.memory.recorder,
-        )
-        front = self.memory
-        if self.hierarchy is not None:
-            front = self.hierarchy
-        elif self.interconnect is not None:
-            front = InterconnectFront(
-                self.engine, self.memory, self.interconnect
-            )
-        self.front = front
         self.cores: List[TraceCore] = []
         for core_id, trace in enumerate(traces):
             core = TraceCore(
                 self.engine,
-                front,
+                self.memory,
                 TraceCursor(trace),
                 core_id=core_id,
                 params=core_params,
@@ -213,14 +184,4 @@ class System:
             reads=merged.reads,
             writes=merged.writes,
             per_channel=per_channel,
-            cache=(
-                self.hierarchy.stats_dict(self.engine.now)
-                if self.hierarchy is not None
-                else None
-            ),
-            interconnect=(
-                self.interconnect.stats(self.engine.now)
-                if self.interconnect is not None
-                else None
-            ),
         )

@@ -1,13 +1,12 @@
 """Observability: structured tracing, metrics, and campaign telemetry.
 
-The counts of a run (RFMs by provenance, alerts, refreshes, cache
-hits) live in the simulator's own always-on fields:
+The counts of a run (RFMs by provenance, alerts, refreshes, counter
+resets) live in the simulator's own always-on fields:
 :class:`~repro.controller.stats.ControllerStats`, the ABO protocol,
-the refresh scheduler, the mitigation policy and the cache stats.
-This package reads them and adds three opt-in layers, all following
-the sanitizer's zero-overhead-off discipline (results are
-byte-identical with telemetry disabled, and the off path adds no
-per-event work):
+the refresh scheduler and the mitigation policy.  This package reads
+them and adds three opt-in layers, all following the sanitizer's
+zero-overhead-off discipline (results are byte-identical with
+telemetry disabled, and the off path adds no per-event work):
 
 * :mod:`repro.obs.trace` — a structured trace recorder behind
   ``SystemConfig(trace=True)`` capturing the served DRAM command

@@ -23,7 +23,6 @@ from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.memory_system import MemorySystem
-    from repro.cpu.hierarchy import MemoryHierarchy
 
 PathLike = Union[str, Path]
 
@@ -33,16 +32,13 @@ TRACE_CHROME = "trace-{stem}.chrome.json"
 METRICS_JSON = "metrics-{stem}.json"
 
 
-def run_counters(
-    memory: "MemorySystem", hierarchy: Optional["MemoryHierarchy"] = None
-) -> Dict[str, float]:
+def run_counters(memory: "MemorySystem") -> Dict[str, float]:
     """The run's event counts, summed over channels, sorted by name.
 
     ``rfm.<provenance>`` and ``mitigation.rows`` cover every RFM the
     controllers' statistics recorded, all-bank and per-bank (RFMpb)
     alike.  ``policy.mitigations`` appears only when a mitigation
-    policy is attached, and the ``cache.*`` counts only when the run
-    has a cache ``hierarchy``.
+    policy is attached.
     """
     controllers = memory.controllers
     counts: Dict[str, int] = {
@@ -63,14 +59,6 @@ def run_counters(
         counts["policy.mitigations"] = sum(
             p.mitigations_performed for p in policies
         )
-    if hierarchy is not None:
-        l1_stats = [l1.stats for l1 in hierarchy.l1s]
-        counts["cache.l1.hit"] = sum(s.hits for s in l1_stats)
-        counts["cache.l1.miss"] = sum(s.misses for s in l1_stats)
-        counts["cache.l2.hit"] = hierarchy.l2.stats.hits
-        counts["cache.l2.miss"] = hierarchy.l2.stats.misses
-        counts["cache.mshr.merge"] = hierarchy.mshr_merges
-        counts["cache.writeback"] = hierarchy.dram_writebacks
     return {name: float(counts[name]) for name in sorted(counts)}
 
 
@@ -79,13 +67,10 @@ def export_system_telemetry(
     directory: PathLike,
     stem: str,
     meta: Optional[Dict[str, Any]] = None,
-    hierarchy: Optional["MemoryHierarchy"] = None,
 ) -> Dict[str, Path]:
     """Write the memory system's collected telemetry into ``directory``.
 
-    ``hierarchy`` is the run's cache hierarchy, if it has one; its
-    counts join the metrics document's ``registry`` section.  Returns
-    ``{"trace_jsonl": ..., "trace_chrome": ..., "metrics": ...}``
+    Returns ``{"trace_jsonl": ..., "trace_chrome": ..., "metrics": ...}``
     containing only the artifacts that were actually enabled.
     """
     out_dir = Path(directory)
@@ -109,7 +94,7 @@ def export_system_telemetry(
         sampler.sample()
         extra: Dict[str, Any] = {
             "registry": {
-                "counters": run_counters(memory, hierarchy),
+                "counters": run_counters(memory),
                 "gauges": {},
                 "histograms": {},
             }

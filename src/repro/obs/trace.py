@@ -42,8 +42,6 @@ ALERT_DONE = "abo.mitigated"     # controller finished the RFM burst
 PRAC_COUNTER = "prac.counter"    # a row's PRAC counter after an ACT
 PRAC_RESET = "prac.reset"        # tREFW boundary counter reset
 TREF_SLOT = "tref.slot"          # a Targeted-Refresh slot fired
-CACHE_MISS = "cache.miss"        # L2 miss heading to DRAM (hierarchy)
-CACHE_WRITEBACK = "cache.writeback"  # dirty L2 victim written to DRAM
 
 #: Synthetic Chrome thread ids for the non-bank tracks.
 CHANNEL_TRACK = 1000

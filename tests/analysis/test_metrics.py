@@ -4,37 +4,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.metrics import (
-    geometric_mean,
-    normalized_performance,
-    slowdown_percent,
-    summarize_by_group,
-    weighted_speedup,
-)
-
-
-def test_weighted_speedup_identity():
-    assert weighted_speedup([1.0, 2.0], [1.0, 2.0]) == pytest.approx(2.0)
-
-
-def test_weighted_speedup_mixed():
-    assert weighted_speedup([0.5, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_weighted_speedup_validation():
-    with pytest.raises(ValueError):
-        weighted_speedup([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_speedup([], [])
-    with pytest.raises(ValueError):
-        weighted_speedup([1.0], [0.0])
-
-
-def test_normalized_performance_and_slowdown():
-    norm = normalized_performance(96.6, 100.0)
-    assert slowdown_percent(norm) == pytest.approx(3.4)
-    with pytest.raises(ValueError):
-        normalized_performance(1.0, 0.0)
+from repro.analysis.metrics import geometric_mean
 
 
 def test_geometric_mean_basics():
@@ -43,19 +13,6 @@ def test_geometric_mean_basics():
         geometric_mean([])
     with pytest.raises(ValueError):
         geometric_mean([1.0, -1.0])
-
-
-def test_summarize_by_group():
-    per_workload = {"a": 1.0, "b": 4.0, "c": 9.0}
-    groups = {"a": "g1", "b": "g1", "c": "g2"}
-    summary = summarize_by_group(per_workload, groups)
-    assert summary["g1"] == pytest.approx(2.0)
-    assert summary["g2"] == pytest.approx(9.0)
-
-
-def test_summarize_unknown_group_bucketed_as_other():
-    summary = summarize_by_group({"a": 2.0}, {})
-    assert summary == {"other": 2.0}
 
 
 @settings(max_examples=50, deadline=None)

@@ -86,6 +86,22 @@ def test_campaign_removed_axis_errors_before_running(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("cache=l1l2", "grid axis 'cache' was removed"),
+        ("interconnect=crossbar", "grid axis 'interconnect' was removed"),
+        ("attack=eviction_set", "unknown attack 'eviction_set'"),
+    ],
+)
+def test_campaign_removed_cache_spellings_error_before_running(
+    tmp_path, capsys, token, message
+):
+    assert main(["campaign", "--grid", token, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_campaign_misspelled_axis_errors_before_running(tmp_path, capsys):
     out_dir = tmp_path / "camp"
     args = [

@@ -78,10 +78,6 @@ def test_label_is_compact_and_distinguishing():
 
 def test_every_attack_kind_is_a_valid_axis_value():
     for kind in ATTACK_KINDS:
-        # eviction_set lives in the cache layer: it requires cache != none.
-        if kind == "eviction_set":
-            Scenario(attack=kind, mitigation="tprac", cache="l1l2").validate()
-            continue
         Scenario(attack=kind, mitigation="tprac", workload="470.lbm").validate()
 
 

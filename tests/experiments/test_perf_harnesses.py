@@ -1,9 +1,26 @@
 """Small-scale tests for the remaining performance harnesses."""
 
 
+from repro.config import SystemConfig
+from repro.cpu.trace import TraceRecord
+from repro.dram.address import DramAddress
+from repro.dram.config import ddr5_8000b
 from repro.experiments import fig11_prac_levels, fig12_tref, fig13_nrh, fig14_reset
+from repro.experiments.common import DesignPoint, build_system
 
 TINY = dict(workloads=["433.milc", "453.povray"], requests_per_core=800)
+
+
+def _hammer_trace(rows, reads, gap_insts=0):
+    """``reads`` reads alternating over ``rows`` of bank 0, channel 0."""
+    mapping = SystemConfig().make_mapping(ddr5_8000b().organization)
+    addresses = [
+        mapping.encode(
+            DramAddress(channel=0, rank=0, bank_group=0, bank=0, row=row, column=0)
+        )
+        for row in rows
+    ]
+    return [TraceRecord(gap_insts, addresses[i % len(rows)]) for i in range(reads)]
 
 
 def test_fig11_flat_across_levels():
@@ -13,6 +30,20 @@ def test_fig11_flat_across_levels():
         values = [result.geomean(level, design) for level in (1, 2, 4)]
         assert max(values) - min(values) < 0.01, design
     assert "PRAC-1" in result.format_table()
+
+
+def test_prac_level_sets_the_abo_rfm_burst():
+    """fig11's knob reaches the simulated system: under a two-row hammer
+    every Alert is answered by one ABO-RFM per PRAC level.  (Benign
+    workloads never raise an Alert, so fig11's own geomeans cannot
+    show the level.)"""
+    trace = _hammer_trace((1, 8), 4000, gap_insts=10)
+    for level in (1, 2, 4):
+        system = build_system(DesignPoint("abo_only", nrh=64, prac_level=level), [trace])
+        result = system.run()
+        alerts = system.controller.abo.alert_count
+        assert alerts > 0, level
+        assert result.rfm_by_provenance["abo"] == level * alerts, (level, alerts)
 
 
 def test_fig12_tref_monotone():
@@ -45,43 +76,19 @@ def test_fig14_reset_allows_longer_window():
     # (the paper's <1% at full length; short runs widen it a little).
     assert result.geomean(256, True) >= result.geomean(256, False) - 0.003
     assert abs(result.geomean(1024, True) - result.geomean(1024, False)) < 0.04
+    # The simulated systems see the reset policy too: without the reset
+    # the solved window is shorter, so the same run issues more
+    # TB-RFMs (290 vs 254 at N_RH 256, 86 vs 64 at 1024).
+    for nrh in (256, 1024):
+        rfms = {
+            with_reset: sum(row.rfms for row in result.by_point[(nrh, with_reset)])
+            for with_reset in (True, False)
+        }
+        assert rfms[False] > rfms[True], (nrh, rfms)
     assert result.format_table()
 
 
-def test_fig10_cache_none_is_byte_identical():
-    # Spelling the new axes at their defaults must reproduce the
-    # pre-hierarchy fig10 output byte for byte.
-    from repro.config import SystemConfig
-    from repro.experiments import fig10_performance
-
-    small = dict(workloads=["433.milc"], requests_per_core=400)
-    base = fig10_performance.run(**small)
-    spelled = fig10_performance.run(
-        system=SystemConfig(cache="none", interconnect="none"), **small
-    )
-    assert spelled.format_table() == base.format_table()
-    for design, rows in base.matrix.items():
-        for row, other in zip(rows, spelled.matrix[design]):
-            assert other.normalized == row.normalized
-
-
-def test_fig10_runs_behind_the_hierarchy():
-    from repro.config import SystemConfig
-    from repro.experiments import fig10_performance
-
-    result = fig10_performance.run(
-        workloads=["433.milc"],
-        requests_per_core=400,
-        system=SystemConfig(cache="l1l2", interconnect="fixed"),
-    )
-    for rows in result.matrix.values():
-        for row in rows:
-            assert row.normalized > 0.0
-
-
 def test_design_point_labels():
-    from repro.experiments.common import DesignPoint
-
     assert DesignPoint(design="tprac", nrh=512).label() == "tprac@512"
     labelled = DesignPoint(design="tprac", nrh=512, tref_per_trefi=0.5).label()
     assert "tref0.5" in labelled
@@ -90,24 +97,8 @@ def test_design_point_labels():
 def test_none_baseline_ignores_nrh_and_prac_level():
     """The PRAC-without-ABO baseline is one run at every N_RH and PRAC
     level, even on a trace that asserts Alerts at the low thresholds."""
-    from repro.config import SystemConfig
-    from repro.cpu.trace import TraceRecord
-    from repro.dram.address import DramAddress
-    from repro.dram.config import ddr5_8000b
-    from repro.experiments.common import DesignPoint, build_system
-
-    mapping = SystemConfig().make_mapping(ddr5_8000b().organization)
-
-    def row_address(row):
-        return mapping.encode(
-            DramAddress(channel=0, rank=0, bank_group=0, bank=0, row=row, column=0)
-        )
-
     # Two cores, each alternating two rows of bank 0.
-    traces = [
-        [TraceRecord(0, row_address(rows[i % 2])) for i in range(3000)]
-        for rows in ((1, 2), (3, 4))
-    ]
+    traces = [_hammer_trace(rows, 3000) for rows in ((1, 2), (3, 4))]
     outcomes = set()
     alerts = {}
     for nrh in (64, 128, 1024):

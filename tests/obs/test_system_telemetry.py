@@ -197,14 +197,10 @@ BASE_KEYS = {
     "abo.alerts", "dram.refab", "dram.tref", "mitigation.rows",
     "prac.counter_resets", "rfm.abo", "rfm.acb", "rfm.random", "rfm.tb",
 }
-CACHE_KEYS = {
-    "cache.l1.hit", "cache.l1.miss", "cache.l2.hit", "cache.l2.miss",
-    "cache.mshr.merge", "cache.writeback",
-}
 
 
 def _counted_run(
-    policy=None, nbo=64, channels=1, cache="none", tref_per_trefi=0.0,
+    policy=None, nbo=64, channels=1, tref_per_trefi=0.0,
     hammer=False, requests=300, until=30_000.0,
 ):
     """Run a small system up to ``until`` ns on two request chains;
@@ -212,30 +208,17 @@ def _counted_run(
 
     The default stream sends each line two requests in a row, so the
     pair is in flight together: a 4 KB hot set first, then a 32 KB
-    sweep.  Against the small caches below, that moves all six cache
-    counts to distinct nonzero values, so a key read from the wrong
-    field cannot match by accident.  ``hammer`` instead alternates two
-    rows of bank 0, so every request re-activates its row.
+    sweep.  ``hammer`` instead alternates two rows of bank 0, so every
+    request re-activates its row.
     """
     engine = Engine()
-    system = SystemConfig(
-        channels=channels,
-        cache=cache,
-        cache_params=(
-            dict(l1_size=1024, l1_ways=2, l2_size=4096, l2_ways=4)
-            if cache != "none"
-            else {}
-        ),
-    )
     memory = MemorySystem(
         engine,
         small_test_config(nbo=nbo),
         policy_factory=policy,
         tref_per_trefi=tref_per_trefi,
-        system=system,
+        system=SystemConfig(channels=channels),
     )
-    hierarchy = system.make_cache(engine, memory, num_cores=1)
-    front = hierarchy if hierarchy is not None else memory
     if hammer:
         rows = [bank_address(memory.controllers[0], 0, row) for row in (10, 11)]
         addresses = [rows[index % 2] for index in range(requests)]
@@ -248,7 +231,7 @@ def _counted_run(
 
     def issue(_request=None):
         for index, addr in pending:
-            front.enqueue(
+            memory.enqueue(
                 MemRequest(addr, is_write=(index % 8 == 7), on_complete=issue)
             )
             return
@@ -256,10 +239,10 @@ def _counted_run(
     issue()
     issue()
     engine.run(until=until)
-    return memory, hierarchy
+    return memory
 
 
-def _source_counts(memory, hierarchy):
+def _source_counts(memory):
     """The expected counts, read through each component's own view."""
     controllers = memory.controllers
     records = [r for c in controllers for r in c.stats.rfm_records]
@@ -278,14 +261,6 @@ def _source_counts(memory, hierarchy):
         expected["policy.mitigations"] = sum(
             c.policy.mitigations_performed for c in controllers
         )
-    if hierarchy is not None:
-        cache = hierarchy.stats_dict()
-        expected["cache.l1.hit"] = cache["l1"]["hits"]
-        expected["cache.l1.miss"] = cache["l1"]["misses"]
-        expected["cache.l2.hit"] = cache["l2"]["hits"]
-        expected["cache.l2.miss"] = cache["l2"]["misses"]
-        expected["cache.mshr.merge"] = cache["mshr_merges"]
-        expected["cache.writeback"] = cache["dram_writebacks"]
     return expected
 
 
@@ -308,7 +283,6 @@ COUNTER_CASES = {
     "channels=2": (
         dict(policy=_tprac, channels=2), {"policy.mitigations"}, ("rfm.tb",)
     ),
-    "cache=l1l2": (dict(cache="l1l2"), CACHE_KEYS, tuple(sorted(CACHE_KEYS))),
     "tref_per_trefi=0.5": (
         dict(policy=_tprac, tref_per_trefi=0.5),
         {"policy.mitigations"},
@@ -326,11 +300,11 @@ COUNTER_CASES = {
 @pytest.mark.parametrize("case", sorted(COUNTER_CASES))
 def test_run_counters_read_the_always_on_fields(case):
     kwargs, extra_keys, moved = COUNTER_CASES[case]
-    memory, hierarchy = _counted_run(**kwargs)
-    counters = run_counters(memory, hierarchy)
+    memory = _counted_run(**kwargs)
+    counters = run_counters(memory)
     assert list(counters) == sorted(BASE_KEYS | extra_keys)
     assert all(type(value) is float for value in counters.values())
-    assert counters == _source_counts(memory, hierarchy)
+    assert counters == _source_counts(memory)
     moved_values = [counters[key] for key in moved]
     assert all(value > 0 for value in moved_values), counters
     assert len(set(moved_values)) == len(moved_values), counters

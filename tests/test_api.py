@@ -17,8 +17,6 @@ def test_facade_covers_the_component_registries():
         api.SCHEDULERS,
         api.MAPPINGS,
         api.REFRESH_POLICIES,
-        api.CACHES,
-        api.INTERCONNECTS,
     }
     assert set(registries.values()) == facade_registries
     assert "tprac" in api.MITIGATIONS.available()
@@ -31,11 +29,11 @@ def test_facade_assembles_a_running_system():
     system = api.build_system(
         api.DesignPoint(design="tprac", nrh=1024),
         traces,
-        system=api.SystemConfig(cache="l1l2"),
+        system=api.SystemConfig(scheduler="fcfs"),
     )
     result = system.run()
     assert isinstance(result, api.SystemResult)
-    assert result.cache is not None
+    assert result.dram_requests == 200
 
 
 def test_facade_expands_the_new_axes():
@@ -43,10 +41,10 @@ def test_facade_expands_the_new_axes():
         {
             "attack": ["perf"],
             "workload": ["433.milc"],
-            "cache": ["none", "l1l2"],
-            "interconnect": ["fixed"],
+            "scheduler": ["fr_fcfs", "fcfs"],
+            "mapping": ["linear"],
         }
     )
     assert len(scenarios) == 2
     assert all(isinstance(s, api.Scenario) for s in scenarios)
-    assert "eviction_set" in api.ATTACK_KINDS
+    assert "feinting" in api.ATTACK_KINDS

@@ -225,45 +225,8 @@ def test_non_perf_scenarios_reject_structural_axes():
 
 
 # ----------------------------------------------------------------------
-# Cache / interconnect axes (PR 9) and the uniform component accessor
+# The registry-backed component axes
 # ----------------------------------------------------------------------
-def test_cache_axes_keep_default_dict_empty():
-    # Adding the axes must not move any existing hash: the default
-    # config still serializes to {} and explicit defaults are omitted.
-    assert SystemConfig().to_dict() == {}
-    assert (
-        SystemConfig(cache="none", interconnect="none").content_hash
-        == SystemConfig().content_hash
-    )
-    varied = SystemConfig(
-        cache="l1l2",
-        interconnect="crossbar",
-        cache_params={"l1_ways": 4},
-        interconnect_params={"ports": 8},
-    )
-    spec = varied.to_dict()
-    assert spec == {
-        "cache": "l1l2",
-        "interconnect": "crossbar",
-        "cache_params": {"l1_ways": 4},
-        "interconnect_params": {"ports": 8},
-    }
-    assert SystemConfig.from_dict(json.loads(json.dumps(spec))) == varied
-
-
-def test_component_accessor_is_uniform():
-    from repro.config import COMPONENT_AXES
-
-    config = SystemConfig(cache="l1l2", cache_params={"mshrs": 4})
-    assert config.component("cache") == ("l1l2", {"mshrs": 4})
-    assert config.component("scheduler") == ("fr_fcfs", {})
-    for axis in COMPONENT_AXES:
-        name, params = config.component(axis)
-        assert isinstance(name, str) and isinstance(params, dict)
-    with pytest.raises(ValueError, match="unknown component axis"):
-        config.component("page_policy")
-
-
 def test_component_registries_cover_every_axis():
     from repro.config import COMPONENT_AXES, component_registries
 
@@ -273,51 +236,15 @@ def test_component_registries_cover_every_axis():
         assert getattr(SystemConfig(), axis) in registry.available()
 
 
-def test_validate_rejects_unknown_cache_and_interconnect():
-    with pytest.raises(ValueError, match="'cache'"):
-        SystemConfig(cache="l3").validate()
-    with pytest.raises(ValueError, match="'interconnect'"):
-        SystemConfig(interconnect="mesh").validate()
-    with pytest.raises(ValueError, match="cache_params"):
-        SystemConfig(cache_params=[1]).validate()  # type: ignore[arg-type]
-
-
-def test_cache_and_interconnect_factories():
-    from repro.core.engine import Engine
-    from repro.cpu.hierarchy import MemoryHierarchy
-    from repro.cpu.interconnect import CrossbarInterconnect
-
-    assert SystemConfig().make_interconnect() is None
-    bar = SystemConfig(
-        interconnect="crossbar", interconnect_params={"ports": 2}
-    ).make_interconnect()
-    assert isinstance(bar, CrossbarInterconnect) and bar.ports == 2
-
-    class _Memory:
-        def enqueue(self, request):
-            pass
-
-    assert (
-        SystemConfig().make_cache(Engine(), _Memory(), num_cores=1) is None
-    )
-    hierarchy = SystemConfig(
-        cache="l1l2", cache_params={"mshrs": 4}
-    ).make_cache(Engine(), _Memory(), num_cores=2, interconnect=bar)
-    assert isinstance(hierarchy, MemoryHierarchy)
-    assert hierarchy.mshrs == 4
-    assert hierarchy.interconnect is bar
-
-
-def test_eviction_set_scenarios_require_a_cache():
-    with pytest.raises(ValueError, match="need a cache hierarchy"):
-        Scenario(attack="eviction_set").validate()
-    with pytest.raises(ValueError, match="only the cache/interconnect"):
-        Scenario(
-            attack="eviction_set", cache="l1l2", scheduler="fcfs"
-        ).validate()
-    scenario = Scenario(
-        attack="eviction_set", cache="l1l2", interconnect="crossbar"
-    )
-    scenario.validate()
-    assert "l1l2" in scenario.label and "crossbar" in scenario.label
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+def test_removed_cache_and_interconnect_keys_are_rejected():
+    # The cores issue straight into the memory system: a spec that
+    # still names a cache front end fails instead of being ignored.
+    for key, value in (
+        ("cache", "l1l2"),
+        ("interconnect", "crossbar"),
+        ("cache_params", {"mshrs": 4}),
+    ):
+        with pytest.raises(ValueError, match="unknown system config keys"):
+            SystemConfig.from_dict({key: value})
+    with pytest.raises(ValueError, match="unknown scenario keys"):
+        Scenario.from_dict({"attack": "perf", "workload": "433.milc", "cache": "l1l2"})

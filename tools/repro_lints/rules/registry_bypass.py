@@ -1,16 +1,14 @@
 """``registry-bypass``: component classes are constructed via registries.
 
-PR 5 made schedulers, address mappings, refresh policies and mitigation
-policies registry-backed (:mod:`repro.registry`): ``SCHEDULERS`` /
+Schedulers, address mappings, refresh policies and mitigation policies
+are registry-backed (:mod:`repro.registry`): ``SCHEDULERS`` /
 ``MAPPINGS`` / ``REFRESH_POLICIES`` / ``MITIGATIONS`` own the
 name→factory mapping, and :class:`repro.config.SystemConfig` resolves
-names declaratively.  PR 9 extended the same discipline to the cache
-hierarchy and interconnect axes (``CACHES`` / ``INTERCONNECTS``).
-Direct ``FrFcfsScheduler()``-style construction outside the defining
-module silently bypasses that layer: the call site stops honoring
-registry aliases, misses factory-side defaulting (e.g.
-``mitigations.make_policy`` wiring), and drifts from what campaign
-scenarios can express.
+names declaratively.  Direct ``FrFcfsScheduler()``-style construction
+outside the defining module silently bypasses that layer: the call
+site stops honoring registry aliases, misses factory-side defaulting
+(e.g. ``mitigations.make_policy`` wiring), and drifts from what
+campaign scenarios can express.
 
 The rule flags any call whose callee *name* is a registered component
 class, except inside the module that defines (and registers) it.
@@ -47,15 +45,6 @@ COMPONENT_CLASSES: Dict[str, tuple] = {
     "ObfuscationPolicy": ("src/repro/mitigations/obfuscation.py", 'make_policy("obfuscation")'),
     "PerBankRfmPolicy": ("src/repro/mitigations/rfmpb.py", 'make_policy("rfmpb")'),
     "QpracPolicy": ("src/repro/mitigations/qprac.py", 'make_policy("qprac")'),
-    # cpu/hierarchy.py — CACHES
-    "MemoryHierarchy": ("src/repro/cpu/hierarchy.py", 'CACHES.get("l1l2")'),
-    # cpu/interconnect.py — INTERCONNECTS
-    "FixedLatencyInterconnect": (
-        "src/repro/cpu/interconnect.py", 'INTERCONNECTS.get("fixed")'
-    ),
-    "CrossbarInterconnect": (
-        "src/repro/cpu/interconnect.py", 'INTERCONNECTS.get("crossbar")'
-    ),
 }
 
 #: Modules allowed to construct any component directly: the registry
