@@ -60,12 +60,6 @@ cleanup_dirs+=("$chan_dir")
 python -m repro.cli campaign --grid channels=1,2,4 --trials 1 --jobs 2 \
     --out "$chan_dir"
 
-echo "== campaign: scheduler x mapping sweep (registry smoke) =="
-sched_dir="$(mktemp -d)"
-cleanup_dirs+=("$sched_dir")
-python -m repro.cli campaign --grid scheduler=fr_fcfs,fcfs \
-    mapping=linear,mop --trials 1 --jobs 2 --out "$sched_dir"
-
 echo "== campaign: sanitized perf scenarios (protocol-checker smoke) =="
 # Perf scenarios with the DRAM protocol sanitizer attached: a timing
 # violation anywhere in the served command stream would raise
@@ -78,16 +72,40 @@ python -m repro.cli campaign --grid sanitize=true \
     mitigation=abo_only,tprac,qprac requests_per_core=5000 --trials 1 \
     --jobs 2 --out "$san_dir"
 
-echo "== campaign: sanitized non-default schedulers (protocol-checker smoke) =="
-# The same checker under the other two schedulers: the controller
-# serves the banks its ready-time agenda says are due, in ascending
-# bank id, whichever request each scheduler picks within a bank, and
-# TPRAC's TB-RFM bursts and the REFs keep marking the agenda stale.
-sched_san_dir="$(mktemp -d)"
-cleanup_dirs+=("$sched_san_dir")
-python -m repro.cli campaign --grid sanitize=true scheduler=fcfs,fr_fcfs_cap \
-    mitigation=tprac requests_per_core=2000 --trials 1 --jobs 2 \
-    --out "$sched_san_dir"
+echo "== suite: quick suite with every controller sanitized =="
+# The whole quick suite, in this process, with the default system
+# swapped for SystemConfig(sanitize=True) in both modules that read
+# it: every controller any artifact builds carries the protocol
+# checker, so a timing violation anywhere ends its artifact `error`.
+# The leg also fails if no checker was built (the swap missed).
+san_suite_dir="$(mktemp -d)"
+cleanup_dirs+=("$san_suite_dir")
+python - "$san_suite_dir" <<'EOF'
+import sys
+
+from repro.config import SystemConfig
+from repro.controller import controller, memory_system
+from repro.experiments.runner import load_summary, run_suite
+
+built = []
+
+
+class CountingChecker(controller.ProtocolChecker):
+    def __init__(self, config):
+        super().__init__(config)
+        built.append(self)
+
+
+for module in (controller, memory_system):
+    module.DEFAULT_SYSTEM = SystemConfig(sanitize=True)
+controller.ProtocolChecker = CountingChecker
+run_suite(sys.argv[1], jobs=1, use_cache=False)
+summary = load_summary(sys.argv[1])
+errors = [entry["experiment"] for entry in summary if entry["status"] == "error"]
+assert not errors, f"artifacts ended error under the sanitizer: {errors}"
+assert built, "no ProtocolChecker was built"
+print(f"sanitized quick suite: {len(summary)} artifacts ok, {len(built)} checkers")
+EOF
 
 echo "== campaign: traced perf scenarios (telemetry smoke) =="
 # Two perf scenarios with the full telemetry layer attached, one with

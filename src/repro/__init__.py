@@ -6,13 +6,13 @@ for PRAC-Based RowHammer Mitigations" (ISCA 2025).
 Layered architecture (bottom-up):
 
 * :mod:`repro.core` — discrete-event simulation kernel.
-* :mod:`repro.registry` / :mod:`repro.config` — component registries
-  and the declarative :class:`SystemConfig` every system is built from.
+* :mod:`repro.config` — the declarative :class:`SystemConfig` every
+  system is built from.
 * :mod:`repro.dram` — DDR5 device model with PRAC timings.
 * :mod:`repro.prac` — Alert Back-Off protocol and mitigation queues.
-* :mod:`repro.controller` — per-channel memory controllers (pluggable
-  request schedulers) + RFM issuing, behind a multi-channel
-  :class:`MemorySystem` facade.
+* :mod:`repro.controller` — per-channel memory controllers (FR-FCFS
+  over the MOP mapping, periodic REFab) + RFM issuing, behind a
+  multi-channel :class:`MemorySystem` facade.
 * :mod:`repro.mitigations` — ABO-Only / ABO+ACB-RFM / TPRAC / §7 variants.
 * :mod:`repro.cpu` — trace-driven cores issuing into the memory system.
 * :mod:`repro.crypto` — AES-128 T-table substrate (the side-channel victim).

@@ -119,10 +119,6 @@ class FeintingResult:
     attack_rounds: int
     tmax: int                # max activations to the target row
 
-    def secure_for(self, nbo: int) -> bool:
-        """True iff no ABO can fire: TMAX < N_BO (Equation 1)."""
-        return self.tmax < nbo
-
 
 def feinting_tmax(
     config: DramConfig,

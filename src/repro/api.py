@@ -4,15 +4,14 @@ Everything an experiment, test or downstream script needs to assemble
 and sweep simulated systems is re-exported here under one stable,
 deliberately small ``__all__``:
 
-* **Assembly** — :class:`SystemConfig` (the declarative spec, with
-  :data:`COMPONENT_AXES` and :func:`component_registries` naming its
-  registry-backed axes), :func:`build_system` (design point + traces ->
-  ready :class:`~repro.cpu.system.System`) and :class:`DesignPoint`.
+* **Assembly** — :class:`SystemConfig` (the declarative spec),
+  :func:`build_system` (design point + traces -> ready
+  :class:`~repro.cpu.system.System`) and :class:`DesignPoint`.
 * **Sweeping** — :class:`Scenario`, :func:`expand_grid`,
   :func:`run_campaign`, :func:`run_trial`.
-* **Registries** — :data:`SCHEDULERS`, :data:`MAPPINGS`,
-  :data:`REFRESH_POLICIES` and :data:`MITIGATIONS`: the single source
-  of truth for what each component axis can spell.
+* **Mitigations** — :data:`MITIGATIONS`, the name -> policy table:
+  the single source of truth for what the ``mitigation`` axis can
+  spell.
 
 Import from here (``from repro.api import SystemConfig, build_system``)
 instead of deep-importing construction internals; the internal module
@@ -26,17 +25,9 @@ from repro.campaigns.grid import expand_grid, parse_grid_tokens
 from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import ATTACK_KINDS, Scenario
 from repro.campaigns.trials import run_campaign
-from repro.config import (
-    COMPONENT_AXES,
-    DEFAULT_SYSTEM,
-    SystemConfig,
-    component_registries,
-)
+from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.memory_system import MemorySystem
-from repro.controller.scheduler import SCHEDULERS
 from repro.cpu.system import System, SystemResult
-from repro.dram.address import MAPPINGS
-from repro.dram.refresh import REFRESH_POLICIES
 from repro.experiments.common import DesignPoint, build_system
 from repro.mitigations import MITIGATIONS
 
@@ -44,8 +35,6 @@ __all__ = [
     # assembly
     "SystemConfig",
     "DEFAULT_SYSTEM",
-    "COMPONENT_AXES",
-    "component_registries",
     "DesignPoint",
     "build_system",
     "System",
@@ -58,9 +47,6 @@ __all__ = [
     "parse_grid_tokens",
     "run_trial",
     "run_campaign",
-    # registries
-    "SCHEDULERS",
-    "MAPPINGS",
-    "REFRESH_POLICIES",
+    # mitigations
     "MITIGATIONS",
 ]

@@ -26,7 +26,7 @@ from repro.campaigns.scenario import Scenario
 #: First-class scenario fields an axis can address directly.
 SCENARIO_AXES = (
     "attack", "mitigation", "workload", "dram", "nbo", "prac_level", "channels",
-    "scheduler", "mapping", "refresh", "sanitize", "trace", "metrics",
+    "sanitize", "trace", "metrics",
 )
 
 #: Axes earlier revisions accepted -> why they are gone.  Like any
@@ -36,6 +36,9 @@ REMOVED_AXES = {
     "engine": "every system runs on the one event kernel",
     "cache": "cores issue straight into the memory system",
     "interconnect": "cores issue straight into the memory system",
+    "scheduler": "every controller schedules FR-FCFS with a row-hit cap",
+    "mapping": "every controller decodes with the MOP mapping",
+    "refresh": "every controller issues a REFab every tREFI",
 }
 
 

@@ -9,11 +9,9 @@ repository's simulators and returns a flat ``{metric: number}`` dict:
   paper's normalized-performance figure of merit.  With the
   ``channels`` axis > 1 the systems run the full multi-channel memory
   model (one controller + policy instance per channel) and the metrics
-  gain per-channel ``requests_chN`` / ``rfms_chN`` breakdowns; the
-  ``scheduler`` / ``mapping`` / ``refresh`` axes pick the registered
-  controller components for baseline and mitigated systems alike.
+  gain per-channel ``requests_chN`` / ``rfms_chN`` breakdowns.
 * ``covert_activity`` / ``covert_count`` — the PRACLeak covert
-  channels, run against the named mitigation (the registry policy is
+  channels, run against the named mitigation (the named policy is
   injected into the channel's controller) with a seeded message and,
   optionally, background workload traffic as scheduling noise.
 * ``aes_side_channel`` — the AES T-table key-recovery attack with a

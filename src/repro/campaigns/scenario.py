@@ -2,15 +2,14 @@
 
 A :class:`Scenario` names everything one Monte Carlo trial needs —
 which attacker runs (:mod:`repro.attacks`), which mitigation defends
-(by registry name, :func:`repro.mitigations.get`), which workload mix
-drives the memory system (:mod:`repro.workloads.catalog`), which
-DRAM device variant hosts it all (:data:`repro.dram.config.PRESETS`
-plus the PRAC knobs ``nbo`` / ``prac_level``), and how the controller
-itself is assembled — ``channels``, ``scheduler``, ``mapping`` and
-``refresh`` are registry-backed structural axes that project onto a
-:class:`repro.config.SystemConfig` (:meth:`Scenario.system_config`).
-``params`` carry per-attack tuning (symbol counts, encryption budgets,
-pool sizes).
+(by name, :func:`repro.mitigations.get`), which workload mix drives
+the memory system (:mod:`repro.workloads.catalog`), which DRAM device
+variant hosts it all (:data:`repro.dram.config.PRESETS` plus the PRAC
+knobs ``nbo`` / ``prac_level``), and how the memory system is
+assembled — ``channels`` and the ``sanitize`` / ``trace`` /
+``metrics`` switches project onto a :class:`repro.config.SystemConfig`
+(:meth:`Scenario.system_config`).  ``params`` carry per-attack tuning
+(symbol counts, encryption budgets, pool sizes).
 
 Scenarios are plain data: they round-trip through dicts/JSON, cross
 process-pool boundaries by value, and are identified by a stable
@@ -25,12 +24,7 @@ from typing import Any, Dict, Mapping
 
 from repro import mitigations
 from repro.analysis.storage import content_key
-from repro.config import (
-    DEFAULT_MAPPING,
-    DEFAULT_REFRESH,
-    DEFAULT_SCHEDULER,
-    SystemConfig,
-)
+from repro.config import SystemConfig
 from repro.dram.config import PRESETS, DramConfig
 from repro.workloads.catalog import CATALOG
 
@@ -62,9 +56,6 @@ class Scenario:
     nbo: int = 256
     prac_level: int = 1
     channels: int = 1
-    scheduler: str = DEFAULT_SCHEDULER
-    mapping: str = DEFAULT_MAPPING
-    refresh: str = DEFAULT_REFRESH
     sanitize: bool = False
     trace: bool = False
     metrics: bool = False
@@ -98,9 +89,7 @@ class Scenario:
         if self.prac_level not in (1, 2, 4):
             raise ValueError("prac_level must be 1, 2 or 4")
         # The structural axes delegate to SystemConfig.validate: the
-        # same channels check and registry lookups (whose errors name
-        # the field and list the valid spellings) as every other
-        # construction path.
+        # same checks as every other construction path.
         system = self.system_config().validate()
         if self.attack != "perf" and not system.is_default():
             changed = sorted(system.to_dict())
@@ -126,13 +115,9 @@ class Scenario:
 
     def system_config(self) -> SystemConfig:
         """The declarative system assembly for this scenario
-        (:class:`repro.config.SystemConfig`): channels + scheduler +
-        mapping + refresh, defaults elsewhere."""
+        (:class:`repro.config.SystemConfig`)."""
         return SystemConfig(
             channels=self.channels,
-            scheduler=self.scheduler,
-            mapping=self.mapping,
-            refresh=self.refresh,
             sanitize=self.sanitize,
             trace=self.trace,
             metrics=self.metrics,
@@ -144,8 +129,8 @@ class Scenario:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-able; params copied).
 
-        The structural axes (``channels``, ``scheduler``, ``mapping``,
-        ``refresh``) are emitted only when they differ from their
+        The structural axes (``channels``, ``sanitize``, ``trace``,
+        ``metrics``) are emitted only when they differ from their
         defaults: default scenarios keep the exact spec dict (and
         therefore the exact content-hash :attr:`scenario_id`) they had
         before each axis existed, so persisted campaign results stay
@@ -194,12 +179,6 @@ class Scenario:
             parts.append(f"lvl{self.prac_level}")
         if self.channels != 1:
             parts.append(f"{self.channels}ch")
-        if self.scheduler != DEFAULT_SCHEDULER:
-            parts.append(self.scheduler)
-        if self.mapping != DEFAULT_MAPPING:
-            parts.append(self.mapping)
-        if self.refresh != DEFAULT_REFRESH:
-            parts.append(self.refresh)
         if self.sanitize:
             parts.append("sanitize")
         if self.trace:

@@ -6,7 +6,6 @@ Usage::
     python -m repro.cli fig7
     python -m repro.cli table2 --nbo 256 512
     python -m repro.cli fig10 --requests 3000 --workloads 433.milc 470.lbm
-    python -m repro.cli fig10 --scheduler fcfs --mapping linear
     python -m repro.cli all
     python -m repro.cli suite --jobs 8 --only fig10 table2
     python -m repro.cli suite --out results/ --full --no-cache
@@ -17,7 +16,6 @@ Usage::
     python -m repro.cli campaign --grid attack=aes_side_channel \\
         mitigation=abo_only,tprac nbo=128,256 --resume
     python -m repro.cli campaign --grid channels=1,2,4 --trials 3
-    python -m repro.cli campaign --grid scheduler=fr_fcfs,fcfs mapping=linear,mop
     python -m repro.cli campaign --grid trace=true metrics=true --progress
     python -m repro.cli campaign --campaign security --timeout 120
     python -m repro.cli obs report results/
@@ -28,12 +26,11 @@ registry (:mod:`repro.experiments.registry`).  ``repro <name>`` calls
 the registered harness's ``run()`` — with no flags that is its own
 defaults, the same call ``suite --full`` makes — and prints the
 regenerated rows/series, plus an ASCII rendering where the paper's
-artifact is a plot.  The artifact flags (``--nbo``, ``--requests``,
-``--workloads`` and the structural ``--scheduler``/``--mapping``/
-``--refresh``, one per :data:`repro.config.COMPONENT_AXES` entry) fill
-only parameters that ``run()`` declares: a flag the harness has no
-parameter for exits 2 before anything runs, and ``all`` passes each
-flag to the harnesses that take it.
+artifact is a plot.  The artifact flags (``--nbo``, ``--requests`` and
+``--workloads``) fill only parameters that ``run()`` declares: a flag
+the harness has no parameter for exits 2 before anything runs, and
+``all`` passes each flag to the harnesses that take it.  Every usage
+error, argparse's own included, makes :func:`main` return 2.
 
 ``suite`` runs the registered artifact harnesses through the parallel,
 fault-isolated, cached orchestrator (:mod:`repro.experiments.runner`)
@@ -69,7 +66,6 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis import plotting
-from repro.config import COMPONENT_AXES
 from repro.experiments import registry
 
 
@@ -148,8 +144,6 @@ _FLAG_TARGETS: Dict[str, Tuple[str, ...]] = {
     "--nbo": ("nbo", "nbo_values"),
     "--requests": ("requests_per_core", "encryptions"),
     "--workloads": ("workloads",),
-    # The structural flags: each sets the SystemConfig field it names.
-    **{f"--{name}": ("system",) for name in COMPONENT_AXES},
 }
 
 
@@ -166,30 +160,11 @@ def _takers(param: str) -> str:
 def _artifact_flags(args) -> Dict[str, Any]:
     """The artifact flags given on the command line -> their values."""
     values = {"--nbo": args.nbo, "--requests": args.requests, "--workloads": args.workloads}
-    values.update({f"--{name}": getattr(args, name) for name in COMPONENT_AXES})
     return {flag: value for flag, value in values.items() if value is not None}
 
 
-def _system_config(args):
-    """``--scheduler/--mapping/...`` -> SystemConfig (or None).
-
-    None (no flag given) keeps the experiments on the default system —
-    the historically hard-wired FR-FCFS / MOP / periodic assembly.
-    """
-    overrides = {
-        name: getattr(args, name)
-        for name in COMPONENT_AXES
-        if getattr(args, name) is not None
-    }
-    if not overrides:
-        return None
-    from repro.config import SystemConfig
-
-    return SystemConfig(**overrides).validate()
-
-
 def _run_kwargs(
-    name: str, flags: Mapping[str, Any], system
+    name: str, flags: Mapping[str, Any]
 ) -> Tuple[Dict[str, Any], List[str]]:
     """Fill artifact ``name``'s ``run()`` parameters from ``flags``.
 
@@ -211,8 +186,6 @@ def _run_kwargs(
             value = value[0]
         elif param == "nbo_values":
             value = tuple(value)
-        elif param == "system":
-            value = system
         kwargs[param] = value
     return kwargs, unused
 
@@ -228,9 +201,8 @@ def _run_artifacts(args) -> int:
     flags = _artifact_flags(args)
     calls = []
     try:
-        system = _system_config(args)
         for name in names:
-            kwargs, unused = _run_kwargs(name, flags, system)
+            kwargs, unused = _run_kwargs(name, flags)
             if unused and args.experiment != "all":
                 targets = dict.fromkeys(p for flag in unused for p in _FLAG_TARGETS[flag])
                 raise ValueError(
@@ -511,9 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "artifact options",
         "each fills the named run() parameter of the artifact it is given "
         "to; an artifact whose run() lacks the parameter rejects the flag, "
-        "and 'all' passes each flag to the artifacts that take it.  "
-        "--scheduler/--mapping/--refresh set "
-        f"system= ({_takers('system')})",
+        "and 'all' passes each flag to the artifacts that take it",
     )
     artifact.add_argument(
         "--nbo", type=int, nargs="+", metavar="N",
@@ -536,16 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
             "default: a category-balanced subset)"
         ),
     )
-    system_help = {
-        "scheduler": "request scheduler (fr_fcfs/fcfs/fr_fcfs_cap; default fr_fcfs)",
-        "mapping": "address mapping (linear/mop; default mop)",
-        "refresh": "refresh policy (periodic/staggered; default periodic)",
-    }
-    for name in COMPONENT_AXES:
-        artifact.add_argument(
-            f"--{name}", default=None, metavar="NAME",
-            help=system_help[name],
-        )
     shared = parser.add_argument_group("suite/campaign shared options")
     shared.add_argument(
         "--jobs", type=int, default=None,
@@ -596,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", nargs="*", metavar="AXIS=V1,V2",
         help=(
             "grid axes, e.g. attack=aes_side_channel mitigation=abo_only,tprac "
-            "nbo=128,256 channels=1,2,4 scheduler=fr_fcfs,fcfs "
-            "mapping=linear,mop refresh=periodic,staggered; trial params "
+            "nbo=128,256 channels=1,2,4 sanitize=true; trial params "
             "(symbols, encryptions, ...) become per-scenario params and any "
             "other axis is an error; a grid without an attack axis "
             "defaults to a perf sweep on the 433.milc workload"
@@ -630,8 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    argparse's own exits (a usage error, ``--help``) come back as their
+    code too, so a caller never has to catch ``SystemExit``.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     if args.verbose or args.quiet:
         from repro.obs.log import set_verbosity
 
@@ -673,7 +639,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     if rejected:
         hint = (
-            " (campaign sweeps these via --grid, e.g. --grid nbo=128 scheduler=fcfs)"
+            " (campaign sweeps these via --grid, e.g. --grid nbo=128 channels=2)"
             if args.experiment == "campaign" and set(rejected) & set(_FLAG_TARGETS)
             else ""
         )

@@ -1,9 +1,8 @@
 """Memory controller: request scheduling, RFM issuing, statistics.
 
 * :mod:`repro.controller.request` — the memory request record.
-* :mod:`repro.controller.scheduler` — pluggable per-bank scheduling
-  policies (FR-FCFS, FCFS, batch-capped FR-FCFS) behind the
-  ``SCHEDULERS`` registry.
+* :mod:`repro.controller.scheduler` — the per-bank FR-FCFS request
+  scheduler with a row-hit cap.
 * :mod:`repro.controller.controller` — the event-driven controller
   that ties banks, the ABO protocol, refresh and mitigation policies
   together.
@@ -15,24 +14,14 @@
 from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
-from repro.controller.scheduler import (
-    SCHEDULERS,
-    BankQueueScheduler,
-    FcfsScheduler,
-    FrFcfsCapScheduler,
-    FrFcfsScheduler,
-)
+from repro.controller.scheduler import BankQueueScheduler
 from repro.controller.stats import ControllerStats, RfmRecord
 
 __all__ = [
     "BankQueueScheduler",
     "ControllerStats",
-    "FcfsScheduler",
-    "FrFcfsCapScheduler",
-    "FrFcfsScheduler",
     "MemRequest",
     "MemoryController",
     "MemorySystem",
     "RfmRecord",
-    "SCHEDULERS",
 ]

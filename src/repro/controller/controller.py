@@ -1,11 +1,11 @@
 """The event-driven DDR5 memory controller.
 
 This module ties the whole device model together: it decodes physical
-addresses, schedules requests with the configured scheduling policy
-(FR-FCFS by default; see :class:`repro.config.SystemConfig`), walks
-the ACT/PRE/RD/WR
-timing state machine per bank, issues refreshes, and — central to the
-paper — issues RFM commands, either reactively (Alert Back-Off),
+addresses with the Minimalist Open Page mapping, schedules requests
+FR-FCFS with a row-hit cap (the paper's controller, Table 3), walks
+the ACT/PRE/RD/WR timing state machine per bank with an open-page
+policy, issues a REFab every tREFI, and — central to the paper —
+issues RFM commands, either reactively (Alert Back-Off),
 proactively on activation counts (ACB-RFM), or on a timer (TPRAC's
 TB-RFM), as decided by the attached mitigation policy.
 
@@ -51,12 +51,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.request import MemRequest
+from repro.controller.scheduler import BankQueueScheduler
 from repro.controller.stats import ControllerStats, RfmRecord
 from repro.core.engine import Engine, EventHandle
-from repro.dram.address import AddressMapping
+from repro.dram.address import MopMapping
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import DramConfig
 from repro.dram.rank import Channel
+from repro.dram.refresh import RefreshScheduler
 from repro.dram.sanitizer import ProtocolChecker
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceRecorder
@@ -79,17 +81,13 @@ class MemoryController:
         models PRAC-enabled DRAM that never mitigates (the paper's
         normalization baseline when combined with ``enable_abo=False``).
     system:
-        The declarative assembly spec (:class:`repro.config.SystemConfig`)
-        naming the request scheduler, address mapping, refresh policy
-        and page policy; defaults to the historical FR-FCFS / MOP /
-        periodic-refresh / open-page system.
+        The declarative assembly spec (:class:`repro.config.SystemConfig`);
+        this controller reads its observer switches (``sanitize``,
+        ``trace``).
     mapping:
-        A ready-made address mapping **instance**, overriding the one
-        named by ``system`` (the multi-channel facade passes its shared
-        mapping this way).
-    page_policy:
-        ``"open"`` leaves rows open after access; ``"closed"``
-        precharges immediately; ``None`` takes the ``system`` value.
+        A ready-made :class:`~repro.dram.address.MopMapping` instance
+        (the multi-channel facade passes its shared mapping this way);
+        ``None`` builds one for ``config``.
     enable_abo:
         Whether the device asserts Alert at N_BO.
     enable_refresh:
@@ -108,8 +106,7 @@ class MemoryController:
         config: DramConfig,
         policy: Optional[object] = None,
         system: Optional[SystemConfig] = None,
-        mapping: Optional[AddressMapping] = None,
-        page_policy: Optional[str] = None,
+        mapping: Optional[MopMapping] = None,
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
@@ -118,22 +115,15 @@ class MemoryController:
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
-        if page_policy is None:
-            page_policy = system.page_policy
-        if page_policy not in ("open", "closed"):
-            raise ValueError("page_policy must be 'open' or 'closed'")
         self.engine = engine
         self.config = config.validate()
         self.system = system
         self.channel_id = channel_id
         self.channel = Channel(config, channel_id=channel_id)
-        self.mapping = mapping or system.make_mapping(config.organization)
-        self.page_policy = page_policy
+        self.mapping = mapping or MopMapping(config.organization)
         self.enable_abo = enable_abo
         self.stats = ControllerStats()
-        self.scheduler = system.make_scheduler(
-            config.organization.banks_per_channel
-        )
+        self.scheduler = BankQueueScheduler(config.organization.banks_per_channel)
         # Per-bank pipeline state beyond what Bank itself tracks.
         n = config.organization.banks_per_channel
         self._bank_cmd_ready: List[float] = [0.0] * n   # next CAS/ACT slot
@@ -173,7 +163,7 @@ class MemoryController:
         self._abo_deadline: Optional[float] = None
 
         # Refresh & tREFW -----------------------------------------------
-        self.refresh = system.make_refresh(
+        self.refresh = RefreshScheduler(
             engine, self.channel, config, tref_per_trefi=tref_per_trefi
         )
         self.refresh.on_refw.append(self._on_refw)
@@ -610,17 +600,6 @@ class MemoryController:
         else:
             bank_stats.reads += 1
         self._bank_cmd_ready[bank_id] = cas_time + self._tCCD
-        if self.page_policy == "closed":
-            pre_time = data_end + self._tRTP
-            v = self._last_act_time[bank_id] + self._tRAS
-            if v > pre_time:
-                pre_time = v
-            v = self._wr_recovery_until[bank_id]
-            if v > pre_time:
-                pre_time = v
-            bank.precharge(pre_time)
-            if trace is not None:
-                trace(CommandKind.PRE, bank_id, -1, pre_time)
 
         engine.schedule(
             data_end, partial(self._finish, request, was_hit), 2, "mc-done"

@@ -3,7 +3,7 @@
 A :class:`MemorySystem` owns one :class:`MemoryController` per channel
 of the configured :class:`~repro.dram.config.DramOrganization` and
 routes each request to its channel by physical address (channel bits
-sit directly above the cache-line offset in both address mappings, so
+sit directly above the cache-line offset in the MOP mapping, so
 consecutive cache lines stripe across channels).  Everything stateful
 stays strictly per-channel — mitigation policy instance, PRAC
 counters, ABO protocol, refresh machinery, data bus and blocking
@@ -34,7 +34,7 @@ from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.controller.stats import ControllerStats
 from repro.core.engine import Engine
-from repro.dram.address import AddressMapping
+from repro.dram.address import MopMapping
 from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
 from repro.obs.sampler import TimeSeriesSampler
@@ -80,8 +80,7 @@ class MemorySystem:
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
         system: Optional[SystemConfig] = None,
-        page_policy: Optional[str] = None,
-        mapping: Optional[AddressMapping] = None,
+        mapping: Optional[MopMapping] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
         config = system.apply_to(config).validate()
@@ -110,7 +109,7 @@ class MemorySystem:
         #: the shared address mapping: controllers decode with it and
         #: the facade routes with its ``channel_of`` — one source of
         #: truth for where the channel bits live.
-        self.mapping = mapping or system.make_mapping(config.organization)
+        self.mapping = mapping or MopMapping(config.organization)
         #: shared trace recorder (SystemConfig(trace=True)): one
         #: recorder spans all channels, so exported traces show the
         #: whole system.
@@ -130,7 +129,6 @@ class MemorySystem:
                 enable_abo=enable_abo,
                 enable_refresh=enable_refresh,
                 tref_per_trefi=tref_per_trefi,
-                page_policy=page_policy,
                 channel_id=channel_id,
                 recorder=self.recorder,
             )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.aes_ttable import AesTTable, TableAccess
-from repro.dram.address import AddressMapping, DramAddress
+from repro.dram.address import DramAddress, MopMapping
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class TTableLayout:
         """The 16 rows holding one table, index = cache line number."""
         return [self.row_of(table, line) for line in range(16)]
 
-    def phys_addr(self, mapping: AddressMapping, table: int, cache_line: int) -> int:
+    def phys_addr(self, mapping: MopMapping, table: int, cache_line: int) -> int:
         """A physical address inside the given table cache line."""
         org = mapping.org
         bank_group, bank = divmod(self.bank, org.banks_per_group)

@@ -6,8 +6,8 @@ This package models the memory device side of the reproduction:
   the paper; DDR5-8000B 32 Gb with PRAC-adjusted tRP/tWR).
 * :mod:`repro.dram.commands` — DRAM command vocabulary (ACT/PRE/RD/WR/
   REF/RFMab/RFMpb).
-* :mod:`repro.dram.address` — physical-address ⇄ DRAM-coordinate
-  mappings (Minimalist Open Page and a linear mapping).
+* :mod:`repro.dram.address` — the Minimalist Open Page
+  physical-address ⇄ DRAM-coordinate mapping.
 * :mod:`repro.dram.bank` — per-bank state: row buffer, timing wheel,
   PRAC activation counters.
 * :mod:`repro.dram.rank` — rank/channel aggregation.
@@ -15,25 +15,14 @@ This package models the memory device side of the reproduction:
   Targeted-Refresh (TREF) slots.
 """
 
-from repro.dram.address import (
-    MAPPINGS,
-    AddressMapping,
-    DramAddress,
-    LinearMapping,
-    MopMapping,
-)
+from repro.dram.address import DramAddress, MopMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DramConfig, DramOrganization, DramTiming
 from repro.dram.rank import Channel
-from repro.dram.refresh import (
-    REFRESH_POLICIES,
-    RefreshScheduler,
-    StaggeredRefreshScheduler,
-)
+from repro.dram.refresh import RefreshScheduler
 
 __all__ = [
-    "AddressMapping",
     "Bank",
     "Channel",
     "Command",
@@ -42,10 +31,6 @@ __all__ = [
     "DramConfig",
     "DramOrganization",
     "DramTiming",
-    "LinearMapping",
-    "MAPPINGS",
     "MopMapping",
-    "REFRESH_POLICIES",
     "RefreshScheduler",
-    "StaggeredRefreshScheduler",
 ]

@@ -1,28 +1,18 @@
 """Physical address to DRAM-coordinate mapping.
 
-Two mappings are provided:
-
-* :class:`LinearMapping` — row/rank/bankgroup/bank/column in descending
-  bit order.  Simple and useful for unit tests and attack traces where
-  we want direct control over which row an address lands in.
-* :class:`MopMapping` — Minimalist Open Page (Kaseridis et al.,
-  MICRO'11), the policy used by the paper's memory controller.  MOP
-  stripes small blocks of consecutive cache lines across banks to mix
-  row-buffer locality with bank-level parallelism.  This striping is
-  exactly what lets two 4 KB pages from different processes share one
-  8 KB DRAM row — the enabler of the activation-count-based channel.
+:class:`MopMapping` is Minimalist Open Page (Kaseridis et al.,
+MICRO'11), the policy used by the paper's memory controller.  MOP
+stripes small blocks of consecutive cache lines across banks to mix
+row-buffer locality with bank-level parallelism.  This striping is
+exactly what lets two 4 KB pages from different processes share one
+8 KB DRAM row — the enabler of the activation-count-based channel.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from repro.dram.config import DramOrganization
-from repro.registry import Registry
-
-#: Address-mapping registry: ``SystemConfig.mapping`` names resolve
-#: here.  Factories are called as ``factory(org, **params)``.
-MAPPINGS = Registry("address mapping", "mapping")
 
 
 class DramAddress(NamedTuple):
@@ -49,100 +39,29 @@ class DramAddress(NamedTuple):
         return (self.rank * org.bank_groups + self.bank_group) * org.banks_per_group + self.bank
 
 
-class AddressMapping:
-    """Base class for physical-address decoders.
-
-    Both concrete mappings interleave channels at cache-line
-    granularity: the channel bits sit directly above the line offset
-    (below the MOP block / column bits), so consecutive cache lines
-    stripe across all channels.  With ``channels == 1`` the channel
-    field contributes no bits and decode/encode are unchanged.
-    """
-
-    def __init__(self, org: DramOrganization) -> None:
-        self.org = org
-
-    def decode(self, phys_addr: int) -> DramAddress:
-        """Map a byte physical address to a DRAM coordinate."""
-        raise NotImplementedError
-
-    def encode(self, addr: DramAddress) -> int:
-        """Map a DRAM coordinate back to a byte physical address."""
-        raise NotImplementedError
-
-    def channel_of(self, phys_addr: int) -> int:
-        """Channel index alone — the request-routing fast path.
-
-        Channel bits sit directly above the line offset in both
-        mappings, so routing needs one divmod rather than a full
-        decode.
-        """
-        return (phys_addr // self.org.cacheline_bytes) % self.org.channels
-
-    # Helpers shared by subclasses ------------------------------------
-    def _split(self, value: int, *sizes: int) -> Tuple[int, ...]:
-        """Split ``value`` into fields, least-significant first."""
-        out = []
-        for size in sizes:
-            out.append(value % size)
-            value //= size
-        out.append(value)
-        return tuple(out)
-
-
-@MAPPINGS.register("linear")
-class LinearMapping(AddressMapping):
-    """row : rank : bank_group : bank : column : channel : offset (MSB -> LSB)."""
-
-    def decode(self, phys_addr: int) -> DramAddress:
-        org = self.org
-        line = phys_addr // org.cacheline_bytes
-        channel, column, bank, bank_group, rank, row = self._split(
-            line, org.channels, org.columns_per_row, org.banks_per_group,
-            org.bank_groups, org.ranks,
-        )
-        return DramAddress(
-            channel=channel,
-            rank=rank % org.ranks,
-            bank_group=bank_group,
-            bank=bank,
-            row=row % org.rows_per_bank,
-            column=column,
-        )
-
-    def encode(self, addr: DramAddress) -> int:
-        org = self.org
-        line = addr.row
-        line = line * org.ranks + addr.rank
-        line = line * org.bank_groups + addr.bank_group
-        line = line * org.banks_per_group + addr.bank
-        line = line * org.columns_per_row + addr.column
-        line = line * org.channels + addr.channel
-        return line * org.cacheline_bytes
-
-
-@MAPPINGS.register("mop")
-class MopMapping(AddressMapping):
+class MopMapping:
     """Minimalist Open Page mapping.
 
     Consecutive cache lines first stripe across channels, then group
     into MOP blocks of ``mop_width`` lines that stay in the same
     row/bank; successive blocks rotate across banks, then ranks, then
     advance the row.  The channel bits sit **below** the MOP block so
-    every channel receives an equal share of each block's lines.  Bit
-    layout (LSB -> MSB)::
+    every channel receives an equal share of each block's lines, and
+    consecutive cache lines stripe across all channels.  With
+    ``channels == 1`` the channel field contributes no bits.  Bit layout
+    (LSB -> MSB)::
 
         offset : channel : mop_block(column low) : bank : bank_group :
         rank : column_high : row
     """
 
     def __init__(self, org: DramOrganization, mop_width: int = 4) -> None:
-        super().__init__(org)
         if mop_width <= 0 or org.columns_per_row % mop_width != 0:
             raise ValueError(
                 f"mop_width {mop_width} must divide columns/row "
                 f"({org.columns_per_row})"
             )
+        self.org = org
         self.mop_width = mop_width
         # decode's field sizes, LSB first, read from the organization
         # once (columns_per_row is a property).
@@ -153,8 +72,9 @@ class MopMapping(AddressMapping):
         )
 
     def decode(self, phys_addr: int) -> DramAddress:
-        # Direct div/mod chain (equivalent to _split, without the
-        # temporary list/tuple): this runs once per DRAM request.
+        """Map a byte physical address to a DRAM coordinate."""
+        # A direct div/mod chain, without temporary lists or tuples:
+        # this runs once per DRAM request.
         (line_bytes, channels, mop_width, banks_per_group, bank_groups,
          ranks, col_blocks, rows_per_bank) = self._radices
         line = phys_addr // line_bytes
@@ -176,6 +96,7 @@ class MopMapping(AddressMapping):
         )
 
     def encode(self, addr: DramAddress) -> int:
+        """Map a DRAM coordinate back to a byte physical address."""
         org = self.org
         col_high, col_low = divmod(addr.column, self.mop_width)
         line = addr.row
@@ -186,3 +107,11 @@ class MopMapping(AddressMapping):
         line = line * self.mop_width + col_low
         line = line * org.channels + addr.channel
         return line * org.cacheline_bytes
+
+    def channel_of(self, phys_addr: int) -> int:
+        """Channel index alone — the request-routing fast path.
+
+        The channel bits sit directly above the line offset, so routing
+        needs one divmod rather than a full decode.
+        """
+        return (phys_addr // self.org.cacheline_bytes) % self.org.channels

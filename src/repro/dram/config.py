@@ -101,12 +101,6 @@ class DramOrganization:
         """Number of cache lines in one DRAM row."""
         return self.row_size_bytes // self.cacheline_bytes
 
-    @property
-    def capacity_bytes(self) -> int:
-        return (
-            self.total_banks * self.rows_per_bank * self.row_size_bytes
-        )
-
     def validate(self) -> None:
         """Raise ValueError on inconsistent parameters; returns self where chained."""
         for name in (
@@ -176,18 +170,6 @@ class DramConfig:
     def with_organization(self, **overrides: Any) -> "DramConfig":
         """Return a copy with organization parameters overridden."""
         return replace(self, organization=replace(self.organization, **overrides))
-
-    # Convenience accessors used throughout the code base -------------
-    @property
-    def max_acts_per_trefw(self) -> int:
-        """Maximum activations in a refresh window (~550K in the paper).
-
-        A fraction of each tREFI is consumed by the refresh itself
-        (tRFC), so the bound is (tREFW / tREFI) * (tREFI - tRFC) / tRC.
-        """
-        t = self.timing
-        refreshes = t.tREFW / t.tREFI
-        return int(refreshes * (t.tREFI - t.tRFC) / t.tRC)
 
 
 def ddr5_8000b() -> DramConfig:

@@ -20,15 +20,8 @@ from typing import Callable, List
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig
 from repro.dram.rank import Channel
-from repro.registry import Registry
-
-#: Refresh-policy registry: ``SystemConfig.refresh`` names resolve
-#: here.  Factories are called as
-#: ``factory(engine, channel, config, tref_per_trefi=..., **params)``.
-REFRESH_POLICIES = Registry("refresh policy", "refresh")
 
 
-@REFRESH_POLICIES.register("periodic")
 class RefreshScheduler:
     """Issues REFab every tREFI and manages TREF/counter-reset hooks."""
 
@@ -116,37 +109,4 @@ class RefreshScheduler:
             hook(now)
         self.engine.schedule_after(
             self.config.timing.tREFW, self._do_refw, priority=-3, label="tREFW"
-        )
-
-
-@REFRESH_POLICIES.register("staggered")
-class StaggeredRefreshScheduler(RefreshScheduler):
-    """Channel-staggered periodic refresh.
-
-    Same tREFI cadence as ``periodic``, but channel ``n`` of an
-    ``N``-channel system phase-shifts its first REFab by
-    ``n/N x tREFI``, so at no instant is more than one channel blocked
-    by tRFC — the multi-channel worst case under ``periodic``, where
-    every channel refreshes simultaneously and the whole memory system
-    stalls together.  On channel 0 (and therefore on every
-    single-channel system) the schedule is identical to ``periodic``.
-    """
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        channels = self.config.organization.channels
-        phase = self.channel.channel_id / channels * self.config.timing.tREFI
-        self.engine.schedule_after(
-            self.config.timing.tREFI + phase,
-            self._do_refresh,
-            priority=-2,
-            label="REF",
-        )
-        self.engine.schedule_after(
-            self.config.timing.tREFW + phase,
-            self._do_refw,
-            priority=-3,
-            label="tREFW",
         )

@@ -55,10 +55,10 @@ def build_system(
     :func:`repro.mitigations.policy_factory`, which derives TB-Window
     or BAT from the device and seeds ``obfuscation`` from ``seed``.
     ``none`` is the paper's normalization baseline: PRAC timings
-    without ABO.  ``system`` declares the structural knobs — channel
-    count, request scheduler, address mapping, refresh policy
-    (:class:`repro.config.SystemConfig`); the default builds the
-    historical single-channel FR-FCFS/MOP system.
+    without ABO.  ``system`` (:class:`repro.config.SystemConfig`)
+    carries the channel count and the sanitizer/trace/metrics
+    switches, as campaign perf trials pass them; the default builds
+    the single-channel system every artifact runs.
     """
     config = config or ddr5_8000b()
     with_reset = point.design != "tprac_noreset"
@@ -97,15 +97,11 @@ def run_perf_matrix(
     cores: int = 4,
     requests_per_core: Optional[int] = None,
     seed: int = 0,
-    system: Optional[SystemConfig] = None,
 ) -> Dict[str, List[PerfRow]]:
     """Run each workload under the baseline and every design.
 
     Returns design-label -> rows.  Normalization baseline is the
     PRAC-without-ABO system (the paper's Figure 10 baseline).
-    ``system`` selects the structural controller configuration
-    (scheduler / mapping / refresh / channels) for baseline and
-    designs alike, so the normalization stays apples-to-apples.
     """
     workloads = list(workloads or default_workloads())
     requests = requests_per_core or 2_500
@@ -113,9 +109,9 @@ def run_perf_matrix(
     for name in workloads:
         traces = homogeneous_traces(name, cores=cores, num_accesses=requests, seed=seed)
         baseline_point = DesignPoint(design="none", nrh=designs[0].nrh)
-        base = build_system(baseline_point, traces, system=system).run()
+        base = build_system(baseline_point, traces).run()
         for point in designs:
-            result = build_system(point, traces, system=system).run()
+            result = build_system(point, traces).run()
             out[point.label()].append(
                 PerfRow(
                     workload=name,

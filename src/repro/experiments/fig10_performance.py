@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     PerfRow,
@@ -53,7 +52,6 @@ def run(
     nrh: int = 1024,
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
-    system: Optional[SystemConfig] = None,
 ) -> Fig10Result:
     """Run the experiment at the configured scale; returns the result object."""
     designs = [
@@ -65,7 +63,6 @@ def run(
         designs,
         workloads=workloads or default_workloads(),
         requests_per_core=requests_per_core,
-        system=system,
     )
     return Fig10Result(matrix=matrix, nrh=nrh)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     PerfRow,
@@ -52,7 +51,6 @@ def run(
     prac_levels: Sequence[int] = (1, 2, 4),
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
-    system: Optional[SystemConfig] = None,
 ) -> Fig11Result:
     """Run the experiment at the configured scale; returns the result object."""
     workloads = workloads or default_workloads(limit=6)
@@ -67,7 +65,6 @@ def run(
             designs,
             workloads=workloads,
             requests_per_core=requests_per_core,
-            system=system,
         )
     return Fig11Result(by_level=by_level)
 

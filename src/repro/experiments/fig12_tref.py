@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     PerfRow,
@@ -51,7 +50,6 @@ def run(
     tref_rates: Sequence[float] = (0.0, 0.25, 1 / 3, 0.5, 1.0),
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
-    system: Optional[SystemConfig] = None,
 ) -> Fig12Result:
     """Run the experiment at the configured scale; returns the result object."""
     workloads = workloads or default_workloads(limit=6)
@@ -62,7 +60,6 @@ def run(
             [point],
             workloads=workloads,
             requests_per_core=requests_per_core,
-            system=system,
         )
         by_rate[rate] = matrix[point.label()]
     return Fig12Result(by_rate=by_rate)

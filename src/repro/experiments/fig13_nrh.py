@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     PerfRow,
@@ -53,7 +52,6 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
     tref_per_trefi: float = 0.0,
-    system: Optional[SystemConfig] = None,
 ) -> Fig13Result:
     """Run the experiment at the configured scale; returns the result object."""
     workloads = workloads or default_workloads(limit=6)
@@ -68,7 +66,6 @@ def run(
             designs,
             workloads=workloads,
             requests_per_core=requests_per_core,
-            system=system,
         )
     return Fig13Result(by_nrh=by_nrh)
 

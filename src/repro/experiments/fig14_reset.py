@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tb_window import tb_window_for_nrh
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     PerfRow,
@@ -52,7 +51,6 @@ def run(
     nrh_values: Sequence[int] = (256, 512, 1024),
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
-    system: Optional[SystemConfig] = None,
 ) -> Fig14Result:
     """Run the experiment at the configured scale; returns the result object."""
     workloads = workloads or default_workloads(limit=4)
@@ -66,7 +64,6 @@ def run(
                 [point],
                 workloads=workloads,
                 requests_per_core=requests_per_core,
-                system=system,
             )
             by_point[(nrh, with_reset)] = matrix[point.label()]
             windows[(nrh, with_reset)] = tb_window_for_nrh(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.energy import EnergyModel, EnergyOverhead
-from repro.config import SystemConfig
 from repro.experiments.common import (
     DesignPoint,
     build_system,
@@ -44,7 +43,6 @@ def run(
     nrh_values: Sequence[int] = (128, 256, 512, 1024, 2048, 4096),
     workloads: Optional[Sequence[str]] = None,
     requests_per_core: Optional[int] = None,
-    system: Optional[SystemConfig] = None,
 ) -> Table5Result:
     """Run the experiment at the configured scale; returns the result object."""
     workloads = list(workloads or default_workloads(limit=4))
@@ -56,14 +54,10 @@ def run(
         non_mitigation_pcts: List[float] = []
         for name in workloads:
             traces = homogeneous_traces(name, cores=4, num_accesses=requests)
-            base_sys = build_system(
-                DesignPoint(design="none", nrh=nrh), traces, system=system
-            )
+            base_sys = build_system(DesignPoint(design="none", nrh=nrh), traces)
             base_sys.run()
             base_energy = model.from_memory_system(base_sys.memory)
-            tprac_sys = build_system(
-                DesignPoint(design="tprac", nrh=nrh), traces, system=system
-            )
+            tprac_sys = build_system(DesignPoint(design="tprac", nrh=nrh), traces)
             tprac_sys.run()
             tprac_energy = model.from_memory_system(tprac_sys.memory)
             overhead = tprac_energy.overhead_vs(base_energy)

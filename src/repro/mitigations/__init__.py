@@ -27,7 +27,6 @@ from repro.mitigations.tprac import TpracPolicy
 from repro.mitigations.obfuscation import ObfuscationPolicy
 from repro.mitigations.rfmpb import PerBankRfmPolicy
 from repro.mitigations.qprac import QpracPolicy
-from repro.registry import Registry
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,34 +48,39 @@ __all__ = [
     "policy_factory",
 ]
 
-#: The string -> factory registry (:class:`repro.registry.Registry`).
-#: Everything that addresses a mitigation by name — the CLI, campaign
-#: grids, experiment configs — goes through this one table, so a new
-#: policy registered here is immediately sweepable everywhere, and an
-#: unknown name fails with the same error shape as the scheduler /
-#: mapping / refresh registries.
-MITIGATIONS = Registry("mitigation policy", "mitigation")
-for _name, _factory in (
-    ("none", NoMitigationPolicy),
-    ("abo_only", AboOnlyPolicy),
-    ("abo_acb", AcbRfmPolicy),
-    ("tprac", TpracPolicy),
-    ("obfuscation", ObfuscationPolicy),
-    ("rfmpb", PerBankRfmPolicy),
-    ("qprac", QpracPolicy),
-):
-    MITIGATIONS.register(_name, _factory)
-del _name, _factory
+#: Mitigation name -> policy class.  Everything that addresses a
+#: mitigation by name — the CLI, campaign grids, experiment configs —
+#: goes through this one table, so a policy added here is immediately
+#: sweepable everywhere.
+MITIGATIONS: Dict[str, Callable[..., MitigationPolicy]] = {
+    "none": NoMitigationPolicy,
+    "abo_only": AboOnlyPolicy,
+    "abo_acb": AcbRfmPolicy,
+    "tprac": TpracPolicy,
+    "obfuscation": ObfuscationPolicy,
+    "rfmpb": PerBankRfmPolicy,
+    "qprac": QpracPolicy,
+}
 
 
 def available() -> List[str]:
-    """Sorted names of every registered mitigation policy."""
-    return MITIGATIONS.available()
+    """Sorted names of every mitigation policy."""
+    return sorted(MITIGATIONS)
 
 
 def get(name: str) -> Callable[..., MitigationPolicy]:
-    """The policy factory (class) registered under ``name``."""
-    return MITIGATIONS.get(name)
+    """The policy factory (class) named ``name``.
+
+    An unknown name raises ``ValueError`` naming the config field and
+    the valid names.
+    """
+    try:
+        return MITIGATIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown mitigation policy {name!r} (config field "
+            f"'mitigation'); have {available()}"
+        ) from None
 
 
 def make_policy(name: str, **kwargs: Any) -> MitigationPolicy:

@@ -77,11 +77,3 @@ class TpracPolicy(MitigationPolicy):
         """Mitigate from refresh slack; mark the window as covered."""
         self._mitigate_queued(controller)
         self._tref_in_window = True
-
-    # ------------------------------------------------------------------
-    @property
-    def bandwidth_loss(self) -> float:
-        """Upper bound on DRAM bandwidth lost to TB-RFMs: tRFMab / window."""
-        if self.controller is None:
-            return 0.0
-        return self.controller.config.timing.tRFMab / self.tb_window

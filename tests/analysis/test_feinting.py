@@ -109,12 +109,6 @@ def test_figure8_example_matches_paper():
     assert feinting_target_acts(4, 40) == 83
 
 
-def test_secure_for_threshold():
-    result = feinting_tmax(CONFIG, TREFI, with_reset=True)
-    assert result.secure_for(result.tmax + 1)
-    assert not result.secure_for(result.tmax)
-
-
 def test_sweep_returns_both_regimes_ordered():
     sweep = tmax_sweep(CONFIG, (0.5, 1.0))
     assert len(sweep["with_reset"]) == 2

@@ -92,6 +92,9 @@ def test_campaign_removed_axis_errors_before_running(tmp_path, capsys):
         ("cache=l1l2", "grid axis 'cache' was removed"),
         ("interconnect=crossbar", "grid axis 'interconnect' was removed"),
         ("attack=eviction_set", "unknown attack 'eviction_set'"),
+        ("scheduler=fcfs", "grid axis 'scheduler' was removed"),
+        ("mapping=linear", "grid axis 'mapping' was removed"),
+        ("refresh=staggered", "grid axis 'refresh' was removed"),
     ],
 )
 def test_campaign_removed_cache_spellings_error_before_running(

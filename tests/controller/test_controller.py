@@ -59,17 +59,6 @@ def test_row_conflict_pays_precharge():
     assert mc.stats.row_conflicts >= 1
 
 
-def test_closed_page_precharges_after_access():
-    mc = _controller(page_policy="closed")
-    _run_request(mc, 0)
-    assert mc.channel.bank(0).open_row is None
-
-
-def test_bad_page_policy_rejected():
-    with pytest.raises(ValueError):
-        _controller(page_policy="adaptive")
-
-
 def test_activation_counters_increment_via_requests():
     mc = _controller()
     row3 = mc.mapping.encode(DramAddress(0, 0, 0, 0, 3, 0))

@@ -5,27 +5,24 @@ bank) is a cache of ready times, kept current at enqueue and serve and
 marked stale by channel-wide moves.  It must be invisible: every
 simulation must produce exactly the results it would if the agenda were
 rebuilt from the busy banks before every wake.  Running both variants
-across the mitigation registry and every scheduler exercises each
-policy's bank/channel mutation pattern and each pick order — a policy
-that mutates bank timing state without marking the agenda stale (the
-rfmpb ``block_bank`` regression) fails here.
+across every mitigation exercises each policy's bank/channel mutation
+pattern — a policy that mutates bank timing state without marking the
+agenda stale (the rfmpb ``block_bank`` regression) fails here.
 """
 
 import pytest
 
-from repro.config import DEFAULT_SCHEDULER, SystemConfig
 from repro.cpu.system import System
 from repro.dram.config import ddr5_8000b
 from repro.mitigations import available, policy_factory
 from repro.workloads.synthetic import homogeneous_traces
 
 
-def _run(mitigation, scheduler, rebuild_every_wake):
+def _run(mitigation, rebuild_every_wake):
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=400, seed=3)
     system = System(
         traces,
         policy=policy_factory(mitigation, ddr5_8000b().with_prac(nbo=64), seed=3)(),
-        system=SystemConfig(scheduler=scheduler),
     )
     uncached_wakes = 0
     if rebuild_every_wake:
@@ -52,24 +49,11 @@ def _run(mitigation, scheduler, rebuild_every_wake):
     ), uncached_wakes
 
 
-#: Every (mitigation, scheduler) pair; the default scheduler's cases
-#: keep the bare mitigation name as their id.
-CASES = [
-    pytest.param(
-        mitigation,
-        scheduler,
-        id=mitigation if scheduler == DEFAULT_SCHEDULER else f"{mitigation}-{scheduler}",
-    )
-    for mitigation in sorted(available())
-    for scheduler in ("fr_fcfs", "fcfs", "fr_fcfs_cap")
-]
-
-
 @pytest.mark.slow
-@pytest.mark.parametrize("mitigation,scheduler", CASES)
-def test_ready_cache_is_invisible_for_every_mitigation(mitigation, scheduler):
-    cached, _ = _run(mitigation, scheduler, rebuild_every_wake=False)
-    uncached, uncached_wakes = _run(mitigation, scheduler, rebuild_every_wake=True)
+@pytest.mark.parametrize("mitigation", sorted(available()))
+def test_ready_cache_is_invisible_for_every_mitigation(mitigation):
+    cached, _ = _run(mitigation, rebuild_every_wake=False)
+    uncached, uncached_wakes = _run(mitigation, rebuild_every_wake=True)
     # The swap must reach the wake loop: a controller that bound its
     # wake before the swap would run the agenda in both variants.
     assert uncached_wakes > 0

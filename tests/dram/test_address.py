@@ -1,26 +1,16 @@
-"""Unit and property tests for address mappings."""
+"""Unit and property tests for the MOP address mapping."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import MAPPINGS, DramAddress, LinearMapping, MopMapping
+from repro.dram.address import DramAddress, MopMapping
 from repro.dram.config import ddr5_8000b
 
 ORG = ddr5_8000b().organization
 
 
-@pytest.fixture(params=["linear", "mop"])
-def mapping(request):
-    return MAPPINGS.make(request.param, ORG)
-
-
-def test_factory_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        MAPPINGS.make("hashed", ORG)
-
-
-def test_decode_zero_is_origin(mapping):
-    addr = mapping.decode(0)
+def test_decode_zero_is_origin():
+    addr = MopMapping(ORG).decode(0)
     assert (addr.rank, addr.bank_group, addr.bank, addr.row, addr.column) == (
         0, 0, 0, 0, 0,
     )
@@ -43,21 +33,6 @@ def test_mop_keeps_row_constant_within_stripe_group():
 def test_mop_width_must_divide_columns():
     with pytest.raises(ValueError):
         MopMapping(ORG, mop_width=7)
-
-
-def test_linear_row_changes_every_bank_sweep():
-    linear = LinearMapping(ORG)
-    bytes_per_row_sweep = ORG.row_size_bytes * ORG.total_banks
-    assert linear.decode(0).row == 0
-    assert linear.decode(bytes_per_row_sweep).row == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(line=st.integers(min_value=0, max_value=2**30))
-def test_roundtrip_linear(line):
-    mapping = LinearMapping(ORG)
-    phys = line * 64
-    assert mapping.encode(mapping.decode(phys)) == phys
 
 
 @settings(max_examples=200, deadline=None)

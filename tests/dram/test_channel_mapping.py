@@ -1,6 +1,6 @@
 """Property tests for channel-interleaved address mapping.
 
-The multi-channel contract both mappings must honour:
+The multi-channel contract the MOP mapping must honour:
 
 * exact decode/encode round trips for every channel count;
 * channel bits sit directly above the cache-line offset, so
@@ -9,13 +9,13 @@ The multi-channel contract both mappings must honour:
 * ``channel_of`` (the request-routing fast path) agrees with the full
   decode;
 * ``channels=1`` decodes exactly as the historical single-channel
-  mappings did.
+  mapping did.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import MAPPINGS, MopMapping
+from repro.dram.address import MopMapping
 from repro.dram.config import ddr5_8000b
 
 CHANNEL_COUNTS = (1, 2, 4)
@@ -26,11 +26,10 @@ def _org(channels):
 
 
 @pytest.mark.parametrize("channels", CHANNEL_COUNTS)
-@pytest.mark.parametrize("name", ["linear", "mop"])
 @settings(max_examples=150, deadline=None)
 @given(line=st.integers(min_value=0, max_value=2**30))
-def test_roundtrip_across_channel_counts(name, channels, line):
-    mapping = MAPPINGS.make(name, _org(channels))
+def test_roundtrip_across_channel_counts(channels, line):
+    mapping = MopMapping(_org(channels))
     phys = line * 64
     addr = mapping.decode(phys)
     assert mapping.encode(addr) == phys
@@ -38,19 +37,17 @@ def test_roundtrip_across_channel_counts(name, channels, line):
 
 
 @pytest.mark.parametrize("channels", CHANNEL_COUNTS)
-@pytest.mark.parametrize("name", ["linear", "mop"])
 @settings(max_examples=150, deadline=None)
 @given(line=st.integers(min_value=0, max_value=2**30))
-def test_channel_of_agrees_with_decode(name, channels, line):
-    mapping = MAPPINGS.make(name, _org(channels))
+def test_channel_of_agrees_with_decode(channels, line):
+    mapping = MopMapping(_org(channels))
     phys = line * 64
     assert mapping.channel_of(phys) == mapping.decode(phys).channel
 
 
 @pytest.mark.parametrize("channels", (2, 4))
-@pytest.mark.parametrize("name", ["linear", "mop"])
-def test_consecutive_cache_lines_stripe_across_channels(name, channels):
-    mapping = MAPPINGS.make(name, _org(channels))
+def test_consecutive_cache_lines_stripe_across_channels(channels):
+    mapping = MopMapping(_org(channels))
     decoded = [mapping.decode(i * 64) for i in range(4 * channels)]
     # Any window of `channels` consecutive lines covers every channel —
     # in particular consecutive lines always land on distinct channels.
@@ -73,11 +70,10 @@ def test_mop_channel_bits_sit_below_the_mop_block(channels):
         assert multi._replace(channel=0) == single
 
 
-@pytest.mark.parametrize("name", ["linear", "mop"])
-def test_single_channel_matches_historical_layout(name):
+def test_single_channel_matches_historical_layout():
     """channels=1 must decode bit-identically to the pre-multi-channel
     mapping (channel contributes zero address bits)."""
-    mapping = MAPPINGS.make(name, _org(1))
+    mapping = MopMapping(_org(1))
     for line in (0, 1, 7, 128, 4095, 2**20 + 3):
         addr = mapping.decode(line * 64)
         assert addr.channel == 0
@@ -88,4 +84,3 @@ def test_single_channel_matches_historical_layout(name):
 def test_capacity_scales_with_channels(channels):
     org = _org(channels)
     assert org.total_banks == channels * org.banks_per_channel
-    assert org.capacity_bytes == channels * _org(1).capacity_bytes

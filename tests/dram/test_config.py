@@ -36,7 +36,6 @@ def test_organization_totals():
     assert org.total_banks == 128
     assert org.rows_per_bank == 128 * 1024
     assert org.columns_per_row == 128
-    assert org.capacity_bytes == 128 * (128 * 1024) * 8192
 
 
 def test_inconsistent_trc_rejected():
@@ -77,11 +76,6 @@ def test_with_timing_and_organization_overrides():
     base = ddr5_8000b()
     assert base.with_timing(tRFMab=130.0).timing.tRFMab == 130.0
     assert base.with_organization(ranks=1).organization.ranks == 1
-
-
-def test_max_acts_per_trefw_near_550k():
-    # The paper quotes ~550K for this device.
-    assert 500_000 < ddr5_8000b().max_acts_per_trefw < 600_000
 
 
 def test_row_size_must_be_multiple_of_cacheline():

@@ -19,6 +19,8 @@ import pytest
 
 from repro.attacks.probes import bank_address
 from repro.config import SystemConfig
+from repro.controller import controller as controller_mod
+from repro.controller import memory_system as memory_system_mod
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -300,13 +302,12 @@ class TestViolationStructure:
         assert len(checker.violations) >= 2
 
 
-def _drive(policy, nbo=64, page="open", until=400_000, nreq=1200,
-           enable_abo=True):
+def _drive(policy, nbo=64, until=400_000, nreq=1200, enable_abo=True):
     """Run mixed read/write traffic through a sanitized controller."""
     config = small_test_config(nbo=nbo)
     mc = MemoryController(
         Engine(), config, policy=policy,
-        system=SystemConfig(sanitize=True, page_policy=page),
+        system=SystemConfig(sanitize=True),
         enable_refresh=True, enable_abo=enable_abo,
     )
     state = {"n": 0}
@@ -355,9 +356,6 @@ class TestRealTrafficIsClean:
     def test_per_bank_rfms(self):
         mc = _drive(PerBankRfmPolicy(tb_window=4000.0), nbo=100_000)
         assert mc.policy.pb_rfms_issued > 0
-
-    def test_closed_page(self):
-        _drive(NoMitigationPolicy(), nbo=100_000, page="closed")
 
     def test_sanitize_off_has_no_checker(self):
         mc = MemoryController(Engine(), small_test_config())
@@ -450,15 +448,26 @@ class TestRealControllerTraces:
 class TestFig10ByteIdentical:
     """sanitize=True observes; it must never change results."""
 
-    def test_perf_matrix_identical_with_sanitizer(self):
+    def test_perf_matrix_identical_with_sanitizer(self, monkeypatch):
         designs = [DesignPoint(design="abo_only", nrh=1024)]
         kw = dict(
             workloads=["433.milc"], cores=4, requests_per_core=300, seed=0
         )
         plain = run_perf_matrix(designs, **kw)
-        sanitized = run_perf_matrix(
-            designs, system=SystemConfig(sanitize=True), **kw
-        )
+        checkers = []
+
+        class RecordingChecker(ProtocolChecker):
+            def __init__(self, config):
+                super().__init__(config)
+                checkers.append(self)
+
+        for module in (controller_mod, memory_system_mod):
+            monkeypatch.setattr(
+                module, "DEFAULT_SYSTEM", SystemConfig(sanitize=True)
+            )
+        monkeypatch.setattr(controller_mod, "ProtocolChecker", RecordingChecker)
+        sanitized = run_perf_matrix(designs, **kw)
+        assert checkers, "no controller was built sanitized"
         as_json = lambda m: json.dumps(  # noqa: E731
             {k: [dataclasses.asdict(r) for r in v] for k, v in m.items()},
             sort_keys=True,

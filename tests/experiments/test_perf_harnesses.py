@@ -1,9 +1,8 @@
 """Small-scale tests for the remaining performance harnesses."""
 
 
-from repro.config import SystemConfig
 from repro.cpu.trace import TraceRecord
-from repro.dram.address import DramAddress
+from repro.dram.address import DramAddress, MopMapping
 from repro.dram.config import ddr5_8000b
 from repro.experiments import fig11_prac_levels, fig12_tref, fig13_nrh, fig14_reset
 from repro.experiments.common import DesignPoint, build_system
@@ -13,7 +12,7 @@ TINY = dict(workloads=["433.milc", "453.povray"], requests_per_core=800)
 
 def _hammer_trace(rows, reads, gap_insts=0):
     """``reads`` reads alternating over ``rows`` of bank 0, channel 0."""
-    mapping = SystemConfig().make_mapping(ddr5_8000b().organization)
+    mapping = MopMapping(ddr5_8000b().organization)
     addresses = [
         mapping.encode(
             DramAddress(channel=0, rank=0, bank_group=0, bank=0, row=row, column=0)

@@ -113,11 +113,6 @@ def test_tref_mitigates_from_queue():
     assert policy.mitigations_performed >= 1
 
 
-def test_bandwidth_loss_property():
-    mc, policy = _build(tb_window=7000.0)
-    assert policy.bandwidth_loss == pytest.approx(350.0 / 7000.0)
-
-
 def test_tprac_prevents_abo_under_hammering():
     """End-to-end security: TB-RFMs keep counters below N_BO."""
     nbo = 64

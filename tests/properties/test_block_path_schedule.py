@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Sequence
 import pytest
 
 from repro.attacks.probes import RowHammerSender, bank_address
-from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
@@ -98,18 +97,13 @@ def _channel(
     return run
 
 
-def _two_channel_tprac(refresh: str) -> Callable[[], List[MemoryController]]:
-    """Two channels under TPRAC, refreshed together or staggered."""
-    return lambda: _run_two_channels(SystemConfig(refresh=refresh))
-
-
-def _run_two_channels(system: SystemConfig) -> List[MemoryController]:
+def _run_two_channels() -> List[MemoryController]:
+    """Two channels under TPRAC, refreshed together."""
     engine = Engine()
     memory = MemorySystem(
         engine,
         _config(channels=2),
         policy_factory=lambda: TpracPolicy(tb_window=TB_WINDOW),
-        system=system,
     )
     controllers = list(memory.controllers)
 
@@ -142,8 +136,7 @@ SCENARIOS: Dict[str, Callable[[], Sequence[MemoryController]]] = {
     "qprac": _channel(QpracPolicy, config=_config(nbo=48)),
     "abo_acb": _channel(lambda: AcbRfmPolicy(bat=48), config=_config(nbo=32)),
     "abo_only": _channel(AboOnlyPolicy, config=_config(nbo=32)),
-    "tprac_two_channels": _two_channel_tprac("periodic"),
-    "tprac_two_channels_staggered": _two_channel_tprac("staggered"),
+    "tprac_two_channels": _run_two_channels,
 }
 
 #: sha256 of each scenario's record (see the module docstring).
@@ -159,9 +152,6 @@ DIGESTS = {
     "abo_acb": "b62757babce84fa64c21505311c31306e0c3bbf1930c8a9045767e2e5e3fb5cc",
     "abo_only": "d95a46ec41fd480f9e62582c39886248674a0c74ed80c0ee418602db9d39a6b6",
     "tprac_two_channels": "b7a58147f8e980129e5e01d58782e47fc2c702b33dd56e6a466e20c80a48cdf1",
-    "tprac_two_channels_staggered": (
-        "a4db11bb120b6696dae5ddcba92f4f0c8b76aff55b060da0f2d8b5e4fa63cfef"
-    ),
 }
 
 

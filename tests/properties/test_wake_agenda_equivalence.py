@@ -8,8 +8,7 @@ serves it if due, and stops issuing once the ABO grace activations are
 exhausted.  Concurrent dependent chains over random banks (across
 ranks), rows and read/write mixes must produce the same command log,
 the same completion times and the same number of engine events on
-both, under every scheduler, both page policies, and policies that
-move channel-wide state (TPRAC's RFMab bursts, rfmpb's per-bank
+both, under policies that move channel-wide state (TPRAC's RFMab bursts, rfmpb's per-bank
 blocks, ABO-Only's Alert bursts at a low N_BO).  Each chain issues on
 a coarse clock grid after a random think time, so requests from
 different chains often reach idle banks at the same instant: the
@@ -24,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.probes import bank_address
-from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -121,11 +119,8 @@ def _config(nbo: int, abo_act: int) -> DramConfig:
 Access = Tuple[int, int, bool, int]
 
 
-def _run(cls, config, system, policy_name, chains: List[List[Access]]):
-    mc = cls(
-        Engine(), config, policy=POLICIES[policy_name](), system=system,
-        log_commands=True,
-    )
+def _run(cls, config, policy_name, chains: List[List[Access]]):
+    mc = cls(Engine(), config, policy=POLICIES[policy_name](), log_commands=True)
     engine = mc.engine
     done: List[Tuple[int, int, float]] = []
     left = [len(chains)]
@@ -171,19 +166,16 @@ CHAINS = st.lists(st.lists(ACCESS, min_size=1, max_size=25), min_size=2, max_siz
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-@pytest.mark.parametrize("page_policy", ["open", "closed"])
-@pytest.mark.parametrize("scheduler", ["fr_fcfs", "fcfs", "fr_fcfs_cap"])
 @settings(max_examples=25, deadline=None)
 @given(
     chains=CHAINS,
     nbo=st.sampled_from([3, 6, 1024]),
     abo_act=st.integers(0, 3),
 )
-def test_agenda_matches_full_scan(scheduler, page_policy, policy_name, chains, nbo, abo_act):
+def test_agenda_matches_full_scan(policy_name, chains, nbo, abo_act):
     config = _config(nbo, abo_act)
-    system = SystemConfig(scheduler=scheduler, page_policy=page_policy)
-    mc, done = _run(MemoryController, config, system, policy_name, chains)
-    ref, ref_done = _run(ScanController, config, system, policy_name, chains)
+    mc, done = _run(MemoryController, config, policy_name, chains)
+    ref, ref_done = _run(ScanController, config, policy_name, chains)
     assert mc.command_log == ref.command_log
     assert done == ref_done
     assert mc.engine.events_fired == ref.engine.events_fired
@@ -195,8 +187,8 @@ def test_must_mitigate_stop_leaves_due_banks_for_the_next_wake():
     the other due banks are served; they are served after the burst."""
     config = _config(nbo=1, abo_act=0)
     chains = [[(bank, 0, False, 0)] for bank in range(BANKS)]
-    mc, done = _run(MemoryController, config, SystemConfig(), "abo_only", chains)
-    ref, ref_done = _run(ScanController, config, SystemConfig(), "abo_only", chains)
+    mc, done = _run(MemoryController, config, "abo_only", chains)
+    ref, ref_done = _run(ScanController, config, "abo_only", chains)
     assert mc.command_log == ref.command_log
     assert done == ref_done
     abo_rfms = [c for c in mc.command_log if c.provenance is RfmProvenance.ABO]

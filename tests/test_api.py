@@ -8,20 +8,6 @@ def test_every_exported_name_resolves():
         assert getattr(api, name) is not None, name
 
 
-def test_facade_covers_the_component_registries():
-    # Every component axis's registry is reachable from the facade, so
-    # downstream code never needs to deep-import a defining module.
-    registries = api.component_registries()
-    assert set(registries) == set(api.COMPONENT_AXES)
-    facade_registries = {
-        api.SCHEDULERS,
-        api.MAPPINGS,
-        api.REFRESH_POLICIES,
-    }
-    assert set(registries.values()) == facade_registries
-    assert "tprac" in api.MITIGATIONS.available()
-
-
 def test_facade_assembles_a_running_system():
     from repro.experiments.common import homogeneous_traces
 
@@ -29,7 +15,7 @@ def test_facade_assembles_a_running_system():
     system = api.build_system(
         api.DesignPoint(design="tprac", nrh=1024),
         traces,
-        system=api.SystemConfig(scheduler="fcfs"),
+        system=api.SystemConfig(sanitize=True),
     )
     result = system.run()
     assert isinstance(result, api.SystemResult)
@@ -41,8 +27,8 @@ def test_facade_expands_the_new_axes():
         {
             "attack": ["perf"],
             "workload": ["433.milc"],
-            "scheduler": ["fr_fcfs", "fcfs"],
-            "mapping": ["linear"],
+            "channels": [1, 2],
+            "metrics": [True],
         }
     )
     assert len(scenarios) == 2

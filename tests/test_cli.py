@@ -11,7 +11,6 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.config import SystemConfig
 from repro.experiments import registry, runner
 
 pytestmark = pytest.mark.smoke
@@ -85,9 +84,6 @@ FLAG_CASES = [
     (["--nbo", "300", "400"], {"nbo_values": (300, 400)}),
     (["--requests", "7"], {"requests_per_core": 7, "encryptions": 7}),
     (["--workloads", "433.milc", "470.lbm"], {"workloads": ["433.milc", "470.lbm"]}),
-    (["--scheduler", "fcfs"], {"system": SystemConfig(scheduler="fcfs")}),
-    (["--mapping", "linear"], {"system": SystemConfig(mapping="linear")}),
-    (["--refresh", "staggered"], {"system": SystemConfig(refresh="staggered")}),
 ]
 
 
@@ -114,13 +110,11 @@ def test_each_flag_lands_on_its_parameter_or_exits_2(stub_runs, capsys, flag_arg
 
 
 def test_all_passes_each_flag_to_the_harnesses_that_take_it(stub_runs, capsys):
-    assert main(["all", "--nbo", "300", "--requests", "7", "--mapping", "linear"]) == 0
+    assert main(["all", "--nbo", "300", "--requests", "7"]) == 0
     assert stub_runs["fig3"] == [{"nbo": 300}]
     assert stub_runs["table2"] == [{"nbo_values": (300,)}]
     assert stub_runs["fig9"] == [{"nbo": 300, "encryptions": 7}]
-    assert stub_runs["fig10"] == [
-        {"requests_per_core": 7, "system": SystemConfig(mapping="linear")}
-    ]
+    assert stub_runs["fig10"] == [{"requests_per_core": 7}]
     assert stub_runs["fig7"] == [{}]
     assert capsys.readouterr().out.count("==== ") == len(registry.names())
     # A value one taker cannot use stops the whole command up front.
@@ -143,20 +137,26 @@ def test_all_passes_each_flag_to_the_harnesses_that_take_it(stub_runs, capsys):
         (["fig10", "--workloads", "x"], "'x'"),
         (["fig10", "--requests", "0"], "--requests"),
         (["fig8", "--nbo", "0"], "--nbo"),
-        # The cache front end is gone: argparse refuses its flags.
+        # The cache front end and the controller alternatives are
+        # gone: argparse refuses their flags.
         (["fig10", "--cache", "l1l2"], "--cache"),
         (["fig10", "--interconnect", "crossbar"], "--interconnect"),
+        (["fig10", "--scheduler", "fcfs"], "--scheduler"),
+        (["fig10", "--mapping", "linear"], "--mapping"),
+        (["fig10", "--refresh", "staggered"], "--refresh"),
     ],
 )
 def test_flags_that_would_be_ignored_exit_2(capsys, argv, flag):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's own usage errors
-        code = exc.code
-    assert code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert flag in captured.err
     assert captured.out == ""
+
+
+def test_help_returns_0(capsys):
+    # argparse's own exits come back as main's return value.
+    assert main(["--help"]) == 0
+    assert "usage: repro" in capsys.readouterr().out
 
 
 def test_fig7_runs_and_prints_values(capsys):
@@ -188,29 +188,6 @@ def test_fig10_with_small_scale(capsys):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig99"])
-
-
-def test_fig10_with_system_flags(capsys):
-    code = main([
-        "fig10", "--requests", "400", "--workloads", "433.milc",
-        "--scheduler", "fcfs", "--mapping", "linear",
-    ])
-    assert code == 0
-    assert "GEOMEAN" in capsys.readouterr().out
-
-
-def test_unknown_scheduler_flag_gets_registry_error(capsys):
-    assert main(["fig10", "--scheduler", "round_robin"]) == 2
-    err = capsys.readouterr().err
-    assert "'scheduler'" in err and "fr_fcfs" in err
-
-
-def test_system_flags_rejected_outside_perf_artifacts(capsys):
-    # Anywhere the flag would be accepted-and-ignored must reject it:
-    # suite, campaign (which sweeps via --grid), non-perf figs.
-    for command in ("suite", "campaign", "fig7"):
-        assert main([command, "--scheduler", "fcfs"]) == 2
-        assert "--scheduler" in capsys.readouterr().err
 
 
 def test_suite_command_runs_selected_artifacts(tmp_path, capsys):
@@ -343,13 +320,9 @@ def test_bench_flags_rejected_on_other_commands(capsys):
     # The options of the removed bench command are unknown to every
     # remaining command.
     for flag in ("--smoke", "--reps", "--warmup", "--rev", "--baseline"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig7", flag])
-        assert excinfo.value.code == 2
+        assert main(["fig7", flag]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as excinfo:
-        main(["suite", "--reps", "3"])
-    assert excinfo.value.code == 2
+    assert main(["suite", "--reps", "3"]) == 2
     assert "--reps" in capsys.readouterr().err
 
 
@@ -406,9 +379,7 @@ def test_progress_flag_only_valid_for_campaign(capsys):
 def test_strict_flag_only_valid_for_bench(capsys):
     # --strict belonged to the removed bench command, so no command
     # accepts it now.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["fig7", "--strict"])
-    assert excinfo.value.code == 2
+    assert main(["fig7", "--strict"]) == 2
     assert "--strict" in capsys.readouterr().err
 
 
@@ -417,15 +388,12 @@ def test_verbosity_flags_are_global_and_exclusive(capsys):
     capsys.readouterr()
     assert main(["--verbose", "list"]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["--verbose", "--quiet", "list"])
-    capsys.readouterr()
+    assert main(["--verbose", "--quiet", "list"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def _assert_unknown_flag(capsys, argv, flag):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
+    assert main(argv) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 

@@ -1,7 +1,7 @@
 """Custom AST lint suite enforcing this repo's simulation invariants.
 
 Generic linters check style; this suite checks the *project's* rules —
-determinism of the simulation core, registry-mediated component
+determinism of the simulation core, by-name mitigation policy
 construction, ``__slots__`` on hot-path records, and full-precision
 floats in persisted artifacts.  Rules are AST-based (no imports of the
 checked code), plugin-registered (one module per concern under

@@ -1,19 +1,19 @@
-"""``registry-bypass``: component classes are constructed via registries.
+"""``registry-bypass``: mitigation policies are constructed by name.
 
-Schedulers, address mappings, refresh policies and mitigation policies
-are registry-backed (:mod:`repro.registry`): ``SCHEDULERS`` /
-``MAPPINGS`` / ``REFRESH_POLICIES`` / ``MITIGATIONS`` own the
-name→factory mapping, and :class:`repro.config.SystemConfig` resolves
-names declaratively.  Direct ``FrFcfsScheduler()``-style construction
-outside the defining module silently bypasses that layer: the call
-site stops honoring registry aliases, misses factory-side defaulting
-(e.g. ``mitigations.make_policy`` wiring), and drifts from what
-campaign scenarios can express.
+Mitigation policies are addressed by name: ``repro.mitigations``'
+``MITIGATIONS`` table owns the name→class mapping, and
+``make_policy`` / ``policy_factory`` build a policy from it.  Direct
+``TpracPolicy()``-style construction outside the defining module
+bypasses that layer: the call site misses factory-side defaulting
+(``policy_factory`` derives TB-Window, BAT and per-channel seeds from
+the device) and drifts from what campaign scenarios can express.
 
-The rule flags any call whose callee *name* is a registered component
-class, except inside the module that defines (and registers) it.
-Subclassing stays free — only instantiation is routed through the
-registries.
+The rule flags any call whose callee *name* is a mitigation policy
+class, except inside the module that defines it.  Subclassing stays
+free — only instantiation is routed through the table.  The
+controller's own components (its scheduler, mapping and refresh
+machinery) have one implementation each, which the controller builds
+directly, so they are not listed.
 """
 
 from __future__ import annotations
@@ -23,20 +23,10 @@ from typing import Dict, Iterator
 
 from tools.repro_lints.base import Module, Rule, Violation, register
 
-#: Registered component class -> (defining module, registry spelling).
-#: The defining module is exempt (it registers the factory); so is
-#: ``mitigations/__init__.py``, which builds the MITIGATIONS table.
+#: Mitigation policy class -> (defining module, by-name spelling).
+#: The defining module is exempt; so is ``mitigations/__init__.py``,
+#: which builds the MITIGATIONS table.
 COMPONENT_CLASSES: Dict[str, tuple] = {
-    # controller/scheduler.py — SCHEDULERS
-    "FrFcfsScheduler": ("src/repro/controller/scheduler.py", 'SCHEDULERS.get("fr_fcfs")'),
-    "FcfsScheduler": ("src/repro/controller/scheduler.py", 'SCHEDULERS.get("fcfs")'),
-    "FrFcfsCapScheduler": ("src/repro/controller/scheduler.py", 'SCHEDULERS.get("fr_fcfs_cap")'),
-    # dram/address.py — MAPPINGS
-    "LinearMapping": ("src/repro/dram/address.py", 'MAPPINGS.get("linear")'),
-    "MopMapping": ("src/repro/dram/address.py", 'MAPPINGS.get("mop")'),
-    # dram/refresh.py — REFRESH_POLICIES
-    "RefreshScheduler": ("src/repro/dram/refresh.py", 'REFRESH_POLICIES.get("periodic")'),
-    "StaggeredRefreshScheduler": ("src/repro/dram/refresh.py", 'REFRESH_POLICIES.get("staggered")'),
     # mitigations/* — MITIGATIONS (factory helper: mitigations.make_policy)
     "NoMitigationPolicy": ("src/repro/mitigations/base.py", 'make_policy("none")'),
     "AboOnlyPolicy": ("src/repro/mitigations/abo_only.py", 'make_policy("abo_only")'),
@@ -47,8 +37,8 @@ COMPONENT_CLASSES: Dict[str, tuple] = {
     "QpracPolicy": ("src/repro/mitigations/qprac.py", 'make_policy("qprac")'),
 }
 
-#: Modules allowed to construct any component directly: the registry
-#: assembly points themselves.
+#: Modules allowed to construct any policy directly: the table's own
+#: module.
 _ASSEMBLY_MODULES = ("src/repro/mitigations/__init__.py",)
 
 
@@ -64,13 +54,13 @@ def _callee_name(node: ast.Call) -> str:
 
 @register
 class RegistryBypassRule(Rule):
-    """Forbid direct construction of registry-backed components."""
+    """Forbid direct construction of mitigation policies."""
 
     name = "registry-bypass"
     rationale = (
-        "schedulers/mappings/refresh/mitigations are registry-backed; "
-        "direct construction bypasses name resolution and factory "
-        "defaulting and drifts from what scenarios can express"
+        "mitigation policies are built by name through repro.mitigations; "
+        "direct construction bypasses factory defaulting and drifts from "
+        "what scenarios can express"
     )
     scope = ("src/repro/",)
 
@@ -95,6 +85,6 @@ class RegistryBypassRule(Rule):
             yield self.violation(
                 module,
                 node,
-                f"construct {name} via its registry "
+                f"construct {name} by name "
                 f"({registry_form}), not directly",
             )
