@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify smoke test suite bench lint lints typecheck coverage
 
-verify:            ## tier-1 tests + 2-artifact parallel suite run
+verify:            ## tier-1, suite/campaign/sanitizer/telemetry smokes, examples, lints, perfbench check
 	./scripts/verify.sh
 
 smoke:             ## fast regression net only (collection/registry/runner/CLI)

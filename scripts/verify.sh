@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
-# Cheap regression net: tier-1 tests must collect cleanly and pass,
-# and the parallel suite executor must complete a 2-artifact run.
+# The regression net, in order: no tracked bytecode; tier-1 tests; a
+# 2-artifact parallel suite run; every example; the 12-scenario smoke
+# campaign and its resume; a channel-count sweep; sanitized perf
+# scenarios; the whole quick suite with every controller sanitized;
+# traced perf scenarios and their telemetry; the custom lints; and
+# perfbench's output check (digests and invariants).  Any failing leg
+# stops the script non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

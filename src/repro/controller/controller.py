@@ -54,7 +54,7 @@ from repro.controller.request import MemRequest
 from repro.controller.scheduler import BankQueueScheduler
 from repro.controller.stats import ControllerStats, RfmRecord
 from repro.core.engine import Engine, EventHandle
-from repro.dram.address import MopMapping
+from repro.dram.address import DramAddress, MopMapping
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import DramConfig
 from repro.dram.rank import Channel
@@ -65,6 +65,13 @@ from repro.obs.trace import TraceRecorder
 from repro.prac.abo import AboProtocol
 
 _INF = float("inf")
+
+#: Entries the decode memo may hold before ``enqueue`` clears it (about
+#: 0.8 MB).  An attack harness touches at most 64 distinct addresses
+#: per controller, so its hits never miss for want of room; a perf
+#: trace is a DRAM miss stream whose addresses are nearly all unique,
+#: so an unbounded memo would only grow with the run.
+_DECODE_CACHE_LIMIT = 4096
 
 
 class MemoryController:
@@ -153,9 +160,9 @@ class MemoryController:
         self._agenda_stale = False
         #: reused for the bank ids due at a wake when there are several
         self._due: List[int] = []
-        #: phys_addr -> (DramAddress, flat bank id); decode is pure and
-        #: workload footprints are bounded, so a plain dict suffices.
-        self._decode_cache: Dict[int, Tuple[object, int]] = {}
+        #: phys_addr -> (DramAddress, flat bank id); decode is pure, so
+        #: the memo is cleared whenever it reaches _DECODE_CACHE_LIMIT.
+        self._decode_cache: Dict[int, Tuple[DramAddress, int]] = {}
 
         # ABO protocol --------------------------------------------------
         self.abo = AboProtocol(config, self.channel, clock=lambda: engine.now)
@@ -287,11 +294,14 @@ class MemoryController:
     def enqueue(self, request: MemRequest) -> None:
         """Accept a request; it will complete via ``request.complete``."""
         phys = request.phys_addr
-        entry = self._decode_cache.get(phys)
+        memo = self._decode_cache
+        entry = memo.get(phys)
         if entry is None:
+            if len(memo) >= _DECODE_CACHE_LIMIT:
+                memo.clear()
             addr = self.mapping.decode(phys)
             entry = (addr, addr.flat_bank(self.config.organization))
-            self._decode_cache[phys] = entry
+            memo[phys] = entry
         addr, bank_id = entry
         request.addr = addr
         now = self.engine.now

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.dram.address import DramAddress
 
@@ -43,7 +43,7 @@ class MemRequest:
         addr: Optional[DramAddress] = None,
         done_time: Optional[float] = None,
         on_complete: Optional[Callable[["MemRequest"], None]] = None,
-        meta: Optional[dict] = None,
+        meta: Any = None,
     ) -> None:
         self.phys_addr = phys_addr
         self.is_write = is_write
@@ -53,8 +53,9 @@ class MemRequest:
         self.addr = addr                 # filled by the controller
         self.done_time = done_time
         self.on_complete = on_complete
-        #: optional caller annotations; None (not an empty dict) by
-        #: default so the hot path never allocates one per request
+        #: optional caller annotation, whatever the issuer needs back
+        #: at completion (a dict for the attack probes, the instruction
+        #: mark for TraceCore); None by default, so nothing is allocated
         self.meta = meta
 
     @property

@@ -22,9 +22,13 @@ from typing import Deque, List, Optional, Sequence
 from repro.controller.request import MemRequest
 from repro.dram.bank import Bank
 
+#: Consecutive row hits served past an older waiting request before the
+#: oldest request wins.
+HIT_CAP = 4
+
 
 class BankQueueScheduler:
-    """Per-bank FR-FCFS queues with a configurable row-hit cap.
+    """Per-bank FR-FCFS queues with a row-hit cap of :data:`HIT_CAP`.
 
     Busy banks are tracked in a sorted list maintained at the (rare)
     empty<->busy transitions, so reading the busy banks needs no
@@ -32,15 +36,12 @@ class BankQueueScheduler:
     queue lengths.
     """
 
-    def __init__(self, num_banks: int, cap: int = 4) -> None:
+    def __init__(self, num_banks: int) -> None:
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
-        if cap <= 0:
-            raise ValueError("cap must be positive")
         self.queues: List[Deque[MemRequest]] = [deque() for _ in range(num_banks)]
         self._busy: List[int] = []
         self._total_pending = 0
-        self.cap = cap
         self._consecutive_hits: List[int] = [0] * num_banks
 
     # ------------------------------------------------------------------
@@ -72,7 +73,7 @@ class BankQueueScheduler:
     def pick(self, bank_id: int, bank: Bank) -> Optional[MemRequest]:
         """Choose and remove the next request for ``bank_id``.
 
-        Row hits win until ``cap`` consecutive hits have been served
+        Row hits win until :data:`HIT_CAP` consecutive hits have been served
         while an older non-hit waits; then the oldest request is served
         to guarantee forward progress.  Requests are decoded at enqueue
         time, so the scan compares rows directly — no per-request
@@ -88,7 +89,7 @@ class BankQueueScheduler:
             index = 0
             for req in queue:
                 if req.addr.row == open_row:
-                    if index == 0 or hits[bank_id] < self.cap:
+                    if index == 0 or hits[bank_id] < HIT_CAP:
                         chosen = req
                         del queue[index]
                         if index > 0:

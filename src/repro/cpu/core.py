@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.controller.request import MemRequest
-from repro.cpu.trace import TraceCursor
+from repro.cpu.trace import TraceCursor, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Protocol
@@ -77,6 +76,11 @@ class TraceCore:
         self.on_finish: Optional[Callable[["TraceCore"], None]] = None
         #: inst numbers of outstanding DRAM requests, oldest first
         self._outstanding: Deque[int] = deque()
+        #: the record _advance consumed for the pending _issue_dram; one
+        #: slot suffices: each of the two schedules the other, and
+        #: _dram_done reschedules _advance only after an _advance that
+        #: scheduled nothing
+        self._next: Optional[TraceRecord] = None
         self._stalled = False
         self._started = False
         # Hot-path caches: plain attribute loads instead of dataclass
@@ -146,29 +150,32 @@ class TraceCore:
 
         compute_ns = (record.gap_insts / self._width) * self._cycle_ns
         self.insts_retired += record.gap_insts + 1
+        self._next = record
         engine = self.engine
         engine.schedule(
-            engine.now + compute_ns,
-            partial(self._issue_dram, record.phys_addr, record.is_write),
-            0,
-            self._mem_label,
+            engine.now + compute_ns, self._issue_dram, 0, self._mem_label
         )
 
-    def _issue_dram(self, phys_addr: int, is_write: bool) -> None:
+    def _issue_dram(self) -> None:
+        record = self._next
+        assert record is not None  # set by the _advance that scheduled us
         self.dram_requests += 1
         inst_mark = self.insts_retired
         self._outstanding.append(inst_mark)
-        request = MemRequest(
-            phys_addr=phys_addr,
-            is_write=is_write,
-            core_id=self.core_id,
-            on_complete=lambda req, mark=inst_mark: self._dram_done(mark),
+        # Built positionally (keywords cost more on this per-request
+        # path), carrying the instruction mark in meta so that the
+        # completion callback needs no per-request closure.
+        self.memory.enqueue(
+            MemRequest(
+                record.phys_addr, record.is_write, self.core_id, 0.0, None,
+                None, None, self._dram_done, inst_mark,
+            )
         )
-        self.memory.enqueue(request)
         # Keep fetching ahead of the miss (the ROB check gates this).
         self.engine.schedule(self.engine.now, self._advance)
 
-    def _dram_done(self, inst_mark: int) -> None:
+    def _dram_done(self, request: MemRequest) -> None:
+        inst_mark: int = request.meta
         outstanding = self._outstanding
         try:
             if outstanding and outstanding[0] == inst_mark:

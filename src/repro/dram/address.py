@@ -14,6 +14,9 @@ from typing import NamedTuple
 
 from repro.dram.config import DramOrganization
 
+#: Consecutive cache lines per MOP block (Kaseridis et al.'s width).
+MOP_WIDTH = 4
+
 
 class DramAddress(NamedTuple):
     """A decoded DRAM coordinate.
@@ -43,7 +46,7 @@ class MopMapping:
     """Minimalist Open Page mapping.
 
     Consecutive cache lines first stripe across channels, then group
-    into MOP blocks of ``mop_width`` lines that stay in the same
+    into MOP blocks of :data:`MOP_WIDTH` lines that stay in the same
     row/bank; successive blocks rotate across banks, then ranks, then
     advance the row.  The channel bits sit **below** the MOP block so
     every channel receives an equal share of each block's lines, and
@@ -55,19 +58,18 @@ class MopMapping:
         rank : column_high : row
     """
 
-    def __init__(self, org: DramOrganization, mop_width: int = 4) -> None:
-        if mop_width <= 0 or org.columns_per_row % mop_width != 0:
+    def __init__(self, org: DramOrganization) -> None:
+        if org.columns_per_row % MOP_WIDTH != 0:
             raise ValueError(
-                f"mop_width {mop_width} must divide columns/row "
+                f"MOP width {MOP_WIDTH} must divide columns/row "
                 f"({org.columns_per_row})"
             )
         self.org = org
-        self.mop_width = mop_width
         # decode's field sizes, LSB first, read from the organization
         # once (columns_per_row is a property).
         self._radices = (
-            org.cacheline_bytes, org.channels, mop_width, org.banks_per_group,
-            org.bank_groups, org.ranks, org.columns_per_row // mop_width,
+            org.cacheline_bytes, org.channels, MOP_WIDTH, org.banks_per_group,
+            org.bank_groups, org.ranks, org.columns_per_row // MOP_WIDTH,
             org.rows_per_bank,
         )
 
@@ -98,13 +100,13 @@ class MopMapping:
     def encode(self, addr: DramAddress) -> int:
         """Map a DRAM coordinate back to a byte physical address."""
         org = self.org
-        col_high, col_low = divmod(addr.column, self.mop_width)
+        col_high, col_low = divmod(addr.column, MOP_WIDTH)
         line = addr.row
-        line = line * (org.columns_per_row // self.mop_width) + col_high
+        line = line * (org.columns_per_row // MOP_WIDTH) + col_high
         line = line * org.ranks + addr.rank
         line = line * org.bank_groups + addr.bank_group
         line = line * org.banks_per_group + addr.bank
-        line = line * self.mop_width + col_low
+        line = line * MOP_WIDTH + col_low
         line = line * org.channels + addr.channel
         return line * org.cacheline_bytes
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller.request import MemRequest
-from repro.controller.scheduler import BankQueueScheduler
+from repro.controller.scheduler import HIT_CAP, BankQueueScheduler
 from repro.dram.address import DramAddress
 from repro.dram.bank import Bank
 from repro.dram.config import small_test_config
@@ -39,11 +39,11 @@ def test_row_hit_preferred_over_older_conflict(bank):
 
 
 def test_hit_cap_forces_oldest_after_cap(bank):
-    sched = BankQueueScheduler(num_banks=1, cap=2)
+    sched = BankQueueScheduler(num_banks=1)
     bank.activate(5, 0.0)
     conflict = _req(1)
     sched.enqueue(conflict, 0)
-    for _ in range(2):
+    for _ in range(HIT_CAP):
         sched.enqueue(_req(5), 0)
         picked = sched.pick(0, bank)
         assert picked.addr.row == 5
@@ -53,11 +53,17 @@ def test_hit_cap_forces_oldest_after_cap(bank):
 
 
 def test_head_hit_does_not_consume_cap(bank):
-    sched = BankQueueScheduler(num_banks=1, cap=1)
+    sched = BankQueueScheduler(num_banks=1)
     bank.activate(5, 0.0)
-    for _ in range(5):
+    for _ in range(HIT_CAP + 1):
         sched.enqueue(_req(5), 0)
         assert sched.pick(0, bank).addr.row == 5
+    # The head hits left the whole streak: a hit behind an older
+    # conflict still wins.
+    conflict, hit = _req(1), _req(5)
+    sched.enqueue(conflict, 0)
+    sched.enqueue(hit, 0)
+    assert sched.pick(0, bank) is hit
 
 
 def test_pick_empty_returns_none(bank):
@@ -84,8 +90,6 @@ def test_enqueue_requires_decoded_request():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         BankQueueScheduler(num_banks=0)
-    with pytest.raises(ValueError):
-        BankQueueScheduler(num_banks=1, cap=0)
 
 
 def test_banks_with_work_stays_sorted_through_churn(bank):

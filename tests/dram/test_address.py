@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.address import DramAddress, MopMapping
-from repro.dram.config import ddr5_8000b
+from repro.dram.address import MOP_WIDTH, DramAddress, MopMapping
+from repro.dram.config import DramOrganization, ddr5_8000b
 
 ORG = ddr5_8000b().organization
 
@@ -17,7 +17,7 @@ def test_decode_zero_is_origin():
 
 
 def test_mop_stripes_blocks_across_banks():
-    mop = MopMapping(ORG, mop_width=4)
+    mop = MopMapping(ORG)
     lines = [mop.decode(i * 64) for i in range(8)]
     # First 4 lines share a bank; the next block moves banks.
     assert len({(a.bank_group, a.bank) for a in lines[:4]}) == 1
@@ -31,8 +31,11 @@ def test_mop_keeps_row_constant_within_stripe_group():
 
 
 def test_mop_width_must_divide_columns():
-    with pytest.raises(ValueError):
-        MopMapping(ORG, mop_width=7)
+    # 384-byte rows hold 6 lines, which no 4-line MOP block divides.
+    org = DramOrganization(row_size_bytes=384)
+    assert org.columns_per_row % MOP_WIDTH != 0
+    with pytest.raises(ValueError, match="must divide"):
+        MopMapping(org)
 
 
 @settings(max_examples=200, deadline=None)

@@ -61,8 +61,8 @@ def test_mop_channel_bits_sit_below_the_mop_block(channels):
     """One MOP block's lines split evenly across channels, and the
     non-channel coordinates advance exactly as in the 1-channel layout
     stretched by the channel count."""
-    mop_multi = MopMapping(_org(channels), mop_width=4)
-    mop_single = MopMapping(_org(1), mop_width=4)
+    mop_multi = MopMapping(_org(channels))
+    mop_single = MopMapping(_org(1))
     for line in range(4 * channels * 3):
         multi = mop_multi.decode(line * 64)
         # Stripping the channel bits reproduces the single-channel decode.
