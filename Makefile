@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify smoke test suite bench lint lints typecheck coverage
+.PHONY: verify smoke test suite bench lint lints typecheck coverage reach
 
 verify:            ## tier-1, suite/campaign/sanitizer/telemetry smokes, examples, lints, perfbench check
 	./scripts/verify.sh
@@ -18,6 +18,9 @@ lint:              ## ruff + the custom invariant lints (the CI lint gate)
 
 lints:             ## project-specific AST lints only (no dependencies)
 	$(PYTHON) -m tools.repro_lints
+
+reach:             ## run every product entry point; fail on src/ functions only tests reach
+	$(PYTHON) tools/reach.py
 
 typecheck:         ## mypy over src/repro (strictness table in pyproject.toml)
 	$(PYTHON) -m mypy

@@ -118,12 +118,15 @@ echo "== campaign: traced perf scenarios (telemetry smoke) =="
 # runs must produce a loadable Chrome trace, a metrics file per trial
 # and a heartbeat stream that `obs report` can summarize.  Each metrics
 # file must also count: its rfm.* counters add up to the trial's `rfms`
-# metric (one trial, so the scenario mean is that trial's value), and
-# it saw at least one REFab.
+# metric (one trial, so the scenario mean is that trial's value), it
+# saw at least one REFab, and the sampler fired on its own at least
+# once (5,000 requests per core last about five 10 us sampling
+# intervals; the default 600 end before the first).
 obs_dir="$(mktemp -d)"
 cleanup_dirs+=("$obs_dir")
 python -m repro.cli campaign --grid trace=true metrics=true \
-    mitigation=tprac,rfmpb --trials 1 --jobs 2 --out "$obs_dir" --progress
+    mitigation=tprac,rfmpb requests_per_core=5000 --trials 1 --jobs 2 \
+    --out "$obs_dir" --progress
 ls "$obs_dir"/obs/trace-*.chrome.json "$obs_dir"/obs/metrics-*.json \
     "$obs_dir"/heartbeat.jsonl > /dev/null
 python -c "import json, sys, glob
@@ -137,7 +140,9 @@ paths = sorted(glob.glob(root + '/obs/metrics-*.json'))
 assert len(paths) == 2, paths
 for path in paths:
     scenario_id = re.fullmatch(r'metrics-(.+)-s\d+\.json', os.path.basename(path))[1]
-    counters = json.load(open(path))['registry']['counters']
+    metrics = json.load(open(path))
+    assert metrics['samples'] >= 2, (path, metrics['samples'])
+    counters = metrics['registry']['counters']
     scenario = json.load(open(root + '/scenario-' + scenario_id + '.json'))
     rfms = scenario['metrics']['rfms']['mean']
     exported = sum(v for k, v in counters.items() if k.startswith('rfm.'))

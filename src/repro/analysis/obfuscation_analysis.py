@@ -41,24 +41,6 @@ class ObfuscationLeakage:
     total_variation: float    # 0 = indistinguishable, 1 = fully separable
     classifier_accuracy: float  # optimal single-shot accuracy (0.5..1.0)
 
-    @property
-    def bits_leaked_bound(self) -> float:
-        """Crude leakage bound: accuracy mapped to channel capacity.
-
-        Uses the binary symmetric channel capacity at the classifier's
-        error rate — an upper bound on bits/decision for this decoder.
-        """
-        error = 1.0 - self.classifier_accuracy
-        if error <= 0.0:
-            return 1.0
-        if error >= 0.5:
-            return 0.0
-
-        def entropy(x: float) -> float:
-            return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-        return 1.0 - entropy(error)
-
 
 def analyze(
     windows: int = 64,

@@ -47,14 +47,6 @@ class StorageOverhead:
     queue_bits_per_bank: int
     banks: int
 
-    @property
-    def controller_bytes(self) -> float:
-        return self.interval_register_bits / 8
-
-    @property
-    def dram_queue_bytes(self) -> float:
-        return self.queue_bits_per_bank * self.banks / 8
-
 
 def interval_register_bits(config: DramConfig) -> int:
     """Bits to encode intervals up to tREFW/2 in DRAM clock ticks."""

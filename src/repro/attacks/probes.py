@@ -95,10 +95,6 @@ class ProbeResult:
     times: List[float] = field(default_factory=list)
     latencies: List[float] = field(default_factory=list)
 
-    def spikes(self, threshold_ns: float) -> List[int]:
-        """Indices of probe accesses whose latency exceeded the threshold."""
-        return [i for i, lat in enumerate(self.latencies) if lat > threshold_ns]
-
     @property
     def mean_latency(self) -> float:
         if not self.latencies:

@@ -33,7 +33,6 @@ from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import ATTACK_KINDS, Scenario
 from repro.campaigns.trials import (
     CampaignResult,
-    load_campaign_index,
     load_scenario_result,
     run_campaign,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "builtin_names",
     "builtin_scenarios",
     "expand_grid",
-    "load_campaign_index",
     "load_scenario_result",
     "parse_grid_tokens",
     "run_campaign",

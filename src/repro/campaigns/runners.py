@@ -15,7 +15,8 @@ repository's simulators and returns a flat ``{metric: number}`` dict:
   injected into the channel's controller) with a seeded message and,
   optionally, background workload traffic as scheduling noise.
 * ``aes_side_channel`` — the AES T-table key-recovery attack with a
-  seeded key; ``mitigation`` selects undefended (ABO-Only) vs TPRAC.
+  seeded key; ``mitigation`` selects undefended (``abo_only``) or
+  ``tprac`` (:meth:`Scenario.validate` rejects any other).
 * ``feinting`` — the executed worst-case Feinting attack against
   TPRAC; checks the analytical bound holds.
 * ``selftest`` — a microsecond-scale deterministic kind used by smoke
@@ -223,16 +224,6 @@ def _covert_count_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 def _aes_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     from repro.attacks.side_channel import AesSideChannelAttack
 
-    defense_by_mitigation: Dict[str, Optional[str]] = {
-        "none": None,
-        "abo_only": None,
-        "tprac": "tprac",
-    }
-    if scenario.mitigation not in defense_by_mitigation:
-        raise ValueError(
-            "aes_side_channel supports mitigation in "
-            f"{sorted(defense_by_mitigation)}, not {scenario.mitigation!r}"
-        )
     rng = random.Random(seed)
     key = bytes(rng.randrange(256) for _ in range(16))
     attack = AesSideChannelAttack(
@@ -240,7 +231,7 @@ def _aes_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         nbo=scenario.nbo,
         prac_level=scenario.prac_level,
         encryptions=int(scenario.params.get("encryptions", 150)),
-        defense=defense_by_mitigation[scenario.mitigation],
+        defense="tprac" if scenario.mitigation == "tprac" else None,
         seed=seed,
     )
     result = attack.run_single(
@@ -261,8 +252,6 @@ def _aes_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 def _feinting_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     from repro.attacks.feinting_sim import FeintingAttack
 
-    if scenario.mitigation != "tprac":
-        raise ValueError("feinting scenarios attack TPRAC; set mitigation=tprac")
     result = FeintingAttack(
         pool_size=int(scenario.params.get("pool_size", 16)),
         nbo=scenario.nbo,

@@ -19,7 +19,7 @@ what makes campaign results cacheable and resumable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping
 
 from repro import mitigations
@@ -43,6 +43,11 @@ ATTACK_KINDS = (
 
 #: Workload value meaning "no background workload drives the system".
 NO_WORKLOAD = "none"
+
+#: Mitigations the AES attack runs against: undefended (ABO-Only) or
+#: TPRAC.  Any other name would rerun one of these two simulations
+#: under a second scenario ID.
+AES_MITIGATIONS = ("abo_only", "tprac")
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,13 @@ class Scenario:
             )
         if self.attack == "perf" and self.workload == NO_WORKLOAD:
             raise ValueError("perf scenarios need a workload axis")
+        if self.attack == "aes_side_channel" and self.mitigation not in AES_MITIGATIONS:
+            raise ValueError(
+                f"aes_side_channel supports mitigation in {list(AES_MITIGATIONS)}, "
+                f"not {self.mitigation!r}"
+            )
+        if self.attack == "feinting" and self.mitigation != "tprac":
+            raise ValueError("feinting scenarios attack TPRAC; set mitigation=tprac")
         if self.dram not in PRESETS:
             raise ValueError(
                 f"unknown DRAM preset {self.dram!r}; have {sorted(PRESETS)}"
@@ -188,9 +200,3 @@ class Scenario:
         if self.dram != "ddr5_8000b":
             parts.append(self.dram)
         return "/".join(parts)
-
-    def with_params(self, **extra: Any) -> "Scenario":
-        """Copy with additional/overridden ``params`` entries."""
-        merged = dict(self.params)
-        merged.update(extra)
-        return replace(self, params=merged)

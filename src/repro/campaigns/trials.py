@@ -262,7 +262,6 @@ def run_campaign(
     resume: bool = False,
     timeout: Optional[float] = None,
     on_event: Optional[EventHook] = None,
-    heartbeat: bool = True,
 ) -> CampaignResult:
     """Run ``trials`` seeded Monte Carlo trials for every scenario.
 
@@ -291,10 +290,10 @@ def run_campaign(
         Optional subscriber called with every lifecycle event the
         heartbeat records — ``(event, fields)`` pairs in completion
         order (the ``--progress`` renderer plugs in here).
-    heartbeat:
-        Append lifecycle events to ``heartbeat.jsonl`` in the campaign
-        directory (append-only across attempts; see
-        :mod:`repro.obs.heartbeat`).
+
+    Every lifecycle event is also appended to ``heartbeat.jsonl`` in the
+    campaign directory (append-only across attempts; see
+    :mod:`repro.obs.heartbeat`).
 
     A ``KeyboardInterrupt`` mid-run aborts cleanly: the pool is torn
     down, an ``campaign.interrupted`` event is recorded, the index is
@@ -311,13 +310,10 @@ def run_campaign(
     index = CampaignIndex.load(out_root)
     log = get_logger()
 
-    hb_writer = (
-        HeartbeatWriter(out_root / HEARTBEAT_FILENAME) if heartbeat else None
-    )
+    hb_writer = HeartbeatWriter(out_root / HEARTBEAT_FILENAME)
 
     def emit(event: str, **fields: Any) -> None:
-        if hb_writer is not None:
-            hb_writer.emit(event, **fields)
+        hb_writer.emit(event, **fields)
         if on_event is not None:
             on_event(event, fields)
 
@@ -501,8 +497,7 @@ def run_campaign(
         index.flush()
         raise
     finally:
-        if hb_writer is not None:
-            hb_writer.close()
+        hb_writer.close()
 
     return CampaignResult(
         output_dir=out_root,
@@ -516,8 +511,3 @@ def run_campaign(
 def load_scenario_result(path: PathLike) -> Dict[str, Any]:
     """Read one persisted scenario document back."""
     return json.loads(Path(path).read_text())
-
-
-def load_campaign_index(output_dir: PathLike) -> List[Dict[str, Any]]:
-    """Read a campaign directory's ``campaign.json`` index."""
-    return json.loads((Path(output_dir) / INDEX_FILENAME).read_text())

@@ -30,7 +30,9 @@ artifact is a plot.  The artifact flags (``--nbo``, ``--requests`` and
 ``--workloads``) fill only parameters that ``run()`` declares: a flag
 the harness has no parameter for exits 2 before anything runs, and
 ``all`` passes each flag to the harnesses that take it.  Every usage
-error, argparse's own included, makes :func:`main` return 2.
+error, argparse's own included, makes :func:`main` return 2.  A
+scorecard with a failing check makes ``repro scorecard`` and
+``repro all`` return 1, after every requested artifact has run.
 
 ``suite`` runs the registered artifact harnesses through the parallel,
 fault-isolated, cached orchestrator (:mod:`repro.experiments.runner`)
@@ -217,6 +219,7 @@ def _run_artifacts(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    failed = []
     for name, kwargs in calls:
         started = time.time()
         print(f"==== {name} " + "=" * max(0, 60 - len(name)))
@@ -226,6 +229,12 @@ def _run_artifacts(args) -> int:
             text += "\n\n" + _PLOTS[name](result)
         print(text)
         print(f"---- {name} done in {time.time() - started:.1f}s\n")
+        # The scorecard grades itself: a FAIL row fails the command.
+        if not getattr(result, "all_passed", True):
+            failed.append(name)
+    if failed:
+        print(f"error: {', '.join(failed)} reported a failing check", file=sys.stderr)
+        return 1
     return 0
 
 

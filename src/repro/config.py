@@ -23,7 +23,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dram.config import DramConfig
@@ -97,17 +97,6 @@ class SystemConfig:
             for f in fields(self)
             if getattr(self, f.name) != f.default
         }
-
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "SystemConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys, validates."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(spec) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown system config keys: {unknown}; have {sorted(known)}"
-            )
-        return cls(**spec).validate()
 
     def is_default(self) -> bool:
         """Whether this is the default single-channel, unobserved system."""

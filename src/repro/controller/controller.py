@@ -332,14 +332,6 @@ class MemoryController:
             self._wake_time = now
             self._wake_event = engine.schedule(now, self._wake, 1, "mc-wake")
 
-    @property
-    def now(self) -> float:
-        return self.engine.now
-
-    def idle(self) -> bool:
-        """True when no requests or proactive RFMs are pending."""
-        return self.scheduler.pending() == 0 and not self._pending_rfms
-
     # ==================================================================
     # ABO protocol hooks
     # ==================================================================
@@ -603,7 +595,7 @@ class MemoryController:
             data_start = channel.bus_free_at
         data_end = data_start + self._tBL
         channel.bus_free_at = data_end
-        bank_stats = bank.stats  # inline Bank.record_column
+        bank_stats = bank.stats
         if request.is_write:
             bank_stats.writes += 1
             self._wr_recovery_until[bank_id] = data_end + self._tWR
@@ -618,9 +610,7 @@ class MemoryController:
     def _finish(self, request: MemRequest, was_hit: bool) -> None:
         now = self.engine.now
         stats = self.stats
-        stats.record_completion(
-            now - request.arrive_time, request.core_id, was_hit, request.is_write
-        )
+        stats.record_completion(now - request.arrive_time, was_hit, request.is_write)
         if request.is_write:
             stats.writes += 1
         else:

@@ -25,9 +25,7 @@ per-controller objects) and :attr:`stats` (a merged
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
-
-import inspect
+from typing import Callable, List, Optional
 
 from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.controller import MemoryController
@@ -35,25 +33,9 @@ from repro.controller.request import MemRequest
 from repro.controller.stats import ControllerStats
 from repro.core.engine import Engine
 from repro.dram.address import MopMapping
-from repro.dram.bank import Bank
 from repro.dram.config import DramConfig
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
-
-
-def _accepts_channel_id(factory: Callable) -> bool:
-    """Whether a policy factory declares a parameter literally named
-    ``channel_id`` (matching by name, not arity: policy classes used
-    directly as factories have unrelated constructor parameters)."""
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return False
-    parameter = parameters.get("channel_id")
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
 
 
 class MemorySystem:
@@ -63,11 +45,10 @@ class MemorySystem:
     wiring: a mitigation policy instance attaches to exactly one
     controller, so multi-channel systems take ``policy_factory`` (one
     fresh instance per channel) while single-channel systems may keep
-    passing a ready-made ``policy`` object.  A factory that declares a
-    ``channel_id`` parameter is called as
-    ``policy_factory(channel_id=n)`` — the hook for per-channel seeding
-    of stochastic policies; factories without one (e.g. a bare policy
-    class) are called with no arguments.
+    passing a ready-made ``policy`` object.  A factory is called as
+    ``policy_factory(channel_id=n)`` once per channel — the hook for
+    per-channel seeding of stochastic policies (see
+    :func:`repro.mitigations.policy_factory`).
     """
 
     def __init__(
@@ -75,7 +56,7 @@ class MemorySystem:
         engine: Engine,
         config: DramConfig,
         policy: Optional[object] = None,
-        policy_factory: Optional[Callable[[], object]] = None,
+        policy_factory: Optional[Callable[..., object]] = None,
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
@@ -97,15 +78,6 @@ class MemorySystem:
         self.config = config
         self.system = system
         self.channels = channels
-        if policy_factory is None:
-            def make_policy(channel_id: int) -> Optional[object]:
-                return policy
-        elif _accepts_channel_id(policy_factory):
-            def make_policy(channel_id: int) -> Optional[object]:
-                return policy_factory(channel_id=channel_id)
-        else:
-            def make_policy(channel_id: int) -> Optional[object]:
-                return policy_factory()
         #: the shared address mapping: controllers decode with it and
         #: the facade routes with its ``channel_of`` — one source of
         #: truth for where the channel bits live.
@@ -123,7 +95,10 @@ class MemorySystem:
             MemoryController(
                 engine,
                 config,
-                policy=make_policy(channel_id),
+                policy=(
+                    policy if policy_factory is None
+                    else policy_factory(channel_id=channel_id)
+                ),
                 system=system,
                 mapping=self.mapping,
                 enable_abo=enable_abo,
@@ -154,21 +129,9 @@ class MemorySystem:
             request
         )
 
-    def controller_for(self, phys_addr: int) -> MemoryController:
-        """The controller that owns this physical address."""
-        return self.controllers[self.mapping.channel_of(phys_addr)]
-
     # ------------------------------------------------------------------
     # Aggregate views
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.engine.now
-
-    def idle(self) -> bool:
-        """True when every channel is idle."""
-        return all(controller.idle() for controller in self.controllers)
-
     @property
     def per_channel_stats(self) -> List[ControllerStats]:
         """Live per-channel statistics objects, channel order."""
@@ -186,28 +149,7 @@ class MemorySystem:
             return self.controllers[0].stats
         return ControllerStats.merged(self.per_channel_stats)
 
-    def iter_banks(self) -> Iterator[Bank]:
-        """Every bank of every channel, channel-major order."""
-        for controller in self.controllers:
-            yield from controller.channel
-
-    @property
-    def activations(self) -> int:
-        """Total row activations across all channels."""
-        return sum(bank.stats.activations for bank in self.iter_banks())
-
     @property
     def refresh_count(self) -> int:
         """Total REFab commands issued across all channels."""
         return sum(c.refresh.refresh_count for c in self.controllers)
-
-    @property
-    def rfm_count(self) -> int:
-        """Total RFM commands (all-bank and per-bank) across all channels."""
-        return sum(c.stats.rfm_count() for c in self.controllers)
-
-    def __len__(self) -> int:
-        return self.channels
-
-    def __iter__(self) -> Iterator[MemoryController]:
-        return iter(self.controllers)

@@ -6,8 +6,8 @@ aggregates.  Both are recorded here.  (The attacks time their own
 probes through ``MemRequest.on_complete``.)
 
 Hot-path design: requests are kept as **aggregate counters only** —
-per-request scalars plus per-core and per-provenance running totals
-and a fixed-bucket read-latency histogram — so a long performance run
+per-request scalars plus per-provenance running totals and a
+fixed-bucket read-latency histogram — so a long performance run
 allocates nothing per request.  RFM records are always kept (RFMs are
 ~10⁴× rarer than requests) but counted incrementally so
 :meth:`rfm_count` never rescans the list.
@@ -85,9 +85,6 @@ class ControllerStats:
     row_conflicts: int = 0
     total_latency: float = 0.0
     rfm_records: List[RfmRecord] = field(default_factory=list)
-    #: per-core running aggregates (kept on every path; O(1) updates)
-    core_requests: Dict[int, int] = field(default_factory=dict)
-    core_latency_total: Dict[int, float] = field(default_factory=dict)
     #: per-provenance running RFM counts (avoids rescanning rfm_records)
     rfm_counts: Dict[RfmProvenance, int] = field(default_factory=dict)
     #: total rows mitigated across all RFMs (energy model input)
@@ -105,7 +102,7 @@ class ControllerStats:
 
     # ------------------------------------------------------------------
     def record_completion(
-        self, latency: float, core_id: int, was_hit: bool, is_write: bool = False
+        self, latency: float, was_hit: bool, is_write: bool = False
     ) -> None:
         """Account one completed request (hot path: counters only).
 
@@ -122,13 +119,6 @@ class ControllerStats:
                 self.read_latency_max = latency
         if was_hit:
             self.row_hits += 1
-        core_requests = self.core_requests
-        if core_id in core_requests:
-            core_requests[core_id] += 1
-            self.core_latency_total[core_id] += latency
-        else:
-            core_requests[core_id] = 1
-            self.core_latency_total[core_id] = latency
 
     def record_rfm(self, record: RfmRecord) -> None:
         """Append one issued-RFM record and bump its provenance counter."""
@@ -159,13 +149,6 @@ class ControllerStats:
             return len(self.rfm_records)
         return self.rfm_counts.get(provenance, 0)
 
-    def core_mean_latency(self, core_id: int) -> float:
-        """Mean end-to-end latency for one core's requests (no rescans)."""
-        n = self.core_requests.get(core_id, 0)
-        if n == 0:
-            return 0.0
-        return self.core_latency_total[core_id] / n
-
     # ------------------------------------------------------------------
     def read_latency_percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (0..1) of read latency, in ns.
@@ -192,7 +175,7 @@ class ControllerStats:
     def merged(cls, parts: Sequence["ControllerStats"]) -> "ControllerStats":
         """Merge per-channel statistics into one aggregate view.
 
-        Counters sum; per-core and per-provenance dicts merge by key;
+        Counters sum; per-provenance counts merge by key;
         RFM records interleave into global time order (stable within a
         channel, so equal timestamps keep channel order).  The result is
         a **snapshot**: it does not track the source objects afterwards.
@@ -214,14 +197,6 @@ class ControllerStats:
             out.row_conflicts += part.row_conflicts
             out.total_latency += part.total_latency
             out.mitigated_row_total += part.mitigated_row_total
-            for core_id, count in part.core_requests.items():
-                out.core_requests[core_id] = (
-                    out.core_requests.get(core_id, 0) + count
-                )
-                out.core_latency_total[core_id] = (
-                    out.core_latency_total.get(core_id, 0.0)
-                    + part.core_latency_total[core_id]
-                )
             for provenance, count in part.rfm_counts.items():
                 out.rfm_counts[provenance] = (
                     out.rfm_counts.get(provenance, 0) + count

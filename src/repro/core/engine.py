@@ -14,8 +14,8 @@ Hot-path design (this is the innermost loop of every experiment):
   allocates nothing else.  ``heapq`` compares entries in C and stops at
   ``seq`` (unique), so the callback is never compared.
 * The callback slot is the event's state: it holds the callback while
-  the event is pending and is cleared to ``None`` once the event fires,
-  is cancelled or is drained.  :meth:`Engine.cancel` clears it in O(1);
+  the event is pending and is cleared to ``None`` once the event fires
+  or is cancelled.  :meth:`Engine.cancel` clears it in O(1);
   the entry stays in the heap and is skipped when popped.  Clearing the
   slot also releases the closure, and makes a late cancel a no-op.
 * :attr:`Engine.pending` and :attr:`Engine.events_fired` are derived
@@ -43,21 +43,19 @@ _INF = float("inf")
 #: A scheduled event, ``[time, priority, seq, callback, label]``: the
 #: heap entry itself, returned by :meth:`Engine.schedule` as the handle
 #: :meth:`Engine.cancel` takes.  ``callback`` is ``None`` once the event
-#: has fired, been cancelled or been drained.
+#: has fired or been cancelled.
 EventHandle = List[Any]
 
 
 class RepeatingTimer:
     """A self-re-arming periodic callback (see :meth:`Engine.every`).
 
-    The underlying event handle changes at every re-arm, so callers
-    hold this stable handle instead; :meth:`stop` cancels the pending
-    occurrence and prevents further re-arms.  Used by observability
-    samplers — the periodic event is ordinary engine traffic, so
-    determinism (same-time ordering by seq) is untouched.
+    Used by the observability sampler: the periodic event is ordinary
+    engine traffic, so determinism (same-time ordering by seq) is
+    untouched.  The series runs until the engine stops running it.
     """
 
-    __slots__ = ("engine", "interval", "callback", "priority", "label", "_event", "stopped")
+    __slots__ = ("engine", "interval", "callback", "priority", "label")
 
     def __init__(
         self,
@@ -74,25 +72,13 @@ class RepeatingTimer:
         self.callback = callback
         self.priority = priority
         self.label = label
-        self.stopped = False
-        self._event: Optional[EventHandle] = engine.schedule_after(
-            interval, self._fire, priority=priority, label=label
-        )
+        engine.schedule_after(interval, self._fire, priority=priority, label=label)
 
     def _fire(self) -> None:
         self.callback()
-        if not self.stopped:
-            self._event = self.engine.schedule_after(
-                self.interval, self._fire, priority=self.priority, label=self.label
-            )
-
-    def stop(self) -> None:
-        """Cancel the pending occurrence and stop re-arming."""
-        self.stopped = True
-        event = self._event
-        if event is not None:
-            self.engine.cancel(event)
-            self._event = None
+        self.engine.schedule_after(
+            self.interval, self._fire, priority=self.priority, label=self.label
+        )
 
 
 class Engine:
@@ -161,18 +147,17 @@ class Engine:
     ) -> RepeatingTimer:
         """Run ``callback`` every ``interval`` ns (first at now+interval).
 
-        Returns a :class:`RepeatingTimer`; ``stop()`` it to end the
-        series.  The series re-arms itself forever — pair with
-        :meth:`request_stop`-style termination, as a repeating event
-        alone keeps the queue non-empty.
+        Returns the :class:`RepeatingTimer`.  The series re-arms itself
+        forever, so a repeating event alone keeps the queue non-empty:
+        end the run with ``run(until=)`` or :meth:`request_stop`.
         """
         return RepeatingTimer(self, interval, callback, priority, label)
 
     def cancel(self, event: EventHandle) -> None:
         """Cancel a pending event in O(1); the run loop skips it.
 
-        Cancelling an event that already fired, was already cancelled
-        or was drained is a no-op.
+        Cancelling an event that already fired or was already cancelled
+        is a no-op.
         """
         if event[3] is not None:
             event[3] = None  # release the closure
@@ -181,22 +166,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False when none remain."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)
-            callback = event[3]
-            if callback is None:
-                self._dead -= 1
-                self._discarded += 1
-                continue
-            event[3] = None  # mark fired; cancel() becomes a no-op
-            self.now = event[0]
-            callback()
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached,
         ``max_events`` events have fired, or :meth:`request_stop` is
@@ -264,12 +233,3 @@ class Engine:
         an event still queued, one removed unfired, or one fired.
         """
         return self._seq - len(self._heap) - self._discarded
-
-    def drain(self) -> None:
-        """Discard all pending events (used by tests and teardown)."""
-        heap = self._heap
-        for event in heap:
-            event[3] = None  # a late cancel() stays a no-op
-        self._discarded += len(heap)
-        self._dead = 0
-        heap.clear()

@@ -12,7 +12,7 @@ memory system; there is no cache model in front of it.
 
 from repro.cpu.core import CoreParams, TraceCore
 from repro.cpu.system import System, SystemResult
-from repro.cpu.trace import TraceRecord, synthesize_trace
+from repro.cpu.trace import TraceRecord
 
 __all__ = [
     "CoreParams",
@@ -20,5 +20,4 @@ __all__ = [
     "SystemResult",
     "TraceCore",
     "TraceRecord",
-    "synthesize_trace",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.core.engine import Engine
 from repro.cpu.core import CoreParams, TraceCore
@@ -69,7 +68,7 @@ class System:
         traces: Sequence[List[TraceRecord]],
         config: Optional[DramConfig] = None,
         policy: Optional[object] = None,
-        policy_factory: Optional[Callable[[], object]] = None,
+        policy_factory: Optional[Callable[..., object]] = None,
         core_params: Optional[CoreParams] = None,
         enable_abo: bool = True,
         enable_refresh: bool = True,
@@ -107,17 +106,6 @@ class System:
             core.on_finish = self._core_finished
             self.cores.append(core)
         self._unfinished = len(self.cores)
-
-    @property
-    def controller(self) -> MemoryController:
-        """The channel-0 controller.
-
-        Kept for the large single-channel surface (attacks, energy).
-        Multi-channel callers should aggregate via
-        :attr:`memory` (``memory.stats``, ``memory.controllers``) or
-        the per-channel slices on :class:`SystemResult`.
-        """
-        return self.memory.controllers[0]
 
     def _core_finished(self, core: TraceCore) -> None:
         """Per-core finish hook: stop the engine once the last core is

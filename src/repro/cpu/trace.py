@@ -10,7 +10,7 @@ by the synthetic workload generators and by the AES victim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -28,23 +28,6 @@ class TraceRecord:
             raise ValueError("phys_addr must be non-negative")
 
 
-def synthesize_trace(
-    addresses: Iterable[int],
-    gap_insts: int = 0,
-    write_every: Optional[int] = None,
-) -> List[TraceRecord]:
-    """Build a trace from a plain address stream.
-
-    ``write_every=k`` marks every k-th access as a store; ``None``
-    produces a read-only trace.
-    """
-    records = []
-    for index, addr in enumerate(addresses):
-        is_write = write_every is not None and (index + 1) % write_every == 0
-        records.append(TraceRecord(gap_insts=gap_insts, phys_addr=addr, is_write=is_write))
-    return records
-
-
 class TraceCursor:
     """Replayable cursor over a trace, with optional looping."""
 
@@ -53,9 +36,6 @@ class TraceCursor:
         self.loop = loop
         self.position = 0
         self.laps = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def next(self) -> Optional[TraceRecord]:
         """Return the next record, or None when exhausted."""
@@ -67,12 +47,3 @@ class TraceCursor:
         record = self.records[self.position]
         self.position += 1
         return record
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.loop and self.position >= len(self.records)
-
-
-def total_instructions(records: List[TraceRecord]) -> int:
-    """Instruction count a trace represents (gaps + 1 per memory op)."""
-    return sum(r.gap_insts + 1 for r in records)

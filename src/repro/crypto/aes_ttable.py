@@ -220,6 +220,3 @@ class AesTTable:
         self.encrypt(plaintext)
         return [a for a in self.accesses if a.round_index == 1]
 
-    def clear_trace(self) -> None:
-        """Discard recorded table accesses."""
-        self.accesses = []

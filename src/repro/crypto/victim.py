@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.aes_ttable import AesTTable, TableAccess
-from repro.dram.address import DramAddress, MopMapping
 
 
 @dataclass(frozen=True)
@@ -46,21 +45,6 @@ class TTableLayout:
     def table_rows(self, table: int) -> List[int]:
         """The 16 rows holding one table, index = cache line number."""
         return [self.row_of(table, line) for line in range(16)]
-
-    def phys_addr(self, mapping: MopMapping, table: int, cache_line: int) -> int:
-        """A physical address inside the given table cache line."""
-        org = mapping.org
-        bank_group, bank = divmod(self.bank, org.banks_per_group)
-        return mapping.encode(
-            DramAddress(
-                channel=0,
-                rank=0,
-                bank_group=bank_group % org.bank_groups,
-                bank=bank,
-                row=self.row_of(table, cache_line),
-                column=0,
-            )
-        )
 
 
 class AesVictim:
@@ -115,15 +99,3 @@ class AesVictim:
                 if access.table == table_of_interest:
                     histogram[row] = histogram.get(row, 0) + 1
         return stream, histogram
-
-    def hottest_row(self, histogram: Dict[int, int]) -> int:
-        """Most-activated row; ties resolve to the lowest row index."""
-        if not histogram:
-            raise ValueError("empty histogram")
-        return min(histogram, key=lambda row: (-histogram[row], row))
-
-    # ------------------------------------------------------------------
-    def expected_hot_line(self, target_byte: int, fixed_value: int) -> int:
-        """Ground truth: cache line ``(p XOR k) >> 4`` for the fixed byte."""
-        key_byte = self.aes.key[target_byte]
-        return (fixed_value ^ key_byte) >> 4

@@ -106,13 +106,6 @@ class Bank:
         self.stats.precharges += 1
         self.precharge_done_at = time + self._tRP
 
-    def record_column(self, is_write: bool) -> None:
-        """Account one column command in the bank statistics."""
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-
     # ------------------------------------------------------------------
     # PRAC counter management
     # ------------------------------------------------------------------
@@ -127,12 +120,6 @@ class Bank:
     def reset_all_counters(self) -> None:
         """Reset every row counter (tREFW-aligned reset policy)."""
         self.counters.clear()
-
-    def max_counter_row(self) -> Optional[int]:
-        """Row with the highest activation count, or None if all zero."""
-        if not self.counters:
-            return None
-        return max(self.counters, key=lambda r: (self.counters[r], -r))
 
     def mitigate(self, row: int) -> None:
         """Apply RowHammer mitigation to ``row``.

@@ -52,10 +52,6 @@ class Command:
     meta: dict = field(default_factory=dict)
 
     @property
-    def is_rfm(self) -> bool:
-        return self.kind in (CommandKind.RFM_AB, CommandKind.RFM_PB)
-
-    @property
     def is_all_bank(self) -> bool:
         return self.kind in (CommandKind.REF, CommandKind.RFM_AB)
 

@@ -46,9 +46,6 @@ class Channel:
     def __iter__(self) -> Iterator[Bank]:
         return iter(self.banks)
 
-    def __len__(self) -> int:
-        return len(self.banks)
-
     # ------------------------------------------------------------------
     # Channel-wide blocking (REF / RFMab)
     # ------------------------------------------------------------------

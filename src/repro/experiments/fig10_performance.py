@@ -39,10 +39,6 @@ class Fig10Result:
         """Geomean slowdown in percent: 100 * (1 - normalized)."""
         return (1.0 - self.geomean(design_label)) * 100.0
 
-    def worst_workload(self, design_label: str) -> PerfRow:
-        """The workload with the lowest normalized performance."""
-        return min(self.matrix[design_label], key=lambda row: row.normalized)
-
     def format_table(self) -> str:
         """Render the regenerated rows as an aligned text table."""
         return format_perf_table(self.matrix)

@@ -36,13 +36,6 @@ class ObfuscationResult:
     outcomes: List[DefenseOutcome]
     analytical: ObfuscationLeakage
 
-    def outcome(self, defense: str) -> DefenseOutcome:
-        """Look up the outcome for one defense name."""
-        for candidate in self.outcomes:
-            if candidate.defense == defense:
-                return candidate
-        raise KeyError(defense)
-
     def format_table(self) -> str:
         """Render the regenerated rows as an aligned text table."""
         lines = ["defense       channel-error   RFMs-observed"]

@@ -13,8 +13,7 @@ Execution model:
   so they fan out over the shared pool loop
   (:func:`repro.core.executor.map_tasks`; ``jobs=N``, default
   ``os.cpu_count()``), the same loop the scenario campaign engine
-  uses.  Custom in-process runners (arbitrary callables) execute inline
-  in the parent, since closures do not survive pickling.
+  uses.
 * **Fault-isolated, fail-fast** — a crashing harness, one that outlives
   ``timeout``, or one whose worker process dies records a structured
   error entry (type, message, traceback) in ``summary.json``; every
@@ -38,7 +37,7 @@ import importlib
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro import __version__
 from repro.analysis.storage import (
@@ -97,16 +96,6 @@ def _execute_spec(name: str, module: str, kwargs: Dict[str, Any]) -> Dict[str, A
         run = getattr(importlib.import_module(module), "run")
         started = time.perf_counter()
         result = run(**kwargs)
-        return _payload_from_result(name, result, time.perf_counter() - started)
-    except Exception as exc:  # isolation boundary; Ctrl-C still propagates
-        return _error_payload(name, exc)
-
-
-def _execute_callable(name: str, runner: Callable[[], Any]) -> Dict[str, Any]:
-    """Inline (parent-process) execution path for custom runners."""
-    try:
-        started = time.perf_counter()
-        result = runner()
         return _payload_from_result(name, result, time.perf_counter() - started)
     except Exception as exc:  # isolation boundary; Ctrl-C still propagates
         return _error_payload(name, exc)
@@ -173,7 +162,6 @@ def _summary_entry(payload: Dict[str, Any], path: Path) -> Dict[str, Any]:
 def run_suite(
     output_dir: PathLike,
     experiments: Optional[Iterable[str]] = None,
-    runners: Optional[Dict[str, Callable[[], Any]]] = None,
     *,
     jobs: Optional[int] = None,
     scale: str = "quick",
@@ -189,15 +177,11 @@ def run_suite(
         Results directory; one ``<name>.json`` per artifact plus the
         incrementally-flushed ``summary.json`` index.
     experiments:
-        Artifact names to run (default: every registered artifact plus
-        any custom ``runners``); a repeated name runs once.  Unknown
-        names raise ``KeyError``.
-    runners:
-        Custom ``name -> callable`` runners that override or extend the
-        registry; they execute inline in the parent process.
+        Artifact names to run (default: every registered artifact); a
+        repeated name runs once.  Unknown names raise ``KeyError``.
     jobs:
-        Worker-process count for registered experiments (default
-        ``os.cpu_count()``); ``jobs=1`` runs everything inline.
+        Worker-process count (default ``os.cpu_count()``); ``jobs=1``
+        runs everything inline.
     scale:
         ``"quick"`` (the registry's laptop-scale kwargs) or ``"full"``
         (no kwargs: each harness's own ``run()`` defaults, the call
@@ -212,8 +196,7 @@ def run_suite(
         fail validation are quarantined to ``*.corrupt`` sidecars and
         their experiments re-run.
     timeout:
-        Per-experiment wall-clock deadline in seconds for registered
-        experiments, inline or pooled (see
+        Per-experiment wall-clock deadline in seconds, inline or pooled (see
         :func:`~repro.core.executor.map_tasks`); an experiment that
         outlives it records a ``TaskDeadlineExceeded`` error entry.
 
@@ -222,10 +205,9 @@ def run_suite(
     the suite; they appear as ``"error"`` entries in ``summary.json``.
     """
     specs = registry.discover()
-    custom = dict(runners or {})
-    available = sorted(set(specs) | set(custom))
+    available = sorted(specs)
     names = list(dict.fromkeys(experiments)) if experiments is not None else available
-    unknown = [n for n in names if n not in specs and n not in custom]
+    unknown = [n for n in names if n not in specs]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}; have {available}")
 
@@ -262,13 +244,9 @@ def run_suite(
             elapsed=payload.get("elapsed_seconds", 0.0),
         )
 
-    # Partition: cache hits, pool-eligible registry specs, inline customs.
+    # Cache hits are recorded now; everything else runs.
     pooled: List[tuple] = []
-    inline: List[tuple] = []
     for name in names:
-        if name in custom:
-            inline.append((name, custom[name]))
-            continue
         spec = specs[name]
         kwargs = spec.kwargs(scale)
         key = _cache_key(name, spec.module, kwargs)
@@ -294,9 +272,6 @@ def run_suite(
             _execute_spec, tasks, jobs=jobs, timeout=timeout
         ):
             finish(name, payload, keys[name])
-
-        for name, runner in inline:
-            finish(name, _execute_callable(name, runner), None)
     except KeyboardInterrupt:
         # map_tasks tore the pool down on the way out; the index
         # already records everything that completed.
@@ -307,11 +282,6 @@ def run_suite(
         raise
 
     return written
-
-
-def load_result(path: PathLike) -> Dict[str, Any]:
-    """Read one persisted experiment result back."""
-    return json.loads(Path(path).read_text())
 
 
 def load_summary(output_dir: PathLike) -> List[Dict[str, Any]]:

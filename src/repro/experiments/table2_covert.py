@@ -55,13 +55,6 @@ class Table2Result:
             )
         return "\n".join(lines)
 
-    def row(self, channel: str, nbo: int) -> Table2Row:
-        """Look up one (channel, N_BO) row; raises KeyError if absent."""
-        for candidate in self.rows:
-            if candidate.channel == channel and candidate.nbo == nbo:
-                return candidate
-        raise KeyError((channel, nbo))
-
 
 def run(
     nbo_values: Sequence[int] = (256, 512, 1024),

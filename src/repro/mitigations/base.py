@@ -21,8 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
     from repro.dram.bank import Bank
 
-#: Builds one per-bank mitigation queue; policies take it so tests can
-#: substitute deeper/fifo queues without subclassing.
+#: Builds one per-bank mitigation queue; policies take it so a policy
+#: can run on a deeper queue (QPRAC's priority queue) without
+#: subclassing.
 QueueFactory = Callable[[], MitigationQueue]
 
 

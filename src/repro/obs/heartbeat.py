@@ -58,12 +58,6 @@ class HeartbeatWriter:
         """Close the underlying append handle."""
         self._handle.close()
 
-    def __enter__(self) -> "HeartbeatWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
 
 def read_heartbeat(path: PathLike) -> List[Dict[str, Any]]:
     """All parseable heartbeat records (tolerates a truncated tail)."""

@@ -2,8 +2,9 @@
 
 A :class:`TimeSeriesSampler` rides the engine's event queue
 (:meth:`repro.core.engine.Engine.every`) and snapshots, every
-``interval_ns`` of *simulation* time, the windowed series the ROADMAP's
-live-dashboard item needs:
+``interval_ns`` of *simulation* time, the windowed series that a
+perf trial's ``metrics-*.json`` file carries
+(:func:`repro.obs.export.export_system_telemetry`):
 
 * ``queue_depth`` — requests waiting across all channel schedulers
   (instantaneous);
@@ -19,6 +20,10 @@ live-dashboard item needs:
 
 The sampler is attached only when ``SystemConfig(metrics=True)``: with
 metrics off, no sampler exists and the event schedule is untouched.
+Export takes one closing sample, so a run shorter than one interval
+holds only that; the periodic samples need a run of at least
+``interval_ns`` (a perf trial at ``requests_per_core=5000`` lasts about
+five).
 """
 
 from __future__ import annotations
@@ -74,12 +79,6 @@ class TimeSeriesSampler:
             self._timer = self.engine.every(
                 self.interval_ns, self.sample, priority=3, label="obs-sample"
             )
-
-    def stop(self) -> None:
-        """Cancel the repeating sampling timer (idempotent)."""
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
 
     # ------------------------------------------------------------------
     def sample(self) -> None:

@@ -167,16 +167,6 @@ class TraceRecorder:
             )
         )
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Event tally per kind (sorted), for summaries and tests."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return dict(sorted(counts.items()))
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

@@ -7,14 +7,12 @@ package adds the protocol layer on top of them:
   Alert when any counter reaches the Back-Off threshold (N_BO) and
   drives the controller to issue RFMab commands.
 * :mod:`repro.prac.mitigation_queue` — in-DRAM mitigation queue
-  designs: the single-entry frequency queue TPRAC proposes, a FIFO
-  queue (shown insecure by prior work), and a QPRAC-style priority
-  queue.
+  designs: the single-entry frequency queue TPRAC proposes and a
+  QPRAC-style priority queue.
 """
 
 from repro.prac.abo import AboProtocol, AboState
 from repro.prac.mitigation_queue import (
-    FifoMitigationQueue,
     MitigationQueue,
     PriorityMitigationQueue,
     SingleEntryFrequencyQueue,
@@ -23,7 +21,6 @@ from repro.prac.mitigation_queue import (
 __all__ = [
     "AboProtocol",
     "AboState",
-    "FifoMitigationQueue",
     "MitigationQueue",
     "PriorityMitigationQueue",
     "SingleEntryFrequencyQueue",

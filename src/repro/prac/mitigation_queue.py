@@ -2,7 +2,7 @@
 
 The PRAC specification leaves the mitigation queue implementation to
 vendors; the paper (Section 2.3, 4.1) notes that this choice decides
-both security and performance.  Three designs are provided:
+both security and performance.  Two designs are provided:
 
 * :class:`SingleEntryFrequencyQueue` — TPRAC's proposal: one entry per
   bank tracking the most-activated row (address + count), replaced
@@ -10,19 +10,15 @@ both security and performance.  Three designs are provided:
   4.2.3 argues this matches the security of idealized PRAC.
 * :class:`PriorityMitigationQueue` — a QPRAC-style multi-entry priority
   queue ordered by activation count.
-* :class:`FifoMitigationQueue` — a FIFO of rows that crossed a
-  threshold; prior work showed plain FIFOs are attackable, included
-  here as a baseline for the ablation benches.
 
-All queues share one interface: ``observe(row, count)`` on each
-activation, ``pop_victim()`` when an RFM arrives, ``reset(row)`` after
-mitigation.
+Both share one interface: ``observe(row, count)`` on each activation,
+``pop_victim()`` when an RFM arrives, ``clear()`` at a tREFW counter
+reset and ``len()`` to tell an empty queue.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class MitigationQueue:
@@ -34,14 +30,6 @@ class MitigationQueue:
 
     def pop_victim(self) -> Optional[int]:
         """Return the row to mitigate at this RFM, removing it."""
-        raise NotImplementedError
-
-    def peek(self) -> Optional[Tuple[int, int]]:
-        """Return (row, count) of the next victim without removing it."""
-        raise NotImplementedError
-
-    def drop(self, row: int) -> None:
-        """Forget ``row`` (its counter was reset by another mechanism)."""
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -76,15 +64,6 @@ class SingleEntryFrequencyQueue(MitigationQueue):
         row = self._row
         self._row, self._count = None, 0
         return row
-
-    def peek(self) -> Optional[Tuple[int, int]]:
-        if self._row is None:
-            return None
-        return (self._row, self._count)
-
-    def drop(self, row: int) -> None:
-        if self._row == row:
-            self._row, self._count = None, 0
 
     def clear(self) -> None:
         self._row, self._count = None, 0
@@ -125,63 +104,8 @@ class PriorityMitigationQueue(MitigationQueue):
         del self._entries[victim]
         return victim
 
-    def peek(self) -> Optional[Tuple[int, int]]:
-        if not self._entries:
-            return None
-        victim = max(self._entries, key=lambda r: (self._entries[r], -r))
-        return (victim, self._entries[victim])
-
-    def drop(self, row: int) -> None:
-        self._entries.pop(row, None)
-
     def clear(self) -> None:
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class FifoMitigationQueue(MitigationQueue):
-    """Insertion-ordered queue of rows that crossed ``threshold``.
-
-    Included as the insecure baseline: targeted attacks can flush the
-    FIFO with decoys so the true aggressor is never at the head.
-    """
-
-    def __init__(self, capacity: int = 4, threshold: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.threshold = threshold
-        self._fifo: "OrderedDict[int, int]" = OrderedDict()
-
-    def observe(self, row: int, count: int) -> None:
-        if count < self.threshold:
-            return
-        if row in self._fifo:
-            self._fifo[row] = count
-            return
-        if len(self._fifo) >= self.capacity:
-            return  # full FIFO drops new entries — the exploitable flaw
-        self._fifo[row] = count
-
-    def pop_victim(self) -> Optional[int]:
-        if not self._fifo:
-            return None
-        row, _ = self._fifo.popitem(last=False)
-        return row
-
-    def peek(self) -> Optional[Tuple[int, int]]:
-        if not self._fifo:
-            return None
-        row = next(iter(self._fifo))
-        return (row, self._fifo[row])
-
-    def drop(self, row: int) -> None:
-        self._fifo.pop(row, None)
-
-    def clear(self) -> None:
-        self._fifo.clear()
-
-    def __len__(self) -> int:
-        return len(self._fifo)

@@ -11,7 +11,6 @@ DESIGN.md's substitution table).
 from repro.workloads.catalog import (
     CATALOG,
     WorkloadSpec,
-    by_category,
     get_workload,
     workload_names,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "CATALOG",
     "SyntheticWorkload",
     "WorkloadSpec",
-    "by_category",
     "generate_trace",
     "get_workload",
     "workload_names",

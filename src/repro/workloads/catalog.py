@@ -125,14 +125,6 @@ def workload_names(category: Optional[str] = None, suite: Optional[str] = None) 
     return names
 
 
-def by_category() -> Dict[str, List[str]]:
-    """Mapping H/M/L -> workload names."""
-    out: Dict[str, List[str]] = {"H": [], "M": [], "L": []}
-    for name, spec in CATALOG.items():
-        out[spec.category].append(name)
-    return out
-
-
 def get_workload(name: str) -> WorkloadSpec:
     """Look up a catalog entry by name; raises KeyError with guidance."""
     try:

@@ -9,14 +9,12 @@ def test_no_injection_is_fully_distinguishable():
     leak = analyze(windows=16, inject_prob=0.0, signal_rfms=1)
     assert leak.total_variation == pytest.approx(1.0)
     assert leak.classifier_accuracy == pytest.approx(1.0)
-    assert leak.bits_leaked_bound == pytest.approx(1.0)
 
 
 def test_no_signal_is_indistinguishable():
     leak = analyze(windows=16, inject_prob=0.5, signal_rfms=0)
     assert leak.total_variation == pytest.approx(0.0)
     assert leak.classifier_accuracy == pytest.approx(0.5)
-    assert leak.bits_leaked_bound == pytest.approx(0.0)
 
 
 def test_injection_reduces_but_does_not_eliminate_leakage():

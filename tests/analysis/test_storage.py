@@ -12,7 +12,7 @@ def test_interval_register_is_24_bits_for_paper_device():
 
 def test_controller_cost_is_a_few_bytes():
     overhead = storage_overhead_bits()
-    assert overhead.controller_bytes <= 4
+    assert overhead.interval_register_bits / 8 <= 4
 
 
 def test_queue_entry_fits_row_address_plus_counter():
@@ -20,7 +20,7 @@ def test_queue_entry_fits_row_address_plus_counter():
     # 17 bits row address (128K rows) + ~10 bits count.
     assert 20 <= overhead.queue_bits_per_bank <= 40
     assert overhead.banks == 128
-    assert overhead.dram_queue_bytes < 1024
+    assert overhead.queue_bits_per_bank * overhead.banks / 8 < 1024
 
 
 # ----------------------------------------------------------------------

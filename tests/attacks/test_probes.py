@@ -81,7 +81,7 @@ def test_probe_observes_rfm_blocking():
     mc.engine.run(until=6000.0)
     probe.stop()
     assert max(probe.result.latencies) >= mc.config.timing.tRFMab
-    assert probe.result.spikes(250.0)
+    assert any(latency > 250.0 for latency in probe.result.latencies)
 
 
 def test_hammer_puts_exact_activations_on_target():

@@ -105,6 +105,26 @@ def test_campaign_removed_cache_spellings_error_before_running(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["attack=aes_side_channel", "mitigation=abo_only,qprac"],
+        ["attack=aes_side_channel", "mitigation=none"],
+        ["attack=feinting", "mitigation=abo_only"],
+    ],
+)
+def test_campaign_unsupported_attack_mitigation_pair_errors_before_running(
+    tmp_path, capsys, grid
+):
+    # A pair no trial kind runs fails at expansion: exit 2, nothing
+    # written, instead of a scenario whose every trial ends error.
+    out_dir = tmp_path / "camp"
+    code = main(["campaign", "--grid", *grid, "--trials", "1", "--out", str(out_dir)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_campaign_misspelled_axis_errors_before_running(tmp_path, capsys):
     out_dir = tmp_path / "camp"
     args = [

@@ -11,12 +11,16 @@ from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import Scenario
 from repro.campaigns.trials import (
     aggregate_metrics,
-    load_campaign_index,
     load_scenario_result,
     run_campaign,
 )
 
 pytestmark = pytest.mark.smoke
+
+
+def _load_index(directory):
+    """A campaign directory's ``campaign.json`` index."""
+    return json.loads((directory / trials_mod.INDEX_FILENAME).read_text())
 
 SMOKE_AXES = {
     "attack": ["selftest"],
@@ -39,7 +43,7 @@ def test_campaign_runs_grid_and_persists_scenario_documents(tmp_path):
         assert doc["metrics"]["value"]["n"] == 3
         lo, hi = doc["metrics"]["value"]["bootstrap_ci95"]
         assert lo <= doc["metrics"]["value"]["mean"] <= hi
-    index = load_campaign_index(tmp_path)
+    index = _load_index(tmp_path)
     assert [e["experiment"] for e in index] == [
         s.scenario_id for s in scenarios
     ]
@@ -61,7 +65,7 @@ def test_pooled_index_keeps_grid_order(tmp_path, monkeypatch):
     monkeypatch.setattr(trials_mod, "_execute_trial", _nbo64_trial_sleeps)
     result = run_campaign(scenarios, tmp_path, trials=1, jobs=2, seed=0)
     assert set(result.statuses.values()) == {"ok"}
-    index = load_campaign_index(tmp_path)
+    index = _load_index(tmp_path)
     assert [e["experiment"] for e in index] == [
         s.scenario_id for s in scenarios
     ]
@@ -97,7 +101,7 @@ def test_injected_crash_is_isolated_as_structured_error(tmp_path):
         assert "traceback" in failed["error"]
         # Aggregates cover only the surviving trials.
         assert doc["metrics"]["value"]["n"] == 2
-    index = load_campaign_index(tmp_path)
+    index = _load_index(tmp_path)
     assert all(e["status"] == "partial" for e in index)
     assert all(e["error"]["type"] == "RuntimeError" for e in index)
 
@@ -186,13 +190,19 @@ def test_perf_trial_requires_workload():
 
 
 def test_aes_trial_rejects_unsupported_mitigation():
-    with pytest.raises(ValueError, match="aes_side_channel supports"):
-        run_trial(Scenario(attack="aes_side_channel", mitigation="qprac"), 0)
+    # Rejected at validation, before any trial runs.  ``none`` would
+    # rerun the ABO-Only simulation under a second scenario ID.
+    for mitigation in ("qprac", "none"):
+        with pytest.raises(ValueError, match="aes_side_channel supports"):
+            Scenario(attack="aes_side_channel", mitigation=mitigation).validate()
+    for mitigation in ("abo_only", "tprac"):
+        Scenario(attack="aes_side_channel", mitigation=mitigation).validate()
 
 
 def test_feinting_trial_requires_tprac():
     with pytest.raises(ValueError, match="tprac"):
-        run_trial(Scenario(attack="feinting", mitigation="abo_only"), 0)
+        Scenario(attack="feinting", mitigation="abo_only").validate()
+    Scenario(attack="feinting", mitigation="tprac").validate()
 
 
 def test_campaign_emits_heartbeat_and_lifecycle_events(tmp_path):
@@ -239,9 +249,3 @@ def test_campaign_resume_heartbeat_appends_second_attempt(tmp_path):
     assert starts[1].get("resumed") is True
     latest = last_run(records)
     assert {r["event"] for r in latest} >= {"scenario.cached", "campaign.finish"}
-
-
-def test_campaign_heartbeat_can_be_disabled(tmp_path):
-    scenarios = expand_grid({"attack": ["selftest"], "nbo": [64]})
-    run_campaign(scenarios, tmp_path, trials=1, jobs=1, heartbeat=False)
-    assert not (tmp_path / "heartbeat.jsonl").exists()

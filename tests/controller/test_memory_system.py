@@ -15,12 +15,11 @@ def _config(channels=2, **kwargs):
     return small_test_config(**kwargs).with_organization(channels=channels)
 
 
-def _drain(engine, memory, max_events=200_000):
-    fired = 0
-    while engine.pending and fired < max_events:
-        engine.step()
-        fired += 1
-    assert memory.idle()
+def _drain(engine, memory):
+    # Refresh is off in these systems, so the queue empties once every
+    # request and RFM has been served.
+    engine.run()
+    assert all(c.scheduler.pending() == 0 for c in memory.controllers)
 
 
 # ----------------------------------------------------------------------
@@ -45,13 +44,14 @@ def test_policy_and_factory_are_mutually_exclusive():
             Engine(),
             small_test_config(),
             policy=NoMitigationPolicy(),
-            policy_factory=NoMitigationPolicy,
+            policy_factory=lambda channel_id: NoMitigationPolicy(),
         )
 
 
 def test_every_channel_gets_its_own_policy_instance():
     memory = MemorySystem(
-        Engine(), _config(channels=4), policy_factory=NoMitigationPolicy,
+        Engine(), _config(channels=4),
+        policy_factory=lambda channel_id: NoMitigationPolicy(),
         enable_refresh=False,
     )
     policies = [controller.policy for controller in memory.controllers]
@@ -75,24 +75,13 @@ def test_factory_with_channel_id_parameter_receives_the_channel():
     assert seen == [0, 1, 2, 3]
 
 
-def test_policy_class_as_factory_is_not_passed_a_channel_id():
-    # NoMitigationPolicy.__init__ takes queue_factory; arity-based
-    # detection would have smuggled the channel id into it.
-    memory = MemorySystem(
-        Engine(), _config(channels=2), policy_factory=NoMitigationPolicy,
-        enable_refresh=False,
-    )
-    for controller in memory.controllers:
-        assert isinstance(controller.policy, NoMitigationPolicy)
-
-
 def test_channels_own_disjoint_bank_arrays():
     memory = MemorySystem(Engine(), _config(channels=2), enable_refresh=False)
-    banks = list(memory.iter_banks())
+    banks = [bank for controller in memory.controllers for bank in controller.channel]
     org = memory.config.organization
     assert len(banks) == 2 * org.banks_per_channel
     assert len({id(b) for b in banks}) == len(banks)
-    assert len(memory.controllers[0].channel) == org.banks_per_channel
+    assert len(memory.controllers[0].channel.banks) == org.banks_per_channel
 
 
 # ----------------------------------------------------------------------
@@ -111,10 +100,17 @@ def test_requests_route_by_cacheline_interleaving():
 
 
 def test_controller_for_matches_routing():
-    memory = MemorySystem(Engine(), _config(channels=2), enable_refresh=False)
-    assert memory.controller_for(0) is memory.controllers[0]
-    assert memory.controller_for(64) is memory.controllers[1]
-    assert memory.controller_for(128) is memory.controllers[0]
+    # The controller for an address is the one its channel bits name:
+    # each request is served by controllers[mapping.channel_of(addr)].
+    engine = Engine()
+    memory = MemorySystem(engine, _config(channels=2), enable_refresh=False)
+    for addr, channel in ((0, 0), (64, 1), (128, 0)):
+        assert memory.mapping.channel_of(addr) == channel
+        before = [c.stats.requests_served for c in memory.controllers]
+        memory.enqueue(MemRequest(phys_addr=addr, core_id=0))
+        _drain(engine, memory)
+        served = [c.stats.requests_served - b for c, b in zip(memory.controllers, before)]
+        assert served == [1 - channel, channel]
 
 
 def test_channel_blocking_does_not_cross_channels():
@@ -125,7 +121,7 @@ def test_channel_blocking_does_not_cross_channels():
     _drain(engine, memory)
     assert memory.controllers[0].channel.blocked_until > 0.0
     assert memory.controllers[1].channel.blocked_until == 0.0
-    assert memory.rfm_count == 1
+    assert memory.stats.rfm_count() == 1
 
 
 def test_rfm_count_includes_per_bank_rfms():
@@ -141,7 +137,7 @@ def test_rfm_count_includes_per_bank_rfms():
         traces, config=config, policy_factory=policy_factory("rfmpb", config)
     )
     result = system.run()
-    assert system.memory.rfm_count == result.rfm_total > 0
+    assert system.memory.stats.rfm_count() == result.rfm_total > 0
 
 
 def test_per_channel_mitigation_state_is_independent():
@@ -149,7 +145,7 @@ def test_per_channel_mitigation_state_is_independent():
     memory = MemorySystem(
         engine,
         _config(channels=2),
-        policy_factory=lambda: TpracPolicy(tb_window=1000.0),
+        policy_factory=lambda channel_id: TpracPolicy(tb_window=1000.0),
         enable_refresh=False,
     )
     # Traffic only on channel 0 (even cache lines).  The TB timers
@@ -167,17 +163,15 @@ def test_per_channel_mitigation_state_is_independent():
 def test_merged_stats_counters_sum_and_records_interleave():
     a = ControllerStats()
     b = ControllerStats()
-    a.record_completion(5.0, core_id=0, was_hit=True)
-    a.record_completion(7.0, core_id=1, was_hit=False)
-    b.record_completion(9.0, core_id=0, was_hit=False)
+    a.record_completion(5.0, was_hit=True)
+    a.record_completion(7.0, was_hit=False)
+    b.record_completion(9.0, was_hit=False)
     a.record_rfm(RfmRecord(time=25.0, provenance=RfmProvenance.ABO))
     b.record_rfm(RfmRecord(time=15.0, provenance=RfmProvenance.TB))
     merged = ControllerStats.merged([a, b])
     assert merged.requests_served == 3
     assert merged.row_hits == 1
     assert merged.total_latency == 21.0
-    assert merged.core_requests == {0: 2, 1: 1}
-    assert merged.core_latency_total == {0: 14.0, 1: 7.0}
     assert [r.time for r in merged.rfm_records] == [15.0, 25.0]
     assert merged.rfm_count(RfmProvenance.ABO) == 1
     assert merged.rfm_count(RfmProvenance.TB) == 1

@@ -26,7 +26,7 @@ def _run(mitigation, rebuild_every_wake):
     )
     uncached_wakes = 0
     if rebuild_every_wake:
-        controller = system.controller
+        controller = system.memory.controllers[0]
         original_wake = controller._wake
 
         def uncached_wake():
@@ -37,7 +37,7 @@ def _run(mitigation, rebuild_every_wake):
 
         controller._wake = uncached_wake  # type: ignore[method-assign]
     result = system.run()
-    stats = system.controller.stats
+    stats = system.memory.controllers[0].stats
     return (
         result.elapsed_ns,
         result.ipcs,

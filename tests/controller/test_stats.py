@@ -13,8 +13,8 @@ from repro.dram.commands import RfmProvenance
 
 def test_mean_latency():
     stats = ControllerStats()
-    stats.record_completion(100.0, core_id=0, was_hit=False)
-    stats.record_completion(300.0, core_id=0, was_hit=False)
+    stats.record_completion(100.0, was_hit=False)
+    stats.record_completion(300.0, was_hit=False)
     assert stats.mean_latency == 200.0
     assert stats.requests_served == 2
 
@@ -25,8 +25,8 @@ def test_mean_latency_empty_is_zero():
 
 def test_row_hit_rate():
     stats = ControllerStats()
-    stats.record_completion(100.0, core_id=0, was_hit=True)
-    stats.record_completion(100.0, core_id=0, was_hit=False)
+    stats.record_completion(100.0, was_hit=True)
+    stats.record_completion(100.0, was_hit=False)
     assert stats.row_hit_rate == 0.5
 
 
@@ -50,22 +50,11 @@ def test_rfm_counts_are_maintained_incrementally():
     assert stats.mitigated_row_total == 2
 
 
-def test_per_core_running_counters_on_the_default_path():
-    stats = ControllerStats()
-    stats.record_completion(100.0, core_id=0, was_hit=False)
-    stats.record_completion(300.0, core_id=0, was_hit=True)
-    stats.record_completion(50.0, core_id=1, was_hit=False)
-    assert stats.core_requests == {0: 2, 1: 1}
-    assert stats.core_mean_latency(0) == 200.0
-    assert stats.core_mean_latency(1) == 50.0
-    assert stats.core_mean_latency(9) == 0.0
-
-
 def test_read_latency_histogram_counts_reads_only():
     stats = ControllerStats()
-    stats.record_completion(30.0, core_id=0, was_hit=True)
-    stats.record_completion(70.0, core_id=0, was_hit=False)
-    stats.record_completion(500.0, core_id=0, was_hit=False, is_write=True)
+    stats.record_completion(30.0, was_hit=True)
+    stats.record_completion(70.0, was_hit=False)
+    stats.record_completion(500.0, was_hit=False, is_write=True)
     counts = stats.read_latency_bucket_counts
     assert sum(counts) == 2                      # the write is excluded
     assert counts[1] == 1                        # 30.0 in (20, 40]
@@ -76,7 +65,7 @@ def test_read_latency_histogram_counts_reads_only():
 def test_read_latency_percentiles_interpolate():
     stats = ControllerStats()
     for _ in range(10):
-        stats.record_completion(30.0, core_id=0, was_hit=False)
+        stats.record_completion(30.0, was_hit=False)
     # all mass in the (20, 40] bucket: linear interpolation inside it
     assert stats.read_latency_percentile(0.5) == pytest.approx(30.0)
     pcts = stats.latency_percentiles()
@@ -86,7 +75,7 @@ def test_read_latency_percentiles_interpolate():
 
 def test_read_latency_overflow_bucket_clamps_to_last_edge():
     stats = ControllerStats()
-    stats.record_completion(50_000.0, core_id=0, was_hit=False)
+    stats.record_completion(50_000.0, was_hit=False)
     assert stats.read_latency_percentile(0.99) == 9600.0
     assert stats.read_latency_max == 50_000.0
 
@@ -94,9 +83,9 @@ def test_read_latency_overflow_bucket_clamps_to_last_edge():
 def test_merged_sums_histogram_buckets_and_maxes():
     a = ControllerStats()
     b = ControllerStats()
-    a.record_completion(30.0, core_id=0, was_hit=False)
-    b.record_completion(30.0, core_id=0, was_hit=False)
-    b.record_completion(700.0, core_id=1, was_hit=False)
+    a.record_completion(30.0, was_hit=False)
+    b.record_completion(30.0, was_hit=False)
+    b.record_completion(700.0, was_hit=False)
     merged = ControllerStats.merged([a, b])
     assert merged.read_latency_bucket_counts[1] == 2
     assert sum(merged.read_latency_bucket_counts) == 3

@@ -1,7 +1,7 @@
 """Reference event kernel: the ``Event``-object engine.
 
 This is the kernel ``repro.core.engine`` replaced, kept verbatim (less
-``Engine.every``) as the reference for
+``Engine.every``, ``step`` and ``drain``) as the reference for
 ``tests/core/test_engine_equivalence.py``: each scheduled callback gets
 an :class:`Event` object, cancellation goes through ``Event.cancel()``,
 and ``events_fired``/``pending`` are batched, so they are exact only
@@ -80,7 +80,6 @@ class Engine:
         self._events_fired: int = 0
         self._live: int = 0
         self._stop: bool = False
-        self._drained: bool = False  # drain() happened inside run()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -133,21 +132,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False when none remain."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                continue
-            event.engine = None  # mark fired; cancel() becomes a no-op
-            self._live -= 1
-            self.now = event.time
-            event.callback()
-            self._events_fired += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached,
         ``max_events`` events have fired, or :meth:`request_stop` is
@@ -165,7 +149,6 @@ class Engine:
         fired = 0
         now = self.now
         self._stop = False
-        self._drained = False  # only a drain *during* this run matters
         if horizon < now:
             return  # horizon already in the past: nothing can fire
         try:
@@ -194,13 +177,7 @@ class Engine:
         finally:
             # Batched outside the loop; exact on every exit path.
             self._events_fired += fired
-            if self._drained:
-                # drain() ran inside a callback and zeroed the counter
-                # mid-run: the heap is now the ground truth.
-                self._drained = False
-                self._live = sum(1 for entry in heap if not entry[3].cancelled)
-            else:
-                self._live -= fired
+            self._live -= fired
         if until is not None and self.now < until:
             self.now = until
 
@@ -226,11 +203,3 @@ class Engine:
     def events_fired(self) -> int:
         """Total number of events executed so far."""
         return self._events_fired
-
-    def drain(self) -> None:
-        """Discard all pending events (used by tests and teardown)."""
-        for entry in self._heap:
-            entry[3].engine = None  # detach so late cancel() stays a no-op
-        self._heap.clear()
-        self._live = 0
-        self._drained = True  # tell an in-flight run() the count was reset

@@ -112,19 +112,6 @@ def test_pending_counts_live_events():
     assert engine.pending == 1
 
 
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
-
-
-def test_drain_discards_everything():
-    engine = Engine()
-    fired = []
-    engine.schedule(1.0, lambda: fired.append(1))
-    engine.drain()
-    engine.run()
-    assert fired == []
-
-
 # ----------------------------------------------------------------------
 # Edge cases: cancellation, (priority, seq) tie-breaking, empty queues
 # ----------------------------------------------------------------------
@@ -260,14 +247,6 @@ def test_cancel_after_fire_is_a_noop():
     assert engine.events_fired == 1
 
 
-def test_cancel_after_drain_is_a_noop():
-    engine = Engine()
-    event = engine.schedule(1.0, lambda: None)
-    engine.drain()
-    engine.cancel(event)
-    assert engine.pending == 0
-
-
 def test_cancelled_event_releases_its_callback():
     engine = Engine()
     closure = lambda: None  # noqa: E731 - identity matters here
@@ -345,32 +324,6 @@ def test_events_fired_is_exact_when_a_callback_raises():
     assert engine.pending == 0
 
 
-def test_drain_inside_a_callback_keeps_pending_exact():
-    engine = Engine()
-    engine.schedule(1.0, engine.drain)
-    engine.schedule(2.0, lambda: None)  # discarded by the drain
-    engine.run()
-    assert engine.pending == 0
-    assert engine.events_fired == 1
-
-
-def test_drain_inside_a_callback_counts_events_scheduled_after_it():
-    engine = Engine()
-
-    def drain_then_reschedule():
-        engine.drain()
-        engine.schedule(5.0, lambda: None)
-        engine.schedule(6.0, lambda: None)
-        engine.request_stop()
-
-    engine.schedule(1.0, drain_then_reschedule)
-    engine.schedule(2.0, lambda: None)  # discarded by the drain
-    engine.run()
-    assert engine.pending == 2  # the two post-drain events are still live
-    engine.run()
-    assert engine.pending == 0
-
-
 def test_run_until_is_inclusive():
     engine = Engine()
     fired = []
@@ -425,24 +378,18 @@ def test_request_stop_freezes_clock_until_the_next_run():
 
 
 def test_repeating_timer_fires_on_period_and_stops():
+    """The series fires every interval and stops with the run: each
+    ``run(until=)`` leaves exactly the next tick queued."""
     engine = Engine()
     fired = []
-    timer = engine.every(10.0, lambda: fired.append(engine.now))
+    engine.every(10.0, lambda: fired.append(engine.now))
     engine.run(until=35.0)
     assert fired == [10.0, 20.0, 30.0]
-    timer.stop()
-    engine.run(until=100.0)
-    assert fired == [10.0, 20.0, 30.0]
-    assert engine.now == 100.0
-
-
-def test_repeating_timer_stop_from_inside_callback():
-    """stop() from within the callback must prevent the re-arm."""
-    engine = Engine()
-    fired = []
-    timer = engine.every(10.0, lambda: (fired.append(engine.now), timer.stop()))
-    engine.run(until=100.0)
-    assert fired == [10.0]
+    assert engine.pending == 1
+    engine.run(until=50.0)
+    assert fired == [10.0, 20.0, 30.0, 40.0, 50.0]
+    assert engine.pending == 1
+    assert engine.now == 50.0
 
 
 def test_counts_read_inside_a_callback_are_exact_mid_run():
@@ -480,12 +427,11 @@ def test_schedule_after_and_every_enter_through_schedule(monkeypatch):
         lambda: engine.schedule_after(1.0, lambda: None, label="after-2"),
         label="after-1",
     )
-    timer = engine.every(3.0, lambda: None, label="tick")
+    engine.every(3.0, lambda: None, label="tick")
     assert seen == ["after-1", "tick"]
     engine.run(until=10.0)
-    timer.stop()
     assert seen == ["after-1", "tick", "after-2", "tick", "tick", "tick"]
     # Everything that fired was scheduled through the wrapper; the one
-    # wrapped event that did not fire is the tick stop() cancelled.
+    # wrapped event that did not fire is the next tick, still queued.
     assert engine.events_fired == len(seen) - 1
-    assert engine.pending == 0
+    assert engine.pending == 1

@@ -7,9 +7,8 @@ replaced: one ``Event`` object per callback, ``Event.cancel()``, and
 counters batched per run.  Both kernels run the same generated program
 — schedules at random times and priorities (at ``now`` and from inside
 callbacks), cancels of random handles (pending, fired, already
-cancelled, drained, from inside callbacks), ``run(until=)``,
-``run(max_events=)``, ``step()``, ``drain()`` and ``request_stop()``
-(also from callbacks) — and must agree after every top-level call on
+cancelled, from inside callbacks), ``run(until=)``,
+``run(max_events=)`` and ``request_stop()`` (also from callbacks) — and must agree after every top-level call on
 the firing order, ``now``, ``pending`` and ``events_fired``.
 ``events_fired`` is compared only between calls: the reference's count
 is stale while a run is in progress.
@@ -40,7 +39,6 @@ _callback_action = st.one_of(
     _schedule,
     _cancel,
     st.just(("stop",)),
-    st.just(("drain",)),
 )
 _script = st.lists(_callback_action, max_size=3)
 
@@ -53,8 +51,6 @@ _call = st.one_of(
         st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 4.0, 9.0, 20.0])),
         st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
     ),
-    st.just(("step",)),
-    st.just(("drain",)),
     st.just(("stop",)),
 )
 
@@ -94,10 +90,6 @@ class Program:
             _, span, max_events = action
             until = None if span is None else engine.now + span
             engine.run(until=until, max_events=max_events)
-        elif kind == "step":
-            return engine.step()
-        elif kind == "drain":
-            engine.drain()
         elif kind == "stop":
             engine.request_stop()
         return None
@@ -135,12 +127,12 @@ def test_kernel_matches_the_event_object_reference(calls, scripts):
 
 def test_a_program_reaching_every_action_matches_the_reference():
     """A fixed program reaching every call and callback action: cancels
-    of pending, cancelled, fired and drained handles, drains and stops
-    from callbacks and between calls, step and each run form."""
+    of pending, cancelled and fired handles, stops from callbacks and
+    between calls, and each run form."""
     scripts = [
         [("schedule", 0.0, 1), ("cancel", 3)],  # same-time child, cancel
         [("schedule", 2.0, -1), ("stop",)],
-        [("drain",), ("schedule", 1.0, 0)],
+        [("schedule", 1.0, 0)],
         [("cancel", 0)],  # cancels an event that already fired
     ]
     calls = [
@@ -151,15 +143,13 @@ def test_a_program_reaching_every_action_matches_the_reference():
         ("cancel", 2),
         ("cancel", 2),  # already cancelled
         ("run", 2.0, None),
-        ("step",),
         ("run", None, 1),
         ("run", None, None),
-        ("drain",),
         ("cancel", 1),
         ("schedule", 0.0, 0),
         ("stop",),
         ("run", 9.0, None),
     ]
     assert [ident for ident, _ in _run_both(calls, scripts).fired] == [
-        0, 4, 5, 1, 6, 8, 9, 11
+        0, 4, 5, 1, 6, 7, 8, 9, 11, 10, 12, 13
     ]

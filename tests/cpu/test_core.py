@@ -6,7 +6,8 @@ from repro.attacks.probes import bank_address
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
 from repro.cpu.core import CoreParams, TraceCore
-from repro.cpu.trace import TraceCursor, TraceRecord, synthesize_trace
+from repro.cpu.trace import TraceCursor, TraceRecord
+from tests.cpu.trace_helpers import synthesize_trace
 from repro.dram.config import small_test_config
 from repro.experiments.common import DesignPoint, build_system
 from repro.mitigations.base import NoMitigationPolicy

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.system import System
-from repro.cpu.trace import synthesize_trace
+from tests.cpu.trace_helpers import synthesize_trace
 from repro.dram.config import small_test_config
 from repro.mitigations import NoMitigationPolicy, TpracPolicy
 from repro.workloads.synthetic import homogeneous_traces
@@ -100,7 +100,7 @@ def test_multi_channel_conserves_requests_and_reports_per_channel():
     system = System(
         _line_traces(),
         config=config,
-        policy_factory=NoMitigationPolicy,
+        policy_factory=lambda channel_id: NoMitigationPolicy(),
         enable_abo=False,
     )
     result = system.run()
@@ -124,7 +124,7 @@ def test_multi_channel_rfms_stay_per_channel():
     system = System(
         _line_traces(cores=2, n=200),
         config=config,
-        policy_factory=lambda: TpracPolicy(tb_window=600.0),
+        policy_factory=lambda channel_id: TpracPolicy(tb_window=600.0),
         enable_abo=False,
     )
     result = system.run()
@@ -141,7 +141,7 @@ def test_multi_channel_is_deterministic():
         return System(
             _line_traces(),
             config=config,
-            policy_factory=NoMitigationPolicy,
+            policy_factory=lambda channel_id: NoMitigationPolicy(),
             enable_abo=False,
         ).run()
 
@@ -158,7 +158,8 @@ def test_single_channel_controller_alias_preserved():
         _traces(), config=small_test_config(), policy=NoMitigationPolicy(),
         enable_abo=False,
     )
-    assert system.controller is system.memory.controllers[0]
-    assert system.memory.stats is system.controller.stats
+    controller = system.memory.controllers[0]
+    assert system.memory.enqueue == controller.enqueue
+    assert system.memory.stats is controller.stats
 
 

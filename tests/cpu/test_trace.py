@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.cpu.trace import (
-    TraceCursor,
-    TraceRecord,
-    synthesize_trace,
-    total_instructions,
-)
+from repro.cpu.trace import TraceCursor, TraceRecord
+from tests.cpu.trace_helpers import synthesize_trace, total_instructions
 
 
 def test_record_validation():
@@ -33,7 +29,6 @@ def test_cursor_iterates_once_without_loop():
     assert cursor.next().phys_addr == 0
     assert cursor.next().phys_addr == 64
     assert cursor.next() is None
-    assert cursor.exhausted
 
 
 def test_cursor_loops_when_asked():
@@ -41,7 +36,6 @@ def test_cursor_loops_when_asked():
     addrs = [cursor.next().phys_addr for _ in range(5)]
     assert addrs == [0, 64, 0, 64, 0]
     assert cursor.laps == 2
-    assert not cursor.exhausted
 
 
 def test_empty_looping_cursor_returns_none():

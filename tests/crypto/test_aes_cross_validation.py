@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes_reference import encrypt_block
+from tests.crypto.aes_reference import encrypt_block
 from repro.crypto.aes_ttable import AesTTable
 
 
@@ -46,7 +46,7 @@ def test_distinct_keys_distinct_ciphertexts():
 
 
 def test_decrypt_inverts_fips197_vector():
-    from repro.crypto.aes_reference import decrypt_block
+    from tests.crypto.aes_reference import decrypt_block
 
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
@@ -56,13 +56,13 @@ def test_decrypt_inverts_fips197_vector():
 @settings(max_examples=40, deadline=None)
 @given(key=st.binary(min_size=16, max_size=16), pt=st.binary(min_size=16, max_size=16))
 def test_decrypt_roundtrips_encrypt(key, pt):
-    from repro.crypto.aes_reference import decrypt_block
+    from tests.crypto.aes_reference import decrypt_block
 
     assert decrypt_block(key, encrypt_block(key, pt)) == pt
 
 
 def test_decrypt_validates_inputs():
-    from repro.crypto.aes_reference import decrypt_block
+    from tests.crypto.aes_reference import decrypt_block
 
     with pytest.raises(ValueError):
         decrypt_block(b"x", bytes(16))

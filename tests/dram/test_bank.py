@@ -40,17 +40,6 @@ def test_precharge_closes_row(bank):
     assert bank.precharge_done_at == 50.0 + bank.config.timing.tRP
 
 
-def test_max_counter_row_tracks_heaviest(bank):
-    bank.activate(1, 0.0)
-    bank.activate(2, 0.0)
-    bank.activate(2, 0.0)
-    assert bank.max_counter_row() == 2
-
-
-def test_max_counter_row_none_when_clean(bank):
-    assert bank.max_counter_row() is None
-
-
 def test_mitigate_resets_counter_and_counts(bank):
     for _ in range(5):
         bank.activate(4, 0.0)

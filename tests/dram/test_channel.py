@@ -7,8 +7,8 @@ from repro.dram.rank import Channel
 def test_channel_builds_all_banks():
     config = small_test_config()
     channel = Channel(config)
-    assert len(channel) == config.organization.total_banks
-    assert [bank.bank_id for bank in channel] == list(range(len(channel)))
+    assert len(channel.banks) == config.organization.total_banks
+    assert [bank.bank_id for bank in channel] == list(range(len(channel.banks)))
 
 
 def test_block_closes_rows_and_pushes_ready():
@@ -24,7 +24,7 @@ def test_block_closes_rows_and_pushes_ready():
     for bank in channel:
         assert max(bank.ready_at, channel.blocked_until) >= 450.0
     # Only the bank that had a row open was precharged.
-    assert [bank.stats.precharges for bank in channel] == [1] + [0] * (len(channel) - 1)
+    assert [bank.stats.precharges for bank in channel] == [1] + [0] * (len(channel.banks) - 1)
     assert channel.bank(0).precharge_done_at == 100.0 + channel.config.timing.tRP
 
 

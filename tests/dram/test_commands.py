@@ -3,12 +3,6 @@
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 
 
-def test_rfm_detection():
-    assert Command(kind=CommandKind.RFM_AB).is_rfm
-    assert Command(kind=CommandKind.RFM_PB).is_rfm
-    assert not Command(kind=CommandKind.ACT).is_rfm
-
-
 def test_all_bank_detection():
     assert Command(kind=CommandKind.REF).is_all_bank
     assert Command(kind=CommandKind.RFM_AB).is_all_bank

@@ -29,14 +29,13 @@ def test_fig8_larger_window_still_secure():
 def test_obfuscation_outcomes_cover_three_defenses():
     result = obfuscation_defense.run(bits=6)
     assert [o.defense for o in result.outcomes] == ["none", "obfuscation", "tprac"]
-    assert result.outcome("none").error_rate == 0.0
-    assert result.outcome("obfuscation").rfms_observed > result.outcome(
-        "none"
-    ).rfms_observed
+    none, obfuscation, tprac = result.outcomes
+    assert none.error_rate == 0.0
+    assert obfuscation.rfms_observed > none.rfms_observed
     # Both defenses break the single-window decoder, but injection
     # leaves a statistical residue that TPRAC's schedule does not.
-    assert result.outcome("obfuscation").error_rate > 0.15
-    assert result.outcome("tprac").error_rate > 0.15
+    assert obfuscation.error_rate > 0.15
+    assert tprac.error_rate > 0.15
     assert 0.0 < result.analytical.total_variation < 1.0
     assert 0.5 < result.analytical.classifier_accuracy < 1.0
     assert result.format_table()

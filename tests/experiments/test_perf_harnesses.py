@@ -40,7 +40,7 @@ def test_prac_level_sets_the_abo_rfm_burst():
     for level in (1, 2, 4):
         system = build_system(DesignPoint("abo_only", nrh=64, prac_level=level), [trace])
         result = system.run()
-        alerts = system.controller.abo.alert_count
+        alerts = system.memory.controllers[0].abo.alert_count
         assert alerts > 0, level
         assert result.rfm_by_provenance["abo"] == level * alerts, (level, alerts)
 
@@ -108,6 +108,6 @@ def test_none_baseline_ignores_nrh_and_prac_level():
             outcomes.add(
                 (tuple(result.ipcs), result.elapsed_ns, system.engine.events_fired)
             )
-            alerts[nrh] = system.controller.abo.alert_count
+            alerts[nrh] = system.memory.controllers[0].abo.alert_count
     assert len(outcomes) == 1
     assert alerts[64] > alerts[128] > alerts[1024] == 0

@@ -1,13 +1,25 @@
 """Tests for the experiment runner / JSON persistence."""
 
+import importlib
 import json
 
 import pytest
 
 from repro.core.executor import to_jsonable
-from repro.experiments.runner import load_result, load_summary, run_suite
+from repro.experiments import registry
+from repro.experiments.runner import load_summary, run_suite
 
 pytestmark = pytest.mark.smoke
+
+
+def load_result(path):
+    return json.loads(path.read_text())
+
+
+def _patch_run(monkeypatch, name, run):
+    """Make registered artifact ``name`` run ``run`` instead of its harness."""
+    module = importlib.import_module(registry.get(name).module)
+    monkeypatch.setattr(module, "run", run)
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -35,17 +47,16 @@ def test_fig7_payload_contains_expected_values(tmp_path):
     assert 572 in tmaxes
 
 
-def test_custom_runner_overrides(tmp_path):
+def test_custom_runner_overrides(tmp_path, monkeypatch):
+    # The suite imports each harness's run() when it runs it, so a
+    # replaced run() is what lands in the artifact.
     class FakeResult:
         def format_table(self):
             return "fake"
 
-    written = run_suite(
-        tmp_path,
-        experiments=["custom"],
-        runners={"custom": FakeResult},
-    )
-    payload = load_result(written["custom"])
+    _patch_run(monkeypatch, "fig8", FakeResult)
+    written = run_suite(tmp_path, experiments=["fig8"], jobs=1)
+    payload = load_result(written["fig8"])
     assert payload["table"] == "fake"
 
 
@@ -78,34 +89,31 @@ def _boom():
     raise RuntimeError("deliberate harness crash")
 
 
-def test_failing_runner_is_isolated(tmp_path):
+def test_failing_runner_is_isolated(tmp_path, monkeypatch):
     # A crashing harness must not abort the suite: the others complete
     # and the failure lands as a structured error entry in summary.json.
-    written = run_suite(
-        tmp_path,
-        experiments=["boom", "ok"],
-        runners={"boom": _boom, "ok": _FakeResult},
-    )
-    assert set(written) == {"ok"}
+    _patch_run(monkeypatch, "fig7", _boom)
+    _patch_run(monkeypatch, "fig8", _FakeResult)
+    written = run_suite(tmp_path, experiments=["fig7", "fig8"], jobs=1)
+    assert set(written) == {"fig8"}
     summary = {e["experiment"]: e for e in load_summary(tmp_path)}
-    assert summary["ok"]["status"] == "ok"
-    assert summary["boom"]["status"] == "error"
-    assert summary["boom"]["error"]["type"] == "RuntimeError"
-    assert "deliberate harness crash" in summary["boom"]["error"]["message"]
-    assert "_boom" in summary["boom"]["error"]["traceback"]
-    assert not (tmp_path / "boom.json").exists()
+    assert summary["fig8"]["status"] == "ok"
+    assert summary["fig7"]["status"] == "error"
+    assert summary["fig7"]["error"]["type"] == "RuntimeError"
+    assert "deliberate harness crash" in summary["fig7"]["error"]["message"]
+    assert "_boom" in summary["fig7"]["error"]["traceback"]
+    assert not (tmp_path / "fig7.json").exists()
 
 
-def test_summary_is_flushed_incrementally(tmp_path):
+def test_summary_is_flushed_incrementally(tmp_path, monkeypatch):
     # Even when the *last* experiment fails, the earlier entry is
     # already on disk — interrupted runs leave a consistent index.
-    run_suite(
-        tmp_path,
-        experiments=["ok", "boom"],
-        runners={"ok": _FakeResult, "boom": _boom},
-    )
+    _patch_run(monkeypatch, "fig8", _FakeResult)
+    _patch_run(monkeypatch, "fig7", _boom)
+    run_suite(tmp_path, experiments=["fig8", "fig7"], jobs=1)
     summary = load_summary(tmp_path)
-    assert [e["experiment"] for e in summary] == ["ok", "boom"]
+    assert [e["experiment"] for e in summary] == ["fig8", "fig7"]
+    assert [e["status"] for e in summary] == ["ok", "error"]
 
 
 def test_subset_run_preserves_existing_summary_entries(tmp_path):
@@ -117,11 +125,13 @@ def test_subset_run_preserves_existing_summary_entries(tmp_path):
     assert summary == ["fig7", "fig8"]
 
 
-def test_failed_rerun_invalidates_stale_cache(tmp_path):
+def test_failed_rerun_invalidates_stale_cache(tmp_path, monkeypatch):
     # After a recorded failure, a later cached run must not resurrect
     # the stale success without actually re-running the experiment.
     run_suite(tmp_path, experiments=["fig8"])
-    run_suite(tmp_path, experiments=["fig8"], runners={"fig8": _boom})
+    with monkeypatch.context() as patch:
+        _patch_run(patch, "fig8", _boom)
+        run_suite(tmp_path, experiments=["fig8"], jobs=1, force=True)
     assert "cache_key" not in load_result(tmp_path / "fig8.json")
     run_suite(tmp_path, experiments=["fig8"])
     summary = {e["experiment"]: e for e in load_summary(tmp_path)}

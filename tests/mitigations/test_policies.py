@@ -12,6 +12,7 @@ from repro.mitigations import make_policy
 from repro.mitigations.abo_only import AboOnlyPolicy
 from repro.mitigations.acb_rfm import AcbRfmPolicy
 from repro.mitigations.base import NoMitigationPolicy
+from tests.prac.queue_state import peek
 
 
 def _hammer(mc, bank, rows, count):
@@ -90,6 +91,6 @@ def test_counter_reset_clears_policy_queues():
     policy = AboOnlyPolicy()
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     _hammer(mc, bank=0, rows=[1, 2], count=6)
-    assert policy.queues[0].peek() is not None
+    assert peek(policy.queues[0]) is not None
     policy.on_counter_reset(mc, 0.0)
-    assert policy.queues[0].peek() is None
+    assert peek(policy.queues[0]) is None

@@ -1,5 +1,6 @@
 """Heartbeat stream: append-only lifecycle records + resume semantics."""
 
+from contextlib import closing
 import json
 
 import pytest
@@ -17,7 +18,7 @@ pytestmark = pytest.mark.smoke
 
 def test_emit_and_read_round_trip(tmp_path):
     path = tmp_path / HEARTBEAT_FILENAME
-    with HeartbeatWriter(path) as writer:
+    with closing(HeartbeatWriter(path)) as writer:
         writer.emit("campaign.start", scenarios=2, trials=3)
         writer.emit("trial.finish", scenario_id="abc", seed=0)
     records = read_heartbeat(path)
@@ -28,7 +29,7 @@ def test_emit_and_read_round_trip(tmp_path):
 
 
 def test_read_accepts_the_campaign_directory(tmp_path):
-    with HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME) as writer:
+    with closing(HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME)) as writer:
         writer.emit("campaign.start")
     assert len(read_heartbeat(tmp_path)) == 1
 
@@ -39,7 +40,7 @@ def test_read_missing_file_is_empty(tmp_path):
 
 def test_read_tolerates_truncated_tail(tmp_path):
     path = tmp_path / HEARTBEAT_FILENAME
-    with HeartbeatWriter(path) as writer:
+    with closing(HeartbeatWriter(path)) as writer:
         writer.emit("campaign.start")
         writer.emit("trial.finish")
     with open(path, "a") as handle:
@@ -52,10 +53,10 @@ def test_resume_appends_a_second_attempt(tmp_path):
     # An interrupted campaign leaves no campaign.finish; the resumed
     # attempt appends after the old tail, and last_run() isolates it.
     path = tmp_path / HEARTBEAT_FILENAME
-    with HeartbeatWriter(path) as writer:
+    with closing(HeartbeatWriter(path)) as writer:
         writer.emit("campaign.start", resumed=False)
         writer.emit("trial.finish", seed=0)
-    with HeartbeatWriter(path) as writer:  # fresh writer = resumed process
+    with closing(HeartbeatWriter(path)) as writer:  # fresh writer = resumed process
         writer.emit("campaign.start", resumed=True)
         writer.emit("scenario.cached", trials=3)
         writer.emit("campaign.finish", scenarios_ok=1)
@@ -72,7 +73,7 @@ def test_resume_appends_a_second_attempt(tmp_path):
 
 def test_summarize_counts_events_and_faults(tmp_path):
     path = tmp_path / HEARTBEAT_FILENAME
-    with HeartbeatWriter(path) as writer:
+    with closing(HeartbeatWriter(path)) as writer:
         writer.emit("campaign.start")
         writer.emit("trial.finish", status="error")
         writer.emit("trial.fault", scenario_id="abc", seed=1,
@@ -86,7 +87,7 @@ def test_summarize_counts_events_and_faults(tmp_path):
 
 def test_records_are_plain_json_lines(tmp_path):
     path = tmp_path / HEARTBEAT_FILENAME
-    with HeartbeatWriter(path) as writer:
+    with closing(HeartbeatWriter(path)) as writer:
         writer.emit("campaign.start")
     (line,) = path.read_text().splitlines()
     assert json.loads(line)["event"] == "campaign.start"

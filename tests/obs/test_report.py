@@ -1,5 +1,6 @@
 """The ``repro obs`` back-end: campaign summaries + trace export."""
 
+from contextlib import closing
 import json
 
 import pytest
@@ -17,7 +18,7 @@ def _make_campaign_dir(tmp_path):
         {"label": "attack=selftest", "status": "error", "trials_error": 1,
          "error": {"type": "RuntimeError", "message": "boom"}},
     ]))
-    with HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME) as writer:
+    with closing(HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME)) as writer:
         writer.emit("campaign.start", scenarios=2, trials=2)
         writer.emit("trial.finish", status="ok")
         writer.emit("campaign.finish", scenarios_ok=1)

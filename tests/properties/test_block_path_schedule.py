@@ -103,7 +103,7 @@ def _run_two_channels() -> List[MemoryController]:
     memory = MemorySystem(
         engine,
         _config(channels=2),
-        policy_factory=lambda: TpracPolicy(tb_window=TB_WINDOW),
+        policy_factory=lambda channel_id: TpracPolicy(tb_window=TB_WINDOW),
     )
     controllers = list(memory.controllers)
 

@@ -10,6 +10,7 @@ from repro.dram.config import small_test_config
 from repro.mitigations.base import NoMitigationPolicy
 from repro.mitigations.tprac import TpracPolicy
 from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from tests.prac.queue_state import peek
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +98,7 @@ def test_single_entry_queue_never_underestimates(observations):
     queue = SingleEntryFrequencyQueue()
     for row, count in observations:
         queue.observe(row, count)
-        peeked = queue.peek()
+        peeked = peek(queue)
         assert peeked is not None
         # The stored count can only grow or track the stored row.
         assert peeked[1] >= 1

@@ -21,18 +21,17 @@ from repro.dram.commands import RfmProvenance
 from repro.dram.config import DramConfig, DramOrganization, PracConfig
 from repro.mitigations.tprac import TpracPolicy
 from repro.prac.mitigation_queue import (
-    FifoMitigationQueue,
     MitigationQueue,
     PriorityMitigationQueue,
     SingleEntryFrequencyQueue,
 )
+from tests.prac.queue_state import peek
 
 BANKS = 8
 ROWS = 16
 QUEUES = {
     "single": SingleEntryFrequencyQueue,
     "priority": PriorityMitigationQueue,
-    "fifo": FifoMitigationQueue,
 }
 
 
@@ -159,7 +158,7 @@ def _assert_same_banks(mc: MemoryController, ref: RefChannel) -> None:
         assert bank.stats.mitigations == expected.mitigations
         assert bank.counters == expected.counters
     for queue, expected in zip(mc.policy.queues, ref.banks):
-        assert queue.peek() == expected.queue.peek()
+        assert peek(queue) == peek(expected.queue)
         assert len(queue) == len(expected.queue)
 
 

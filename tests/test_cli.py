@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+from contextlib import closing
 import functools
 import inspect
 import json
@@ -70,6 +71,27 @@ def test_every_registered_artifact_has_a_command(stub_runs, capsys):
         assert stub_runs[name] == [{}]
         assert f"<{name}>" in capsys.readouterr().out
         assert registry.get(name).kwargs("full") == {}
+
+
+def test_a_failing_scorecard_fails_its_command(stub_runs, capsys, monkeypatch):
+    # Nothing is simulated: the card holds one FAIL row, and both
+    # commands that render it exit 1 once every artifact has run.
+    from repro.experiments.scorecard import Scorecard
+
+    def failing_card(**kwargs):
+        card = Scorecard()
+        card.add("a graded claim", "paper", "measured", passed=False)
+        return card
+
+    monkeypatch.setattr(f"{registry.get('scorecard').module}.run", failing_card)
+    assert main(["scorecard"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "scorecard reported a failing check" in captured.err
+    assert main(["all"]) == 1
+    assert "scorecard reported a failing check" in capsys.readouterr().err
+    others = [name for name in registry.names() if name != "scorecard"]
+    assert all(stub_runs[name] == [{}] for name in others)
 
 
 def test_list_prints_commands(capsys):
@@ -329,7 +351,7 @@ def test_bench_flags_rejected_on_other_commands(capsys):
 def test_obs_report_renders_campaign_summary(tmp_path, capsys):
     from repro.obs.heartbeat import HEARTBEAT_FILENAME, HeartbeatWriter
 
-    with HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME) as writer:
+    with closing(HeartbeatWriter(tmp_path / HEARTBEAT_FILENAME)) as writer:
         writer.emit("campaign.start", scenarios=1, trials=1)
         writer.emit("campaign.finish", scenarios_ok=1)
     assert main(["obs", "report", str(tmp_path)]) == 0

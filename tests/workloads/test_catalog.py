@@ -4,7 +4,6 @@ import pytest
 
 from repro.workloads.catalog import (
     CATALOG,
-    by_category,
     get_workload,
     workload_names,
 )
@@ -36,13 +35,6 @@ def test_milc_has_lowest_row_locality():
     """433.milc is the paper's worst case via extra row-buffer misses."""
     milc = get_workload("433.milc")
     assert milc.row_locality == min(s.row_locality for s in CATALOG.values())
-
-
-def test_by_category_partitions_catalog():
-    cats = by_category()
-    assert sum(len(v) for v in cats.values()) == len(CATALOG)
-    assert set(cats) == {"H", "M", "L"}
-    assert len(cats["H"]) >= 20
 
 
 def test_filters_compose():

@@ -1,7 +1,7 @@
 """Tests for synthetic trace generation."""
 
 
-from repro.cpu.trace import total_instructions
+from tests.cpu.trace_helpers import total_instructions
 from repro.workloads.catalog import get_workload
 from repro.workloads.synthetic import (
     SyntheticWorkload,

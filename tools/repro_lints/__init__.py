@@ -9,7 +9,7 @@ checked code), plugin-registered (one module per concern under
 
 Run standalone::
 
-    python -m tools.repro_lints            # lint src/repro
+    python -m tools.repro_lints            # lint src/repro and tools/reach.py
     python -m tools.repro_lints path ...   # lint specific files/trees
     python -m tools.repro_lints --explain  # list rules + rationale
 

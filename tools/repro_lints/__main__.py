@@ -21,8 +21,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
+        default=["src/repro", "tools/reach.py"],
+        help="files or directories to lint (default: src/repro and tools/reach.py)",
     )
     parser.add_argument(
         "--explain",
