@@ -19,7 +19,7 @@ lint:              ## ruff + the custom invariant lints (the CI lint gate)
 lints:             ## project-specific AST lints only (no dependencies)
 	$(PYTHON) -m tools.repro_lints
 
-reach:             ## run every product entry point; fail on src/ functions only tests reach
+reach:             ## run every product entry point; fail on src/ functions and knobs only tests reach
 	$(PYTHON) tools/reach.py
 
 typecheck:         ## mypy over src/repro (strictness table in pyproject.toml)

@@ -27,11 +27,11 @@ def main() -> None:
 
     # Attacker: closed-loop latency probe on bank 4, row-buffer hits
     # only (its own PRAC counters never move).
-    probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
+    probe = LatencyProbe(controller, bank=4)
     probe.start()
 
     # Victim: hammer rows 10/11 of bank 0 to the Back-Off threshold.
-    sender = RowHammerSender(controller, bank=0, core_id=0)
+    sender = RowHammerSender(controller, bank=0)
     engine.schedule(5_000.0, lambda: sender.hammer(10, target_acts=nbo, decoy_row=11))
 
     engine.run(until=60_000.0)

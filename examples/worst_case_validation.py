@@ -66,7 +66,7 @@ def acb_check() -> None:
     print("\n=== 3. ACB-RFM activity channel (Figure 2(b)) ===")
     message = [1, 0, 1, 1, 0, 0, 1, 0]
     for defense in ("acb", "tprac"):
-        result = AcbRfmChannel(bat=64, message=message, defense=defense).run()
+        result = AcbRfmChannel(message=message, defense=defense).run()
         print(f"{defense:6s}: sent={message} recv={result.received_bits} "
               f"err={result.error_rate:.2f} counts={result.rfm_counts_per_window}")
     print("=> ACB-RFM counts mirror the sender's activity; TPRAC's are flat.")

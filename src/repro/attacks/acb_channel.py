@@ -16,16 +16,18 @@ count in every window regardless of the sender.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.attacks.probes import LatencyProbe, bank_address, is_rfm_spike
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
-from repro.dram.config import DramConfig, ddr5_8000b
+from repro.dram.config import ddr5_8000b
 from repro.mitigations import make_policy, policy_factory
+
+#: The Bank Activation threshold the JEDEC flow runs at.
+BAT = 64
 
 
 @dataclass
@@ -49,31 +51,20 @@ class AcbChannelResult:
 class AcbRfmChannel:
     """Covert channel exploiting BAT-triggered proactive RFMs."""
 
-    def __init__(
-        self,
-        bat: int = 64,
-        message: Optional[List[int]] = None,
-        defense: str = "acb",
-        seed: int = 13,
-        config: Optional[DramConfig] = None,
-        spike_threshold_ns: float = 250.0,
-    ) -> None:
-        """``defense='acb'`` runs the JEDEC flow (leaky); ``'tprac'``
-        swaps in timing-based RFMs (channel closed)."""
+    def __init__(self, message: List[int], defense: str = "acb") -> None:
+        """``defense='acb'`` runs the JEDEC flow (leaky) at :data:`BAT`;
+        ``'tprac'`` swaps in timing-based RFMs (channel closed)."""
         if defense not in ("acb", "tprac"):
             raise ValueError("defense must be 'acb' or 'tprac'")
-        rng = random.Random(seed)
-        self.bat = bat
-        self.message = message or [rng.randrange(2) for _ in range(16)]
+        self.message = list(message)
         self.defense = defense
         # High N_BO so the ABO path never interferes with the study.
-        self.config = (config or ddr5_8000b()).with_prac(nbo=100_000)
-        self.spike_threshold_ns = spike_threshold_ns
+        self.config = ddr5_8000b().with_prac(nbo=100_000)
         timing = self.config.timing
         chain_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         # A '1' window drives ~3*BAT activations: enough for >= 2
         # ACB-RFMs even with scheduling noise.
-        self.acts_per_one = 3 * bat
+        self.acts_per_one = 3 * BAT
         refresh_inflation = timing.tREFI / (timing.tREFI - timing.tRFC)
         self.window_ns = self.acts_per_one * chain_ns * refresh_inflation + 2 * timing.tRFC
 
@@ -82,12 +73,12 @@ class AcbRfmChannel:
         """Run the experiment at the configured scale; returns the result object."""
         engine = Engine()
         if self.defense == "acb":
-            policy = make_policy("abo_acb", bat=self.bat)
+            policy = make_policy("abo_acb", bat=BAT)
         else:
             # TPRAC sized for N_BO 1024, not the study's ABO-free N_BO.
             policy = policy_factory("tprac", self.config.with_prac(nbo=1024))()
         controller = MemoryController(engine, self.config, policy=policy)
-        probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
+        probe = LatencyProbe(controller, bank=4)
         probe.start()
 
         for index, bit in enumerate(self.message):
@@ -100,12 +91,12 @@ class AcbRfmChannel:
         engine.run(until=(len(self.message) + 1) * self.window_ns)
         probe.stop()
 
-        baseline = probe.result.baseline(self.spike_threshold_ns)
+        baseline = probe.result.baseline()
         timing = self.config.timing
         rfm_times = [
             t
             for t, lat in zip(probe.result.times, probe.result.latencies)
-            if is_rfm_spike(lat, t, timing, self.spike_threshold_ns, baseline)
+            if is_rfm_spike(lat, t, timing, baseline)
         ]
         counts = []
         for index in range(len(self.message)):

@@ -19,11 +19,11 @@ period includes real scheduling/refresh noise.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.attacks.probes import (
+    SPIKE_THRESHOLD_NS,
     LatencyProbe,
     RowHammerSender,
     bank_address,
@@ -33,7 +33,7 @@ from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig, ddr5_8000b
-from repro.mitigations.abo_only import AboOnlyPolicy
+from repro.mitigations import policy_factory
 
 
 @dataclass
@@ -71,38 +71,61 @@ class CovertChannelResult:
         return total_bits / (self.elapsed_ns * 1e-9) / 1000.0
 
 
-def _attack_config(nbo: int, prac_level: int = 4) -> DramConfig:
-    """Device config for attack studies.
+def _attack_config(nbo: int) -> DramConfig:
+    """Device config for attack studies: PRAC level 4, as in Table 2.
 
     ``abo_act=0`` makes the Alert->RFM attribution deterministic (the
     paper's ABO_ACT=3 merely shifts attribution by a known constant;
     see EXPERIMENTS.md).
     """
-    return ddr5_8000b().with_prac(nbo=nbo, prac_level=prac_level, abo_act=0)
+    return ddr5_8000b().with_prac(nbo=nbo, prac_level=4, abo_act=0)
 
 
-class ActivityChannel:
+class _CovertChannel:
+    """What both channels share: the device and the defense.
+
+    ``config`` defaults to :func:`_attack_config` of ``nbo``; its PRAC
+    level sizes the RFM burst each window leaves room for.  The channel
+    runs against the mitigation named ``mitigation`` (ABO-Only is the
+    paper's Table 2 setting; campaign grids name TPRAC & co. to measure
+    how each defense degrades the channel), built by
+    :func:`repro.mitigations.policy_factory` on ``config`` with
+    ``seed`` — how every system builder names a design.
+    """
+
+    def __init__(
+        self,
+        nbo: int,
+        mitigation: str,
+        seed: int,
+        config: Optional[DramConfig],
+    ) -> None:
+        self.nbo = nbo
+        self.mitigation = mitigation
+        self.seed = seed
+        self.config = config or _attack_config(nbo)
+        self.prac_level = self.config.prac.prac_level
+
+    def _controller(self, engine: Engine) -> MemoryController:
+        policy = policy_factory(self.mitigation, self.config, seed=self.seed)()
+        return MemoryController(engine, self.config, policy=policy)
+
+
+class ActivityChannel(_CovertChannel):
     """One bit per window: ABO-RFM present (1) or absent (0)."""
 
     def __init__(
         self,
+        message: List[int],
         nbo: int = 256,
-        prac_level: int = 4,
-        message: Optional[List[int]] = None,
-        seed: int = 7,
+        mitigation: str = "abo_only",
+        seed: int = 0,
         config: Optional[DramConfig] = None,
-        spike_threshold_ns: float = 250.0,
-        policy_factory=AboOnlyPolicy,
     ) -> None:
-        self.nbo = nbo
-        rng = random.Random(seed)
-        self.message = message or [rng.randrange(2) for _ in range(32)]
-        self.config = config or _attack_config(nbo, prac_level)
-        self.spike_threshold_ns = spike_threshold_ns
-        # The mitigation the channel runs against.  ABO-Only is the
-        # paper's Table 2 setting; campaign grids inject TPRAC & co. to
-        # measure how each defense degrades the channel.
-        self.policy_factory = policy_factory
+        super().__init__(nbo, mitigation, seed, config)
+        self.message = list(message)
+        #: RFM-like spikes the receiver decoded in the last run
+        self.spikes_observed = 0
         # Window: hammering a pair to N_BO takes 2*N_BO activations at
         # the dependent-chain conflict cadence (data return + tRP),
         # inflated by the refresh duty cycle, + the RFM burst + margin.
@@ -111,7 +134,7 @@ class ActivityChannel:
         self.act_cadence_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         self.window_ns = (
             2 * nbo * self.act_cadence_ns * refresh_inflation
-            + prac_level * timing.tRFMab
+            + self.prac_level * timing.tRFMab
             + 2 * timing.tRFC
         )
 
@@ -125,11 +148,11 @@ class ActivityChannel:
         into the run as scheduling noise.
         """
         engine = Engine()
-        controller = MemoryController(engine, self.config, policy=self.policy_factory())
+        controller = self._controller(engine)
         if setup is not None:
             setup(engine, controller)
-        sender = RowHammerSender(controller, bank=0, core_id=0)
-        probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
+        sender = RowHammerSender(controller, bank=0)
+        probe = LatencyProbe(controller, bank=4)
         probe.start()
 
         # The sender schedules each bit at its window start; fresh row
@@ -162,12 +185,13 @@ class ActivityChannel:
     def _decode(self, probe: LatencyProbe) -> List[int]:
         """Bit=1 iff a spike not explained by refresh lands in the window."""
         timing = self.config.timing
-        baseline = probe.result.baseline(self.spike_threshold_ns)
+        baseline = probe.result.baseline()
         rfm_like = [
             t
             for t, lat in zip(probe.result.times, probe.result.latencies)
-            if is_rfm_spike(lat, t, timing, self.spike_threshold_ns, baseline)
+            if is_rfm_spike(lat, t, timing, baseline)
         ]
+        self.spikes_observed = len(rfm_like)
         bits = []
         for index in range(len(self.message)):
             lo = index * self.window_ns
@@ -176,9 +200,7 @@ class ActivityChannel:
         return bits
 
 
-
-
-class ActivationCountChannel:
+class ActivationCountChannel(_CovertChannel):
     """log2(N_BO) bits per window via a shared DRAM row.
 
     The receiver counts its own activations to the shared row until the
@@ -187,24 +209,16 @@ class ActivationCountChannel:
 
     def __init__(
         self,
+        values: List[int],
         nbo: int = 256,
-        prac_level: int = 4,
-        values: Optional[List[int]] = None,
-        seed: int = 11,
+        mitigation: str = "abo_only",
+        seed: int = 0,
         config: Optional[DramConfig] = None,
-        spike_threshold_ns: float = 250.0,
-        policy_factory=AboOnlyPolicy,
     ) -> None:
-        self.nbo = nbo
-        rng = random.Random(seed)
-        self.values = values if values is not None else [
-            rng.randrange(nbo) for _ in range(16)
-        ]
+        super().__init__(nbo, mitigation, seed, config)
+        self.values = list(values)
         if any(not 0 <= v < nbo for v in self.values):
             raise ValueError("values must be in [0, N_BO)")
-        self.config = config or _attack_config(nbo, prac_level)
-        self.spike_threshold_ns = spike_threshold_ns
-        self.policy_factory = policy_factory
         timing = self.config.timing
         # Sender (2k accesses) + receiver (2(N_BO-k) accesses) both
         # alternate with decoys at the dependent-chain cadence,
@@ -213,7 +227,7 @@ class ActivationCountChannel:
         chain_cadence = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         self.window_ns = (
             4 * nbo * chain_cadence * refresh_inflation
-            + prac_level * timing.tRFMab
+            + self.prac_level * timing.tRFMab
             + 3 * timing.tRFC
         )
 
@@ -225,7 +239,7 @@ class ActivationCountChannel:
         background workload noise), as on :meth:`ActivityChannel.run`.
         """
         engine = Engine()
-        controller = MemoryController(engine, self.config, policy=self.policy_factory())
+        controller = self._controller(engine)
         if setup is not None:
             setup(engine, controller)
         decoded: List[int] = []
@@ -273,7 +287,7 @@ class ActivationCountChannel:
         receiver_decoy: int,
         decoded: List[int],
     ) -> None:
-        sender = RowHammerSender(controller, bank=bank, core_id=0)
+        sender = RowHammerSender(controller, bank=bank)
 
         def receive() -> None:
             # Conflict-chain accesses run ~70-90 ns; the receiver
@@ -287,10 +301,9 @@ class ActivationCountChannel:
                     request.latency,
                     request.done_time,
                     controller.config.timing,
-                    self.spike_threshold_ns,
                     state["baseline"],
                 )
-                if not hit and request.latency <= self.spike_threshold_ns:
+                if not hit and request.latency <= SPIKE_THRESHOLD_NS:
                     state["baseline"] += 0.2 * (request.latency - state["baseline"])
                 return hit
 

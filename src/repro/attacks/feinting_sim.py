@@ -25,6 +25,9 @@ from repro.core.engine import Engine
 from repro.dram.config import DramConfig, small_test_config
 from repro.mitigations import make_policy
 
+#: Feinting rounds before the attack concentrates on the target anyway.
+MAX_ROUNDS = 4096
+
 
 @dataclass
 class FeintingRunResult:
@@ -56,7 +59,6 @@ class FeintingAttack:
         tb_window: Optional[float] = None,
         nbo: int = 10_000,
         config: Optional[DramConfig] = None,
-        max_rounds: int = 4096,
     ) -> None:
         self.config = (config or small_test_config(rows_per_bank=4096)).with_prac(
             nbo=nbo, abo_act=0
@@ -66,7 +68,6 @@ class FeintingAttack:
         # Default window: ~24 activations per window at the chain cadence.
         self.tb_window = tb_window if tb_window is not None else 24 * chain_ns
         self.pool_size = pool_size
-        self.max_rounds = max_rounds
         self.target_row = 0
         self.decoy_rows = list(range(1, pool_size))
 
@@ -129,7 +130,7 @@ class FeintingAttack:
                 if row == self.target_row or row not in mitigated_seen
             ]
             state["pool"] = pool
-            if len(pool) <= 1 or state["rounds"] >= self.max_rounds:
+            if len(pool) <= 1 or state["rounds"] >= MAX_ROUNDS:
                 state["phase"] = "final"
                 engine.schedule(engine.now, issue)
                 return

@@ -6,13 +6,9 @@ each access's end-to-end latency.  An RFMab anywhere on the channel
 blocks the probe's bank too, so the probe sees a latency spike whose
 magnitude (~N_mit * tRFMab) identifies the mitigation (Figure 3).
 
-Two probing modes mirror the paper:
-
-* ``same_row`` (open-page): re-access one row repeatedly — every access
-  is a row-buffer hit, so the probe's own activation counters never
-  move and it cannot self-induce an ABO.
-* ``rotate_rows`` (closed-page): round-robin over many rows, keeping
-  each row's counter growth negligible.
+The probe re-accesses one row (the controller is open-page): every
+access is a row-buffer hit, so the probe's own activation counters
+never move and it cannot self-induce an ABO.
 """
 
 from __future__ import annotations
@@ -24,11 +20,13 @@ from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.dram.address import DramAddress
 
+#: Latency (ns) above which an access counts as a spike: well above an
+#: uncontended access (~70-90 ns), well below an RFM stall (>= tRFMab).
+SPIKE_THRESHOLD_NS = 250.0
 
-def bank_address(
-    controller: MemoryController, bank: int, row: int, column: int = 0
-) -> int:
-    """Physical address of (flat bank, row, column) on the channel.
+
+def bank_address(controller: MemoryController, bank: int, row: int) -> int:
+    """Physical address of (flat bank, row, column 0) on the channel.
 
     ``bank`` is the channel-wide flat id, rank-major as
     :meth:`~repro.dram.address.DramAddress.flat_bank` numbers it, so the
@@ -52,7 +50,7 @@ def bank_address(
             bank_group=bank_group,
             bank=bank_in_group,
             row=row,
-            column=column,
+            column=0,
         )
     )
 
@@ -61,7 +59,6 @@ def is_rfm_spike(
     latency: float,
     done_time: float,
     timing,
-    threshold_ns: float = 250.0,
     baseline_ns: float = 0.0,
 ) -> bool:
     """Classify a latency spike as RFM-caused rather than refresh-caused.
@@ -79,7 +76,7 @@ def is_rfm_spike(
     is on-grid *and* its baseline-corrected excess sits inside the
     refresh band [tRFC - 40, tRFC + 160].
     """
-    if latency <= threshold_ns:
+    if latency <= SPIKE_THRESHOLD_NS:
         return False
     phase = done_time % timing.tREFI
     on_refresh_grid = phase < timing.tRFC + 300.0
@@ -101,40 +98,26 @@ class ProbeResult:
             return 0.0
         return sum(self.latencies) / len(self.latencies)
 
-    def baseline(self, threshold_ns: float = 250.0) -> float:
+    def baseline(self) -> float:
         """Median uncontended latency (spikes excluded) — the attacker's
         calibration input to :func:`is_rfm_spike`."""
-        normal = sorted(lat for lat in self.latencies if lat <= threshold_ns)
+        normal = sorted(lat for lat in self.latencies if lat <= SPIKE_THRESHOLD_NS)
         if not normal:
             return 0.0
         return normal[len(normal) // 2]
 
 
 class LatencyProbe:
-    """Closed-loop latency monitor on one bank of the shared channel."""
+    """Closed-loop latency monitor on one bank of the shared channel:
+    core 1 re-reads row 0 of ``bank``, one access at a time."""
 
-    def __init__(
-        self,
-        controller: MemoryController,
-        bank: int,
-        mode: str = "same_row",
-        rows: Optional[List[int]] = None,
-        core_id: int = 1,
-        gap_ns: float = 0.0,
-    ) -> None:
-        if mode not in ("same_row", "rotate_rows"):
-            raise ValueError("mode must be 'same_row' or 'rotate_rows'")
+    def __init__(self, controller: MemoryController, bank: int) -> None:
         self.controller = controller
         self.bank = bank
-        self.mode = mode
-        self.rows = rows or ([0] if mode == "same_row" else list(range(64)))
         # Resolved once (an out-of-range bank raises here): the probe
-        # reissues to these addresses on every access.
-        self._addrs = [bank_address(controller, bank, row) for row in self.rows]
-        self.core_id = core_id
-        self.gap_ns = gap_ns
+        # reissues to this address on every access.
+        self._addr = bank_address(controller, bank, 0)
         self.result = ProbeResult()
-        self._row_cursor = 0
         self._running = False
 
     def start(self) -> None:
@@ -146,30 +129,17 @@ class LatencyProbe:
         """Stop after the in-flight access completes."""
         self._running = False
 
-    def _next_addr(self) -> int:
-        addr = self._addrs[self._row_cursor % len(self._addrs)]
-        if self.mode == "rotate_rows":
-            self._row_cursor += 1
-        return addr
-
     def _issue(self) -> None:
         if not self._running:
             return
-        addr = self._next_addr()
-        request = MemRequest(
-            phys_addr=addr, core_id=self.core_id, on_complete=self._completed
+        self.controller.enqueue(
+            MemRequest(phys_addr=self._addr, core_id=1, on_complete=self._completed)
         )
-        self.controller.enqueue(request)
 
     def _completed(self, request: MemRequest) -> None:
         self.result.times.append(request.done_time)
         self.result.latencies.append(request.latency)
-        if not self._running:
-            return
-        if self.gap_ns > 0:
-            self.controller.engine.schedule_after(self.gap_ns, self._issue)
-        else:
-            self._issue()
+        self._issue()
 
 
 class RowHammerSender:
@@ -180,18 +150,12 @@ class RowHammerSender:
     row-buffer conflict, i.e. one activation — the paper's sender
     pattern.  The decoy rotates so its own counter also rises (both
     rows accumulate activations; the Alert fires at whichever reaches
-    N_BO first).
+    N_BO first).  The sender issues as core 0.
     """
 
-    def __init__(
-        self,
-        controller: MemoryController,
-        bank: int,
-        core_id: int = 0,
-    ) -> None:
+    def __init__(self, controller: MemoryController, bank: int) -> None:
         self.controller = controller
         self.bank = bank
-        self.core_id = core_id
         self.accesses_issued = 0
 
     def hammer(
@@ -238,5 +202,5 @@ class RowHammerSender:
         self.accesses_issued += 1
         addr = bank_address(self.controller, self.bank, row)
         self.controller.enqueue(
-            MemRequest(phys_addr=addr, core_id=self.core_id, on_complete=on_complete)
+            MemRequest(phys_addr=addr, on_complete=on_complete)
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.attacks.probes import bank_address, is_rfm_spike
+from repro.attacks.probes import SPIKE_THRESHOLD_NS, bank_address, is_rfm_spike
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -69,7 +69,6 @@ class AesSideChannelAttack:
         encryptions: int = 200,
         defense: Optional[str] = None,
         tb_window: Optional[float] = None,
-        spike_threshold_ns: float = 250.0,
         seed: int = 99,
         config: Optional[DramConfig] = None,
         record_timeline: bool = False,
@@ -90,7 +89,6 @@ class AesSideChannelAttack:
         self.prac_level = prac_level
         self.encryptions = encryptions
         self.defense = defense
-        self.spike_threshold_ns = spike_threshold_ns
         self.seed = seed
         self.record_timeline = record_timeline
         self.abo_act = abo_act
@@ -168,13 +166,9 @@ class AesSideChannelAttack:
                         (now, dict((r, bank.counter(r)) for r in table_rows))
                     )
                 spiked = is_rfm_spike(
-                    latency,
-                    now,
-                    self.config.timing,
-                    self.spike_threshold_ns,
-                    probe_state["baseline"],
+                    latency, now, self.config.timing, probe_state["baseline"]
                 )
-                if not spiked and latency <= self.spike_threshold_ns:
+                if not spiked and latency <= SPIKE_THRESHOLD_NS:
                     probe_state["baseline"] += 0.2 * (
                         latency - probe_state["baseline"]
                     )
@@ -224,17 +218,15 @@ class AesSideChannelAttack:
 
     # ------------------------------------------------------------------
     def run_key_sweep(
-        self,
-        target_byte: int = 0,
-        key_values: Optional[List[int]] = None,
-        fixed_value: int = 0,
+        self, key_values: Optional[List[int]] = None
     ) -> List[SideChannelResult]:
-        """Figures 5 and 9: sweep the secret key byte, attack each value."""
+        """Figures 5 and 9: sweep key byte 0, attack each value with
+        plaintext byte 0 fixed to 0."""
         key_values = key_values if key_values is not None else list(range(0, 256, 16))
         results = []
         for value in key_values:
             key = bytearray(self.key)
-            key[target_byte] = value
+            key[0] = value
             attack = AesSideChannelAttack(
                 bytes(key),
                 nbo=self.nbo,
@@ -242,12 +234,11 @@ class AesSideChannelAttack:
                 encryptions=self.encryptions,
                 defense=self.defense,
                 tb_window=self.tb_window,
-                spike_threshold_ns=self.spike_threshold_ns,
                 seed=self.seed + value,
                 record_timeline=False,
                 abo_act=self.abo_act,
             )
-            results.append(attack.run_single(target_byte, fixed_value))
+            results.append(attack.run_single(0, 0))
         return results
 
 

@@ -11,14 +11,17 @@ repository's simulators and returns a flat ``{metric: number}`` dict:
   model (one controller + policy instance per channel) and the metrics
   gain per-channel ``requests_chN`` / ``rfms_chN`` breakdowns.
 * ``covert_activity`` / ``covert_count`` — the PRACLeak covert
-  channels, run against the named mitigation (the named policy is
-  injected into the channel's controller) with a seeded message and,
-  optionally, background workload traffic as scheduling noise.
+  channels on the scenario's device, run against the named mitigation
+  (the channel builds it with the trial seed) with a seeded message
+  and, optionally, background workload traffic as scheduling noise.
 * ``aes_side_channel`` — the AES T-table key-recovery attack with a
-  seeded key; ``mitigation`` selects undefended (``abo_only``) or
-  ``tprac`` (:meth:`Scenario.validate` rejects any other).
+  seeded key on the scenario's device; ``mitigation`` selects
+  undefended (``abo_only``) or ``tprac`` (:meth:`Scenario.validate`
+  rejects any other, and any background workload).
 * ``feinting`` — the executed worst-case Feinting attack against
-  TPRAC; checks the analytical bound holds.
+  TPRAC on the attack's own small device; checks the analytical bound
+  holds (:meth:`Scenario.validate` rejects any other device, PRAC
+  level or workload).
 * ``selftest`` — a microsecond-scale deterministic kind used by smoke
   grids and the fault-isolation tests; ``crash_seeds`` makes chosen
   trials raise, so campaigns can prove their per-trial isolation.
@@ -39,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.system import System
 
 from repro.campaigns.scenario import NO_WORKLOAD, Scenario
-from repro.mitigations import policy_factory
 
 TrialFn = Callable[[Scenario, int], Dict[str, float]]
 
@@ -187,13 +189,12 @@ def _covert_activity_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 
     rng = random.Random(seed)
     symbols = int(scenario.params.get("symbols", 8))
-    config = scenario.dram_config().with_prac(abo_act=0)
     channel = ActivityChannel(
-        nbo=scenario.nbo,
-        prac_level=scenario.prac_level,
         message=[rng.randrange(2) for _ in range(symbols)],
-        config=config,
-        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
+        nbo=scenario.nbo,
+        mitigation=scenario.mitigation,
+        seed=seed,
+        config=scenario.dram_config().with_prac(abo_act=0),
     )
     setup = _covert_noise_setup(scenario, seed, symbols * channel.window_ns)
     return _covert_metrics(channel.run(setup=setup))
@@ -205,13 +206,12 @@ def _covert_count_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
 
     rng = random.Random(seed)
     symbols = int(scenario.params.get("symbols", 4))
-    config = scenario.dram_config().with_prac(abo_act=0)
     channel = ActivationCountChannel(
-        nbo=scenario.nbo,
-        prac_level=scenario.prac_level,
         values=[rng.randrange(scenario.nbo) for _ in range(symbols)],
-        config=config,
-        policy_factory=policy_factory(scenario.mitigation, config, seed=seed),
+        nbo=scenario.nbo,
+        mitigation=scenario.mitigation,
+        seed=seed,
+        config=scenario.dram_config().with_prac(abo_act=0),
     )
     setup = _covert_noise_setup(scenario, seed, symbols * channel.window_ns)
     return _covert_metrics(channel.run(setup=setup))
@@ -233,6 +233,7 @@ def _aes_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
         encryptions=int(scenario.params.get("encryptions", 150)),
         defense="tprac" if scenario.mitigation == "tprac" else None,
         seed=seed,
+        config=scenario.dram_config(),
     )
     result = attack.run_single(
         int(scenario.params.get("target_byte", 0)),

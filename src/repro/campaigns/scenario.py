@@ -49,6 +49,10 @@ NO_WORKLOAD = "none"
 #: under a second scenario ID.
 AES_MITIGATIONS = ("abo_only", "tprac")
 
+#: The ``dram`` and ``prac_level`` axes' defaults.
+DEFAULT_DRAM = "ddr5_8000b"
+DEFAULT_PRAC_LEVEL = 1
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -57,9 +61,9 @@ class Scenario:
     attack: str
     mitigation: str = "abo_only"
     workload: str = NO_WORKLOAD
-    dram: str = "ddr5_8000b"
+    dram: str = DEFAULT_DRAM
     nbo: int = 256
-    prac_level: int = 1
+    prac_level: int = DEFAULT_PRAC_LEVEL
     channels: int = 1
     sanitize: bool = False
     trace: bool = False
@@ -92,6 +96,17 @@ class Scenario:
             )
         if self.attack == "feinting" and self.mitigation != "tprac":
             raise ValueError("feinting scenarios attack TPRAC; set mitigation=tprac")
+        if self.attack in ("aes_side_channel", "feinting") and self.workload != NO_WORKLOAD:
+            raise ValueError(
+                f"{self.attack} runs no background workload; drop workload="
+                f"{self.workload!r}"
+            )
+        device = (self.dram, self.prac_level)
+        if self.attack == "feinting" and device != (DEFAULT_DRAM, DEFAULT_PRAC_LEVEL):
+            raise ValueError(
+                "feinting runs on the attack's own small device; drop the "
+                f"dram={self.dram!r} / prac_level={self.prac_level} axes"
+            )
         if self.dram not in PRESETS:
             raise ValueError(
                 f"unknown DRAM preset {self.dram!r}; have {sorted(PRESETS)}"
@@ -197,6 +212,6 @@ class Scenario:
             parts.append("trace")
         if self.metrics:
             parts.append("metrics")
-        if self.dram != "ddr5_8000b":
+        if self.dram != DEFAULT_DRAM:
             parts.append(self.dram)
         return "/".join(parts)

@@ -98,7 +98,8 @@ class MemoryController:
     enable_abo:
         Whether the device asserts Alert at N_BO.
     enable_refresh:
-        Whether periodic REFab is simulated (tests may disable it).
+        Whether periodic REFab is simulated (fig8's walkthrough and the
+        executed Feinting attack run without it).
     tref_per_trefi:
         Targeted-Refresh rate for the TPRAC co-design (Section 4.3).
     recorder:
@@ -117,7 +118,6 @@ class MemoryController:
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
-        log_commands: bool = False,
         channel_id: int = 0,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
@@ -182,7 +182,8 @@ class MemoryController:
 
         # Mitigation policy ---------------------------------------------
         self.policy = policy
-        self._pending_rfms: List[Tuple[RfmProvenance, int]] = []
+        #: provenances of the proactive RFMs requested and not yet issued
+        self._pending_rfms: List[RfmProvenance] = []
         if policy is not None:
             policy.attach(self)
 
@@ -192,8 +193,6 @@ class MemoryController:
         self._wake_event: Optional[EventHandle] = None
         self._wake_time = _INF
 
-        #: optional command-level trace for post-hoc timing verification
-        self.command_log: Optional[List[Command]] = [] if log_commands else None
         #: optional online protocol sanitizer (SystemConfig(sanitize=True))
         self.sanitizer: Optional[ProtocolChecker] = (
             ProtocolChecker(self.config) if system.sanitize else None
@@ -208,11 +207,7 @@ class MemoryController:
         # are attached — the telemetry-off fast path is unchanged.
         self._trace = (
             self._log
-            if (
-                log_commands
-                or self.sanitizer is not None
-                or recorder is not None
-            )
+            if self.sanitizer is not None or recorder is not None
             else None
         )
         if self._trace is not None:
@@ -238,8 +233,6 @@ class MemoryController:
             kind=kind, bank_id=bank_id, row=row, issue_time=time,
             provenance=provenance,
         )
-        if self.command_log is not None:
-            self.command_log.append(command)
         if self.sanitizer is not None:
             self.sanitizer.observe_command(command)
         if self.recorder is not None:
@@ -315,13 +308,13 @@ class MemoryController:
         if self._wake_time > now:
             self._schedule_wake(now)
 
-    def request_rfm(self, provenance: RfmProvenance, count: int = 1) -> None:
-        """Ask the controller to issue ``count`` RFMab commands ASAP.
+    def request_rfm(self, provenance: RfmProvenance) -> None:
+        """Ask the controller to issue one RFMab command ASAP.
 
         Used by proactive policies (ACB thresholds, TPRAC's TB timer,
         the obfuscation defense's random injector).
         """
-        self._pending_rfms.append((provenance, count))
+        self._pending_rfms.append(provenance)
         # Inline _schedule_wake(now), as enqueue gates it.
         engine = self.engine
         now = engine.now
@@ -408,8 +401,7 @@ class MemoryController:
 
         # 2. Proactive RFMs requested by the policy -------------------
         if self._pending_rfms:
-            provenance, count = self._pending_rfms.pop(0)
-            self._issue_rfm_burst(count, provenance)
+            self._issue_rfm_burst(1, self._pending_rfms.pop(0))
             # Filling the slot directly would orphan a wake that a burst
             # hook (the policy's mitigate_on_rfm) had scheduled.
             assert self._wake_event is None, "an RFM burst scheduled a wake"

@@ -41,7 +41,8 @@ from repro.obs.trace import TraceRecorder
 class MemorySystem:
     """N per-channel memory controllers behind one ``enqueue`` front.
 
-    Parameters mirror :class:`MemoryController`, except for policy
+    Parameters mirror :class:`MemoryController` (every channel refreshes
+    and decodes with the facade's own mapping), except for policy
     wiring: a mitigation policy instance attaches to exactly one
     controller, so multi-channel systems take ``policy_factory`` (one
     fresh instance per channel) while single-channel systems may keep
@@ -58,10 +59,8 @@ class MemorySystem:
         policy: Optional[object] = None,
         policy_factory: Optional[Callable[..., object]] = None,
         enable_abo: bool = True,
-        enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
         system: Optional[SystemConfig] = None,
-        mapping: Optional[MopMapping] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
         config = system.apply_to(config).validate()
@@ -81,7 +80,7 @@ class MemorySystem:
         #: the shared address mapping: controllers decode with it and
         #: the facade routes with its ``channel_of`` — one source of
         #: truth for where the channel bits live.
-        self.mapping = mapping or MopMapping(config.organization)
+        self.mapping = MopMapping(config.organization)
         #: shared trace recorder (SystemConfig(trace=True)): one
         #: recorder spans all channels, so exported traces show the
         #: whole system.
@@ -102,7 +101,6 @@ class MemorySystem:
                 system=system,
                 mapping=self.mapping,
                 enable_abo=enable_abo,
-                enable_refresh=enable_refresh,
                 tref_per_trefi=tref_per_trefi,
                 channel_id=channel_id,
                 recorder=self.recorder,

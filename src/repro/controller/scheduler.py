@@ -55,10 +55,8 @@ class BankQueueScheduler:
         queue.append(request)
         self._total_pending += 1
 
-    def pending(self, bank_id: Optional[int] = None) -> int:
-        """Queued request count, per bank or total."""
-        if bank_id is not None:
-            return len(self.queues[bank_id])
+    def pending(self) -> int:
+        """Queued request count over every bank."""
         return self._total_pending
 
     def banks_with_work(self) -> Sequence[int]:

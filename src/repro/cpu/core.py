@@ -14,11 +14,10 @@ paper.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
 from repro.controller.request import MemRequest
-from repro.cpu.trace import TraceCursor, TraceRecord
+from repro.cpu.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Protocol
@@ -31,31 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover
         def enqueue(self, request: MemRequest) -> None: ...
 
 
-@dataclass(frozen=True)
-class CoreParams:
-    """Pipeline parameters (paper Table 3: 4 GHz, 6-issue, 352 ROB)."""
-
-    freq_ghz: float = 4.0
-    width: int = 4           # sustained retire width for the gap insts
-    rob_size: int = 352
-    max_outstanding: int = 64  # MSHRs toward DRAM
-
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.freq_ghz
+#: Pipeline parameters (paper Table 3): a 4 GHz core, the sustained
+#: retire width for the gap instructions, the reorder-buffer size and
+#: the MSHRs toward DRAM.
+FREQ_GHZ = 4.0
+CYCLE_NS = 1.0 / FREQ_GHZ
+WIDTH = 4
+ROB_SIZE = 352
+MSHRS = 64
 
 
 class TraceCore:
-    """One core replaying a trace into its memory target."""
+    """One core replaying a trace into its memory target, once."""
 
     def __init__(
         self,
         engine: "Engine",
         memory: "MemoryTarget",
-        cursor: TraceCursor,
+        records: List[TraceRecord],
         core_id: int,
-        params: Optional[CoreParams] = None,
-        max_requests: Optional[int] = None,
     ) -> None:
         self.engine = engine
         #: request sink: a bare :class:`MemoryController` or the
@@ -63,10 +56,10 @@ class TraceCore:
         #: facade — the core only calls ``enqueue`` and lets the memory
         #: side route by physical address.
         self.memory = memory
-        self.cursor = cursor
         self.core_id = core_id
-        self.params = params or CoreParams()
-        self.max_requests = max_requests
+        #: the trace and the index of the next record to consume
+        self._records = records
+        self._position = 0
 
         self.insts_retired = 0
         self.dram_requests = 0
@@ -83,16 +76,13 @@ class TraceCore:
         self._next: Optional[TraceRecord] = None
         self._stalled = False
         self._started = False
-        # Hot-path caches: plain attribute loads instead of dataclass
-        # attribute chains / properties inside _advance (identical values,
-        # so timing results are bit-for-bit unchanged).
-        params = self.params
-        self._cycle_ns = params.cycle_ns
-        self._width = params.width
-        self._rob_size = params.rob_size
-        self._max_outstanding = params.max_outstanding
+        # Hot-path caches: plain attribute loads instead of module
+        # globals inside _advance.
+        self._cycle_ns = CYCLE_NS
+        self._width = WIDTH
+        self._rob_size = ROB_SIZE
+        self._max_outstanding = MSHRS
         self._mem_label = f"core{core_id}-mem"
-        self._budget = float("inf") if max_requests is None else max_requests
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -108,7 +98,7 @@ class TraceCore:
         end = self.finish_time if self.finish_time is not None else self.engine.now
         if end <= 0:
             return 0.0
-        cycles = end / self.params.cycle_ns
+        cycles = end / CYCLE_NS
         return self.insts_retired / cycles if cycles > 0 else 0.0
 
     # ------------------------------------------------------------------
@@ -116,24 +106,15 @@ class TraceCore:
         """Consume trace records until blocked or done."""
         if self.finished:
             return
-        if self.dram_requests >= self._budget:
-            record = None
-        else:
-            # Inline TraceCursor.next's common case (in-range, no loop).
-            cursor = self.cursor
-            records = cursor.records
-            position = cursor.position
-            if position < len(records):
-                record = records[position]
-                cursor.position = position + 1
-            else:
-                record = cursor.next()  # exhausted or looping trace
-        if record is None:
+        records = self._records
+        position = self._position
+        if position == len(records):
             if not self._outstanding:
                 self._finish()
             else:
                 self._stalled = True  # drain remaining misses, then finish
             return
+        record = records[position]
 
         # ROB window check: cannot run past the oldest miss + rob_size.
         outstanding = self._outstanding
@@ -144,10 +125,10 @@ class TraceCore:
                 > self._rob_size
                 or len(outstanding) >= self._max_outstanding
             ):
-                self._stalled = True
-                self.cursor.position = max(0, self.cursor.position - 1)
+                self._stalled = True  # the record waits for a retirement
                 return
 
+        self._position = position + 1
         compute_ns = (record.gap_insts / self._width) * self._cycle_ns
         self.insts_retired += record.gap_insts + 1
         self._next = record
@@ -167,8 +148,8 @@ class TraceCore:
         # completion callback needs no per-request closure.
         self.memory.enqueue(
             MemRequest(
-                record.phys_addr, record.is_write, self.core_id, 0.0, None,
-                None, None, self._dram_done, inst_mark,
+                record.phys_addr, record.is_write, self.core_id, self._dram_done,
+                inst_mark,
             )
         )
         # Keep fetching ahead of the miss (the ROB check gates this).

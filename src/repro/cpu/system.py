@@ -3,8 +3,8 @@
 This is the reproduction's ChampSim stand-in.  A :class:`System`
 builds N trace-driven cores sharing a :class:`MemorySystem` — one
 memory controller per configured DDR5 channel, with requests routed by
-channel-interleaved physical address — runs them to completion (or a
-request budget) and reports per-core IPCs, from which the experiments
+channel-interleaved physical address — runs each core through its
+trace once and reports per-core IPCs, from which the experiments
 derive normalized performance.
 
 With the default single-channel organization the memory system is a
@@ -20,9 +20,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.config import SystemConfig
 from repro.controller.memory_system import MemorySystem
 from repro.core.engine import Engine
-from repro.cpu.core import CoreParams, TraceCore
-from repro.cpu.trace import TraceCursor, TraceRecord
+from repro.cpu.core import TraceCore
+from repro.cpu.trace import TraceRecord
 from repro.dram.config import DramConfig, ddr5_8000b
+
+#: Events one :meth:`System.run` may fire before the engine stops it.
+MAX_EVENTS = 50_000_000
 
 
 @dataclass
@@ -69,11 +72,8 @@ class System:
         config: Optional[DramConfig] = None,
         policy: Optional[object] = None,
         policy_factory: Optional[Callable[..., object]] = None,
-        core_params: Optional[CoreParams] = None,
         enable_abo: bool = True,
-        enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
-        max_requests_per_core: Optional[int] = None,
         system: Optional[SystemConfig] = None,
     ) -> None:
         if not traces:
@@ -86,7 +86,6 @@ class System:
             policy=policy,
             policy_factory=policy_factory,
             enable_abo=enable_abo,
-            enable_refresh=enable_refresh,
             tref_per_trefi=tref_per_trefi,
             system=system,
         )
@@ -95,14 +94,7 @@ class System:
         self.config = self.memory.config
         self.cores: List[TraceCore] = []
         for core_id, trace in enumerate(traces):
-            core = TraceCore(
-                self.engine,
-                self.memory,
-                TraceCursor(trace),
-                core_id=core_id,
-                params=core_params,
-                max_requests=max_requests_per_core,
-            )
+            core = TraceCore(self.engine, self.memory, trace, core_id)
             core.on_finish = self._core_finished
             self.cores.append(core)
         self._unfinished = len(self.cores)
@@ -115,19 +107,18 @@ class System:
             self.engine.request_stop()
 
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> SystemResult:
-        """Run all cores to completion (or ``until``); gather results.
+    def run(self) -> SystemResult:
+        """Run all cores to completion; gather results.
 
         The refresh/TB-RFM timers re-arm forever, so the run terminates
         on core completion rather than queue exhaustion: the per-core
-        finish hooks request the engine stop.  An explicit horizon
-        fires no event past ``until`` and, if the cores are still
-        running there, leaves the clock at ``until``.
+        finish hooks request the engine stop.  :data:`MAX_EVENTS` caps
+        a run that never finishes.
         """
         for core in self.cores:
             core.start()
         if self._unfinished > 0:
-            self.engine.run(until=until, max_events=max_events)
+            self.engine.run(max_events=MAX_EVENTS)
         return self._gather_result()
 
     # ------------------------------------------------------------------

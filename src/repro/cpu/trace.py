@@ -10,7 +10,6 @@ by the synthetic workload generators and by the AES victim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -26,24 +25,3 @@ class TraceRecord:
             raise ValueError("gap_insts must be non-negative")
         if self.phys_addr < 0:
             raise ValueError("phys_addr must be non-negative")
-
-
-class TraceCursor:
-    """Replayable cursor over a trace, with optional looping."""
-
-    def __init__(self, records: List[TraceRecord], loop: bool = False) -> None:
-        self.records = records
-        self.loop = loop
-        self.position = 0
-        self.laps = 0
-
-    def next(self) -> Optional[TraceRecord]:
-        """Return the next record, or None when exhausted."""
-        if self.position >= len(self.records):
-            if not self.loop or not self.records:
-                return None
-            self.position = 0
-            self.laps += 1
-        record = self.records[self.position]
-        self.position += 1
-        return record

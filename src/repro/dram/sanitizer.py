@@ -16,9 +16,7 @@ Checked invariants:
 
 * per-bank command-time monotonicity (``ORDER``);
 * ACT: tRC / tRP / no double-open (``OPEN``) / channel- and bank-level
-  blocking windows (``BLOCKED``) / the per-rank four-activate window
-  (``tFAW``, ``strict=True`` only: the timing model intentionally does
-  not arbitrate per-rank ACT bandwidth, see :class:`ProtocolChecker`);
+  blocking windows (``BLOCKED``);
 * PRE: tRAS / tRTP / tWR write recovery;
 * RD/WR: row must be open and match (``CLOSED`` / ``ROW``), tRCD, tCCD;
 * REF / RFMab: must wait for the channel-blocking window (``BLOCKED``)
@@ -28,6 +26,11 @@ Checked invariants:
   ``alert + tABOACT`` unless blocking/bus drain legitimately delays it
   (``ABO-WINDOW``).
 
+The per-rank four-activate window (tFAW) is not checked: the timing
+model deliberately serves independent banks without arbitrating
+per-rank ACT bandwidth, so its command streams may put more than four
+ACTs of one rank inside tFAW.
+
 The checker is deliberately *independent* state: it rebuilds bus
 occupancy, blocking windows and the set of open banks from the command
 stream alone (fed in issue order per bank, which the controller
@@ -35,16 +38,13 @@ guarantees), so a controller bug cannot corrupt the reference the
 checker compares against.  A REF/RFMab costs in proportion to the banks
 the stream left open: it closes those, and raises one channel-wide
 ``ORDER`` floor that every bank's monotonicity check folds in, instead
-of stamping all banks.  The floor stays at the latest REF/RFMab start,
-so in collect mode (``raise_on_violation=False``) every later command
-stamped before that start reports ``ORDER``, not only the first one on
-its bank.
+of stamping all banks.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, Optional, Set, Tuple
 
 from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import DramConfig
@@ -52,8 +52,8 @@ from repro.dram.config import DramConfig
 _EPS = 1e-9
 _NEG_INF = float("-inf")
 
-#: JEDEC four-activate window: at most this many ACTs per rank per tFAW.
-FAW_ACTS = 4
+#: Commands a violation carries as its history.
+HISTORY = 32
 
 
 class ProtocolViolation(Exception):
@@ -62,7 +62,7 @@ class ProtocolViolation(Exception):
     Attributes
     ----------
     constraint:
-        Short tag naming the broken rule (``"tRC"``, ``"tFAW"``,
+        Short tag naming the broken rule (``"tRC"``, ``"BLOCKED"``,
         ``"ABO-WINDOW"``, ...).
     command:
         The offending :class:`~repro.dram.commands.Command`.
@@ -114,34 +114,14 @@ class _BankState:
 class ProtocolChecker:
     """Online validator for the controller's issued command stream.
 
-    Feed commands via :meth:`observe` in the controller's issue order
-    (per bank the stream is time-monotonic; channel-wide commands are
-    fed when issued, after every already-stamped command).  The default
-    ``raise_on_violation=True`` raises :class:`ProtocolViolation` at
-    the first broken rule; tests that want to scan a whole stream pass
-    ``False`` and read :attr:`violations`.  In that collect mode each
-    command is still checked against the latest REF/RFMab start, so one
-    late command does not lower the bar for the ones after it.
+    Feed commands via :meth:`observe_command` in the controller's issue
+    order (per bank the stream is time-monotonic; channel-wide commands
+    are fed when issued, after every already-stamped command).  The
+    first broken rule raises :class:`ProtocolViolation`.
     """
 
-    def __init__(
-        self,
-        config: DramConfig,
-        raise_on_violation: bool = True,
-        history: int = 32,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, config: DramConfig) -> None:
         self.config = config.validate()
-        self.raise_on_violation = raise_on_violation
-        #: ``strict=True`` additionally enforces JEDEC rules the timing
-        #: model deliberately relaxes — today the per-rank four-activate
-        #: window (tFAW).  The controller serves independent banks
-        #: without arbitrating a shared command bus, so concurrent
-        #: requests can legally (in-model) activate more than four banks
-        #: of one rank inside tFAW; the in-controller hook therefore
-        #: runs non-strict, and strict mode is for synthetic streams.
-        self.strict = strict
-        self.violations: List[ProtocolViolation] = []
         org = config.organization
         timing = config.timing
         self._tRC = timing.tRC
@@ -153,13 +133,11 @@ class ProtocolChecker:
         self._tBL = timing.tBL
         self._tCCD = timing.tCCD
         self._tWR = timing.tWR
-        self._tFAW = timing.tFAW
         self._tRFC = timing.tRFC
         self._tRFMab = timing.tRFMab
         self._tRFMpb = timing.tRFMpb
         self._tABOACT = timing.tABOACT
         self._abo_act = config.prac.abo_act
-        self._banks_per_rank = org.banks_per_rank
         self._banks = [_BankState() for _ in range(org.banks_per_channel)]
         #: ids of banks with an open row in the observed stream: ACT
         #: adds, PRE / RFMpb / REF / RFMab remove
@@ -167,15 +145,10 @@ class ProtocolChecker:
         #: start of the latest REF/RFMab, an all-bank command: no bank's
         #: later command may be stamped before it (``ORDER``)
         self._order_floor = _NEG_INF
-        # Per-rank ACT issue times inside the rolling four-activate
-        # window; a fifth ACT within tFAW of the oldest is a violation.
-        self._rank_acts: List[Deque[float]] = [
-            deque(maxlen=FAW_ACTS) for _ in range(org.ranks)
-        ]
         self._blocked_until = _NEG_INF  # channel-wide REF / RFMab window
         self._blocked_by = ""           # which command opened the window
         self._bus_free = _NEG_INF       # reference data-bus occupancy
-        self._history: Deque[Command] = deque(maxlen=history)
+        self._history: Deque[Command] = deque(maxlen=HISTORY)
         # ABO bookkeeping (armed by :meth:`on_alert`).
         self._alert_time: Optional[float] = None
         self._alert_deadline = 0.0
@@ -190,8 +163,8 @@ class ProtocolChecker:
 
         Wired to ``AboProtocol.on_alert`` by the controller.  The hook
         fires from inside ``Bank.activate`` — i.e. *before* the
-        triggering ACT reaches :meth:`observe` — so that ACT must not
-        count against the post-Alert grace budget.
+        triggering ACT reaches :meth:`observe_command` — so that ACT
+        must not count against the post-Alert grace budget.
         """
         self._alert_time = time
         self._alert_deadline = time + self._tABOACT
@@ -201,27 +174,8 @@ class ProtocolChecker:
     # ------------------------------------------------------------------
     # Command stream
     # ------------------------------------------------------------------
-    def observe(
-        self,
-        kind: CommandKind,
-        bank_id: int,
-        row: int,
-        time: float,
-        provenance: Optional[RfmProvenance] = None,
-    ) -> None:
-        """Validate one issued command and fold it into the state."""
-        self.observe_command(
-            Command(
-                kind=kind,
-                bank_id=bank_id,
-                row=row,
-                issue_time=time,
-                provenance=provenance,
-            )
-        )
-
     def observe_command(self, command: Command) -> None:
-        """Validate an already-built :class:`Command` record."""
+        """Validate one issued command and fold it into the state."""
         self._history.append(command)
         kind = command.kind
         if kind is CommandKind.ACT:
@@ -239,23 +193,13 @@ class ProtocolChecker:
         else:  # pragma: no cover - CommandKind is closed
             raise ValueError(f"unknown command kind {kind!r}")
 
-    @property
-    def ok(self) -> bool:
-        """True while no violation has been recorded."""
-        return not self.violations
-
     def history(self) -> Tuple[Command, ...]:
         """The retained command window, oldest first."""
         return tuple(self._history)
 
     # ------------------------------------------------------------------
     def _fail(self, constraint: str, command: Command, detail: str) -> None:
-        violation = ProtocolViolation(
-            constraint, command, detail, history=self.history()
-        )
-        self.violations.append(violation)
-        if self.raise_on_violation:
-            raise violation
+        raise ProtocolViolation(constraint, command, detail, history=self.history())
 
     def _check_order(self, state: _BankState, command: Command) -> None:
         last = state.last_time
@@ -308,15 +252,6 @@ class ProtocolChecker:
                 f"precharge completes at {state.last_pre_done:.1f}ns "
                 f"(tRP = {self._tRP})",
             )
-        acts = self._rank_acts[command.bank_id // self._banks_per_rank]
-        if self.strict and len(acts) == FAW_ACTS and t < acts[0] + self._tFAW - _EPS:
-            self._fail(
-                "tFAW",
-                command,
-                f"{FAW_ACTS + 1} ACTs within {t - acts[0]:.1f}ns "
-                f"(tFAW = {self._tFAW})",
-            )
-        acts.append(t)
         if self._alert_time is not None:
             if self._skip_next_act:
                 self._skip_next_act = False  # the Alert-triggering ACT

@@ -42,7 +42,6 @@ def build_system(
     point: DesignPoint,
     traces,
     config: Optional[DramConfig] = None,
-    max_requests_per_core: Optional[int] = None,
     system: Optional[SystemConfig] = None,
     seed: int = 0,
 ) -> System:
@@ -74,7 +73,6 @@ def build_system(
         policy_factory=policy_factory(name, config, seed=seed),
         enable_abo=name != "none",
         tref_per_trefi=point.tref_per_trefi,
-        max_requests_per_core=max_requests_per_core,
         system=system,
     )
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.attacks.probes import LatencyProbe, RowHammerSender, is_rfm_spike
+from repro.attacks.probes import (
+    SPIKE_THRESHOLD_NS,
+    LatencyProbe,
+    RowHammerSender,
+    is_rfm_spike,
+)
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig, ddr5_8000b
@@ -32,7 +37,7 @@ class LatencyTimeline:
     def mean_spike_latency(self, config: Optional[DramConfig] = None) -> float:
         """Mean latency of RFM-attributable spikes (paper's 545/976/1669)."""
         config = config or ddr5_8000b()
-        normal = sorted(lat for lat in self.latencies if lat <= 250.0)
+        normal = sorted(lat for lat in self.latencies if lat <= SPIKE_THRESHOLD_NS)
         baseline = normal[len(normal) // 2] if normal else 0.0
         spikes = [
             lat
@@ -45,7 +50,7 @@ class LatencyTimeline:
 
     @property
     def baseline_latency(self) -> float:
-        normal = [lat for lat in self.latencies if lat <= 250.0]
+        normal = [lat for lat in self.latencies if lat <= SPIKE_THRESHOLD_NS]
         return sum(normal) / len(normal) if normal else 0.0
 
 
@@ -101,10 +106,10 @@ def _one_timeline(
     config = ddr5_8000b().with_prac(nbo=nbo, prac_level=prac_level, abo_act=0)
     engine = Engine()
     controller = MemoryController(engine, config, policy=make_policy("abo_only"))
-    probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
+    probe = LatencyProbe(controller, bank=4)
     probe.start()
     if victim_active:
-        sender = RowHammerSender(controller, bank=0, core_id=0)
+        sender = RowHammerSender(controller, bank=0)
         spacing = duration_ns / max(1, hammer_rounds)
         for round_index in range(hammer_rounds):
             row = 2 * round_index

@@ -61,7 +61,7 @@ def run(
         defense=defense,
     )
     return Fig5Result(
-        results=attack.run_key_sweep(target_byte=0, key_values=key_values)
+        results=attack.run_key_sweep(key_values)
     )
 
 

@@ -16,12 +16,12 @@ from typing import List
 
 from repro.analysis.obfuscation_analysis import ObfuscationLeakage, analyze
 from repro.attacks.covert import ActivityChannel
-from repro.attacks.probes import LatencyProbe, RowHammerSender, is_rfm_spike
-from repro.controller.controller import MemoryController
-from repro.core.engine import Engine
 from repro.dram.config import ddr5_8000b
-from repro.mitigations import make_policy, policy_factory
 from repro.experiments.registry import ArtifactSpec
+from repro.mitigations.obfuscation import INJECT_PROB
+
+#: Table row -> the mitigation the channel runs against.
+DEFENSES = {"none": "abo_only", "obfuscation": "obfuscation", "tprac": "tprac"}
 
 
 @dataclass
@@ -44,85 +44,40 @@ class ObfuscationResult:
                 f"{o.defense:12s}  {o.error_rate:13.3f}   {o.rfms_observed:13d}"
             )
         lines.append(
-            f"analytical residual distinguishability at p=0.5: "
+            f"analytical residual distinguishability at p={INJECT_PROB:g}: "
             f"TV={self.analytical.total_variation:.3f}, "
             f"optimal accuracy={self.analytical.classifier_accuracy:.3f}"
         )
         return "\n".join(lines)
 
 
-def run(
-    nbo: int = 256,
-    bits: int = 12,
-    inject_prob: float = 0.5,
-    seed: int = 21,
-) -> ObfuscationResult:
+def run(nbo: int = 256, bits: int = 12, seed: int = 21) -> ObfuscationResult:
     """Run the experiment at the configured scale; returns the result object."""
     rng = random.Random(seed)
     message = [rng.randrange(2) for _ in range(bits)]
-    outcomes = [
-        _channel_against(message, nbo, "none", inject_prob),
-        _channel_against(message, nbo, "obfuscation", inject_prob),
-        _channel_against(message, nbo, "tprac", inject_prob),
-    ]
+    outcomes = [_channel_against(message, nbo, defense) for defense in DEFENSES]
     windows_per_decision = max(
-        1, int(ActivityChannel(nbo=nbo, message=[0]).window_ns
+        1, int(ActivityChannel(message=[0], nbo=nbo).window_ns
                // ddr5_8000b().timing.tREFI)
     )
     return ObfuscationResult(
         outcomes=outcomes,
         analytical=analyze(
-            windows=windows_per_decision, inject_prob=inject_prob, signal_rfms=1
+            windows=windows_per_decision, inject_prob=INJECT_PROB, signal_rfms=1
         ),
     )
 
 
-def _channel_against(
-    message: List[int], nbo: int, defense: str, inject_prob: float
-) -> DefenseOutcome:
+def _channel_against(message: List[int], nbo: int, defense: str) -> DefenseOutcome:
     """Run the activity channel against one defense configuration."""
-    channel = ActivityChannel(nbo=nbo, message=message)
-    config = channel.config
-    engine = Engine()
-    if defense == "none":
-        policy = make_policy("abo_only")
-    elif defense == "obfuscation":
-        policy = make_policy("obfuscation", inject_prob=inject_prob, seed=5)
-    elif defense == "tprac":
-        policy = policy_factory("tprac", config)()
-    else:
-        raise ValueError(defense)
-    controller = MemoryController(engine, config, policy=policy)
-    sender = RowHammerSender(controller, bank=0, core_id=0)
-    probe = LatencyProbe(controller, bank=4, mode="same_row", core_id=1)
-    probe.start()
-    for index, bit in enumerate(message):
-        if bit:
-            engine.schedule(
-                index * channel.window_ns,
-                lambda r=2 * index: sender.hammer(
-                    r, target_acts=nbo, decoy_row=r + 1
-                ),
-            )
-    engine.run(until=(len(message) + 1) * channel.window_ns)
-    probe.stop()
-
-    timing = config.timing
-    rfm_times = [
-        t
-        for t, lat in zip(probe.result.times, probe.result.latencies)
-        if is_rfm_spike(lat, t, timing, channel.spike_threshold_ns)
-    ]
-    decoded = []
-    for index in range(len(message)):
-        lo = index * channel.window_ns
-        hi = lo + channel.window_ns
-        decoded.append(1 if any(lo <= t < hi for t in rfm_times) else 0)
-    errors = sum(1 for s, r in zip(message, decoded) if s != r)
+    channel = ActivityChannel(
+        message=message, nbo=nbo, mitigation=DEFENSES[defense], seed=5
+    )
+    result = channel.run()
     return DefenseOutcome(
         defense=defense,
-        error_rate=errors / len(message),
-        rfms_observed=len(rfm_times),
+        error_rate=result.error_rate,
+        rfms_observed=channel.spikes_observed,
     )
 
 

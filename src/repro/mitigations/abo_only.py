@@ -9,14 +9,10 @@ exploits.  Used as the (insecure) baseline in Figures 10-13.
 
 from __future__ import annotations
 
-from repro.mitigations.base import MitigationPolicy, QueueFactory
-from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from repro.mitigations.base import MitigationPolicy
 
 
 class AboOnlyPolicy(MitigationPolicy):
     """QPRAC-style PRAC with mitigation only on ABO-triggered RFMs."""
 
     name = "abo_only"
-
-    def __init__(self, queue_factory: QueueFactory = SingleEntryFrequencyQueue) -> None:
-        super().__init__(queue_factory=queue_factory)

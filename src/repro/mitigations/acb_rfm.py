@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.dram.commands import RfmProvenance
-from repro.mitigations.base import MitigationPolicy, QueueFactory
-from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
@@ -26,14 +25,10 @@ class AcbRfmPolicy(MitigationPolicy):
 
     name = "abo_acb"
 
-    def __init__(
-        self,
-        bat: int,
-        queue_factory: QueueFactory = SingleEntryFrequencyQueue,
-    ) -> None:
+    def __init__(self, bat: int) -> None:
         """``bat`` is the Bank Activation threshold (see
         :meth:`bat_for_threshold` for the one derived from N_BO)."""
-        super().__init__(queue_factory=queue_factory)
+        super().__init__()
         if bat <= 0:
             raise ValueError("BAT must be positive")
         self.bat = bat
@@ -60,13 +55,13 @@ class AcbRfmPolicy(MitigationPolicy):
         return super().mitigate_on_rfm(controller, time, provenance)
 
     @staticmethod
-    def bat_for_threshold(nbo: int, margin: float = 0.5) -> int:
+    def bat_for_threshold(nbo: int) -> int:
         """Pick a BAT that avoids ABO-RFMs under worst-case patterns.
 
         The paper configures BAT per N_RH "to eliminate ABO-RFMs under
-        the worst-case Feinting pattern"; a BAT of ``margin * nbo``
+        the worst-case Feinting pattern"; a BAT of half of N_BO
         guarantees a proactive mitigation fires well before any row can
         amass N_BO activations within one accumulation window.  JEDEC's
         minimum BAT is 16.
         """
-        return max(16, int(nbo * margin))
+        return max(16, nbo // 2)

@@ -12,7 +12,7 @@ via :meth:`attach` and receives these callbacks:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Type
 
 from repro.dram.commands import RfmProvenance
 from repro.prac.mitigation_queue import MitigationQueue, SingleEntryFrequencyQueue
@@ -21,19 +21,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
     from repro.dram.bank import Bank
 
-#: Builds one per-bank mitigation queue; policies take it so a policy
-#: can run on a deeper queue (QPRAC's priority queue) without
-#: subclassing.
-QueueFactory = Callable[[], MitigationQueue]
-
 
 class MitigationPolicy:
     """Base class: installs one mitigation queue per bank."""
 
     name = "base"
 
-    def __init__(self, queue_factory: QueueFactory = SingleEntryFrequencyQueue) -> None:
-        self._queue_factory = queue_factory
+    #: The per-bank mitigation queue: TPRAC's single-entry frequency
+    #: queue, which :class:`~repro.mitigations.qprac.QpracPolicy`
+    #: overrides with its priority queue.
+    queue_class: Type[MitigationQueue] = SingleEntryFrequencyQueue
+
+    def __init__(self) -> None:
         self.queues: List[MitigationQueue] = []
         #: flat ids of banks whose queue may hold a victim: an ACT arms
         #: its bank, a pop that empties the queue disarms it
@@ -48,7 +47,7 @@ class MitigationPolicy:
         self.queues = []
         self.armed.clear()
         for bank in controller.channel:
-            self.queues.append(self._queue_factory())
+            self.queues.append(self.queue_class())
             bank.on_activate(self._observe)
         self.on_attached(controller)
 

@@ -1,7 +1,7 @@
 """Obfuscation defense (Section 7.1): random RFM injection.
 
 Instead of eliminating ABO-RFMs, inject decoy RFMabs with probability
-``inject_prob`` per tREFI so an attacker cannot tell a legitimate
+:data:`INJECT_PROB` per tREFI so an attacker cannot tell a legitimate
 (activity-dependent) RFM from noise.  The paper notes this only
 *degrades* the channel: long-horizon RFM-count profiling still
 separates the distributions (zero observed RFMs definitively means no
@@ -16,11 +16,13 @@ import random
 from typing import TYPE_CHECKING
 
 from repro.dram.commands import RfmProvenance
-from repro.mitigations.base import MitigationPolicy, QueueFactory
-from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
+
+#: Probability of a decoy RFMab per tREFI (Section 7.1's p = 0.5).
+INJECT_PROB = 0.5
 
 
 class ObfuscationPolicy(MitigationPolicy):
@@ -28,16 +30,8 @@ class ObfuscationPolicy(MitigationPolicy):
 
     name = "obfuscation"
 
-    def __init__(
-        self,
-        inject_prob: float = 0.5,
-        seed: int = 0,
-        queue_factory: QueueFactory = SingleEntryFrequencyQueue,
-    ) -> None:
-        super().__init__(queue_factory=queue_factory)
-        if not 0.0 <= inject_prob <= 1.0:
-            raise ValueError("inject_prob must be within [0, 1]")
-        self.inject_prob = inject_prob
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.random_rfms_injected = 0
         self._rng = random.Random(seed)
 
@@ -53,7 +47,7 @@ class ObfuscationPolicy(MitigationPolicy):
         )
 
     def _tick(self, controller: "MemoryController") -> None:
-        if self._rng.random() < self.inject_prob:
+        if self._rng.random() < INJECT_PROB:
             self.random_rfms_injected += 1
             controller.request_rfm(RfmProvenance.RANDOM)
         self._arm(controller)

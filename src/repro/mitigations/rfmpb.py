@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.dram.commands import CommandKind, RfmProvenance
 from repro.controller.stats import RfmRecord
-from repro.mitigations.base import MitigationPolicy, QueueFactory
-from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
@@ -26,12 +25,8 @@ class PerBankRfmPolicy(MitigationPolicy):
 
     name = "rfmpb"
 
-    def __init__(
-        self,
-        tb_window: float,
-        queue_factory: QueueFactory = SingleEntryFrequencyQueue,
-    ) -> None:
-        super().__init__(queue_factory=queue_factory)
+    def __init__(self, tb_window: float) -> None:
+        super().__init__()
         if tb_window <= 0:
             raise ValueError("TB-Window must be positive")
         self.tb_window = float(tb_window)

@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.dram.commands import RfmProvenance
-from repro.mitigations.base import MitigationPolicy, QueueFactory
-from repro.prac.mitigation_queue import SingleEntryFrequencyQueue
+from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
@@ -35,14 +34,10 @@ class TpracPolicy(MitigationPolicy):
 
     name = "tprac"
 
-    def __init__(
-        self,
-        tb_window: float,
-        queue_factory: QueueFactory = SingleEntryFrequencyQueue,
-    ) -> None:
+    def __init__(self, tb_window: float) -> None:
         """``tb_window`` is the TB-RFM period in ns (see
         :func:`repro.mitigations.policy_factory` for the solved one)."""
-        super().__init__(queue_factory=queue_factory)
+        super().__init__()
         if tb_window <= 0:
             raise ValueError("TB-Window must be positive")
         self.tb_window = float(tb_window)

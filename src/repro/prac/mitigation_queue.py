@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: Rows a :class:`PriorityMitigationQueue` holds (QPRAC's depth).
+PRIORITY_QUEUE_DEPTH = 4
+
 
 class MitigationQueue:
     """Interface for per-bank mitigation queues."""
@@ -75,21 +78,18 @@ class SingleEntryFrequencyQueue(MitigationQueue):
 class PriorityMitigationQueue(MitigationQueue):
     """QPRAC-style multi-entry queue ordered by activation count.
 
-    Keeps up to ``capacity`` distinct rows; on overflow the
-    lowest-count entry is evicted (so the heaviest hitters survive).
+    Keeps up to :data:`PRIORITY_QUEUE_DEPTH` distinct rows; on overflow
+    the lowest-count entry is evicted (so the heaviest hitters survive).
     """
 
-    def __init__(self, capacity: int = 4) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: dict[int, int] = {}
 
     def observe(self, row: int, count: int) -> None:
         if row in self._entries:
             self._entries[row] = count
             return
-        if len(self._entries) < self.capacity:
+        if len(self._entries) < PRIORITY_QUEUE_DEPTH:
             self._entries[row] = count
             return
         weakest = min(self._entries, key=lambda r: (self._entries[r], r))

@@ -9,7 +9,7 @@ MESSAGE = [1, 0, 1, 1, 0, 0, 1, 0]
 
 def test_acb_rfms_leak_activity_levels():
     """The JEDEC Targeted-RFM flow is itself a covert channel."""
-    result = AcbRfmChannel(bat=64, message=MESSAGE, defense="acb").run()
+    result = AcbRfmChannel(message=MESSAGE, defense="acb").run()
     assert result.error_rate == 0.0
     assert result.received_bits == MESSAGE
     # RFM counts correlate with the sender's activity.
@@ -21,7 +21,7 @@ def test_acb_rfms_leak_activity_levels():
 
 def test_tprac_flattens_rfm_counts():
     """Under TPRAC the RFM count per window is activity-independent."""
-    result = AcbRfmChannel(bat=64, message=MESSAGE, defense="tprac").run()
+    result = AcbRfmChannel(message=MESSAGE, defense="tprac").run()
     counts = result.rfm_counts_per_window
     assert max(counts) - min(counts) <= 1
     # The decoder can do no better than chance: its output carries no
@@ -34,10 +34,10 @@ def test_tprac_flattens_rfm_counts():
 
 def test_defense_validation():
     with pytest.raises(ValueError):
-        AcbRfmChannel(defense="none")
+        AcbRfmChannel(message=MESSAGE, defense="none")
 
 
 def test_all_zero_message_silent_under_acb():
-    result = AcbRfmChannel(bat=64, message=[0, 0, 0, 0], defense="acb").run()
+    result = AcbRfmChannel(message=[0, 0, 0, 0], defense="acb").run()
     assert result.received_bits == [0, 0, 0, 0]
     assert sum(result.rfm_counts_per_window) == 0

@@ -8,6 +8,7 @@ from repro.attacks.covert import (
     ActivityChannel,
     CovertChannelResult,
 )
+from repro.mitigations import MITIGATIONS
 
 
 class TestActivityChannel:
@@ -84,3 +85,29 @@ def test_error_rate_counts_length_mismatch():
         bits_per_symbol=1,
     )
     assert result.error_rate == pytest.approx(1 / 3)
+
+
+class _Built(Exception):
+    """Raised by the setup hook once the channel's system is built."""
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda name: ActivityChannel(message=[1], mitigation=name, seed=3),
+        lambda name: ActivationCountChannel(values=[5], mitigation=name, seed=3),
+    ],
+    ids=["activity", "count"],
+)
+def test_each_mitigation_name_reaches_the_channel_controller(build):
+    for name in MITIGATIONS:
+        seen = []
+
+        def setup(engine, controller):
+            seen.append(controller.policy.name)
+            raise _Built
+
+        with pytest.raises(_Built):
+            build(name).run(setup=setup)
+        assert seen == [name]
+

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.attacks.probes import (
+    SPIKE_THRESHOLD_NS,
     LatencyProbe,
     RowHammerSender,
     bank_address,
@@ -38,7 +39,7 @@ def test_bank_address_targets_requested_bank_and_row():
 
 def test_same_row_probe_causes_no_activations_after_first():
     mc = _controller()
-    probe = LatencyProbe(mc, bank=1, mode="same_row")
+    probe = LatencyProbe(mc, bank=1)
     probe.start()
     mc.engine.run(until=5000.0)
     probe.stop()
@@ -48,40 +49,22 @@ def test_same_row_probe_causes_no_activations_after_first():
     assert probe.result.mean_latency < 100
 
 
-def test_rotate_rows_probe_spreads_activations():
-    mc = _controller()
-    probe = LatencyProbe(mc, bank=1, mode="rotate_rows", rows=list(range(8)))
-    probe.start()
-    mc.engine.run(until=8000.0)
-    probe.stop()
-    bank = mc.channel.bank(1)
-    counts = [bank.counter(r) for r in range(8)]
-    assert max(counts) - min(counts) <= 1   # even spread
-
-
-def test_probe_mode_validation():
-    mc = _controller()
-    with pytest.raises(ValueError):
-        LatencyProbe(mc, bank=0, mode="chaotic")
-
-
 def test_probe_rejects_an_out_of_range_bank_at_construction():
     mc = _controller()
     banks = mc.config.organization.banks_per_channel
-    for mode in ("same_row", "rotate_rows"):
-        with pytest.raises(ValueError, match="out of range"):
-            LatencyProbe(mc, bank=banks, mode=mode)
+    with pytest.raises(ValueError, match="out of range"):
+        LatencyProbe(mc, bank=banks)
 
 
 def test_probe_observes_rfm_blocking():
     mc = _controller()
-    probe = LatencyProbe(mc, bank=1, mode="same_row")
+    probe = LatencyProbe(mc, bank=1)
     probe.start()
     mc.engine.schedule(2000.0, lambda: mc.request_rfm(RfmProvenance.TB))
     mc.engine.run(until=6000.0)
     probe.stop()
     assert max(probe.result.latencies) >= mc.config.timing.tRFMab
-    assert any(latency > 250.0 for latency in probe.result.latencies)
+    assert any(latency > SPIKE_THRESHOLD_NS for latency in probe.result.latencies)
 
 
 def test_hammer_puts_exact_activations_on_target():

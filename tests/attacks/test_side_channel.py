@@ -68,6 +68,6 @@ def test_timeline_recording():
 
 def test_key_sweep_tracks_nibble():
     attack = AesSideChannelAttack(bytes(16), nbo=256, encryptions=150)
-    results = attack.run_key_sweep(target_byte=0, key_values=[0x00, 0x40, 0xF0])
+    results = attack.run_key_sweep([0x00, 0x40, 0xF0])
     assert [r.true_nibble for r in results] == [0x0, 0x4, 0xF]
     assert all(r.success for r in results)

@@ -125,6 +125,28 @@ def test_campaign_unsupported_attack_mitigation_pair_errors_before_running(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["attack=aes_side_channel", "workload=433.milc"],
+        ["attack=feinting", "mitigation=tprac", "workload=433.milc"],
+        ["attack=feinting", "mitigation=tprac", "dram=ddr5_4800"],
+        ["attack=feinting", "mitigation=tprac", "prac_level=4"],
+    ],
+)
+def test_campaign_axis_the_trial_never_reads_errors_before_running(
+    tmp_path, capsys, grid
+):
+    # The AES trial runs no background workload and the Feinting trial
+    # runs on its own device: such an axis would only rename one
+    # simulation, so it fails at expansion, exit 2, nothing written.
+    out_dir = tmp_path / "camp"
+    code = main(["campaign", "--grid", *grid, "--trials", "1", "--out", str(out_dir)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_campaign_misspelled_axis_errors_before_running(tmp_path, capsys):
     out_dir = tmp_path / "camp"
     args = [

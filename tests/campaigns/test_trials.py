@@ -249,3 +249,58 @@ def test_campaign_resume_heartbeat_appends_second_attempt(tmp_path):
     assert starts[1].get("resumed") is True
     latest = last_run(records)
     assert {r["event"] for r in latest} >= {"scenario.cached", "campaign.finish"}
+
+
+def _record_aes_attack(monkeypatch):
+    """Stub the AES probe run; return the list of attacks it was asked
+    to run, so a test reads the device a trial built."""
+    from types import SimpleNamespace
+
+    from repro.attacks.side_channel import AesSideChannelAttack
+
+    attacks = []
+
+    def run_single(self, target_byte, fixed_value):
+        attacks.append(self)
+        return SimpleNamespace(
+            success=False, recovered_nibble=None, attacker_acts_on_trigger=0
+        )
+
+    monkeypatch.setattr(AesSideChannelAttack, "run_single", run_single)
+    return attacks
+
+
+def test_aes_trial_runs_on_the_scenario_device(monkeypatch):
+    from repro.dram.config import PRESETS
+
+    attacks = _record_aes_attack(monkeypatch)
+    for dram, prac_level in (("ddr5_4800", 1), ("ddr5_8000b", 4)):
+        scenario = Scenario(
+            attack="aes_side_channel", dram=dram, prac_level=prac_level
+        )
+        run_trial(scenario, 0)
+        config = attacks[-1].config
+        assert config.timing == PRESETS[dram].timing
+        assert config.prac.prac_level == prac_level
+
+
+def test_builtin_aes_scenarios_keep_their_attack_config(monkeypatch):
+    from repro.attacks.side_channel import AesSideChannelAttack
+    from repro.campaigns.builtin import builtin_scenarios
+
+    attacks = _record_aes_attack(monkeypatch)
+    scenarios = [
+        s for s in builtin_scenarios("security") if s.attack == "aes_side_channel"
+    ]
+    assert len(scenarios) == 4
+    for scenario in scenarios:
+        run_trial(scenario, 0)
+        defense = "tprac" if scenario.mitigation == "tprac" else None
+        # The attack as the trial built it before it passed the device.
+        before = AesSideChannelAttack(
+            bytes(16), nbo=scenario.nbo, prac_level=scenario.prac_level,
+            defense=defense,
+        )
+        assert attacks[-1].config == before.config
+        assert attacks[-1].tb_window == before.tb_window
+

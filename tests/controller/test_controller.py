@@ -101,7 +101,8 @@ def test_rfm_blocks_subsequent_requests():
 
 def test_rfm_burst_count_respected():
     mc = _controller()
-    mc.request_rfm(RfmProvenance.TB, count=3)
+    for _ in range(3):
+        mc.request_rfm(RfmProvenance.TB)
     mc.engine.run(until=10_000)
     records = mc.stats.rfm_records
     assert len(records) == 3

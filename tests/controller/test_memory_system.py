@@ -1,7 +1,11 @@
 """Tests for the multi-channel MemorySystem facade."""
 
+from functools import partial
+
 import pytest
 
+from repro.controller import memory_system as memory_system_mod
+from repro.controller.controller import MemoryController
 from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
 from repro.controller.stats import ControllerStats, RfmRecord
@@ -13,6 +17,19 @@ from repro.mitigations import NoMitigationPolicy, TpracPolicy
 
 def _config(channels=2, **kwargs):
     return small_test_config(**kwargs).with_organization(channels=channels)
+
+
+@pytest.fixture
+def unrefreshed(monkeypatch):
+    """``MemorySystem``, but every controller it builds runs without
+    periodic REF, so :func:`_drain` can run the engine dry (the facade
+    itself always refreshes)."""
+    monkeypatch.setattr(
+        memory_system_mod,
+        "MemoryController",
+        partial(MemoryController, enable_refresh=False),
+    )
+    return MemorySystem
 
 
 def _drain(engine, memory):
@@ -27,7 +44,7 @@ def _drain(engine, memory):
 # ----------------------------------------------------------------------
 def test_single_channel_enqueue_is_the_controller_bound_method():
     engine = Engine()
-    memory = MemorySystem(engine, small_test_config(), enable_refresh=False)
+    memory = MemorySystem(engine, small_test_config())
     assert memory.channels == 1
     assert memory.enqueue == memory.controllers[0].enqueue
     assert memory.stats is memory.controllers[0].stats
@@ -52,7 +69,6 @@ def test_every_channel_gets_its_own_policy_instance():
     memory = MemorySystem(
         Engine(), _config(channels=4),
         policy_factory=lambda channel_id: NoMitigationPolicy(),
-        enable_refresh=False,
     )
     policies = [controller.policy for controller in memory.controllers]
     assert len(policies) == 4
@@ -68,15 +84,12 @@ def test_factory_with_channel_id_parameter_receives_the_channel():
         seen.append(channel_id)
         return NoMitigationPolicy()
 
-    MemorySystem(
-        Engine(), _config(channels=4), policy_factory=factory,
-        enable_refresh=False,
-    )
+    MemorySystem(Engine(), _config(channels=4), policy_factory=factory)
     assert seen == [0, 1, 2, 3]
 
 
 def test_channels_own_disjoint_bank_arrays():
-    memory = MemorySystem(Engine(), _config(channels=2), enable_refresh=False)
+    memory = MemorySystem(Engine(), _config(channels=2))
     banks = [bank for controller in memory.controllers for bank in controller.channel]
     org = memory.config.organization
     assert len(banks) == 2 * org.banks_per_channel
@@ -87,9 +100,9 @@ def test_channels_own_disjoint_bank_arrays():
 # ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
-def test_requests_route_by_cacheline_interleaving():
+def test_requests_route_by_cacheline_interleaving(unrefreshed):
     engine = Engine()
-    memory = MemorySystem(engine, _config(channels=2), enable_refresh=False)
+    memory = unrefreshed(engine, _config(channels=2))
     lines = 8
     for line in range(lines):
         memory.enqueue(MemRequest(phys_addr=line * 64, core_id=0))
@@ -99,11 +112,11 @@ def test_requests_route_by_cacheline_interleaving():
     assert memory.stats.requests_served == lines
 
 
-def test_controller_for_matches_routing():
+def test_controller_for_matches_routing(unrefreshed):
     # The controller for an address is the one its channel bits name:
     # each request is served by controllers[mapping.channel_of(addr)].
     engine = Engine()
-    memory = MemorySystem(engine, _config(channels=2), enable_refresh=False)
+    memory = unrefreshed(engine, _config(channels=2))
     for addr, channel in ((0, 0), (64, 1), (128, 0)):
         assert memory.mapping.channel_of(addr) == channel
         before = [c.stats.requests_served for c in memory.controllers]
@@ -113,10 +126,10 @@ def test_controller_for_matches_routing():
         assert served == [1 - channel, channel]
 
 
-def test_channel_blocking_does_not_cross_channels():
+def test_channel_blocking_does_not_cross_channels(unrefreshed):
     """An RFM on channel 0 must not move channel 1's blocking window."""
     engine = Engine()
-    memory = MemorySystem(engine, _config(channels=2), enable_refresh=False)
+    memory = unrefreshed(engine, _config(channels=2))
     memory.controllers[0].request_rfm(RfmProvenance.TB)
     _drain(engine, memory)
     assert memory.controllers[0].channel.blocked_until > 0.0
@@ -140,13 +153,12 @@ def test_rfm_count_includes_per_bank_rfms():
     assert system.memory.stats.rfm_count() == result.rfm_total > 0
 
 
-def test_per_channel_mitigation_state_is_independent():
+def test_per_channel_mitigation_state_is_independent(unrefreshed):
     engine = Engine()
-    memory = MemorySystem(
+    memory = unrefreshed(
         engine,
         _config(channels=2),
         policy_factory=lambda channel_id: TpracPolicy(tb_window=1000.0),
-        enable_refresh=False,
     )
     # Traffic only on channel 0 (even cache lines).  The TB timers
     # re-arm forever, so run to a horizon instead of queue exhaustion.
@@ -189,9 +201,9 @@ def test_merged_stats_empty_is_zeroed():
     assert merged.mean_latency == 0.0
 
 
-def test_facade_merged_view_equals_manual_merge():
+def test_facade_merged_view_equals_manual_merge(unrefreshed):
     engine = Engine()
-    memory = MemorySystem(engine, _config(channels=2), enable_refresh=False)
+    memory = unrefreshed(engine, _config(channels=2))
     for line in range(10):
         memory.enqueue(MemRequest(phys_addr=line * 64, core_id=line % 2))
     _drain(engine, memory)

@@ -5,13 +5,9 @@ import pytest
 from repro.controller.request import MemRequest
 
 
-def test_request_ids_are_unique():
-    a, b = MemRequest(phys_addr=0), MemRequest(phys_addr=0)
-    assert a.req_id != b.req_id
-
-
 def test_latency_requires_completion():
-    request = MemRequest(phys_addr=0, arrive_time=10.0)
+    request = MemRequest(phys_addr=0)
+    request.arrive_time = 10.0
     with pytest.raises(RuntimeError):
         _ = request.latency
     request.complete(35.0)

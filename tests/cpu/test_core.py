@@ -5,8 +5,8 @@ from collections import Counter
 from repro.attacks.probes import bank_address
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
-from repro.cpu.core import CoreParams, TraceCore
-from repro.cpu.trace import TraceCursor, TraceRecord
+from repro.cpu.core import WIDTH, TraceCore
+from repro.cpu.trace import TraceRecord
 from tests.cpu.trace_helpers import synthesize_trace
 from repro.dram.config import small_test_config
 from repro.experiments.common import DesignPoint, build_system
@@ -14,16 +14,24 @@ from repro.mitigations.base import NoMitigationPolicy
 from repro.workloads.synthetic import homogeneous_traces
 
 
-def _run_core(records, params=None, max_requests=None):
+def _small_rob(rob_size):
+    """A core class with a ``rob_size``-entry reorder buffer."""
+
+    class SmallRobCore(TraceCore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._rob_size = rob_size
+
+    return SmallRobCore
+
+
+def _run_core(records, core_class=TraceCore):
     engine = Engine()
     controller = MemoryController(
         engine, small_test_config(), policy=NoMitigationPolicy(),
         enable_refresh=False, enable_abo=False,
     )
-    core = TraceCore(
-        engine, controller, TraceCursor(records), core_id=0,
-        params=params, max_requests=max_requests,
-    )
+    core = core_class(engine, controller, records, 0)
     core.start()
     engine.run(until=100_000_000)
     return core
@@ -40,7 +48,7 @@ def test_core_completes_trace():
 def test_ipc_positive_and_bounded_by_width():
     records = synthesize_trace([0] * 20, gap_insts=100)
     core = _run_core(records)
-    assert 0 < core.ipc <= core.params.width
+    assert 0 < core.ipc <= WIDTH
 
 
 def test_compute_heavy_trace_has_higher_ipc():
@@ -52,22 +60,9 @@ def test_compute_heavy_trace_has_higher_ipc():
 def test_rob_window_limits_run_ahead():
     """With rob_size=1 every miss serializes; bigger ROB overlaps."""
     addresses = [i * 2**22 for i in range(30)]   # all different banks/rows
-    slow = _run_core(
-        synthesize_trace(addresses, gap_insts=0),
-        params=CoreParams(rob_size=1),
-    )
-    fast = _run_core(
-        synthesize_trace(addresses, gap_insts=0),
-        params=CoreParams(rob_size=352),
-    )
+    slow = _run_core(synthesize_trace(addresses, gap_insts=0), _small_rob(1))
+    fast = _run_core(synthesize_trace(addresses, gap_insts=0))
     assert fast.finish_time < slow.finish_time
-
-
-def test_max_requests_budget_stops_core():
-    records = synthesize_trace([i * 2**20 for i in range(50)], gap_insts=1)
-    core = _run_core(records, max_requests=10)
-    assert core.finished
-    assert core.dram_requests == 10
 
 
 def test_start_is_idempotent():
@@ -77,7 +72,7 @@ def test_start_is_idempotent():
         engine, small_test_config(), policy=NoMitigationPolicy(),
         enable_refresh=False,
     )
-    core = TraceCore(engine, controller, TraceCursor(records), core_id=0)
+    core = TraceCore(engine, controller, records, 0)
     core.start()
     core.start()
     engine.run(until=10_000_000)
@@ -132,18 +127,21 @@ def test_younger_hit_retires_before_older_conflict():
     )
     memory = _Recorder(controller)
     pending = _watch_core_events(engine)
+    def at_column(bank, column):
+        """Row 0, ``column`` of flat bank ``bank``."""
+        mapping = controller.mapping
+        row_0 = mapping.decode(bank_address(controller, bank, 0))
+        return mapping.encode(row_0._replace(column=column))
+
     records = [
-        TraceRecord(0, bank_address(controller, 1, 0, 0)),  # opens bank 1
-        TraceRecord(0, bank_address(controller, 0, 0, 0)),  # opens bank 0
-        TraceRecord(0, bank_address(controller, 0, 1, 0)),  # older conflict
-        TraceRecord(0, bank_address(controller, 1, 0, 1)),  # younger hit
+        TraceRecord(0, bank_address(controller, 1, 0)),  # opens bank 1
+        TraceRecord(0, bank_address(controller, 0, 0)),  # opens bank 0
+        TraceRecord(0, bank_address(controller, 0, 1)),  # older conflict
+        TraceRecord(0, at_column(1, 1)),  # younger hit
         # Past the ROB window while the conflict is outstanding.
-        TraceRecord(7, bank_address(controller, 1, 0, 2)),
+        TraceRecord(7, at_column(1, 2)),
     ]
-    core = TraceCore(
-        engine, memory, TraceCursor(records), core_id=0,
-        params=CoreParams(rob_size=8),
-    )
+    core = _small_rob(8)(engine, memory, records, 0)
     core.start()
     engine.run(until=1_000_000)
 

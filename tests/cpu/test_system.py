@@ -78,23 +78,6 @@ def test_identical_runs_are_deterministic():
     assert first.elapsed_ns == second.elapsed_ns
 
 
-def test_run_until_stops_at_the_horizon():
-    # No event past ``until`` fires and the clock ends on it; a horizon
-    # beyond the last completion leaves the run unchanged.
-    def build():
-        return System(
-            _traces(), config=small_test_config(),
-            policy=TpracPolicy(tb_window=2000.0), enable_abo=False,
-        )
-
-    finished = build().run()
-    for until in (1.0, 37.0, finished.elapsed_ns / 2):
-        system = build()
-        assert system.run(until=until).elapsed_ns == until
-        assert not all(core.finished for core in system.cores)
-    assert build().run(until=finished.elapsed_ns * 2) == finished
-
-
 def test_multi_channel_conserves_requests_and_reports_per_channel():
     config = small_test_config().with_organization(channels=2)
     system = System(

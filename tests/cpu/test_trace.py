@@ -1,8 +1,8 @@
-"""Unit tests for trace records and cursors."""
+"""Unit tests for trace records and the trace helpers."""
 
 import pytest
 
-from repro.cpu.trace import TraceCursor, TraceRecord
+from repro.cpu.trace import TraceRecord
 from tests.cpu.trace_helpers import synthesize_trace, total_instructions
 
 
@@ -22,25 +22,6 @@ def test_synthesize_trace_marks_writes():
 def test_synthesize_readonly_by_default():
     trace = synthesize_trace([0, 64])
     assert not any(r.is_write for r in trace)
-
-
-def test_cursor_iterates_once_without_loop():
-    cursor = TraceCursor(synthesize_trace([0, 64]))
-    assert cursor.next().phys_addr == 0
-    assert cursor.next().phys_addr == 64
-    assert cursor.next() is None
-
-
-def test_cursor_loops_when_asked():
-    cursor = TraceCursor(synthesize_trace([0, 64]), loop=True)
-    addrs = [cursor.next().phys_addr for _ in range(5)]
-    assert addrs == [0, 64, 0, 64, 0]
-    assert cursor.laps == 2
-
-
-def test_empty_looping_cursor_returns_none():
-    cursor = TraceCursor([], loop=True)
-    assert cursor.next() is None
 
 
 def test_total_instructions():

@@ -3,8 +3,8 @@
 Three layers:
 
 * synthetic known-bad command streams, each raising the expected
-  :class:`ProtocolViolation` (tFAW overflow, ACT-during-REF, late
-  ABO-RFM, and the per-rule constraint set);
+  :class:`ProtocolViolation` (ACT-during-REF, late ABO-RFM, and the
+  per-rule constraint set);
 * real controller traffic under ``SystemConfig(sanitize=True)`` across
   mitigation policies — zero violations;
 * the fig10 perf path with and without the sanitizer — results must be
@@ -24,7 +24,7 @@ from repro.controller import memory_system as memory_system_mod
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
-from repro.dram.commands import CommandKind, RfmProvenance
+from repro.dram.commands import Command, CommandKind, RfmProvenance
 from repro.dram.config import ddr5_8000b, small_test_config
 from repro.dram.sanitizer import ProtocolChecker, ProtocolViolation
 from repro.experiments.common import DesignPoint, run_perf_matrix
@@ -34,54 +34,52 @@ from repro.mitigations.rfmpb import PerBankRfmPolicy
 from repro.mitigations.tprac import TpracPolicy
 
 
-def _checker(strict=False, **config_kw):
-    return ProtocolChecker(small_test_config(**config_kw), strict=strict)
+def observe(checker, kind, bank, row, time, provenance=None):
+    """Feed ``checker`` the command these scalars describe."""
+    checker.observe_command(
+        Command(
+            kind=kind, bank_id=bank, row=row, issue_time=time,
+            provenance=provenance,
+        )
+    )
+
+
+def _checker(**config_kw):
+    return ProtocolChecker(small_test_config(**config_kw))
 
 
 class TestInjectedViolations:
     """Seeded known-bad streams raise the expected violation."""
 
-    def test_tfaw_overflow(self):
-        # ddr5_8000b: 32 banks per rank, so five distinct banks of rank
-        # 0 can be activated back-to-back.  The fifth ACT inside the
-        # 10 ns window must trip the strict four-activate check.
-        checker = ProtocolChecker(ddr5_8000b(), strict=True)
+    def test_tfaw_is_not_checked(self):
+        # The timing model intentionally does not arbitrate per-rank
+        # ACT bandwidth (ddr5_8000b: 32 banks per rank), so five ACTs
+        # of rank 0 inside one 10 ns tFAW window pass.
+        checker = ProtocolChecker(ddr5_8000b())
         rng = random.Random(0)
         t = 0.0
-        with pytest.raises(ProtocolViolation) as err:
-            for bank in range(5):
-                checker.observe(CommandKind.ACT, bank, 1, t)
-                t += rng.uniform(0.5, 1.5)  # all five inside tFAW=10
-        assert err.value.constraint == "tFAW"
-        assert err.value.command.kind is CommandKind.ACT
-
-    def test_tfaw_is_a_strict_mode_check(self):
-        # The timing model intentionally does not arbitrate per-rank
-        # ACT bandwidth, so the default (in-controller) mode must not
-        # flag the same stream.
-        checker = ProtocolChecker(ddr5_8000b(), strict=False)
         for bank in range(5):
-            checker.observe(CommandKind.ACT, bank, 1, float(bank))
-        assert checker.ok
+            observe(checker, CommandKind.ACT, bank, 1, t)
+            t += rng.uniform(0.5, 1.5)
 
     def test_act_during_refresh(self):
         checker = _checker()
-        checker.observe(CommandKind.REF, -1, -1, 0.0)
+        observe(checker, CommandKind.REF, -1, -1, 0.0)
         with pytest.raises(ProtocolViolation) as err:
             # tRFC = 410 ns: any ACT before that is inside the window.
-            checker.observe(CommandKind.ACT, 0, 1, 200.0)
+            observe(checker, CommandKind.ACT, 0, 1, 200.0)
         assert err.value.constraint == "BLOCKED"
         assert "REF" in err.value.detail
 
     def test_late_abo_rfm(self):
         checker = _checker()
         checker.on_alert(0.0, 0, 5)
-        checker.observe(CommandKind.ACT, 0, 5, 0.0)  # the alerting ACT
+        observe(checker, CommandKind.ACT, 0, 5, 0.0)  # the alerting ACT
         with pytest.raises(ProtocolViolation) as err:
             # tABOACT = 180 ns and nothing blocks the channel: an RFM
             # at 500 ns missed the mitigation deadline.
-            checker.observe(
-                CommandKind.RFM_AB, -1, -1, 500.0,
+            observe(
+                checker, CommandKind.RFM_AB, -1, -1, 500.0,
                 provenance=RfmProvenance.ABO,
             )
         assert err.value.constraint == "ABO-WINDOW"
@@ -92,40 +90,41 @@ class TestInjectedViolations:
         t = 0.0
         with pytest.raises(ProtocolViolation) as err:
             for bank in range(6):  # trigger + abo_act(3) allowed, then fail
-                checker.observe(CommandKind.ACT, bank, 5, t)
+                observe(checker, CommandKind.ACT, bank, 5, t)
                 t += 60.0
         assert err.value.constraint == "ABO-ACT"
 
     def test_act_during_rfmab(self):
         checker = _checker()
-        checker.observe(CommandKind.RFM_AB, -1, -1, 0.0)
+        observe(checker, CommandKind.RFM_AB, -1, -1, 0.0)
         with pytest.raises(ProtocolViolation) as err:
-            checker.observe(CommandKind.ACT, 0, 1, 100.0)  # tRFMab = 350
+            observe(checker, CommandKind.ACT, 0, 1, 100.0)  # tRFMab = 350
         assert err.value.constraint == "BLOCKED"
 
     def test_act_during_per_bank_rfm(self):
         checker = _checker()
-        checker.observe(CommandKind.RFM_PB, 2, -1, 0.0)
+        observe(checker, CommandKind.RFM_PB, 2, -1, 0.0)
         with pytest.raises(ProtocolViolation) as err:
-            checker.observe(CommandKind.ACT, 2, 1, 50.0)  # tRFMpb = 130
+            observe(checker, CommandKind.ACT, 2, 1, 50.0)  # tRFMpb = 130
         assert err.value.constraint == "BLOCKED"
         # ...while other banks stay usable.
         checker2 = _checker()
-        checker2.observe(CommandKind.RFM_PB, 2, -1, 0.0)
-        checker2.observe(CommandKind.ACT, 1, 1, 50.0)
-        assert checker2.ok
+        observe(checker2, CommandKind.RFM_PB, 2, -1, 0.0)
+        observe(checker2, CommandKind.ACT, 1, 1, 50.0)
 
 
 class TestConstraintMatrix:
-    """One stream per timing rule, checked via collect mode."""
+    """One stream per timing rule; the last command breaks it."""
 
-    def _violations(self, feeds, **checker_kw):
-        checker = ProtocolChecker(
-            small_test_config(), raise_on_violation=False, **checker_kw
-        )
-        for kind, bank, row, t in feeds:
-            checker.observe(kind, bank, row, t)
-        return [v.constraint for v in checker.violations]
+    def _violations(self, feeds):
+        """The constraint the first broken rule names (``[]`` if none)."""
+        checker = ProtocolChecker(small_test_config())
+        try:
+            for kind, bank, row, t in feeds:
+                observe(checker, kind, bank, row, t)
+        except ProtocolViolation as violation:
+            return [violation.constraint]
+        return []
 
     def test_trc(self):
         out = self._violations([
@@ -133,15 +132,16 @@ class TestConstraintMatrix:
             (CommandKind.PRE, 0, -1, 16.0),
             (CommandKind.ACT, 0, 2, 52.0 - 1.0),
         ])
-        assert "tRC" in out
+        assert out == ["tRC"]
 
     def test_trp(self):
+        # The PRE comes late enough that tRC (52) holds at the ACT.
         out = self._violations([
             (CommandKind.ACT, 0, 1, 0.0),
-            (CommandKind.PRE, 0, -1, 16.0),
-            (CommandKind.ACT, 0, 2, 16.0 + 36.0 - 1.0),
+            (CommandKind.PRE, 0, -1, 30.0),
+            (CommandKind.ACT, 0, 2, 30.0 + 36.0 - 1.0),
         ])
-        assert "tRP" in out
+        assert out == ["tRP"]
 
     def test_tras(self):
         out = self._violations([
@@ -187,7 +187,7 @@ class TestConstraintMatrix:
             (CommandKind.ACT, 0, 1, 0.0),
             (CommandKind.ACT, 0, 2, 100.0),
         ])
-        assert "OPEN" in out
+        assert out == ["OPEN"]
 
     def test_cas_row_mismatch(self):
         out = self._violations([
@@ -198,39 +198,27 @@ class TestConstraintMatrix:
 
     def test_cas_without_open_row(self):
         out = self._violations([(CommandKind.RD, 0, 1, 0.0)])
-        assert "CLOSED" in out
+        assert out == ["CLOSED"]
 
     def test_order(self):
         out = self._violations([
             (CommandKind.ACT, 0, 1, 100.0),
             (CommandKind.PRE, 0, -1, 50.0),
         ])
-        assert "ORDER" in out
+        assert out == ["ORDER"]
 
     @pytest.mark.parametrize("block", [CommandKind.REF, CommandKind.RFM_AB])
     def test_order_holds_across_a_channel_block(self, block):
         # REF/RFMab is a command on every bank: a later command stamped
         # before its start goes backwards, on the bank it closed (0) and
         # on one it found idle (1) alike.
-        out = self._violations([
-            (CommandKind.ACT, 0, 1, 100.0),
-            (block, -1, -1, 1000.0),
-            (CommandKind.PRE, 0, -1, 900.0),
-            (CommandKind.PRE, 1, -1, 950.0),
-        ])
-        assert out == ["ORDER", "ORDER"]
-
-    def test_collect_mode_orders_against_the_latest_channel_block(self):
-        # A late PRE does not lower bank 0's bar: the ACT after it is
-        # still stamped before the REF, so it reports ORDER too (and
-        # lands inside the REF window).
-        out = self._violations([
-            (CommandKind.ACT, 0, 1, 100.0),
-            (CommandKind.REF, -1, -1, 1000.0),
-            (CommandKind.PRE, 0, -1, 900.0),
-            (CommandKind.ACT, 0, 2, 950.0),
-        ])
-        assert out == ["ORDER", "ORDER", "BLOCKED"]
+        for bank in (0, 1):
+            out = self._violations([
+                (CommandKind.ACT, 0, 1, 100.0),
+                (block, -1, -1, 1000.0),
+                (CommandKind.PRE, bank, -1, 900.0),
+            ])
+            assert out == ["ORDER"], bank
 
     def test_channel_block_closes_the_open_rows(self):
         # The REF closes bank 0's row, so re-activating it after the
@@ -264,7 +252,7 @@ class TestConstraintMatrix:
             (CommandKind.RD, 0, 1, 16.0),
             (CommandKind.REF, -1, -1, 33.0),
         ])
-        assert "BUS" in out
+        assert out == ["BUS"]
 
     def test_clean_stream_collects_nothing(self):
         out = self._violations([
@@ -279,10 +267,10 @@ class TestConstraintMatrix:
 class TestViolationStructure:
     def test_violation_carries_command_and_history(self):
         checker = _checker()
-        checker.observe(CommandKind.ACT, 0, 1, 0.0)
-        checker.observe(CommandKind.RD, 0, 1, 16.0)
+        observe(checker, CommandKind.ACT, 0, 1, 0.0)
+        observe(checker, CommandKind.RD, 0, 1, 16.0)
         with pytest.raises(ProtocolViolation) as err:
-            checker.observe(CommandKind.ACT, 0, 2, 20.0)
+            observe(checker, CommandKind.ACT, 0, 2, 20.0)
         violation = err.value
         assert violation.constraint == "OPEN"
         assert violation.command.bank_id == 0
@@ -290,16 +278,6 @@ class TestViolationStructure:
         kinds = [c.kind for c in violation.history]
         assert kinds == [CommandKind.ACT, CommandKind.RD, CommandKind.ACT]
         assert "OPEN" in str(violation)
-
-    def test_collect_mode_keeps_scanning(self):
-        checker = ProtocolChecker(
-            small_test_config(), raise_on_violation=False
-        )
-        checker.observe(CommandKind.ACT, 0, 1, 0.0)
-        checker.observe(CommandKind.ACT, 0, 2, 1.0)
-        checker.observe(CommandKind.ACT, 0, 3, 2.0)
-        assert not checker.ok
-        assert len(checker.violations) >= 2
 
 
 def _drive(policy, nbo=64, until=400_000, nreq=1200, enable_abo=True):
@@ -331,9 +309,8 @@ def _drive(policy, nbo=64, until=400_000, nreq=1200, enable_abo=True):
     issue()
     issue()
     issue()
-    mc.engine.run(until=until)
+    mc.engine.run(until=until)  # a broken rule raises mid-run
     assert mc.sanitizer is not None
-    assert mc.sanitizer.ok, mc.sanitizer.violations[:3]
     return mc
 
 
@@ -364,23 +341,26 @@ class TestRealTrafficIsClean:
 
 
 class TestRealControllerTraces:
-    """Dependent chains on a bare sanitized controller with a command log.
+    """Dependent chains on a bare sanitized, traced controller.
 
-    The sanitizer raises at the first broken rule; the log only backs
-    the ACT-count and REF/RFM-presence checks.
+    The sanitizer raises at the first broken rule; the recorded command
+    stream only backs the ACT-count and REF/RFM-presence checks.
     """
 
     def _controller(self, policy, enable_refresh):
         config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
         return MemoryController(
             Engine(), config, policy=policy,
-            system=SystemConfig(sanitize=True),
-            enable_refresh=enable_refresh, log_commands=True,
+            system=SystemConfig(sanitize=True, trace=True),
+            enable_refresh=enable_refresh,
         )
+
+    def _kinds(self, mc):
+        """The recorded command kinds, in issue order."""
+        return [event.kind for event in mc.recorder.events]
 
     def _verify(self, mc):
         assert mc.sanitizer is not None
-        assert mc.sanitizer.ok, mc.sanitizer.violations[:5]
 
     def test_conflict_heavy_trace_is_timing_clean(self):
         mc = self._controller(NoMitigationPolicy(), enable_refresh=False)
@@ -397,7 +377,7 @@ class TestRealControllerTraces:
 
         issue()
         mc.engine.run(until=50_000)
-        assert sum(1 for c in mc.command_log if c.kind is CommandKind.ACT) == 60
+        assert self._kinds(mc).count(CommandKind.ACT.value) == 60
         self._verify(mc)
 
     def test_trace_with_refresh_and_tb_rfms_is_timing_clean(self):
@@ -418,9 +398,9 @@ class TestRealControllerTraces:
 
         issue()
         mc.engine.run(until=60_000)
-        kinds = {c.kind for c in mc.command_log}
-        assert CommandKind.RFM_AB in kinds
-        assert CommandKind.REF in kinds
+        kinds = set(self._kinds(mc))
+        assert CommandKind.RFM_AB.value in kinds
+        assert CommandKind.REF.value in kinds
         self._verify(mc)
 
     def test_multibank_write_trace_is_timing_clean(self):
@@ -535,7 +515,6 @@ class TestChannelWideWindowsAreClean:
     def test_chain_over_banks(self, make_policy, nbo):
         mc = _chain(make_policy(), nbo, sanitize=True)
         assert mc.sanitizer is not None
-        assert mc.sanitizer.ok, mc.sanitizer.violations[:3]
         assert mc.stats.reads + mc.stats.writes == 1500
         touched = [b.bank_id for b in mc.channel if b.stats.activations]
         assert len(touched) >= 8

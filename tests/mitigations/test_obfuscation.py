@@ -13,14 +13,9 @@ from repro.mitigations.rfmpb import PerBankRfmPolicy
 from repro.workloads.synthetic import homogeneous_traces
 
 
-def test_injection_probability_validated():
-    with pytest.raises(ValueError):
-        ObfuscationPolicy(inject_prob=1.5)
-
-
 def test_random_rfms_injected_at_roughly_configured_rate():
     config = small_test_config()
-    policy = ObfuscationPolicy(inject_prob=0.5, seed=3)
+    policy = ObfuscationPolicy(seed=3)
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     ticks = 400
     mc.engine.run(until=ticks * config.timing.tREFI + 100)
@@ -29,18 +24,10 @@ def test_random_rfms_injected_at_roughly_configured_rate():
     assert mc.stats.rfm_count(RfmProvenance.RANDOM) == policy.random_rfms_injected
 
 
-def test_zero_probability_injects_nothing():
-    config = small_test_config()
-    policy = ObfuscationPolicy(inject_prob=0.0)
-    mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
-    mc.engine.run(until=100 * config.timing.tREFI)
-    assert policy.random_rfms_injected == 0
-
-
 def test_injection_is_deterministic_per_seed():
     def count(seed):
         config = small_test_config()
-        policy = ObfuscationPolicy(inject_prob=0.5, seed=seed)
+        policy = ObfuscationPolicy(seed=seed)
         mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
         mc.engine.run(until=100 * config.timing.tREFI)
         return policy.random_rfms_injected
@@ -83,7 +70,7 @@ class TestPerBankRfm:
         assert policy.mitigations_performed == 1
 
     def test_no_command_built_without_a_consumer(self):
-        """With no command log, sanitizer or recorder attached, a per-bank
+        """With no sanitizer or recorder attached, a per-bank
         RFM builds no command record (the attached path is covered by
         the sanitizer's RFMpb test)."""
         config = small_test_config()

@@ -33,7 +33,7 @@ def test_factory_includes_qprac():
 
 def test_proactive_servicing_on_refresh():
     config = small_test_config(nbo=100_000).with_prac(nbo=100_000)
-    policy = QpracPolicy(queue_depth=4)
+    policy = QpracPolicy()
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=True)
     _drive(mc, rows=[1, 2, 3], count=30)
     mc.engine.run(until=3 * config.timing.tREFI)
@@ -46,31 +46,36 @@ def test_proactive_servicing_reduces_alerts():
     nbo = 48
     config = small_test_config(nbo=nbo).with_prac(nbo=nbo, abo_act=0)
 
-    def alerts(proactive: bool) -> int:
-        policy = QpracPolicy(queue_depth=4, proactive=proactive)
+    class ReactiveQprac(QpracPolicy):
+        """QPRAC without the refresh-slack servicing."""
+
+        def on_attached(self, controller):
+            pass
+
+    def alerts(policy) -> int:
         mc = MemoryController(Engine(), config, policy=policy, enable_refresh=True)
         _drive(mc, rows=[1, 2], count=400)
         return mc.abo.alert_count
 
-    assert alerts(True) < alerts(False)
+    assert alerts(QpracPolicy()) < alerts(ReactiveQprac())
 
 
 def test_priority_queues_installed_per_bank():
     config = small_test_config()
-    policy = QpracPolicy(queue_depth=6)
+    policy = QpracPolicy()
     MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     assert len(policy.queues) == config.organization.total_banks
     assert all(isinstance(q, PriorityMitigationQueue) for q in policy.queues)
-    assert policy.queues[0].capacity == 6
 
 
 def test_tprac_composes_with_qprac_queue():
     """Section 4.1: TB-RFM is compatible with QPRAC-style queues."""
     config = small_test_config(nbo=64).with_prac(nbo=64, abo_act=0)
-    policy = TpracPolicy(
-        tb_window=1500.0,
-        queue_factory=lambda: PriorityMitigationQueue(capacity=4),
-    )
+
+    class PriorityTprac(TpracPolicy):
+        queue_class = PriorityMitigationQueue
+
+    policy = PriorityTprac(tb_window=1500.0)
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     _drive(mc, rows=[1, 2], count=400)
     assert mc.abo.alert_count == 0

@@ -1,6 +1,5 @@
 """Unit and property tests for the mitigation queue designs."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.probes import bank_address
@@ -10,6 +9,7 @@ from repro.core.engine import Engine
 from repro.dram.config import small_test_config
 from repro.mitigations import TpracPolicy
 from repro.prac.mitigation_queue import (
+    PRIORITY_QUEUE_DEPTH,
     PriorityMitigationQueue,
     SingleEntryFrequencyQueue,
 )
@@ -77,7 +77,7 @@ class TestSingleEntry:
 
 class TestPriorityQueue:
     def test_pops_highest_count_first(self):
-        queue = PriorityMitigationQueue(capacity=3)
+        queue = PriorityMitigationQueue()
         queue.observe(1, 10)
         queue.observe(2, 30)
         queue.observe(3, 20)
@@ -87,36 +87,33 @@ class TestPriorityQueue:
         assert queue.pop_victim() is None
 
     def test_overflow_evicts_weakest(self):
-        queue = PriorityMitigationQueue(capacity=2)
-        queue.observe(1, 10)
-        queue.observe(2, 20)
-        queue.observe(3, 15)   # evicts row 1 (count 10)
-        assert peek(queue) == (2, 20)
-        assert queue.pop_victim() == 2
-        assert peek(queue) == (3, 15)
+        queue = PriorityMitigationQueue()
+        for row in range(PRIORITY_QUEUE_DEPTH):  # rows 0..3, counts 10..40
+            queue.observe(row, 10 * (row + 1))
+        queue.observe(9, 15)   # evicts row 0 (count 10)
+        assert len(queue) == PRIORITY_QUEUE_DEPTH
+        drained = [queue.pop_victim() for _ in range(PRIORITY_QUEUE_DEPTH)]
+        assert drained == [3, 2, 1, 9]
 
     def test_overflow_ignores_weaker_newcomer(self):
-        queue = PriorityMitigationQueue(capacity=2)
-        queue.observe(1, 10)
-        queue.observe(2, 20)
-        queue.observe(3, 5)
-        assert len(queue) == 2
-        assert queue.pop_victim() == 2
-        assert queue.pop_victim() == 1
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PriorityMitigationQueue(capacity=0)
+        queue = PriorityMitigationQueue()
+        for row in range(PRIORITY_QUEUE_DEPTH):
+            queue.observe(row, 10 * (row + 1))
+        queue.observe(9, 5)
+        assert len(queue) == PRIORITY_QUEUE_DEPTH
+        drained = [queue.pop_victim() for _ in range(PRIORITY_QUEUE_DEPTH)]
+        assert drained == [3, 2, 1, 0]
 
 
-def _feinting_peak(queue_factory, nbo=64, pool=8, tb_window=2000.0):
+def _feinting_peak(queue_class, nbo=64, pool=8, tb_window=2000.0):
     """Round-robin ``pool`` rows of one bank against TPRAC built on
-    ``queue_factory``; return (highest counter any row reached, alerts)."""
+    ``queue_class``; return (highest counter any row reached, alerts)."""
     config = small_test_config(rows_per_bank=1024, nbo=nbo).with_prac(
         nbo=nbo, abo_act=0
     )
+    tprac = type("Tprac", (TpracPolicy,), {"queue_class": queue_class})
     engine = Engine()
-    policy = TpracPolicy(tb_window=tb_window, queue_factory=queue_factory)
+    policy = tprac(tb_window=tb_window)
     mc = MemoryController(engine, config, policy=policy, enable_refresh=False)
     bank = mc.channel.bank(0)
     state = {"issued": 0, "peak": 0}
@@ -138,7 +135,7 @@ def test_single_entry_queue_matches_a_deeper_priority_queue_under_feinting():
     """Section 4.2.3: TPRAC's single-entry frequency queue protects as
     well as a 4-deep priority queue against round-robin Feinting."""
     single_peak, single_alerts = _feinting_peak(SingleEntryFrequencyQueue)
-    priority_peak, _ = _feinting_peak(lambda: PriorityMitigationQueue(capacity=4))
+    priority_peak, _ = _feinting_peak(PriorityMitigationQueue)
     assert single_alerts == 0
     assert single_peak < 64
     assert abs(single_peak - priority_peak) <= 8

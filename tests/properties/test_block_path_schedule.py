@@ -64,7 +64,7 @@ def _burst(controller: Any, engine: Engine, at: float) -> None:
 
 def _hammer(controller: MemoryController, engine: Engine, at: float, acts: int) -> None:
     """A dependent conflict chain raising two rows of bank 3 to ``acts``."""
-    sender = RowHammerSender(controller, bank=3, core_id=0)
+    sender = RowHammerSender(controller, bank=3)
     engine.schedule(
         at, lambda: sender.hammer(10, target_acts=acts, decoy_row=11), label="hammer"
     )
@@ -131,7 +131,7 @@ SCENARIOS: Dict[str, Callable[[], Sequence[MemoryController]]] = {
         lambda: PerBankRfmPolicy(tb_window=TB_WINDOW), run_ns=400_000.0
     ),
     "obfuscation": _channel(
-        lambda: ObfuscationPolicy(inject_prob=0.5, seed=3), config=_config(nbo=48)
+        lambda: ObfuscationPolicy(seed=3), config=_config(nbo=48)
     ),
     "qprac": _channel(QpracPolicy, config=_config(nbo=48)),
     "abo_acb": _channel(lambda: AcbRfmPolicy(bat=48), config=_config(nbo=32)),

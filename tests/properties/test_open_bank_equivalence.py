@@ -169,7 +169,8 @@ def _assert_same_banks(mc: MemoryController, ref: RefChannel) -> None:
 @example(ops=[("act", 3, 1, 0.0), ("act", 3, 2, 0.0), ("rfm", 1), ("tref",)])
 def test_matches_full_scan_reference(kind, ops):
     config = _config()
-    policy = TpracPolicy(tb_window=1e9, queue_factory=QUEUES[kind])
+    tprac = type("Tprac", (TpracPolicy,), {"queue_class": QUEUES[kind]})
+    policy = tprac(tb_window=1e9)
     mc = MemoryController(Engine(), config, policy=policy, enable_refresh=False)
     ref = RefChannel(config, kind)
     channel = mc.channel

@@ -90,7 +90,7 @@ def test_random_traffic_is_timing_clean(accesses):
     assert mc.refresh.refresh_count >= refreshes + IDLE_TAIL_TREFI - 1
     # A violation raises ProtocolViolation mid-run; this guards against
     # the sanitizer not being attached at all.
-    assert mc.sanitizer is not None and mc.sanitizer.ok
+    assert mc.sanitizer is not None
 
 
 @settings(max_examples=120, deadline=None)

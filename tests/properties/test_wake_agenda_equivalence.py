@@ -6,9 +6,10 @@ below keeps the straightforward formulation it replaces: every wake
 visits every busy bank in ascending id, recomputes its ready time,
 serves it if due, and stops issuing once the ABO grace activations are
 exhausted.  Concurrent dependent chains over random banks (across
-ranks), rows and read/write mixes must produce the same command log,
-the same completion times and the same number of engine events on
-both, under policies that move channel-wide state (TPRAC's RFMab bursts, rfmpb's per-bank
+ranks), rows and read/write mixes must produce the same trace (every
+command and lifecycle event the recorder of ``SystemConfig(trace=True)``
+keeps), the same completion times and the same number of engine events
+on both, under policies that move channel-wide state (TPRAC's RFMab bursts, rfmpb's per-bank
 blocks, ABO-Only's Alert bursts at a low N_BO).  Each chain issues on
 a coarse clock grid after a random think time, so requests from
 different chains often reach idle banks at the same instant: the
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.probes import bank_address
+from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -81,8 +83,7 @@ class ScanController(MemoryController):
                 self._schedule_wake(channel.blocked_until)
                 return
         if self._pending_rfms:
-            provenance, count = self._pending_rfms.pop(0)
-            self._issue_rfm_burst(count, provenance)
+            self._issue_rfm_burst(1, self._pending_rfms.pop(0))
             self._schedule_wake(channel.blocked_until)
             return
 
@@ -97,7 +98,7 @@ class ScanController(MemoryController):
                 request = scheduler.pick(bank_id, self._banks[bank_id])
                 self._serve(request, bank_id)
                 served_any = True
-                if not scheduler.pending(bank_id):
+                if not scheduler.queues[bank_id]:
                     continue
                 ready = self._bank_ready_time(bank_id)
             if next_wake is None or ready < next_wake:
@@ -120,7 +121,10 @@ Access = Tuple[int, int, bool, int]
 
 
 def _run(cls, config, policy_name, chains: List[List[Access]]):
-    mc = cls(Engine(), config, policy=POLICIES[policy_name](), log_commands=True)
+    mc = cls(
+        Engine(), config, policy=POLICIES[policy_name](),
+        system=SystemConfig(trace=True),
+    )
     engine = mc.engine
     done: List[Tuple[int, int, float]] = []
     left = [len(chains)]
@@ -158,6 +162,10 @@ def _run(cls, config, policy_name, chains: List[List[Access]]):
     return mc, done
 
 
+def _trace(mc):
+    return [event.to_dict() for event in mc.recorder.events]
+
+
 ACCESS = st.tuples(
     st.integers(0, BANKS - 1), st.integers(0, ROWS - 1), st.booleans(),
     st.integers(0, 2),
@@ -176,7 +184,7 @@ def test_agenda_matches_full_scan(policy_name, chains, nbo, abo_act):
     config = _config(nbo, abo_act)
     mc, done = _run(MemoryController, config, policy_name, chains)
     ref, ref_done = _run(ScanController, config, policy_name, chains)
-    assert mc.command_log == ref.command_log
+    assert _trace(mc) == _trace(ref)
     assert done == ref_done
     assert mc.engine.events_fired == ref.engine.events_fired
     assert mc.stats.requests_served == sum(len(chain) for chain in chains)
@@ -189,7 +197,8 @@ def test_must_mitigate_stop_leaves_due_banks_for_the_next_wake():
     chains = [[(bank, 0, False, 0)] for bank in range(BANKS)]
     mc, done = _run(MemoryController, config, "abo_only", chains)
     ref, ref_done = _run(ScanController, config, "abo_only", chains)
-    assert mc.command_log == ref.command_log
+    assert _trace(mc) == _trace(ref)
     assert done == ref_done
-    abo_rfms = [c for c in mc.command_log if c.provenance is RfmProvenance.ABO]
+    abo = {"provenance": RfmProvenance.ABO.value}
+    abo_rfms = [e for e in mc.recorder.events if e.detail == abo]
     assert len(abo_rfms) == BANKS

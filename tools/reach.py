@@ -1,4 +1,4 @@
-"""Which functions under ``src/`` does the product actually run?
+"""Which functions and knobs under ``src/`` does the product actually run?
 
 Runs every product entry point in this process, one job each, under
 ``sys.setprofile``: the quick suite (plain and with every controller
@@ -10,20 +10,36 @@ CLI rendering, one untraced pass of each perfbench workload and every
 ``src/`` (with ``ast``) and exits 1 naming each one no entry point
 called that :data:`ALLOWLIST` does not name.
 
+The same trace checks keyword parameters.  For every defaulted
+parameter (positional or keyword-only) of a function in
+:data:`PARAM_SCOPE`, it records whether any call passed a value other
+than the default, and exits 1 naming each never-set parameter that
+:data:`PARAM_ALLOWLIST` does not name.  The scope is the model and
+attacker packages, where a knob selects a second simulation path that
+every product run then skips.  Outside it, a default is the product's
+own input surface: the ``run()`` parameters in ``experiments`` are
+filled by the CLI flags and the registry's quick kwargs, the
+``analysis`` functions are formulas whose defaults are the paper's
+values, and ``campaigns``, ``obs`` and the CLI take their values from
+grids and flags.
+
 Usage, from anywhere (no flags)::
 
     python tools/reach.py
 
 A function that only tests reach is deleted with its tests, or moved
-under ``tests/`` when a test uses it as an oracle; the allowlist is for
-the six classes in :data:`CLASSES` only.
+under ``tests/`` when a test uses it as an oracle; a parameter only
+tests set becomes its default, and the branch it selected goes.  The
+allowlists are for the six classes in :data:`CLASSES` only.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dis
 import glob
+import inspect
 import io
 import os
 import runpy
@@ -33,7 +49,7 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -71,10 +87,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro/dram/sanitizer.py::ProtocolChecker._fail": _SANITIZER,
     "repro/dram/sanitizer.py::ProtocolChecker.history": _SANITIZER,
     "repro/dram/sanitizer.py::ProtocolViolation.__init__": _SANITIZER,
-    "repro/dram/sanitizer.py::ProtocolChecker.observe":
-        "error: the sanitizer's collect mode checks a recorded command stream",
-    "repro/dram/sanitizer.py::ProtocolChecker.ok":
-        "error: the sanitizer's collect mode reports its verdict",
     "repro/dram/sanitizer.py::ProtocolChecker._on_rfm_pb":
         "error: the sanitizer's RFMpb rules, run only on a sanitized RFMpb system",
     "repro/experiments/runner.py::_error_payload":
@@ -116,6 +128,24 @@ ALLOWLIST: Dict[str, str] = {
         "roadmap: kept for tests that build timing variants (PR 27's decision)",
 }
 
+#: Packages under ``src/repro/`` whose defaulted parameters are checked.
+PARAM_SCOPE = ("core", "controller", "cpu", "dram", "prac", "mitigations", "attacks")
+
+#: ``"path::Qualname(param=)"`` -> ``"class: reason"``, for defaulted
+#: parameters in :data:`PARAM_SCOPE` that no entry point sets.  The
+#: parameters of a function no entry point reaches are not listed here:
+#: :data:`ALLOWLIST` (or the function check) already covers them.
+PARAM_ALLOWLIST: Dict[str, str] = {
+    "repro/core/executor.py::map_tasks(timeout=)":
+        "input: `suite`/`campaign --timeout` arms a per-task deadline",
+    "repro/attacks/side_channel.py::AesSideChannelAttack.__init__(abo_act=)":
+        "roadmap: item 13, JEDEC's ABO_ACT maximum (test_abo_act_sensitivity)",
+    "repro/attacks/feinting_sim.py::FeintingAttack.__init__(tb_window=)":
+        "roadmap: item 14 stretches the TB-Window past the solved one",
+    "repro/attacks/feinting_sim.py::FeintingAttack.__init__(config=)":
+        "roadmap: item 14 runs the executed attack on the paper's device",
+}
+
 #: Per-artifact CLI flags: small runs of every artifact's rendering.
 #: fig10 runs without ``--workloads``, so its default workload subset
 #: is built too.
@@ -132,13 +162,14 @@ ARTIFACT_FLAGS: Dict[str, List[str]] = {
     "table5": _PERF_FLAGS,
 }
 
-#: One one-trial scenario per attack kind; the covert one carries
-#: background workload noise.
+#: One one-trial scenario per attack kind, run at ``--seed 1`` (the
+#: builtin campaigns run seed 0); the covert ones carry background
+#: workload noise and the AES one runs at PRAC level 2.
 ATTACK_GRIDS: Dict[str, List[str]] = {
     "perf": ["workload=433.milc", "requests_per_core=200"],
     "covert_activity": ["workload=433.milc", "symbols=4", "noise_accesses=50"],
-    "covert_count": ["symbols=2"],
-    "aes_side_channel": ["encryptions=60"],
+    "covert_count": ["workload=433.milc", "symbols=2", "noise_accesses=50"],
+    "aes_side_channel": ["encryptions=60", "prac_level=2"],
     "feinting": ["mitigation=tprac", "pool_size=8"],
     "selftest": [],
 }
@@ -160,20 +191,64 @@ def _defs(nodes: List[ast.AST], prefix: str) -> Iterator[Tuple[str, ast.AST]]:
             yield from _defs(list(ast.iter_child_nodes(node)), prefix)
 
 
-def functions(src: Path = SRC) -> Dict[Tuple[str, int], str]:
-    """``(file, first line) -> "path::Qualname"`` for every def under ``src``.
+def _walk(src: Path) -> Iterator[Tuple[Tuple[str, int], str, ast.AST]]:
+    """``((file, first line), "path::Qualname", node)`` for every def
+    under ``src``.
 
     The line is the code object's ``co_firstlineno``: a decorated
     function's code starts at its first decorator.
     """
-    found: Dict[Tuple[str, int], str] = {}
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         rel = path.relative_to(src).as_posix()
         for qualname, node in _defs(tree.body, ""):
             line = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            found[(str(path.resolve()), line)] = f"{rel}::{qualname}"
+            yield (str(path.resolve()), line), f"{rel}::{qualname}", node
+
+
+def functions(src: Path = SRC) -> Dict[Tuple[str, int], str]:
+    """``(file, first line) -> "path::Qualname"`` for every def under ``src``."""
+    return {key: name for key, name, _ in _walk(src)}
+
+
+def defaulted(node: ast.AST) -> Dict[str, ast.expr]:
+    """Parameter name -> default expression, for every positional and
+    keyword-only parameter of the def ``node`` that has a default."""
+    args = node.args  # type: ignore[attr-defined]
+    positional = args.posonlyargs + args.args
+    found = {
+        arg.arg: default
+        for arg, default in zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    }
+    found.update(
+        (arg.arg, default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
     return found
+
+
+def parameters(
+    src: Path = SRC, scope: Tuple[str, ...] = PARAM_SCOPE
+) -> Dict[Tuple[str, int], Tuple[str, Dict[str, ast.expr]]]:
+    """``(file, first line) -> ("path::Qualname", defaults)`` for every
+    def with a defaulted parameter in the ``scope`` packages under
+    ``src/repro``."""
+    prefixes = tuple(f"repro/{package}/" for package in scope)
+    return {
+        key: (name, defaults)
+        for key, name, node in _walk(src)
+        if name.startswith(prefixes) and (defaults := defaulted(node))
+    }
+
+
+def default_value(node: ast.expr, namespace: Dict[str, Any]) -> Any:
+    """The value of a default expression: a literal directly, anything
+    else (a name such as a class) evaluated in ``namespace``."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return eval(compile(ast.Expression(node), "<default>", "eval"), namespace)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +305,7 @@ def _attack_kinds(out: str) -> None:
 
     for kind in ATTACK_KINDS:
         grid = ["--grid", f"attack={kind}", *ATTACK_GRIDS[kind]]
-        _campaign(os.path.join(out, kind), *grid, "--trials", "1")
+        _campaign(os.path.join(out, kind), *grid, "--trials", "1", "--seed", "1")
 
 
 def _artifacts() -> None:
@@ -307,23 +382,104 @@ def entry_points(scratch: str) -> List[Tuple[str, Callable[[], None]]]:
 # ----------------------------------------------------------------------
 # The trace
 # ----------------------------------------------------------------------
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+_UNEVALUATED = object()
+
+
 def _key(code: object) -> Tuple[str, int]:
     return (os.path.realpath(code.co_filename), code.co_firstlineno)  # type: ignore[attr-defined]
 
 
+class Watch:
+    """The defaulted parameters of one function that no call has set yet."""
+
+    __slots__ = ("name", "nodes", "defaults", "unset", "start", "errors")
+
+    def __init__(self, name: str, nodes: Dict[str, ast.expr]) -> None:
+        self.name = name
+        self.nodes = nodes
+        self.defaults: Optional[Dict[str, Any]] = None
+        self.unset = set(nodes)
+        #: a resumable code's first instruction offset past its
+        #: preamble; a resume's ``call`` event comes from later on
+        self.start: Optional[int] = None
+        self.errors: List[str] = []
+
+    def bind(self, code: Any) -> None:
+        """Learn where a generator's first ``call`` event comes from."""
+        if code.co_flags & _RESUMABLE:
+            resumes = [i.offset for i in dis.get_instructions(code) if i.opname == "RESUME"]
+            self.start = resumes[0] if resumes else -1
+
+    def check(self, frame: Any) -> bool:
+        """Fold one call's parameter values in; False once all are set."""
+        if self.start is not None and frame.f_lasti > self.start:
+            return True  # a resumed generator: only its first call counts
+        defaults = self.defaults
+        if defaults is None:
+            defaults = self.defaults = {}
+            for param, node in self.nodes.items():
+                try:
+                    defaults[param] = default_value(node, frame.f_globals)
+                except Exception as exc:  # reported, never raised into the run
+                    defaults[param] = _UNEVALUATED
+                    self.errors.append(f"{param}: {exc!r}")
+        values = frame.f_locals
+        for param in tuple(self.unset):
+            value = values[param]
+            default = defaults[param]
+            if value is default or default is _UNEVALUATED:
+                continue
+            try:
+                same = bool(value == default)
+            except Exception:
+                same = False
+            if not same:
+                self.unset.discard(param)
+        return bool(self.unset)
+
+
 def trace(
-    steps: List[Tuple[str, Callable[[], None]]], defined: Dict[Tuple[str, int], str]
+    steps: List[Tuple[str, Callable[[], None]]],
+    defined: Dict[Tuple[str, int], str],
+    watches: Dict[Tuple[str, int], Watch],
 ) -> Set[Tuple[str, int]]:
     """Run ``steps`` under the profile hook; the ``defined`` keys of
     every function that ran.  Each step's line gives its wall time and
-    how many ``defined`` functions it reached first."""
-    codes: Set[object] = set()
-    add = codes.add
+    how many ``defined`` functions it reached first.  Each call of a
+    function keyed in ``watches`` folds its parameter values into its
+    :class:`Watch`."""
+    #: every code object seen -> its watch, or None once nothing of it
+    #: is watched (the common case, one dict lookup per event)
+    seen: Dict[object, Optional[Watch]] = {}
+    lookup = seen.get
     keyed: Set[object] = set()
     reached: Set[Tuple[str, int]] = set()
+    realpaths: Dict[str, str] = {}
 
-    def hook(frame, _event, _arg):  # type: ignore[no-untyped-def]
-        add(frame.f_code)
+    def watch_for(code: Any) -> Optional[Watch]:
+        filename = code.co_filename
+        path = realpaths.get(filename)
+        if path is None:
+            path = realpaths[filename] = os.path.realpath(filename)
+        watch = watches.get((path, code.co_firstlineno))
+        if watch is not None:
+            if not watch.unset:
+                return None
+            watch.bind(code)
+        return watch
+
+    def hook(frame, event, _arg):  # type: ignore[no-untyped-def]
+        code = frame.f_code
+        watch = lookup(code, seen)
+        if watch is None:
+            return
+        if watch is seen:
+            watch = seen[code] = watch_for(code)
+            if watch is None:
+                return
+        if event == "call" and not watch.check(frame):
+            seen[code] = None
 
     for name, step in steps:
         started = time.perf_counter()
@@ -337,7 +493,7 @@ def trace(
         finally:
             sys.setprofile(None)
             threading.setprofile(None)  # type: ignore[arg-type]
-        fresh = codes - keyed
+        fresh = seen.keys() - keyed
         keyed |= fresh
         new = {key for key in map(_key, fresh) if key in defined} - reached
         reached |= new
@@ -348,32 +504,53 @@ def trace(
     return reached
 
 
+def _by_class(allowlist: Dict[str, str]) -> str:
+    counts = Counter(reason.split(":", 1)[0] for reason in allowlist.values())
+    return ", ".join(f"{name} {counts[name]}" for name in CLASSES)
+
+
 def main() -> int:
     sys.path[:0] = [str(SRC), str(ROOT)]
     started = time.perf_counter()
     print("reach: running the product entry points under sys.setprofile")
     defined = functions()
+    watches = {key: Watch(name, nodes) for key, (name, nodes) in parameters().items()}
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        hit = trace(entry_points(scratch), defined)
+        hit = trace(entry_points(scratch), defined, watches)
     elapsed = time.perf_counter() - started
     missed = sorted(defined[key] for key in defined.keys() - hit)
     unlisted = [name for name in missed if name not in ALLOWLIST]
-    by_class = Counter(reason.split(":", 1)[0] for reason in ALLOWLIST.values())
     print(f"reach: {len(hit)}/{len(defined)} functions under src/ reached in {elapsed:.1f} s")
+    print(f"allowlist: {len(ALLOWLIST)} entries ({_by_class(ALLOWLIST)})")
+    reached = [watch for key, watch in watches.items() if key in hit]
+    unset = sorted(f"{w.name}({param}=)" for w in reached for param in w.unset)
+    total = sum(len(watch.nodes) for watch in watches.values())
+    unreached = total - sum(len(watch.nodes) for watch in reached)
     print(
-        f"allowlist: {len(ALLOWLIST)} entries ("
-        + ", ".join(f"{name} {by_class[name]}" for name in CLASSES)
-        + ")"
+        f"parameters: {total - unreached - len(unset)}/{total} defaulted parameters "
+        f"in {', '.join(PARAM_SCOPE)} set by an entry point ({unreached} more "
+        "belong to functions no entry point reached)"
     )
+    print(f"parameter allowlist: {len(PARAM_ALLOWLIST)} entries ({_by_class(PARAM_ALLOWLIST)})")
     stale = sorted(name for name in ALLOWLIST if name not in missed)
+    stale += sorted(name for name in PARAM_ALLOWLIST if name not in unset)
     if stale:
-        print(f"allowlisted but reached ({len(stale)}): " + ", ".join(stale))
+        print(f"allowlisted but reached or set ({len(stale)}): " + ", ".join(stale))
+    errors = [f"{w.name}: {error}" for w in reached for error in w.errors]
+    unlisted_params = [name for name in unset if name not in PARAM_ALLOWLIST]
     if unlisted:
         print(f"unreached and not allowlisted ({len(unlisted)}):")
         for name in unlisted:
             print(f"  {name}")
-        return 1
-    return 0
+    if unlisted_params:
+        print(f"never set and not allowlisted ({len(unlisted_params)}):")
+        for name in unlisted_params:
+            print(f"  {name}")
+    if errors:
+        print(f"defaults that did not evaluate ({len(errors)}):")
+        for error in errors:
+            print(f"  {error}")
+    return 1 if unlisted or unlisted_params or errors else 0
 
 
 if __name__ == "__main__":
