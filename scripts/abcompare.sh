@@ -16,9 +16,9 @@
 # harness defaults (five of the six plot renderings, all but fig13's,
 # and plain tables), and three campaigns at one trial per scenario:
 # the builtin `perf` and `security` grids (the perf, covert and AES
-# trial kinds) and a perf grid over abo_acb/tprac/rfmpb/obfuscation at
-# one and two channels (the solved TB-Window and BAT, and the
-# per-channel seeds).  The result trees are diffed byte-for-byte after
+# trial kinds) and a perf grid over abo_acb/tprac/rfmpb/obfuscation
+# (the solved TB-Window and BAT, and the obfuscation seed).  The
+# result trees are diffed byte-for-byte after
 # dropping the advisory wall-clock keys (elapsed_seconds, cache_key)
 # that never participate in result identity, and the campaign
 # documents' checksum, which covers the per-trial wall clock.  A
@@ -104,8 +104,8 @@ run_side() {
         done
         python -m repro.cli --quiet campaign --grid attack=perf \
             workload=433.milc nbo=256 \
-            mitigation=abo_acb,tprac,rfmpb,obfuscation channels=1,2 \
-            --trials 1 --jobs 2 --out "$out/campaign-channels" > /dev/null
+            mitigation=abo_acb,tprac,rfmpb,obfuscation \
+            --trials 1 --jobs 2 --out "$out/campaign-mitigations" > /dev/null
         rm -f "$out"/campaign-*/heartbeat.jsonl
     )
 }

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # The regression net, in order: no tracked bytecode; tier-1 tests; a
 # 2-artifact parallel suite run; every example; the 12-scenario smoke
-# campaign and its resume; a channel-count sweep; sanitized perf
-# scenarios; the whole quick suite with every controller sanitized;
+# campaign and its resume; sanitized perf scenarios; the whole quick suite with every controller sanitized;
 # traced perf scenarios and their telemetry; the custom lints; and
 # perfbench's output check (digests and invariants).  Any failing leg
 # stops the script non-zero.
@@ -59,17 +58,11 @@ resume_out="$(python -m repro.cli campaign --campaign smoke --trials 3 --jobs 2 
     --out "$camp_dir" --resume)"
 grep -q cached <<<"$resume_out"
 
-echo "== campaign: channel-count sweep (multi-channel smoke) =="
-chan_dir="$(mktemp -d)"
-cleanup_dirs+=("$chan_dir")
-python -m repro.cli campaign --grid channels=1,2,4 --trials 1 --jobs 2 \
-    --out "$chan_dir"
-
 echo "== campaign: sanitized perf scenarios (protocol-checker smoke) =="
 # Perf scenarios with the DRAM protocol sanitizer attached: a timing
 # violation anywhere in the served command stream would raise
 # ProtocolViolation and fail this leg.  TPRAC's TB-RFMs and the
-# periodic REFs land on channels with open banks, so the leg covers
+# periodic REFs land on a channel with open banks, so the leg covers
 # Channel.block closing only those banks under its lazy ready floor.
 san_dir="$(mktemp -d)"
 cleanup_dirs+=("$san_dir")
@@ -79,9 +72,10 @@ python -m repro.cli campaign --grid sanitize=true \
 
 echo "== suite: quick suite with every controller sanitized =="
 # The whole quick suite, in this process, with the default system
-# swapped for SystemConfig(sanitize=True) in both modules that read
-# it: every controller any artifact builds carries the protocol
-# checker, so a timing violation anywhere ends its artifact `error`.
+# swapped for SystemConfig(sanitize=True) in the controller module,
+# its one reader: every controller any artifact builds carries the
+# protocol checker, so a timing violation anywhere ends its artifact
+# `error`.
 # The leg also fails if no checker was built (the swap missed).
 san_suite_dir="$(mktemp -d)"
 cleanup_dirs+=("$san_suite_dir")
@@ -89,7 +83,7 @@ python - "$san_suite_dir" <<'EOF'
 import sys
 
 from repro.config import SystemConfig
-from repro.controller import controller, memory_system
+from repro.controller import controller
 from repro.experiments.runner import load_summary, run_suite
 
 built = []
@@ -101,8 +95,7 @@ class CountingChecker(controller.ProtocolChecker):
         built.append(self)
 
 
-for module in (controller, memory_system):
-    module.DEFAULT_SYSTEM = SystemConfig(sanitize=True)
+controller.DEFAULT_SYSTEM = SystemConfig(sanitize=True)
 controller.ProtocolChecker = CountingChecker
 run_suite(sys.argv[1], jobs=1, use_cache=False)
 summary = load_summary(sys.argv[1])

@@ -10,9 +10,9 @@ Layered architecture (bottom-up):
   system is built from.
 * :mod:`repro.dram` — DDR5 device model with PRAC timings.
 * :mod:`repro.prac` — Alert Back-Off protocol and mitigation queues.
-* :mod:`repro.controller` — per-channel memory controllers (FR-FCFS
-  over the MOP mapping, periodic REFab) + RFM issuing, behind a
-  multi-channel :class:`MemorySystem` facade.
+* :mod:`repro.controller` — the memory controller of the paper's one
+  DDR5 channel (FR-FCFS over the MOP mapping, periodic REFab) + RFM
+  issuing.
 * :mod:`repro.mitigations` — ABO-Only / ABO+ACB-RFM / TPRAC / §7 variants.
 * :mod:`repro.cpu` — trace-driven cores issuing into the memory system.
 * :mod:`repro.crypto` — AES-128 T-table substrate (the side-channel victim).
@@ -28,7 +28,6 @@ from repro.config import SystemConfig
 from repro.core.engine import Engine
 from repro.dram.config import DramConfig, ddr5_8000b, small_test_config
 from repro.controller.controller import MemoryController
-from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
 from repro.mitigations import (
     AboOnlyPolicy,
@@ -48,7 +47,6 @@ __all__ = [
     "Engine",
     "MemRequest",
     "MemoryController",
-    "MemorySystem",
     "NoMitigationPolicy",
     "ObfuscationPolicy",
     "PerBankRfmPolicy",

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
-    from repro.controller.memory_system import MemorySystem
 
 from repro.dram.config import DramConfig, ddr5_8000b
 
@@ -113,13 +112,12 @@ class EnergyModel:
         performed (each costs :attr:`EnergyParams.mitigation_acts`
         extra activations); banks whose queue was empty at an RFM do
         no work and burn no mitigation energy.  ``banks`` scales the
-        refresh and background terms; it defaults to every bank in the
-        organization and is overridden with the per-channel bank count
-        when accounting a single channel of a multi-channel system.
+        refresh and background terms; it defaults to the channel's banks
+        in this model's organization.
         """
         p = self.params
         if banks is None:
-            banks = self.config.organization.total_banks
+            banks = self.config.organization.banks_per_channel
         return EnergyBreakdown(
             activation_pj=activations * p.act_pre_pj,
             column_pj=reads * p.rd_pj + writes * p.wr_pj,
@@ -145,24 +143,4 @@ class EnergyModel:
             mitigations=mitigations,
             elapsed_ns=controller.engine.now,
             banks=controller.config.organization.banks_per_channel,
-        )
-
-    def from_memory_system(self, memory: "MemorySystem") -> EnergyBreakdown:
-        """Energy across every channel of a finished
-        :class:`~repro.controller.memory_system.MemorySystem` run.
-
-        Per-channel breakdowns (:meth:`from_controller`, each scaled by
-        the per-channel bank count) sum component-wise; with one
-        channel this equals the historical single-controller figure
-        exactly.
-        """
-        parts = [self.from_controller(c) for c in memory.controllers]
-        if len(parts) == 1:
-            return parts[0]
-        return EnergyBreakdown(
-            activation_pj=sum(p.activation_pj for p in parts),
-            column_pj=sum(p.column_pj for p in parts),
-            refresh_pj=sum(p.refresh_pj for p in parts),
-            background_pj=sum(p.background_pj for p in parts),
-            mitigation_pj=sum(p.mitigation_pj for p in parts),
         )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.attacks.probes import SPIKE_THRESHOLD_NS
+
 _SHADES = " .:-=+*#%@"
 
 
@@ -102,10 +104,11 @@ def latency_strip(
     times: Sequence[float],
     latencies: Sequence[float],
     buckets: int = 72,
-    spike_threshold: float = 250.0,
     title: str = "",
 ) -> str:
-    """One-line summary of a latency timeline: '^' marks spike buckets."""
+    """One-line summary of a latency timeline: '^' marks the buckets
+    holding an access above
+    :data:`~repro.attacks.probes.SPIKE_THRESHOLD_NS`."""
     if not times:
         return title
     t_lo, t_hi = min(times), max(times)
@@ -113,7 +116,7 @@ def latency_strip(
     marks = [" "] * buckets
     for t, lat in zip(times, latencies):
         index = min(buckets - 1, int((t - t_lo) / span * buckets))
-        if lat > spike_threshold:
+        if lat > SPIKE_THRESHOLD_NS:
             marks[index] = "^"
         elif marks[index] == " ":
             marks[index] = "."

@@ -63,7 +63,7 @@ def storage_overhead_bits(config: Optional[DramConfig] = None) -> StorageOverhea
     return StorageOverhead(
         interval_register_bits=interval_register_bits(config),
         queue_bits_per_bank=row_bits + count_bits,
-        banks=org.total_banks,
+        banks=org.banks_per_channel,
     )
 
 

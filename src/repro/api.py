@@ -26,7 +26,6 @@ from repro.campaigns.runners import run_trial
 from repro.campaigns.scenario import ATTACK_KINDS, Scenario
 from repro.campaigns.trials import run_campaign
 from repro.config import DEFAULT_SYSTEM, SystemConfig
-from repro.controller.memory_system import MemorySystem
 from repro.cpu.system import System, SystemResult
 from repro.experiments.common import DesignPoint, build_system
 from repro.mitigations import MITIGATIONS
@@ -39,7 +38,6 @@ __all__ = [
     "build_system",
     "System",
     "SystemResult",
-    "MemorySystem",
     # sweeping
     "Scenario",
     "ATTACK_KINDS",

@@ -19,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.attacks.probes import LatencyProbe, bank_address, is_rfm_spike
+from repro.attacks.probes import (
+    LatencyProbe,
+    bank_address,
+    chain_cadence_ns,
+    refresh_inflation,
+)
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -61,12 +66,13 @@ class AcbRfmChannel:
         # High N_BO so the ABO path never interferes with the study.
         self.config = ddr5_8000b().with_prac(nbo=100_000)
         timing = self.config.timing
-        chain_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         # A '1' window drives ~3*BAT activations: enough for >= 2
         # ACB-RFMs even with scheduling noise.
         self.acts_per_one = 3 * BAT
-        refresh_inflation = timing.tREFI / (timing.tREFI - timing.tRFC)
-        self.window_ns = self.acts_per_one * chain_ns * refresh_inflation + 2 * timing.tRFC
+        self.window_ns = (
+            self.acts_per_one * chain_cadence_ns(timing) * refresh_inflation(timing)
+            + 2 * timing.tRFC
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> AcbChannelResult:
@@ -76,7 +82,7 @@ class AcbRfmChannel:
             policy = make_policy("abo_acb", bat=BAT)
         else:
             # TPRAC sized for N_BO 1024, not the study's ABO-free N_BO.
-            policy = policy_factory("tprac", self.config.with_prac(nbo=1024))()
+            policy = policy_factory("tprac", self.config.with_prac(nbo=1024))
         controller = MemoryController(engine, self.config, policy=policy)
         probe = LatencyProbe(controller, bank=4)
         probe.start()
@@ -91,13 +97,7 @@ class AcbRfmChannel:
         engine.run(until=(len(self.message) + 1) * self.window_ns)
         probe.stop()
 
-        baseline = probe.result.baseline()
-        timing = self.config.timing
-        rfm_times = [
-            t
-            for t, lat in zip(probe.result.times, probe.result.latencies)
-            if is_rfm_spike(lat, t, timing, baseline)
-        ]
+        rfm_times = [t for t, _ in probe.result.rfm_spikes(self.config.timing)]
         counts = []
         for index in range(len(self.message)):
             lo = index * self.window_ns

@@ -27,7 +27,9 @@ from repro.attacks.probes import (
     LatencyProbe,
     RowHammerSender,
     bank_address,
+    chain_cadence_ns,
     is_rfm_spike,
+    refresh_inflation,
 )
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
@@ -107,7 +109,7 @@ class _CovertChannel:
         self.prac_level = self.config.prac.prac_level
 
     def _controller(self, engine: Engine) -> MemoryController:
-        policy = policy_factory(self.mitigation, self.config, seed=self.seed)()
+        policy = policy_factory(self.mitigation, self.config, seed=self.seed)
         return MemoryController(engine, self.config, policy=policy)
 
 
@@ -130,10 +132,8 @@ class ActivityChannel(_CovertChannel):
         # the dependent-chain conflict cadence (data return + tRP),
         # inflated by the refresh duty cycle, + the RFM burst + margin.
         timing = self.config.timing
-        refresh_inflation = timing.tREFI / (timing.tREFI - timing.tRFC)
-        self.act_cadence_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         self.window_ns = (
-            2 * nbo * self.act_cadence_ns * refresh_inflation
+            2 * nbo * chain_cadence_ns(timing) * refresh_inflation(timing)
             + self.prac_level * timing.tRFMab
             + 2 * timing.tRFC
         )
@@ -184,13 +184,7 @@ class ActivityChannel(_CovertChannel):
 
     def _decode(self, probe: LatencyProbe) -> List[int]:
         """Bit=1 iff a spike not explained by refresh lands in the window."""
-        timing = self.config.timing
-        baseline = probe.result.baseline()
-        rfm_like = [
-            t
-            for t, lat in zip(probe.result.times, probe.result.latencies)
-            if is_rfm_spike(lat, t, timing, baseline)
-        ]
+        rfm_like = [t for t, _ in probe.result.rfm_spikes(self.config.timing)]
         self.spikes_observed = len(rfm_like)
         bits = []
         for index in range(len(self.message)):
@@ -223,10 +217,8 @@ class ActivationCountChannel(_CovertChannel):
         # Sender (2k accesses) + receiver (2(N_BO-k) accesses) both
         # alternate with decoys at the dependent-chain cadence,
         # inflated by the refresh duty cycle, + RFM burst + margin.
-        refresh_inflation = timing.tREFI / (timing.tREFI - timing.tRFC)
-        chain_cadence = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         self.window_ns = (
-            4 * nbo * chain_cadence * refresh_inflation
+            4 * nbo * chain_cadence_ns(timing) * refresh_inflation(timing)
             + self.prac_level * timing.tRFMab
             + 3 * timing.tRFC
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.analysis.feinting import feinting_target_acts
-from repro.attacks.probes import bank_address
+from repro.attacks.probes import bank_address, chain_cadence_ns
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -63,10 +63,11 @@ class FeintingAttack:
         self.config = (config or small_test_config(rows_per_bank=4096)).with_prac(
             nbo=nbo, abo_act=0
         )
-        timing = self.config.timing
-        chain_ns = (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
         # Default window: ~24 activations per window at the chain cadence.
-        self.tb_window = tb_window if tb_window is not None else 24 * chain_ns
+        self.tb_window = (
+            tb_window if tb_window is not None
+            else 24 * chain_cadence_ns(self.config.timing)
+        )
         self.pool_size = pool_size
         self.target_row = 0
         self.decoy_rows = list(range(1, pool_size))

@@ -14,15 +14,29 @@ never move and it cannot self-induce an ABO.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.dram.address import DramAddress
+from repro.dram.config import DramTiming
 
 #: Latency (ns) above which an access counts as a spike: well above an
 #: uncontended access (~70-90 ns), well below an RFM stall (>= tRFMab).
 SPIKE_THRESHOLD_NS = 250.0
+
+
+def chain_cadence_ns(timing: DramTiming) -> float:
+    """Time per activation of a dependent chain of row conflicts: one
+    access's data return (tRCD + tCL + tBL) plus the precharge (tRP)
+    before the next activation."""
+    return (timing.tRCD + timing.tCL + timing.tBL) + timing.tRP
+
+
+def refresh_inflation(timing: DramTiming) -> float:
+    """Factor by which periodic REFab stretches a busy stretch of time:
+    of every tREFI, tRFC is blocked."""
+    return timing.tREFI / (timing.tREFI - timing.tRFC)
 
 
 def bank_address(controller: MemoryController, bank: int, row: int) -> int:
@@ -45,7 +59,6 @@ def bank_address(controller: MemoryController, bank: int, row: int) -> int:
     bank_group, bank_in_group = divmod(bank_in_rank, banks_per_group)
     return controller.mapping.encode(
         DramAddress(
-            channel=0,
             rank=rank,
             bank_group=bank_group,
             bank=bank_in_group,
@@ -105,6 +118,16 @@ class ProbeResult:
         if not normal:
             return 0.0
         return normal[len(normal) // 2]
+
+    def rfm_spikes(self, timing: DramTiming) -> List[Tuple[float, float]]:
+        """``(time, latency)`` of every access :func:`is_rfm_spike`
+        attributes to an RFM, against this trace's :meth:`baseline`."""
+        baseline = self.baseline()
+        return [
+            (t, lat)
+            for t, lat in zip(self.times, self.latencies)
+            if is_rfm_spike(lat, t, timing, baseline)
+        ]
 
 
 class LatencyProbe:

@@ -25,7 +25,7 @@ from repro.campaigns.scenario import Scenario
 
 #: First-class scenario fields an axis can address directly.
 SCENARIO_AXES = (
-    "attack", "mitigation", "workload", "dram", "nbo", "prac_level", "channels",
+    "attack", "mitigation", "workload", "dram", "nbo", "prac_level",
     "sanitize", "trace", "metrics",
 )
 
@@ -39,6 +39,7 @@ REMOVED_AXES = {
     "scheduler": "every controller schedules FR-FCFS with a row-hit cap",
     "mapping": "every controller decodes with the MOP mapping",
     "refresh": "every controller issues a REFab every tREFI",
+    "channels": "the memory system is the paper's one DDR5 channel",
 }
 
 

@@ -6,14 +6,12 @@ repository's simulators and returns a flat ``{metric: number}`` dict:
 * ``perf`` — no attacker: the scenario's workload runs under the named
   mitigation vs the PRAC-without-ABO baseline, both built by
   :func:`repro.experiments.common.build_system`; the metric is the
-  paper's normalized-performance figure of merit.  With the
-  ``channels`` axis > 1 the systems run the full multi-channel memory
-  model (one controller + policy instance per channel) and the metrics
-  gain per-channel ``requests_chN`` / ``rfms_chN`` breakdowns.
+  paper's normalized-performance figure of merit.
 * ``covert_activity`` / ``covert_count`` — the PRACLeak covert
   channels on the scenario's device, run against the named mitigation
   (the channel builds it with the trial seed) with a seeded message
-  and, optionally, background workload traffic as scheduling noise.
+  and, with a workload, ``noise_accesses`` background requests as
+  scheduling noise.
 * ``aes_side_channel`` — the AES T-table key-recovery attack with a
   seeded key on the scenario's device; ``mitigation`` selects
   undefended (``abo_only``) or ``tprac`` (:meth:`Scenario.validate`
@@ -112,29 +110,24 @@ def _perf_trial(scenario: Scenario, seed: int) -> Dict[str, float]:
     baseline = build("none").run()
     mitigated_system = build(scenario.mitigation)
     mitigated = mitigated_system.run()
-    memory = mitigated_system.memory
+    controller = mitigated_system.controller
     if telemetry_dir is not None and (
-        memory.recorder is not None or memory.sampler is not None
+        controller.recorder is not None or controller.sampler is not None
     ):
         from repro.obs.export import export_system_telemetry
 
         export_system_telemetry(
-            memory,
+            controller,
             telemetry_dir,
             stem=f"{scenario.scenario_id}-s{seed}",
             meta={"scenario": scenario.label, "seed": seed},
         )
-    metrics = {
+    return {
         "normalized_perf": mitigated.total_ipc / baseline.total_ipc,
         "ipc": mitigated.total_ipc,
         "baseline_ipc": baseline.total_ipc,
         "rfms": float(mitigated.rfm_total),
     }
-    if config.organization.channels > 1:
-        for slice_ in mitigated.per_channel:
-            metrics[f"rfms_ch{slice_.channel}"] = float(slice_.rfms)
-            metrics[f"requests_ch{slice_.channel}"] = float(slice_.requests)
-    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -144,10 +137,12 @@ def _covert_noise_setup(
     scenario: Scenario, seed: int, total_ns: float
 ) -> Optional[Callable[["Engine", "MemoryController"], None]]:
     """A ``run(setup=...)`` hook scheduling workload requests as noise,
-    or None when the scenario carries no background workload."""
-    accesses = int(scenario.params.get("noise_accesses", 200))
-    if scenario.workload == NO_WORKLOAD or accesses <= 0:
+    or None when the scenario carries no background workload
+    (:meth:`Scenario.validate` rejects ``noise_accesses`` there, and a
+    count below 1 anywhere)."""
+    if scenario.workload == NO_WORKLOAD:
         return None
+    accesses = int(scenario.params.get("noise_accesses", 200))
 
     def setup(engine: "Engine", controller: "MemoryController") -> None:
         from repro.controller.request import MemRequest

@@ -5,9 +5,9 @@ which attacker runs (:mod:`repro.attacks`), which mitigation defends
 (by name, :func:`repro.mitigations.get`), which workload mix drives
 the memory system (:mod:`repro.workloads.catalog`), which DRAM device
 variant hosts it all (:data:`repro.dram.config.PRESETS` plus the PRAC
-knobs ``nbo`` / ``prac_level``), and how the memory system is
-assembled — ``channels`` and the ``sanitize`` / ``trace`` /
-``metrics`` switches project onto a :class:`repro.config.SystemConfig`
+knobs ``nbo`` / ``prac_level``), and which observers the memory system
+carries — the ``sanitize`` / ``trace`` / ``metrics`` switches project
+onto a :class:`repro.config.SystemConfig`
 (:meth:`Scenario.system_config`).  ``params`` carry per-attack tuning
 (symbol counts, encryption budgets, pool sizes).
 
@@ -44,6 +44,10 @@ ATTACK_KINDS = (
 #: Workload value meaning "no background workload drives the system".
 NO_WORKLOAD = "none"
 
+#: The covert-channel kinds: a workload on them is background noise of
+#: ``noise_accesses`` requests.
+COVERT_KINDS = ("covert_activity", "covert_count")
+
 #: Mitigations the AES attack runs against: undefended (ABO-Only) or
 #: TPRAC.  Any other name would rerun one of these two simulations
 #: under a second scenario ID.
@@ -64,7 +68,6 @@ class Scenario:
     dram: str = DEFAULT_DRAM
     nbo: int = 256
     prac_level: int = DEFAULT_PRAC_LEVEL
-    channels: int = 1
     sanitize: bool = False
     trace: bool = False
     metrics: bool = False
@@ -115,7 +118,7 @@ class Scenario:
             raise ValueError("nbo must be positive")
         if self.prac_level not in (1, 2, 4):
             raise ValueError("prac_level must be 1, 2 or 4")
-        # The structural axes delegate to SystemConfig.validate: the
+        # The observer axes delegate to SystemConfig.validate: the
         # same checks as every other construction path.
         system = self.system_config().validate()
         if self.attack != "perf" and not system.is_default():
@@ -127,24 +130,32 @@ class Scenario:
             )
         if not isinstance(self.params, Mapping):
             raise ValueError("params must be a mapping")
+        # A covert scenario without background noise is spelled without
+        # a workload; any other spelling of it would rerun that
+        # simulation under a second scenario ID.
+        if self.attack in COVERT_KINDS and "noise_accesses" in self.params:
+            if self.workload == NO_WORKLOAD:
+                raise ValueError(
+                    f"{self.attack} without a workload runs no background "
+                    "noise; drop noise_accesses or set workload="
+                )
+            if int(self.params["noise_accesses"]) <= 0:
+                raise ValueError(
+                    "noise_accesses must be positive; a covert scenario "
+                    "without noise is spelled without a workload"
+                )
         return self
 
     # ------------------------------------------------------------------
     def dram_config(self) -> DramConfig:
-        """The concrete device config (preset + this scenario's PRAC and
-        channel knobs)."""
-        config = PRESETS[self.dram].with_prac(
-            nbo=self.nbo, prac_level=self.prac_level
-        )
-        # Structural projection (channel count) is owned by SystemConfig
-        # so perf and attack trials can never disagree on the device.
-        return self.system_config().apply_to(config)
+        """The concrete device config (preset + this scenario's PRAC
+        knobs)."""
+        return PRESETS[self.dram].with_prac(nbo=self.nbo, prac_level=self.prac_level)
 
     def system_config(self) -> SystemConfig:
         """The declarative system assembly for this scenario
         (:class:`repro.config.SystemConfig`)."""
         return SystemConfig(
-            channels=self.channels,
             sanitize=self.sanitize,
             trace=self.trace,
             metrics=self.metrics,
@@ -156,12 +167,11 @@ class Scenario:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-able; params copied).
 
-        The structural axes (``channels``, ``sanitize``, ``trace``,
-        ``metrics``) are emitted only when they differ from their
-        defaults: default scenarios keep the exact spec dict (and
-        therefore the exact content-hash :attr:`scenario_id`) they had
-        before each axis existed, so persisted campaign results stay
-        resumable.
+        The observer axes (``sanitize``, ``trace``, ``metrics``) are
+        emitted only when they differ from their defaults: default
+        scenarios keep the exact spec dict (and therefore the exact
+        content-hash :attr:`scenario_id`) they had before each axis
+        existed, so persisted campaign results stay resumable.
         """
         spec: Dict[str, Any] = {
             "attack": self.attack,
@@ -173,7 +183,7 @@ class Scenario:
             "params": dict(self.params),
         }
         # Default omission delegates to SystemConfig.to_dict so the
-        # structural defaults live in exactly one place (repro.config).
+        # observer defaults live in exactly one place (repro.config).
         spec.update(self.system_config().to_dict())
         return spec
 
@@ -204,8 +214,6 @@ class Scenario:
         parts.append(f"nbo{self.nbo}")
         if self.prac_level != 1:
             parts.append(f"lvl{self.prac_level}")
-        if self.channels != 1:
-            parts.append(f"{self.channels}ch")
         if self.sanitize:
             parts.append("sanitize")
         if self.trace:

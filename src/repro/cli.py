@@ -15,7 +15,7 @@ Usage::
         nbo=64,128 --trials 3 --out results/
     python -m repro.cli campaign --grid attack=aes_side_channel \\
         mitigation=abo_only,tprac nbo=128,256 --resume
-    python -m repro.cli campaign --grid channels=1,2,4 --trials 3
+    python -m repro.cli campaign --grid mitigation=abo_only,tprac --trials 3
     python -m repro.cli campaign --grid trace=true metrics=true --progress
     python -m repro.cli campaign --campaign security --timeout 120
     python -m repro.cli obs report results/
@@ -325,7 +325,7 @@ def _run_campaign(args) -> int:
     try:
         if args.grid is not None:
             axes = campaigns.parse_grid_tokens(args.grid)
-            # Device-only sweeps (e.g. --grid channels=1,2,4) default to
+            # Device-only sweeps (e.g. --grid nbo=128,256) default to
             # a perf scenario on a pinned workload so the grid runs
             # without requiring the attack/workload axes to be spelled.
             defaults = []
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", nargs="*", metavar="AXIS=V1,V2",
         help=(
             "grid axes, e.g. attack=aes_side_channel mitigation=abo_only,tprac "
-            "nbo=128,256 channels=1,2,4 sanitize=true; trial params "
+            "nbo=128,256 sanitize=true; trial params "
             "(symbols, encryptions, ...) become per-scenario params and any "
             "other axis is an error; a grid without an attack axis "
             "defaults to a perf sweep on the 433.milc workload"
@@ -648,7 +648,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     if rejected:
         hint = (
-            " (campaign sweeps these via --grid, e.g. --grid nbo=128 channels=2)"
+            " (campaign sweeps these via --grid, e.g. --grid nbo=128,256)"
             if args.experiment == "campaign" and set(rejected) & set(_FLAG_TARGETS)
             else ""
         )

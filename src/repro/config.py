@@ -1,14 +1,14 @@
 """The declarative system configuration: the memory system's knobs as data.
 
 A :class:`SystemConfig` holds what varies between simulated memory
-systems: the channel count, and whether the online protocol sanitizer,
-the trace recorder and the time-series sampler are attached.  The
-controller itself is fixed — FR-FCFS with a row-hit cap over the
-Minimalist Open Page mapping, with a REFab every tREFI — and each
-:class:`repro.controller.controller.MemoryController` builds those
-components directly.  Everything that assembles a system
+systems: whether the online protocol sanitizer, the trace recorder and
+the time-series sampler are attached.  The memory system itself is
+fixed — the paper's one DDR5 channel behind one
+:class:`repro.controller.controller.MemoryController`, FR-FCFS with a
+row-hit cap over the Minimalist Open Page mapping, with a REFab every
+tREFI — and the controller builds those components and the attached
+observers directly.  Everything that assembles a system
 (:class:`repro.cpu.system.System`,
-:class:`repro.controller.memory_system.MemorySystem`,
 :func:`repro.experiments.common.build_system`, the campaign engine)
 takes one of these instead of scattered keyword arguments.
 
@@ -23,25 +23,20 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dram.config import DramConfig
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Declarative assembly spec for one simulated memory system.
 
-    ``channels`` scales the memory system (one controller per
-    channel); the three switches attach observers that leave results
-    bit-identical.  The default instance is the single-channel system
+    The three switches attach observers that leave results
+    bit-identical.  The default instance is the unobserved system
     every artifact runs.
     """
 
-    channels: int = 1
     #: Attach the online DRAM protocol sanitizer
-    #: (:class:`repro.dram.sanitizer.ProtocolChecker`) to every
+    #: (:class:`repro.dram.sanitizer.ProtocolChecker`) to the
     #: controller.  Purely observational: results are bit-identical,
     #: but any protocol violation raises instead of going unnoticed.
     sanitize: bool = False
@@ -63,25 +58,10 @@ class SystemConfig:
     # ------------------------------------------------------------------
     def validate(self) -> "SystemConfig":
         """Raise ValueError on any unknown/inconsistent value."""
-        if not isinstance(self.channels, int) or self.channels < 1:
-            raise ValueError("channels must be a positive integer")
         for name in ("sanitize", "trace", "metrics"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool")
         return self
-
-    def apply_to(self, dram_config: "DramConfig") -> "DramConfig":
-        """Project this config onto a device config (channel count).
-
-        Mirrors the historical ``channels=N`` keyword: a non-default
-        ``channels`` overrides the device organization; the default of
-        1 leaves a caller-supplied multi-channel organization alone.
-        """
-        if self.channels != 1 and (
-            self.channels != dram_config.organization.channels
-        ):
-            dram_config = dram_config.with_organization(channels=self.channels)
-        return dram_config
 
     # ------------------------------------------------------------------
     # Identity & serialization
@@ -99,9 +79,9 @@ class SystemConfig:
         }
 
     def is_default(self) -> bool:
-        """Whether this is the default single-channel, unobserved system."""
+        """Whether this is the default, unobserved system."""
         return not self.to_dict()
 
 
-#: The default system: one channel, no sanitizer, trace or sampler.
+#: The default system: no sanitizer, trace or sampler.
 DEFAULT_SYSTEM = SystemConfig()

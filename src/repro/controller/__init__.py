@@ -6,13 +6,10 @@
 * :mod:`repro.controller.controller` — the event-driven controller
   that ties banks, the ABO protocol, refresh and mitigation policies
   together.
-* :mod:`repro.controller.memory_system` — the N-channel facade that
-  routes requests to per-channel controllers.
 * :mod:`repro.controller.stats` — latency/RFM bookkeeping.
 """
 
 from repro.controller.controller import MemoryController
-from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
 from repro.controller.scheduler import BankQueueScheduler
 from repro.controller.stats import ControllerStats, RfmRecord
@@ -22,6 +19,5 @@ __all__ = [
     "ControllerStats",
     "MemRequest",
     "MemoryController",
-    "MemorySystem",
     "RfmRecord",
 ]

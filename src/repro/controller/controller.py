@@ -61,6 +61,7 @@ from repro.dram.rank import Channel
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.sanitizer import ProtocolChecker
 from repro.obs import trace as obs_trace
+from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
 from repro.prac.abo import AboProtocol
 
@@ -75,7 +76,7 @@ _DECODE_CACHE_LIMIT = 4096
 
 
 class MemoryController:
-    """One channel's memory controller.
+    """The memory controller of the system's one DDR5 channel.
 
     Parameters
     ----------
@@ -90,11 +91,7 @@ class MemoryController:
     system:
         The declarative assembly spec (:class:`repro.config.SystemConfig`);
         this controller reads its observer switches (``sanitize``,
-        ``trace``).
-    mapping:
-        A ready-made :class:`~repro.dram.address.MopMapping` instance
-        (the multi-channel facade passes its shared mapping this way);
-        ``None`` builds one for ``config``.
+        ``trace``, ``metrics``) and attaches what they name.
     enable_abo:
         Whether the device asserts Alert at N_BO.
     enable_refresh:
@@ -102,10 +99,6 @@ class MemoryController:
         executed Feinting attack run without it).
     tref_per_trefi:
         Targeted-Refresh rate for the TPRAC co-design (Section 4.3).
-    recorder:
-        A ready-made :class:`~repro.obs.trace.TraceRecorder` instance,
-        overriding the one ``system.trace`` would create (the
-        multi-channel facade passes its shared recorder this way).
     """
 
     def __init__(
@@ -114,20 +107,15 @@ class MemoryController:
         config: DramConfig,
         policy: Optional[object] = None,
         system: Optional[SystemConfig] = None,
-        mapping: Optional[MopMapping] = None,
         enable_abo: bool = True,
         enable_refresh: bool = True,
         tref_per_trefi: float = 0.0,
-        channel_id: int = 0,
-        recorder: Optional[TraceRecorder] = None,
     ) -> None:
         system = (system if system is not None else DEFAULT_SYSTEM).validate()
         self.engine = engine
         self.config = config.validate()
-        self.system = system
-        self.channel_id = channel_id
-        self.channel = Channel(config, channel_id=channel_id)
-        self.mapping = mapping or MopMapping(config.organization)
+        self.channel = Channel(config)
+        self.mapping = MopMapping(config.organization)
         self.enable_abo = enable_abo
         self.stats = ControllerStats()
         self.scheduler = BankQueueScheduler(config.organization.banks_per_channel)
@@ -197,10 +185,8 @@ class MemoryController:
         self.sanitizer: Optional[ProtocolChecker] = (
             ProtocolChecker(self.config) if system.sanitize else None
         )
-        #: optional structured trace recorder (SystemConfig(trace=True));
-        #: the multi-channel facade passes one shared instance.
-        if recorder is None and system.trace:
-            recorder = TraceRecorder(self.config)
+        #: optional structured trace recorder (SystemConfig(trace=True))
+        recorder = TraceRecorder(self.config) if system.trace else None
         self.recorder: Optional[TraceRecorder] = recorder
         # The serve loop's single trace guard: one bound-method load and
         # one None check per command whether zero, one or more consumers
@@ -221,6 +207,15 @@ class MemoryController:
         if recorder is not None:
             self._register_trace_hooks(recorder)
 
+        #: optional periodic time-series sampler (SystemConfig(metrics=True)).
+        #: Armed last, after the refresh and policy timers, so its
+        #: events take the sequence numbers after theirs; with metrics
+        #: off the event schedule is untouched.
+        self.sampler: Optional[TimeSeriesSampler] = None
+        if system.metrics:
+            self.sampler = TimeSeriesSampler(self)
+            self.sampler.start()
+
     def _log(
         self,
         kind: CommandKind,
@@ -236,7 +231,7 @@ class MemoryController:
         if self.sanitizer is not None:
             self.sanitizer.observe_command(command)
         if self.recorder is not None:
-            self.recorder.observe_command(command, self.channel_id)
+            self.recorder.observe_command(command)
 
     def _register_trace_hooks(self, recorder: TraceRecorder) -> None:
         """Record lifecycle events as typed trace records.
@@ -247,26 +242,19 @@ class MemoryController:
         when a recorder is attached, so the trace-off path registers no
         callbacks.
         """
-        channel_id = self.channel_id
         self.abo.on_alert.append(
             lambda time, bank_id, row: recorder.record(
-                obs_trace.ALERT, time, channel=channel_id, bank=bank_id, row=row
+                obs_trace.ALERT, time, bank=bank_id, row=row
             )
         )
         self.abo.on_mitigated.append(
-            lambda time: recorder.record(
-                obs_trace.ALERT_DONE, time, channel=channel_id
-            )
+            lambda time: recorder.record(obs_trace.ALERT_DONE, time)
         )
         self.refresh.on_refw.append(
-            lambda time: recorder.record(
-                obs_trace.PRAC_RESET, time, channel=channel_id
-            )
+            lambda time: recorder.record(obs_trace.PRAC_RESET, time)
         )
         self.refresh.on_tref.append(
-            lambda time: recorder.record(
-                obs_trace.TREF_SLOT, time, channel=channel_id
-            )
+            lambda time: recorder.record(obs_trace.TREF_SLOT, time)
         )
         engine = self.engine
         for bank in self.channel:
@@ -274,7 +262,6 @@ class MemoryController:
                 lambda b, row, count: recorder.record(
                     obs_trace.PRAC_COUNTER,
                     engine.now,
-                    channel=channel_id,
                     bank=b.bank_id,
                     row=row,
                     detail={"count": count},

@@ -169,44 +169,3 @@ class ControllerStats:
             "p95": self.read_latency_percentile(0.95),
             "p99": self.read_latency_percentile(0.99),
         }
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def merged(cls, parts: Sequence["ControllerStats"]) -> "ControllerStats":
-        """Merge per-channel statistics into one aggregate view.
-
-        Counters sum; per-provenance counts merge by key;
-        RFM records interleave into global time order (stable within a
-        channel, so equal timestamps keep channel order).  The result is
-        a **snapshot**: it does not track the source objects afterwards.
-        A single part is returned as-is (the live object), which keeps
-        the single-channel path allocation-free and bit-identical.
-        """
-        parts = list(parts)
-        if not parts:
-            return cls()
-        if len(parts) == 1:
-            return parts[0]
-        out = cls()
-        for part in parts:
-            out.requests_served += part.requests_served
-            out.reads += part.reads
-            out.writes += part.writes
-            out.row_hits += part.row_hits
-            out.row_misses += part.row_misses
-            out.row_conflicts += part.row_conflicts
-            out.total_latency += part.total_latency
-            out.mitigated_row_total += part.mitigated_row_total
-            for provenance, count in part.rfm_counts.items():
-                out.rfm_counts[provenance] = (
-                    out.rfm_counts.get(provenance, 0) + count
-                )
-            for index, count in enumerate(part.read_latency_bucket_counts):
-                out.read_latency_bucket_counts[index] += count
-            if part.read_latency_max > out.read_latency_max:
-                out.read_latency_max = part.read_latency_max
-        out.rfm_records = sorted(
-            (r for part in parts for r in part.rfm_records),
-            key=lambda r: r.time,
-        )
-        return out

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Engine
 
     class MemoryTarget(Protocol):
-        """Anything that accepts memory requests (controller or facade)."""
+        """Anything that accepts memory requests (the controller)."""
 
         def enqueue(self, request: MemRequest) -> None: ...
 
@@ -51,10 +51,9 @@ class TraceCore:
         core_id: int,
     ) -> None:
         self.engine = engine
-        #: request sink: a bare :class:`MemoryController` or the
-        #: multi-channel :class:`~repro.controller.memory_system.MemorySystem`
-        #: facade — the core only calls ``enqueue`` and lets the memory
-        #: side route by physical address.
+        #: request sink: the system's
+        #: :class:`~repro.controller.controller.MemoryController`; the
+        #: core only calls ``enqueue``.
         self.memory = memory
         self.core_id = core_id
         #: the trace and the index of the next record to consume

@@ -1,24 +1,20 @@
-"""Multicore system wiring: cores + the memory system.
+"""Multicore system wiring: cores + the memory controller.
 
 This is the reproduction's ChampSim stand-in.  A :class:`System`
-builds N trace-driven cores sharing a :class:`MemorySystem` — one
-memory controller per configured DDR5 channel, with requests routed by
-channel-interleaved physical address — runs each core through its
-trace once and reports per-core IPCs, from which the experiments
-derive normalized performance.
-
-With the default single-channel organization the memory system is a
-zero-overhead alias for one controller and results are bit-for-bit
-identical to the historical one-controller wiring.
+builds N trace-driven cores sharing the one
+:class:`~repro.controller.controller.MemoryController` of the paper's
+single DDR5 channel, runs each core through its trace once and reports
+per-core IPCs, from which the experiments derive normalized
+performance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.controller.memory_system import MemorySystem
+from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import TraceRecord
@@ -29,21 +25,8 @@ MAX_EVENTS = 50_000_000
 
 
 @dataclass
-class ChannelResult:
-    """Per-channel slice of one system run."""
-
-    channel: int
-    requests: int
-    rfms: int
-    row_hit_rate: float
-    mean_latency_ns: float
-    activations: int
-    refreshes: int
-
-
-@dataclass
 class SystemResult:
-    """Outcome of one system run (aggregated across channels)."""
+    """Outcome of one system run."""
 
     ipcs: List[float]
     elapsed_ns: float
@@ -56,7 +39,6 @@ class SystemResult:
     refreshes: int = 0
     reads: int = 0
     writes: int = 0
-    per_channel: List[ChannelResult] = field(default_factory=list)
 
     @property
     def total_ipc(self) -> float:
@@ -64,14 +46,13 @@ class SystemResult:
 
 
 class System:
-    """N cores + a per-channel memory controller fleet on a shared engine."""
+    """N cores + one memory controller on a shared engine."""
 
     def __init__(
         self,
         traces: Sequence[List[TraceRecord]],
         config: Optional[DramConfig] = None,
         policy: Optional[object] = None,
-        policy_factory: Optional[Callable[..., object]] = None,
         enable_abo: bool = True,
         tref_per_trefi: float = 0.0,
         system: Optional[SystemConfig] = None,
@@ -80,21 +61,17 @@ class System:
             raise ValueError("need at least one trace")
         self.engine = Engine()
         self.config = config or ddr5_8000b()
-        self.memory = MemorySystem(
+        self.controller = MemoryController(
             self.engine,
             self.config,
             policy=policy,
-            policy_factory=policy_factory,
             enable_abo=enable_abo,
             tref_per_trefi=tref_per_trefi,
             system=system,
         )
-        # The memory system may have projected the declarative system
-        # (channel count) onto the device config; adopt its view.
-        self.config = self.memory.config
         self.cores: List[TraceCore] = []
         for core_id, trace in enumerate(traces):
-            core = TraceCore(self.engine, self.memory, trace, core_id)
+            core = TraceCore(self.engine, self.controller, trace, core_id)
             core.on_finish = self._core_finished
             self.cores.append(core)
         self._unfinished = len(self.cores)
@@ -123,44 +100,23 @@ class System:
 
     # ------------------------------------------------------------------
     def _gather_result(self) -> SystemResult:
-        """Aggregate per-channel controller state into one result.
-
-        Single-channel sums degenerate to the lone controller's values,
-        keeping historical outputs bit-identical.
-        """
-        memory = self.memory
-        merged = memory.stats  # live object at 1 channel, merged snapshot at N
+        """Read the run's results off the cores and the controller."""
+        controller = self.controller
+        stats = controller.stats
         provenance_counts: Dict[str, int] = {}
-        for record in merged.rfm_records:
+        for record in stats.rfm_records:
             key = record.provenance.value
             provenance_counts[key] = provenance_counts.get(key, 0) + 1
-        per_channel: List[ChannelResult] = []
-        for controller in memory.controllers:
-            stats = controller.stats
-            per_channel.append(
-                ChannelResult(
-                    channel=controller.channel_id,
-                    requests=stats.requests_served,
-                    rfms=len(stats.rfm_records),
-                    row_hit_rate=stats.row_hit_rate,
-                    mean_latency_ns=stats.mean_latency,
-                    activations=sum(
-                        b.stats.activations for b in controller.channel
-                    ),
-                    refreshes=controller.refresh.refresh_count,
-                )
-            )
         return SystemResult(
             ipcs=[core.ipc for core in self.cores],
             elapsed_ns=self.engine.now,
-            dram_requests=merged.requests_served,
-            rfm_total=len(merged.rfm_records),
+            dram_requests=stats.requests_served,
+            rfm_total=len(stats.rfm_records),
             rfm_by_provenance=provenance_counts,
-            row_hit_rate=merged.row_hit_rate,
-            mean_latency_ns=merged.mean_latency,
-            activations=sum(c.activations for c in per_channel),
-            refreshes=memory.refresh_count,
-            reads=merged.reads,
-            writes=merged.writes,
-            per_channel=per_channel,
+            row_hit_rate=stats.row_hit_rate,
+            mean_latency_ns=stats.mean_latency,
+            activations=sum(b.stats.activations for b in controller.channel),
+            refreshes=controller.refresh.refresh_count,
+            reads=stats.reads,
+            writes=stats.writes,
         )

@@ -28,7 +28,6 @@ class DramAddress(NamedTuple):
     immutability, equality, hashing and field ordering semantics.
     """
 
-    channel: int
     rank: int
     bank_group: int
     bank: int
@@ -45,17 +44,13 @@ class DramAddress(NamedTuple):
 class MopMapping:
     """Minimalist Open Page mapping.
 
-    Consecutive cache lines first stripe across channels, then group
-    into MOP blocks of :data:`MOP_WIDTH` lines that stay in the same
-    row/bank; successive blocks rotate across banks, then ranks, then
-    advance the row.  The channel bits sit **below** the MOP block so
-    every channel receives an equal share of each block's lines, and
-    consecutive cache lines stripe across all channels.  With
-    ``channels == 1`` the channel field contributes no bits.  Bit layout
+    Consecutive cache lines group into MOP blocks of :data:`MOP_WIDTH`
+    lines that stay in the same row/bank; successive blocks rotate
+    across banks, then ranks, then advance the row.  Bit layout
     (LSB -> MSB)::
 
-        offset : channel : mop_block(column low) : bank : bank_group :
-        rank : column_high : row
+        offset : mop_block(column low) : bank : bank_group : rank :
+        column_high : row
     """
 
     def __init__(self, org: DramOrganization) -> None:
@@ -68,7 +63,7 @@ class MopMapping:
         # decode's field sizes, LSB first, read from the organization
         # once (columns_per_row is a property).
         self._radices = (
-            org.cacheline_bytes, org.channels, MOP_WIDTH, org.banks_per_group,
+            org.cacheline_bytes, MOP_WIDTH, org.banks_per_group,
             org.bank_groups, org.ranks, org.columns_per_row // MOP_WIDTH,
             org.rows_per_bank,
         )
@@ -77,11 +72,9 @@ class MopMapping:
         """Map a byte physical address to a DRAM coordinate."""
         # A direct div/mod chain, without temporary lists or tuples:
         # this runs once per DRAM request.
-        (line_bytes, channels, mop_width, banks_per_group, bank_groups,
-         ranks, col_blocks, rows_per_bank) = self._radices
+        (line_bytes, mop_width, banks_per_group, bank_groups, ranks,
+         col_blocks, rows_per_bank) = self._radices
         line = phys_addr // line_bytes
-        channel = line % channels
-        line //= channels
         col_low = line % mop_width
         line //= mop_width
         bank = line % banks_per_group
@@ -93,7 +86,7 @@ class MopMapping:
         col_high = line % col_blocks
         row = line // col_blocks
         return DramAddress(
-            channel, rank, bank_group, bank, row % rows_per_bank,
+            rank, bank_group, bank, row % rows_per_bank,
             col_high * mop_width + col_low,
         )
 
@@ -107,13 +100,4 @@ class MopMapping:
         line = line * org.bank_groups + addr.bank_group
         line = line * org.banks_per_group + addr.bank
         line = line * MOP_WIDTH + col_low
-        line = line * org.channels + addr.channel
         return line * org.cacheline_bytes
-
-    def channel_of(self, phys_addr: int) -> int:
-        """Channel index alone — the request-routing fast path.
-
-        The channel bits sit directly above the line offset, so routing
-        needs one divmod rather than a full decode.
-        """
-        return (phys_addr // self.org.cacheline_bytes) % self.org.channels

@@ -36,12 +36,9 @@ class DramTiming:
     tRC: float = 52.0           # ACT -> ACT, same bank (tRAS + tRP)
     tBL: float = 2.0            # burst of 16 at 8 Gbps: 16/8000MT * 1000
     tCCD: float = 2.0           # column-to-column, same bank group
-    tRRD: float = 2.0           # ACT -> ACT, different banks
-    tFAW: float = 10.0          # four-activate window
     tRFC: float = 410.0         # refresh cycle time (all-bank REFab)
     tREFI: float = 3900.0       # refresh interval
     tREFW: float = 32_000_000.0  # refresh window (32 ms)
-    tWTR: float = 5.0           # write-to-read turnaround
     tABOACT: float = 180.0      # max time from Alert to RFM (<= 3 ACTs)
     tRFMab: float = 350.0       # all-bank RFM blocking time
     tRFMpb: float = 130.0       # per-bank RFM blocking time (7.2 extension)
@@ -55,8 +52,8 @@ class DramTiming:
             )
         for name in (
             "tCK", "tRCD", "tCL", "tRAS", "tRP", "tRTP", "tWR", "tRC",
-            "tBL", "tCCD", "tRRD", "tFAW", "tRFC", "tREFI", "tREFW",
-            "tWTR", "tABOACT", "tRFMab", "tRFMpb",
+            "tBL", "tCCD", "tRFC", "tREFI", "tREFW", "tABOACT", "tRFMab",
+            "tRFMpb",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -66,16 +63,10 @@ class DramTiming:
 
 @dataclass(frozen=True)
 class DramOrganization:
-    """Physical organization of the memory system.
+    """Physical organization of the memory system: the paper's one
+    DDR5 channel, with its own memory controller, data bus, refresh
+    machinery and PRAC/ABO state."""
 
-    ``channels`` counts independent DDR5 channels, each with its own
-    memory controller, data bus, refresh machinery and PRAC/ABO state
-    (see :class:`repro.controller.memory_system.MemorySystem`).  All
-    remaining fields describe **one** channel; capacity scales with the
-    channel count.
-    """
-
-    channels: int = 1
     ranks: int = 4
     bank_groups: int = 8
     banks_per_group: int = 4
@@ -89,12 +80,8 @@ class DramOrganization:
 
     @property
     def banks_per_channel(self) -> int:
-        """Banks owned by one channel's controller (rank-major flat index)."""
+        """Banks owned by the channel's controller (rank-major flat index)."""
         return self.ranks * self.banks_per_rank
-
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.ranks * self.banks_per_rank
 
     @property
     def columns_per_row(self) -> int:
@@ -104,7 +91,7 @@ class DramOrganization:
     def validate(self) -> None:
         """Raise ValueError on inconsistent parameters; returns self where chained."""
         for name in (
-            "channels", "ranks", "bank_groups", "banks_per_group",
+            "ranks", "bank_groups", "banks_per_group",
             "rows_per_bank", "row_size_bytes", "cacheline_bytes",
         ):
             if getattr(self, name) <= 0:
@@ -163,14 +150,6 @@ class DramConfig:
         """Return a copy with PRAC parameters overridden."""
         return replace(self, prac=replace(self.prac, **overrides))
 
-    def with_timing(self, **overrides: Any) -> "DramConfig":
-        """Return a copy with timing parameters overridden."""
-        return replace(self, timing=replace(self.timing, **overrides))
-
-    def with_organization(self, **overrides: Any) -> "DramConfig":
-        """Return a copy with organization parameters overridden."""
-        return replace(self, organization=replace(self.organization, **overrides))
-
 
 def ddr5_8000b() -> DramConfig:
     """The paper's evaluated device: 32 Gb DDR5-8000B (Table 3)."""
@@ -188,7 +167,6 @@ def ddr5_4800() -> DramConfig:
         tCK=1.0 / 2.4,
         tBL=16 / 4.8,
         tCCD=16 / 4.8,
-        tRRD=16 / 4.8,
     )
     return DramConfig(timing=timing).validate()
 

@@ -3,10 +3,8 @@
 The :class:`Channel` owns one channel's flat bank array, its shared
 data bus and the channel-wide blocking window that REF and RFMab
 commands impose — that blocking window *is* the paper's timing
-channel.  A multi-channel system instantiates one :class:`Channel`
-(inside one :class:`~repro.controller.controller.MemoryController`)
-per ``DramOrganization.channels``; blocking, refresh and PRAC state
-never cross channels.
+channel.  The system's one
+:class:`~repro.controller.controller.MemoryController` owns it.
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ from repro.dram.config import DramConfig
 class Channel:
     """One DDR5 channel: banks plus channel-global timing state."""
 
-    def __init__(self, config: DramConfig, channel_id: int = 0) -> None:
+    def __init__(self, config: DramConfig) -> None:
         self.config = config
-        self.channel_id = channel_id
         #: flat ids of banks with an open row (kept exact by Bank)
         self.open_banks: Set[int] = set()
         #: flat ids of banks activated since the last RFMab burst reset

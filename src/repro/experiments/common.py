@@ -50,14 +50,14 @@ def build_system(
     ``point.design`` is any mitigation registry name
     (:func:`repro.mitigations.available`) or ``tprac_noreset`` (TPRAC
     without the tREFW counter reset).  N_BO is ``point.nrh``; the
-    policies, one per channel, come from
-    :func:`repro.mitigations.policy_factory`, which derives TB-Window
-    or BAT from the device and seeds ``obfuscation`` from ``seed``.
-    ``none`` is the paper's normalization baseline: PRAC timings
-    without ABO.  ``system`` (:class:`repro.config.SystemConfig`)
-    carries the channel count and the sanitizer/trace/metrics
-    switches, as campaign perf trials pass them; the default builds
-    the single-channel system every artifact runs.
+    policy comes from :func:`repro.mitigations.policy_factory`, which
+    derives TB-Window or BAT from the device and seeds ``obfuscation``
+    from ``seed``.  ``none`` is the paper's normalization baseline:
+    PRAC timings without ABO.  ``system``
+    (:class:`repro.config.SystemConfig`) carries the
+    sanitizer/trace/metrics switches, as campaign perf trials pass
+    them; the default builds the unobserved system every artifact
+    runs.
     """
     config = config or ddr5_8000b()
     with_reset = point.design != "tprac_noreset"
@@ -65,12 +65,10 @@ def build_system(
     config = config.with_prac(
         nbo=point.nrh, prac_level=point.prac_level, reset_on_refresh=with_reset
     )
-    if system is not None:
-        config = system.apply_to(config)
     return System(
         traces,
         config=config,
-        policy_factory=policy_factory(name, config, seed=seed),
+        policy=policy_factory(name, config, seed=seed),
         enable_abo=name != "none",
         tref_per_trefi=point.tref_per_trefi,
         system=system,

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional
 from repro.attacks.probes import (
     SPIKE_THRESHOLD_NS,
     LatencyProbe,
+    ProbeResult,
     RowHammerSender,
-    is_rfm_spike,
 )
 from repro.controller.controller import MemoryController
 from repro.core.engine import Engine
@@ -37,13 +37,8 @@ class LatencyTimeline:
     def mean_spike_latency(self, config: Optional[DramConfig] = None) -> float:
         """Mean latency of RFM-attributable spikes (paper's 545/976/1669)."""
         config = config or ddr5_8000b()
-        normal = sorted(lat for lat in self.latencies if lat <= SPIKE_THRESHOLD_NS)
-        baseline = normal[len(normal) // 2] if normal else 0.0
-        spikes = [
-            lat
-            for t, lat in zip(self.times, self.latencies)
-            if is_rfm_spike(lat, t, config.timing, baseline_ns=baseline)
-        ]
+        probe = ProbeResult(self.times, self.latencies)
+        spikes = [lat for _, lat in probe.rfm_spikes(config.timing)]
         if not spikes:
             return 0.0
         return sum(spikes) / len(spikes)

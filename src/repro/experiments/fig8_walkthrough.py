@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.attacks.probes import bank_address
+from repro.attacks.probes import bank_address, chain_cadence_ns
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -66,11 +66,7 @@ def run(nbo: int = 100, acts_per_window: int = 40, epochs: int = 4) -> Fig8Resul
     )
     # The dependent-chain attacker activates every ~70 ns; pick the
     # window so about `acts_per_window` activations fit.
-    chain_ns = (
-        config.timing.tRCD + config.timing.tCL + config.timing.tBL
-        + config.timing.tRP
-    )
-    window = acts_per_window * chain_ns
+    window = acts_per_window * chain_cadence_ns(config.timing)
     engine = Engine()
     policy = make_policy("tprac", tb_window=window)
     controller = MemoryController(engine, config, policy=policy, enable_refresh=False)

@@ -56,10 +56,10 @@ def run(
             traces = homogeneous_traces(name, cores=4, num_accesses=requests)
             base_sys = build_system(DesignPoint(design="none", nrh=nrh), traces)
             base_sys.run()
-            base_energy = model.from_memory_system(base_sys.memory)
+            base_energy = model.from_controller(base_sys.controller)
             tprac_sys = build_system(DesignPoint(design="tprac", nrh=nrh), traces)
             tprac_sys.run()
-            tprac_energy = model.from_memory_system(tprac_sys.memory)
+            tprac_energy = model.from_controller(tprac_sys.controller)
             overhead = tprac_energy.overhead_vs(base_energy)
             mitigation_pcts.append(overhead.mitigation_pct)
             non_mitigation_pcts.append(overhead.non_mitigation_pct)

@@ -17,7 +17,7 @@
 
 :func:`make_policy` builds a policy by name from explicit parameters;
 :func:`policy_factory` derives the device-dependent ones (TB-Window,
-BAT, per-channel seed) and is what every system builder uses.
+BAT) and is what every path that assembles a system uses.
 """
 
 from repro.mitigations.base import MitigationPolicy, NoMitigationPolicy
@@ -94,19 +94,15 @@ def make_policy(name: str, **kwargs: Any) -> MitigationPolicy:
 
 def policy_factory(
     name: str, config: "DramConfig", seed: int = 0
-) -> Callable[..., MitigationPolicy]:
-    """A per-channel factory for the policy ``name`` on ``config``.
+) -> MitigationPolicy:
+    """A fresh policy ``name`` for one controller on ``config``.
 
     The device-dependent parameters are derived here, once per call,
     from ``config.prac``: TPRAC's and RFMpb's TB-Window is the longest
     window whose Feinting worst case stays below N_BO (Equation 1,
     honouring ``reset_on_refresh``), and ACB-RFM's BAT is
-    :meth:`AcbRfmPolicy.bat_for_threshold` of N_BO.  The returned
-    callable takes ``channel_id`` (default 0), as
-    :class:`~repro.controller.memory_system.MemorySystem` passes it,
-    and builds a fresh policy per call; ``obfuscation`` on channel
-    ``c`` is seeded ``seed + 100_003 * c``, so channel 0 keeps the bare
-    seed and the channels inject independent noise.
+    :meth:`AcbRfmPolicy.bat_for_threshold` of N_BO.  ``obfuscation``
+    is seeded with ``seed``.
     """
     factory = get(name)
     params: Dict[str, Any] = {}
@@ -120,10 +116,6 @@ def policy_factory(
         )
     elif name == "abo_acb":
         params["bat"] = AcbRfmPolicy.bat_for_threshold(config.prac.nbo)
-
-    def make(channel_id: int = 0) -> MitigationPolicy:
-        if name == "obfuscation":
-            return factory(seed=seed + 100_003 * channel_id)
-        return factory(**params)
-
-    return make
+    elif name == "obfuscation":
+        params["seed"] = seed
+    return factory(**params)

@@ -19,14 +19,13 @@ The controller-side cost is a single 24-bit RFM Interval Register
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.dram.commands import RfmProvenance
 from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.controller import MemoryController
-    from repro.core.engine import EventHandle
 
 
 class TpracPolicy(MitigationPolicy):
@@ -44,7 +43,6 @@ class TpracPolicy(MitigationPolicy):
         self.tb_rfms_issued = 0
         self.tb_rfms_skipped = 0   # skipped thanks to a TREF in-window
         self._tref_in_window = False
-        self._timer_event: Optional["EventHandle"] = None
 
     # ------------------------------------------------------------------
     def on_attached(self, controller: "MemoryController") -> None:
@@ -52,7 +50,7 @@ class TpracPolicy(MitigationPolicy):
 
     def _arm_timer(self, controller: "MemoryController") -> None:
         engine = controller.engine
-        self._timer_event = engine.schedule(
+        engine.schedule(
             engine.now + self.tb_window, lambda: self._tb_fire(controller), -1,
             "tb-rfm",
         )

@@ -1,7 +1,7 @@
 """Persisting a run's telemetry next to its results.
 
 :func:`export_system_telemetry` writes whatever observability a
-:class:`~repro.controller.memory_system.MemorySystem` collected —
+:class:`~repro.controller.controller.MemoryController` collected —
 the structured trace (JSONL + Chrome ``trace_event``) and/or the
 metrics document (the run's counts, sampler time series, latency
 percentiles) — into a directory using the atomic writers, and returns
@@ -22,7 +22,7 @@ from repro.dram.commands import RfmProvenance
 from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.controller.memory_system import MemorySystem
+    from repro.controller.controller import MemoryController
 
 PathLike = Union[str, Path]
 
@@ -32,50 +32,45 @@ TRACE_CHROME = "trace-{stem}.chrome.json"
 METRICS_JSON = "metrics-{stem}.json"
 
 
-def run_counters(memory: "MemorySystem") -> Dict[str, float]:
-    """The run's event counts, summed over channels, sorted by name.
+def run_counters(controller: "MemoryController") -> Dict[str, float]:
+    """The run's event counts, sorted by name.
 
     ``rfm.<provenance>`` and ``mitigation.rows`` cover every RFM the
-    controllers' statistics recorded, all-bank and per-bank (RFMpb)
+    controller's statistics recorded, all-bank and per-bank (RFMpb)
     alike.  ``policy.mitigations`` appears only when a mitigation
     policy is attached.
     """
-    controllers = memory.controllers
+    stats = controller.stats
+    refresh = controller.refresh
     counts: Dict[str, int] = {
-        "abo.alerts": sum(c.abo.alert_count for c in controllers),
-        "dram.refab": sum(c.refresh.refresh_count for c in controllers),
-        "dram.tref": sum(c.refresh.tref_count for c in controllers),
-        "prac.counter_resets": sum(c.refresh.counter_resets for c in controllers),
-        "mitigation.rows": sum(c.stats.mitigated_row_total for c in controllers),
+        "abo.alerts": controller.abo.alert_count,
+        "dram.refab": refresh.refresh_count,
+        "dram.tref": refresh.tref_count,
+        "prac.counter_resets": refresh.counter_resets,
+        "mitigation.rows": stats.mitigated_row_total,
     }
     for provenance in RfmProvenance:
-        counts[f"rfm.{provenance.value}"] = sum(
-            c.stats.rfm_count(provenance) for c in controllers
-        )
-    policies = [
-        c.policy for c in controllers if isinstance(c.policy, MitigationPolicy)
-    ]
-    if policies:
-        counts["policy.mitigations"] = sum(
-            p.mitigations_performed for p in policies
-        )
+        counts[f"rfm.{provenance.value}"] = stats.rfm_count(provenance)
+    policy = controller.policy
+    if isinstance(policy, MitigationPolicy):
+        counts["policy.mitigations"] = policy.mitigations_performed
     return {name: float(counts[name]) for name in sorted(counts)}
 
 
 def export_system_telemetry(
-    memory: "MemorySystem",
+    controller: "MemoryController",
     directory: PathLike,
     stem: str,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Path]:
-    """Write the memory system's collected telemetry into ``directory``.
+    """Write the controller's collected telemetry into ``directory``.
 
     Returns ``{"trace_jsonl": ..., "trace_chrome": ..., "metrics": ...}``
     containing only the artifacts that were actually enabled.
     """
     out_dir = Path(directory)
     written: Dict[str, Path] = {}
-    recorder = memory.recorder
+    recorder = controller.recorder
     if recorder is not None:
         written["trace_jsonl"] = Path(
             recorder.export_jsonl(out_dir / TRACE_JSONL.format(stem=stem), meta=meta)
@@ -85,7 +80,7 @@ def export_system_telemetry(
                 out_dir / TRACE_CHROME.format(stem=stem), label=stem
             )
         )
-    sampler = memory.sampler
+    sampler = controller.sampler
     if sampler is not None:
         # Closing sample: captures the tail window (and guarantees at
         # least one sample on runs shorter than the interval).  Rates in
@@ -94,13 +89,12 @@ def export_system_telemetry(
         sampler.sample()
         extra: Dict[str, Any] = {
             "registry": {
-                "counters": run_counters(memory),
+                "counters": run_counters(controller),
                 "gauges": {},
                 "histograms": {},
             }
         }
-        stats = memory.stats
-        extra["latency_percentiles_ns"] = stats.latency_percentiles()
+        extra["latency_percentiles_ns"] = controller.stats.latency_percentiles()
         if meta:
             extra["meta"] = dict(meta)
         written["metrics"] = Path(

@@ -6,11 +6,11 @@ A :class:`TimeSeriesSampler` rides the engine's event queue
 perf trial's ``metrics-*.json`` file carries
 (:func:`repro.obs.export.export_system_telemetry`):
 
-* ``queue_depth`` — requests waiting across all channel schedulers
+* ``queue_depth`` — requests waiting in the controller's scheduler
   (instantaneous);
 * ``row_hit_rate`` — hits / requests completed inside the window;
 * ``bus_occupancy`` — fraction of the window the data bus was busy
-  (completed requests × tBL / (channels × window));
+  (completed requests × tBL / window);
 * ``alerts_per_s`` — ABO alerts inside the window, per simulated
   second;
 * ``events_per_wall_s`` — engine events per *wall-clock* second since
@@ -18,8 +18,9 @@ perf trial's ``metrics-*.json`` file carries
   read in the series, and explicitly advisory — it never enters result
   payloads compared for identity).
 
-The sampler is attached only when ``SystemConfig(metrics=True)``: with
-metrics off, no sampler exists and the event schedule is untouched.
+The controller attaches the sampler only when
+``SystemConfig(metrics=True)``: with metrics off, no sampler exists and
+the event schedule is untouched.
 Export takes one closing sample, so a run shorter than one interval
 holds only that; the periodic samples need a run of at least
 ``interval_ns`` (a perf trial at ``requests_per_core=5000`` lasts about
@@ -32,7 +33,7 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.controller.memory_system import MemorySystem
+    from repro.controller.controller import MemoryController
     from repro.core.engine import RepeatingTimer
 
 #: metrics-series schema tag (file format identity for readers)
@@ -44,15 +45,17 @@ DEFAULT_INTERVAL_NS = 10_000.0
 
 
 class TimeSeriesSampler:
-    """Windowed metric series over one :class:`MemorySystem` run."""
+    """Windowed metric series over one :class:`MemoryController` run."""
 
     def __init__(
-        self, memory: "MemorySystem", interval_ns: float = DEFAULT_INTERVAL_NS
+        self,
+        controller: "MemoryController",
+        interval_ns: float = DEFAULT_INTERVAL_NS,
     ) -> None:
         if interval_ns <= 0:
             raise ValueError(f"interval_ns must be positive, got {interval_ns}")
-        self.memory = memory
-        self.engine = memory.engine
+        self.controller = controller
+        self.engine = controller.engine
         self.interval_ns = interval_ns
         self.series: Dict[str, List[float]] = {
             "t": [],
@@ -69,7 +72,7 @@ class TimeSeriesSampler:
         self._last_alerts = 0
         self._last_events = 0
         self._last_wall = time.perf_counter()
-        self._tBL = memory.config.timing.tBL
+        self._tBL = controller.config.timing.tBL
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -83,18 +86,12 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------
     def sample(self) -> None:
         """Take one sample now (normally driven by the timer)."""
-        memory = self.memory
-        controllers = memory.controllers
-        requests = 0
-        hits = 0
-        alerts = 0
-        depth = 0
-        for controller in controllers:
-            stats = controller.stats
-            requests += stats.requests_served
-            hits += stats.row_hits
-            alerts += controller.abo.alert_count
-            depth += controller.scheduler.pending()
+        controller = self.controller
+        stats = controller.stats
+        requests = stats.requests_served
+        hits = stats.row_hits
+        alerts = controller.abo.alert_count
+        depth = controller.scheduler.pending()
         d_requests = requests - self._last_requests
         d_hits = hits - self._last_hits
         d_alerts = alerts - self._last_alerts
@@ -108,9 +105,7 @@ class TimeSeriesSampler:
         series["t"].append(self.engine.now)
         series["queue_depth"].append(float(depth))
         series["row_hit_rate"].append(d_hits / d_requests if d_requests else 0.0)
-        series["bus_occupancy"].append(
-            d_requests * self._tBL / (len(controllers) * window_ns)
-        )
+        series["bus_occupancy"].append(d_requests * self._tBL / window_ns)
         series["alerts_per_s"].append(d_alerts / (window_ns * 1e-9))
         series["events_per_wall_s"].append(d_events / d_wall if d_wall > 0 else 0.0)
 

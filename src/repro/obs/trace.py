@@ -112,12 +112,8 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records from one or more channels.
-
-    One recorder is shared by every controller of a
-    :class:`~repro.controller.memory_system.MemorySystem` (events carry
-    their channel id), so a single export covers the whole system.
-    """
+    """Collects the :class:`TraceEvent` records of one controller's
+    channel; every event it records has ``channel`` 0."""
 
     def __init__(self, config: DramConfig) -> None:
         self.config = config
@@ -142,15 +138,14 @@ class TraceRecorder:
         kind: str,
         ts: float,
         dur: float = 0.0,
-        channel: int = 0,
         bank: int = -1,
         row: int = -1,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Append one event built from scalars (lifecycle call sites)."""
-        self.events.append(TraceEvent(kind, ts, dur, channel, bank, row, detail))
+        self.events.append(TraceEvent(kind, ts, dur, 0, bank, row, detail))
 
-    def observe_command(self, command: Command, channel: int) -> None:
+    def observe_command(self, command: Command) -> None:
         """Record one served command (controller ``_log`` forwarding)."""
         detail = None
         if command.provenance is not None:
@@ -160,7 +155,7 @@ class TraceRecorder:
                 command.kind.value,
                 command.issue_time,
                 self._durations[command.kind],
-                channel,
+                0,
                 command.bank_id,
                 command.row,
                 detail,

@@ -45,7 +45,6 @@ class AboProtocol:
         self.channel = channel
         self._clock = clock
         self.state = AboState.IDLE
-        self.alert_time: Optional[float] = None
         self.alerting_bank: Optional[int] = None
         self.alerting_row: Optional[int] = None
         self.grace_acts_left = 0
@@ -64,7 +63,6 @@ class AboProtocol:
         #: fired when the controller reports the RFM burst done and the
         #: protocol leaves ALERTED: f(time)
         self.on_mitigated: List[Callable[[float], None]] = []
-        self._pending_alert_time: Optional[float] = None
         for bank in channel:
             bank.on_activate(self._observe_activation)
 

@@ -17,7 +17,7 @@ def test_from_counts_component_accounting(model):
         elapsed_ns=1000.0,
     )
     p = model.params
-    banks = model.config.organization.total_banks
+    banks = model.config.organization.banks_per_channel
     assert breakdown.activation_pj == pytest.approx(100 * p.act_pre_pj)
     assert breakdown.column_pj == pytest.approx(50 * p.rd_pj + 50 * p.wr_pj)
     assert breakdown.refresh_pj == pytest.approx(2 * banks * p.ref_per_bank_pj)

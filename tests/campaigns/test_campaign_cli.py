@@ -95,6 +95,7 @@ def test_campaign_removed_axis_errors_before_running(tmp_path, capsys):
         ("scheduler=fcfs", "grid axis 'scheduler' was removed"),
         ("mapping=linear", "grid axis 'mapping' was removed"),
         ("refresh=staggered", "grid axis 'refresh' was removed"),
+        ("channels=2", "grid axis 'channels' was removed"),
     ],
 )
 def test_campaign_removed_cache_spellings_error_before_running(
@@ -132,14 +133,18 @@ def test_campaign_unsupported_attack_mitigation_pair_errors_before_running(
         ["attack=feinting", "mitigation=tprac", "workload=433.milc"],
         ["attack=feinting", "mitigation=tprac", "dram=ddr5_4800"],
         ["attack=feinting", "mitigation=tprac", "prac_level=4"],
+        ["attack=covert_activity", "noise_accesses=50"],
+        ["attack=covert_count", "workload=433.milc", "noise_accesses=0"],
     ],
 )
 def test_campaign_axis_the_trial_never_reads_errors_before_running(
     tmp_path, capsys, grid
 ):
-    # The AES trial runs no background workload and the Feinting trial
-    # runs on its own device: such an axis would only rename one
-    # simulation, so it fails at expansion, exit 2, nothing written.
+    # The AES trial runs no background workload, the Feinting trial
+    # runs on its own device, and a covert trial without a workload (or
+    # with no noise requests) runs no noise: such an axis would only
+    # rename one simulation, so it fails at expansion, exit 2, nothing
+    # written.
     out_dir = tmp_path / "camp"
     code = main(["campaign", "--grid", *grid, "--trials", "1", "--out", str(out_dir)])
     assert code == 2

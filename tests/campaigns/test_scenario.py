@@ -85,44 +85,19 @@ def test_every_attack_kind_is_a_valid_axis_value():
 
 
 # ----------------------------------------------------------------------
-# channels axis
+# The removed channels axis
 # ----------------------------------------------------------------------
-def test_channels_axis_flows_into_dram_config_and_label():
-    scenario = Scenario(attack="perf", workload="433.milc", channels=4)
-    assert scenario.dram_config().organization.channels == 4
-    assert "4ch" in scenario.label
-    rebuilt = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
-    assert rebuilt == scenario
-
-
 def test_single_channel_spec_dict_is_hash_backward_compatible():
-    """channels=1 must not appear in to_dict(): persisted campaign
-    results from before the multi-channel axis keep their content-hash
-    identity (and stay resumable)."""
+    """The memory system is the paper's one channel: ``channels`` never
+    appears in a spec dict, so persisted campaign results keep their
+    content-hash identity (and stay resumable), and a spec that still
+    names it is rejected."""
     scenario = Scenario(attack="selftest", nbo=64)
     assert "channels" not in scenario.to_dict()
-    assert scenario.channels == 1
-    # and a multi-channel scenario hashes differently
-    perf = Scenario(attack="perf", workload="433.milc", nbo=64)
-    assert (
-        Scenario(
-            attack="perf", workload="433.milc", nbo=64, channels=2
-        ).scenario_id
-        != perf.scenario_id
-    )
-
-
-@pytest.mark.parametrize("bad", [0, -1, 2.5])
-def test_validate_rejects_bad_channel_counts(bad):
-    with pytest.raises(ValueError, match="channels"):
-        Scenario(attack="perf", workload="433.milc", channels=bad).validate()
-
-
-def test_multi_channel_is_perf_only():
-    """Attack harnesses drive one controller; channels>1 elsewhere
-    would mislabel single-channel results as multi-channel."""
-    with pytest.raises(ValueError, match="perf"):
-        Scenario(attack="covert_activity", channels=2).validate()
+    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    spec = dict(scenario.to_dict(), channels=2)
+    with pytest.raises(ValueError, match="unknown scenario keys"):
+        Scenario.from_dict(spec)
 
 
 def test_sanitize_axis_projects_and_keeps_hashes_stable():

@@ -53,7 +53,7 @@ def test_row_hit_is_faster_than_miss():
 def test_row_conflict_pays_precharge():
     mc = _controller()
     _run_request(mc, 0)
-    conflict_addr = mc.mapping.encode(DramAddress(0, 0, 0, 0, 5, 0))
+    conflict_addr = mc.mapping.encode(DramAddress(0, 0, 0, 5, 0))
     conflict = _run_request(mc, conflict_addr)
     assert conflict.latency > _run_request(mc, conflict_addr + 64).latency
     assert mc.stats.row_conflicts >= 1
@@ -61,8 +61,8 @@ def test_row_conflict_pays_precharge():
 
 def test_activation_counters_increment_via_requests():
     mc = _controller()
-    row3 = mc.mapping.encode(DramAddress(0, 0, 0, 0, 3, 0))
-    row4 = mc.mapping.encode(DramAddress(0, 0, 0, 0, 4, 0))
+    row3 = mc.mapping.encode(DramAddress(0, 0, 0, 3, 0))
+    row4 = mc.mapping.encode(DramAddress(0, 0, 0, 4, 0))
     for _ in range(3):
         _run_request(mc, row3)
         _run_request(mc, row4)

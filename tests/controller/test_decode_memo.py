@@ -25,7 +25,7 @@ class _PeakDict(dict):
 
 def _perf_run(traces):
     system = build_system(DesignPoint(design="tprac", nrh=1024), traces)
-    memo = system.memory.controllers[0]._decode_cache = _PeakDict()
+    memo = system.controller._decode_cache = _PeakDict()
     result = system.run()
     return system, result, memo
 

@@ -22,11 +22,11 @@ def _run(mitigation, rebuild_every_wake):
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=400, seed=3)
     system = System(
         traces,
-        policy=policy_factory(mitigation, ddr5_8000b().with_prac(nbo=64), seed=3)(),
+        policy=policy_factory(mitigation, ddr5_8000b().with_prac(nbo=64), seed=3),
     )
     uncached_wakes = 0
     if rebuild_every_wake:
-        controller = system.memory.controllers[0]
+        controller = system.controller
         original_wake = controller._wake
 
         def uncached_wake():
@@ -37,7 +37,7 @@ def _run(mitigation, rebuild_every_wake):
 
         controller._wake = uncached_wake  # type: ignore[method-assign]
     result = system.run()
-    stats = system.memory.controllers[0].stats
+    stats = system.controller.stats
     return (
         result.elapsed_ns,
         result.ipcs,

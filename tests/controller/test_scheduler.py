@@ -12,7 +12,7 @@ from repro.dram.config import small_test_config
 def _req(row, arrive=0.0):
     request = MemRequest(phys_addr=0)
     request.arrive_time = arrive
-    request.addr = DramAddress(0, 0, 0, 0, row, 0)
+    request.addr = DramAddress(0, 0, 0, row, 0)
     return request
 
 

@@ -80,20 +80,6 @@ def test_read_latency_overflow_bucket_clamps_to_last_edge():
     assert stats.read_latency_max == 50_000.0
 
 
-def test_merged_sums_histogram_buckets_and_maxes():
-    a = ControllerStats()
-    b = ControllerStats()
-    a.record_completion(30.0, was_hit=False)
-    b.record_completion(30.0, was_hit=False)
-    b.record_completion(700.0, was_hit=False)
-    merged = ControllerStats.merged([a, b])
-    assert merged.read_latency_bucket_counts[1] == 2
-    assert sum(merged.read_latency_bucket_counts) == 3
-    assert merged.read_latency_max == 700.0
-    # a single part is returned as-is (live object, no copy)
-    assert ControllerStats.merged([a]) is a
-
-
 # ----------------------------------------------------------------------
 # percentile_from_buckets (the estimator behind the latency percentiles)
 # ----------------------------------------------------------------------

@@ -16,16 +16,6 @@ def _traces(cores=2, n=60):
     ]
 
 
-def _line_traces(cores=2, n=60):
-    """Cache-line-granular addresses, so requests stripe across channels."""
-    return [
-        synthesize_trace(
-            [(c * 4096 + i) * 64 for i in range(n)], gap_insts=20
-        )
-        for c in range(cores)
-    ]
-
-
 def test_system_runs_all_cores():
     system = System(
         _traces(), config=small_test_config(), policy=NoMitigationPolicy(),
@@ -78,71 +68,26 @@ def test_identical_runs_are_deterministic():
     assert first.elapsed_ns == second.elapsed_ns
 
 
-def test_multi_channel_conserves_requests_and_reports_per_channel():
-    config = small_test_config().with_organization(channels=2)
-    system = System(
-        _line_traces(),
-        config=config,
-        policy_factory=lambda channel_id: NoMitigationPolicy(),
-        enable_abo=False,
-    )
-    result = system.run()
-    assert len(system.memory.controllers) == 2
-    assert result.dram_requests == 120
-    assert len(result.per_channel) == 2
-    assert [c.channel for c in result.per_channel] == [0, 1]
-    assert sum(c.requests for c in result.per_channel) == 120
-    assert all(c.requests > 0 for c in result.per_channel)
-    assert result.activations == sum(c.activations for c in result.per_channel)
-
-
-def test_multi_channel_rejects_single_policy_instance():
-    config = small_test_config().with_organization(channels=2)
-    with pytest.raises(ValueError, match="policy_factory"):
-        System(_traces(), config=config, policy=NoMitigationPolicy())
-
-
-def test_multi_channel_rfms_stay_per_channel():
-    config = small_test_config().with_organization(channels=2)
-    system = System(
-        _line_traces(cores=2, n=200),
-        config=config,
-        policy_factory=lambda channel_id: TpracPolicy(tb_window=600.0),
-        enable_abo=False,
-    )
-    result = system.run()
-    assert result.rfm_total > 0
-    assert result.rfm_total == sum(c.rfms for c in result.per_channel)
-    # Both channels saw traffic, so both TB timers issued RFMs.
-    assert all(c.rfms > 0 for c in result.per_channel)
-
-
-def test_multi_channel_is_deterministic():
-    config = small_test_config().with_organization(channels=2)
-
-    def once():
-        return System(
-            _line_traces(),
-            config=config,
-            policy_factory=lambda channel_id: NoMitigationPolicy(),
-            enable_abo=False,
-        ).run()
-
-    first, second = once(), once()
-    assert first.ipcs == second.ipcs
-    assert first.elapsed_ns == second.elapsed_ns
-    assert [c.requests for c in first.per_channel] == [
-        c.requests for c in second.per_channel
-    ]
-
-
 def test_single_channel_controller_alias_preserved():
     system = System(
         _traces(), config=small_test_config(), policy=NoMitigationPolicy(),
         enable_abo=False,
     )
-    controller = system.memory.controllers[0]
-    assert system.memory.enqueue == controller.enqueue
-    assert system.memory.stats is controller.stats
+    # Every core issues into the system's one controller.
+    assert all(core.memory is system.controller for core in system.cores)
+    result = system.run()
+    assert result.dram_requests == system.controller.stats.requests_served
+
+
+def test_rfm_count_includes_per_bank_rfms():
+    """RFMpb TB-RFMs count too: the campaign's rfmpb perf trial."""
+    from repro.campaigns.scenario import Scenario
+    from repro.mitigations import policy_factory
+
+    config = Scenario(attack="perf", mitigation="rfmpb").dram_config()
+    traces = homogeneous_traces("433.milc", cores=2, num_accesses=600, seed=0)
+    system = System(traces, config=config, policy=policy_factory("rfmpb", config))
+    result = system.run()
+    assert system.controller.stats.rfm_count() == result.rfm_total > 0
 
 

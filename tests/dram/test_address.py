@@ -57,7 +57,7 @@ def test_roundtrip_mop(line):
 def test_encode_decode_identity_on_coordinates(rank, bank_group, bank, row, column):
     mapping = MopMapping(ORG)
     addr = DramAddress(
-        channel=0, rank=rank, bank_group=bank_group, bank=bank, row=row, column=column
+        rank=rank, bank_group=bank_group, bank=bank, row=row, column=column
     )
     assert mapping.decode(mapping.encode(addr)) == addr
 
@@ -67,6 +67,28 @@ def test_flat_bank_is_dense_and_unique():
     for rank in range(ORG.ranks):
         for bg in range(ORG.bank_groups):
             for bank in range(ORG.banks_per_group):
-                addr = DramAddress(0, rank, bg, bank, 0, 0)
+                addr = DramAddress(rank, bg, bank, 0, 0)
                 seen.add(addr.flat_bank(ORG))
-    assert seen == set(range(ORG.total_banks))
+    assert seen == set(range(ORG.banks_per_channel))
+
+
+#: (cache line, its (rank, bank_group, bank, row, column)) as the MOP
+#: mapping has always laid the paper's device out.
+HISTORICAL_LAYOUT = (
+    (0, (0, 0, 0, 0, 0)),
+    (1, (0, 0, 0, 0, 1)),
+    (7, (0, 0, 1, 0, 3)),
+    (128, (1, 0, 0, 0, 0)),
+    (4095, (3, 7, 3, 0, 31)),
+    (2**20 + 3, (0, 0, 0, 64, 3)),
+)
+
+
+def test_single_channel_matches_historical_layout():
+    """The paper's one channel decodes exactly as the mapping always
+    has: no address bits select a channel."""
+    mapping = MopMapping(ORG)
+    for line, coordinates in HISTORICAL_LAYOUT:
+        addr = mapping.decode(line * 64)
+        assert tuple(addr) == coordinates
+        assert mapping.encode(addr) == line * 64

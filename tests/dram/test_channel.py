@@ -7,7 +7,7 @@ from repro.dram.rank import Channel
 def test_channel_builds_all_banks():
     config = small_test_config()
     channel = Channel(config)
-    assert len(channel.banks) == config.organization.total_banks
+    assert len(channel.banks) == config.organization.banks_per_channel
     assert [bank.bank_id for bank in channel] == list(range(len(channel.banks)))
 
 

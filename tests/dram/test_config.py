@@ -33,7 +33,7 @@ def test_paper_table3_values():
 def test_organization_totals():
     org = ddr5_8000b().organization
     assert org.banks_per_rank == 32
-    assert org.total_banks == 128
+    assert org.banks_per_channel == 128
     assert org.rows_per_bank == 128 * 1024
     assert org.columns_per_row == 128
 
@@ -72,12 +72,6 @@ def test_with_prac_returns_modified_copy():
     assert modified.timing is base.timing
 
 
-def test_with_timing_and_organization_overrides():
-    base = ddr5_8000b()
-    assert base.with_timing(tRFMab=130.0).timing.tRFMab == 130.0
-    assert base.with_organization(ranks=1).organization.ranks == 1
-
-
 def test_row_size_must_be_multiple_of_cacheline():
     with pytest.raises(ValueError):
         DramOrganization(row_size_bytes=100).validate()
@@ -85,5 +79,5 @@ def test_row_size_must_be_multiple_of_cacheline():
 
 def test_small_test_config_is_small_and_valid():
     config = small_test_config()
-    assert config.organization.total_banks == 4
+    assert config.organization.banks_per_channel == 4
     assert config.prac.nbo == 64

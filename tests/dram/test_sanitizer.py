@@ -20,7 +20,6 @@ import pytest
 from repro.attacks.probes import bank_address
 from repro.config import SystemConfig
 from repro.controller import controller as controller_mod
-from repro.controller import memory_system as memory_system_mod
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
@@ -441,10 +440,9 @@ class TestFig10ByteIdentical:
                 super().__init__(config)
                 checkers.append(self)
 
-        for module in (controller_mod, memory_system_mod):
-            monkeypatch.setattr(
-                module, "DEFAULT_SYSTEM", SystemConfig(sanitize=True)
-            )
+        monkeypatch.setattr(
+            controller_mod, "DEFAULT_SYSTEM", SystemConfig(sanitize=True)
+        )
         monkeypatch.setattr(controller_mod, "ProtocolChecker", RecordingChecker)
         sanitized = run_perf_matrix(designs, **kw)
         assert checkers, "no controller was built sanitized"

@@ -124,23 +124,17 @@ def test_build_system_rejects_unknown_design():
 
 
 def test_build_system_takes_any_registered_design_and_a_seed():
-    from repro.config import SystemConfig
     from repro.mitigations import available
     from repro.mitigations.obfuscation import ObfuscationPolicy
 
     traces = homogeneous_traces("453.povray", cores=1, num_accesses=10)
     for name in available():
         system = build_system(DesignPoint(design=name, nrh=256), traces)
-        assert system.memory.controllers[0].policy.name == name
-    system = build_system(
-        DesignPoint(design="obfuscation", nrh=256),
-        traces,
-        system=SystemConfig(channels=2),
-        seed=5,
-    )
-    for channel, controller in enumerate(system.memory.controllers):
-        expected = ObfuscationPolicy(seed=5 + 100_003 * channel)
-        assert controller.policy._rng.random() == expected._rng.random()
+        assert system.controller.policy.name == name
+    system = build_system(DesignPoint(design="obfuscation", nrh=256), traces, seed=5)
+    expected = ObfuscationPolicy(seed=5)
+    draws = [system.controller.policy._rng.random() for _ in range(4)]
+    assert draws == [expected._rng.random() for _ in range(4)]
 
 
 def test_default_workloads_category_balanced():

@@ -11,11 +11,11 @@ TINY = dict(workloads=["433.milc", "453.povray"], requests_per_core=800)
 
 
 def _hammer_trace(rows, reads, gap_insts=0):
-    """``reads`` reads alternating over ``rows`` of bank 0, channel 0."""
+    """``reads`` reads alternating over ``rows`` of bank 0."""
     mapping = MopMapping(ddr5_8000b().organization)
     addresses = [
         mapping.encode(
-            DramAddress(channel=0, rank=0, bank_group=0, bank=0, row=row, column=0)
+            DramAddress(rank=0, bank_group=0, bank=0, row=row, column=0)
         )
         for row in rows
     ]
@@ -40,7 +40,7 @@ def test_prac_level_sets_the_abo_rfm_burst():
     for level in (1, 2, 4):
         system = build_system(DesignPoint("abo_only", nrh=64, prac_level=level), [trace])
         result = system.run()
-        alerts = system.memory.controllers[0].abo.alert_count
+        alerts = system.controller.abo.alert_count
         assert alerts > 0, level
         assert result.rfm_by_provenance["abo"] == level * alerts, (level, alerts)
 
@@ -108,6 +108,6 @@ def test_none_baseline_ignores_nrh_and_prac_level():
             outcomes.add(
                 (tuple(result.ipcs), result.elapsed_ns, system.engine.events_fired)
             )
-            alerts[nrh] = system.memory.controllers[0].abo.alert_count
+            alerts[nrh] = system.controller.abo.alert_count
     assert len(outcomes) == 1
     assert alerts[64] > alerts[128] > alerts[1024] == 0

@@ -64,7 +64,7 @@ def test_priority_queues_installed_per_bank():
     config = small_test_config()
     policy = QpracPolicy()
     MemoryController(Engine(), config, policy=policy, enable_refresh=False)
-    assert len(policy.queues) == config.organization.total_banks
+    assert len(policy.queues) == config.organization.banks_per_channel
     assert all(isinstance(q, PriorityMitigationQueue) for q in policy.queues)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.attacks.probes import bank_address
 from repro.config import SystemConfig
-from repro.controller.memory_system import MemorySystem
+from repro.controller.controller import MemoryController
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
 from repro.cpu.system import System
@@ -33,57 +33,56 @@ from repro.workloads.synthetic import homogeneous_traces
 pytestmark = pytest.mark.smoke
 
 
-def _run_system(system=None, requests=300, channels=1, policy=None):
+def _run_system(system=None, requests=300, policy=None):
     # The workload must be identical across telemetry settings, so all
     # requests are enqueued up front (arrival pattern independent of
     # how many engine events each configuration fires per step).
     engine = Engine()
-    config = small_test_config().with_organization(channels=channels)
-    memory = MemorySystem(engine, config, policy=policy, system=system)
+    controller = MemoryController(
+        engine, small_test_config(), policy=policy, system=system
+    )
     for index in range(requests):
         addr = (index * 977) % (1 << 20)
-        memory.enqueue(MemRequest(addr, is_write=(index % 8 == 7)))
-    controllers = memory.controllers
-    while any(c.scheduler.pending() or c._pending_rfms for c in controllers):
+        controller.enqueue(MemRequest(addr, is_write=(index % 8 == 7)))
+    while controller.scheduler.pending() or controller._pending_rfms:
         engine.run(max_events=1)
-    return memory
+    return controller
 
 
-def _result_fingerprint(memory):
-    stats = memory.stats
+def _result_fingerprint(controller):
+    stats = controller.stats
     return (
         stats.requests_served,
         stats.total_latency,
         stats.row_hits,
-        [c.refresh.refresh_count for c in memory.controllers],
-        [c.channel.rfm_count for c in memory.controllers],
+        controller.refresh.refresh_count,
+        controller.channel.rfm_count,
     )
 
 
-def _assert_only_controller_hooks(memory):
+def _assert_only_controller_hooks(controller):
     """The ABO and refresh hook lists hold the controller's own hooks
     and nothing a telemetry layer installed."""
-    for controller in memory.controllers:
-        assert controller.recorder is None
-        assert controller.abo.on_alert == [controller._on_alert]
-        refresh = controller.refresh
-        assert refresh.on_refresh == [controller._invalidate_ready_cache]
-        assert refresh.on_tref == [controller._on_tref]
-        assert refresh.on_refw == [controller._on_refw]
+    assert controller.recorder is None
+    assert controller.abo.on_alert == [controller._on_alert]
+    refresh = controller.refresh
+    assert refresh.on_refresh == [controller._invalidate_ready_cache]
+    assert refresh.on_tref == [controller._on_tref]
+    assert refresh.on_refw == [controller._on_refw]
 
 
 def test_telemetry_off_attaches_nothing():
-    memory = _run_system(system=None, requests=50)
-    assert memory.recorder is None
-    assert memory.sampler is None
-    _assert_only_controller_hooks(memory)
+    controller = _run_system(system=None, requests=50)
+    assert controller.recorder is None
+    assert controller.sampler is None
+    _assert_only_controller_hooks(controller)
 
 
 def test_metrics_attaches_only_the_sampler():
-    memory = _run_system(system=SystemConfig(metrics=True), requests=50)
-    assert memory.recorder is None
-    assert memory.sampler is not None
-    _assert_only_controller_hooks(memory)
+    controller = _run_system(system=SystemConfig(metrics=True), requests=50)
+    assert controller.recorder is None
+    assert controller.sampler is not None
+    _assert_only_controller_hooks(controller)
 
 
 def test_telemetry_does_not_perturb_simulation_results():
@@ -95,8 +94,8 @@ def test_telemetry_does_not_perturb_simulation_results():
 
 
 def test_trace_records_commands_and_lifecycle():
-    memory = _run_system(system=SystemConfig(trace=True))
-    recorder = memory.recorder
+    controller = _run_system(system=SystemConfig(trace=True))
+    recorder = controller.recorder
     assert recorder is not None and recorder.events
     counts = Counter(event.kind for event in recorder.events)
     assert counts["ACT"] > 0 and counts["RD"] > 0 and counts["WR"] > 0
@@ -107,12 +106,12 @@ def test_trace_records_commands_and_lifecycle():
 def test_metrics_registry_collects_core_counters(tmp_path):
     # 300 requests drain in under one tREFI; use a longer workload so at
     # least one REFab lands inside the observed window.
-    memory = _run_system(system=SystemConfig(metrics=True), requests=4000)
-    written = export_system_telemetry(memory, tmp_path, stem="core-s0")
+    controller = _run_system(system=SystemConfig(metrics=True), requests=4000)
+    written = export_system_telemetry(controller, tmp_path, stem="core-s0")
     registry = json.loads(written["metrics"].read_text())["registry"]
     assert registry["gauges"] == {} and registry["histograms"] == {}
     counters = registry["counters"]
-    refabs = sum(c.refresh.refresh_count for c in memory.controllers)
+    refabs = controller.refresh.refresh_count
     assert counters["dram.refab"] == refabs > 0
     assert "abo.alerts" in counters
     assert "rfm.abo" in counters
@@ -120,8 +119,8 @@ def test_metrics_registry_collects_core_counters(tmp_path):
 
 def test_sampler_records_windowed_series():
     # long enough to cross at least one 10 us sampling interval
-    memory = _run_system(system=SystemConfig(metrics=True), requests=4000)
-    sampler = memory.sampler
+    controller = _run_system(system=SystemConfig(metrics=True), requests=4000)
+    sampler = controller.sampler
     assert sampler is not None
     assert len(sampler.series["t"]) > 0
     payload = sampler.to_payload()
@@ -140,54 +139,45 @@ def test_sampler_sees_events_in_every_window_of_a_run():
     traces = homogeneous_traces("433.milc", cores=2, num_accesses=4000, seed=1)
     system = System(traces, system=SystemConfig(metrics=True))
     system.run()
-    rates = system.memory.sampler.series["events_per_wall_s"]
+    rates = system.controller.sampler.series["events_per_wall_s"]
     assert len(rates) >= 2
     assert all(rate > 0 for rate in rates), rates
 
 
-def test_multi_channel_shares_one_recorder():
-    memory = _run_system(
-        system=SystemConfig(trace=True, metrics=True), channels=2
-    )
-    recorders = {id(c.recorder) for c in memory.controllers}
-    assert recorders == {id(memory.recorder)}
-    channels_seen = {e.channel for e in memory.recorder.events}
-    assert channels_seen == {0, 1}
-
-
 def test_export_system_telemetry_writes_all_artifacts(tmp_path):
-    memory = _run_system(system=SystemConfig(trace=True, metrics=True))
+    controller = _run_system(system=SystemConfig(trace=True, metrics=True))
     written = export_system_telemetry(
-        memory, tmp_path, stem="unit-s0", meta={"scenario": "unit", "seed": 0}
+        controller, tmp_path, stem="unit-s0", meta={"scenario": "unit", "seed": 0}
     )
     assert set(written) == {"trace_jsonl", "trace_chrome", "metrics"}
     header, events = load_trace_jsonl(written["trace_jsonl"])
     assert header["schema"] == TRACE_SCHEMA and header["scenario"] == "unit"
-    assert len(events) == header["events"] == len(memory.recorder.events)
+    assert len(events) == header["events"] == len(controller.recorder.events)
     chrome = json.loads(written["trace_chrome"].read_text())
     assert chrome["traceEvents"]
     metrics = json.loads(written["metrics"].read_text())
     assert metrics["samples"] >= 1  # closing sample guarantees one
-    assert metrics["registry"]["counters"]["dram.refab"] == memory.refresh_count
+    refabs = controller.refresh.refresh_count
+    assert metrics["registry"]["counters"]["dram.refab"] == refabs
     assert set(metrics["latency_percentiles_ns"]) == {"p50", "p95", "p99"}
 
 
 def test_export_with_telemetry_off_writes_nothing(tmp_path):
-    memory = _run_system(system=None, requests=50)
-    assert export_system_telemetry(memory, tmp_path, stem="off") == {}
+    controller = _run_system(system=None, requests=50)
+    assert export_system_telemetry(controller, tmp_path, stem="off") == {}
     assert list(tmp_path.iterdir()) == []
 
 
 def test_export_counts_per_bank_tb_rfms(tmp_path):
     # RFMpb issues its TB-RFMs outside the controller's RFMab burst;
     # the exported counts must still include them.
-    memory = _run_system(
+    controller = _run_system(
         system=SystemConfig(metrics=True),
         policy=PerBankRfmPolicy(tb_window=2000.0),
     )
-    written = export_system_telemetry(memory, tmp_path, stem="rfmpb-s0")
+    written = export_system_telemetry(controller, tmp_path, stem="rfmpb-s0")
     counters = json.loads(written["metrics"].read_text())["registry"]["counters"]
-    stats = memory.stats
+    stats = controller.stats
     assert counters["rfm.tb"] == stats.rfm_count(RfmProvenance.TB) > 0
     assert counters["mitigation.rows"] == stats.mitigated_row_total
 
@@ -202,7 +192,7 @@ BASE_KEYS = {
 
 
 def _counted_run(
-    policy=None, nbo=64, channels=1, tref_per_trefi=0.0,
+    policy=None, nbo=64, tref_per_trefi=0.0,
     hammer=False, requests=300, until=30_000.0,
 ):
     """Run a small system up to ``until`` ns on two request chains;
@@ -214,15 +204,14 @@ def _counted_run(
     request re-activates its row.
     """
     engine = Engine()
-    memory = MemorySystem(
+    controller = MemoryController(
         engine,
         small_test_config(nbo=nbo),
-        policy_factory=None if policy is None else lambda channel_id: policy(),
+        policy=None if policy is None else policy(),
         tref_per_trefi=tref_per_trefi,
-        system=SystemConfig(channels=channels),
     )
     if hammer:
-        rows = [bank_address(memory.controllers[0], 0, row) for row in (10, 11)]
+        rows = [bank_address(controller, 0, row) for row in (10, 11)]
         addresses = [rows[index % 2] for index in range(requests)]
     else:
         addresses = [
@@ -233,7 +222,7 @@ def _counted_run(
 
     def issue(_request=None):
         for index, addr in pending:
-            memory.enqueue(
+            controller.enqueue(
                 MemRequest(addr, is_write=(index % 8 == 7), on_complete=issue)
             )
             return
@@ -241,28 +230,25 @@ def _counted_run(
     issue()
     issue()
     engine.run(until=until)
-    return memory
+    return controller
 
 
-def _source_counts(memory):
+def _source_counts(controller):
     """The expected counts, read through each component's own view."""
-    controllers = memory.controllers
-    records = [r for c in controllers for r in c.stats.rfm_records]
+    records = controller.stats.rfm_records
     expected = {
-        "abo.alerts": sum(c.abo.alert_count for c in controllers),
-        "dram.refab": memory.refresh_count,
-        "dram.tref": sum(c.refresh.tref_count for c in controllers),
-        "prac.counter_resets": sum(c.refresh.counter_resets for c in controllers),
+        "abo.alerts": controller.abo.alert_count,
+        "dram.refab": controller.refresh.refresh_count,
+        "dram.tref": controller.refresh.tref_count,
+        "prac.counter_resets": controller.refresh.counter_resets,
         "mitigation.rows": sum(len(r.mitigated_rows) for r in records),
     }
     for provenance in RfmProvenance:
         expected[f"rfm.{provenance.value}"] = sum(
             r.provenance is provenance for r in records
         )
-    if controllers[0].policy is not None:
-        expected["policy.mitigations"] = sum(
-            c.policy.mitigations_performed for c in controllers
-        )
+    if controller.policy is not None:
+        expected["policy.mitigations"] = controller.policy.mitigations_performed
     return expected
 
 
@@ -282,9 +268,6 @@ COUNTER_CASES = {
     "qprac": (
         dict(policy=QpracPolicy), {"policy.mitigations"}, ("policy.mitigations",)
     ),
-    "channels=2": (
-        dict(policy=_tprac, channels=2), {"policy.mitigations"}, ("rfm.tb",)
-    ),
     "tref_per_trefi=0.5": (
         dict(policy=_tprac, tref_per_trefi=0.5),
         {"policy.mitigations"},
@@ -302,11 +285,11 @@ COUNTER_CASES = {
 @pytest.mark.parametrize("case", sorted(COUNTER_CASES))
 def test_run_counters_read_the_always_on_fields(case):
     kwargs, extra_keys, moved = COUNTER_CASES[case]
-    memory = _counted_run(**kwargs)
-    counters = run_counters(memory)
+    controller = _counted_run(**kwargs)
+    counters = run_counters(controller)
     assert list(counters) == sorted(BASE_KEYS | extra_keys)
     assert all(type(value) is float for value in counters.values())
-    assert counters == _source_counts(memory)
+    assert counters == _source_counts(controller)
     moved_values = [counters[key] for key in moved]
     assert all(value > 0 for value in moved_values), counters
     assert len(set(moved_values)) == len(moved_values), counters

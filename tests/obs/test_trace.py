@@ -93,7 +93,7 @@ def test_recorder_durations_follow_device_timing():
     from repro.dram.commands import Command, CommandKind
 
     command = Command(CommandKind.ACT, bank_id=1, row=4, issue_time=50.0)
-    recorder.observe_command(command, channel=0)
+    recorder.observe_command(command)
     (event,) = recorder.events
     assert event.kind == "ACT"
     assert event.dur == config.timing.tRCD

@@ -14,6 +14,7 @@ reorders one event, or mitigates a different row, fails the scenario
 that exercises it.
 """
 
+import dataclasses
 import hashlib
 from typing import Any, Callable, Dict, List, Sequence
 
@@ -21,7 +22,6 @@ import pytest
 
 from repro.attacks.probes import RowHammerSender, bank_address
 from repro.controller.controller import MemoryController
-from repro.controller.memory_system import MemorySystem
 from repro.controller.request import MemRequest
 from repro.core.engine import Engine
 from repro.dram.config import ddr5_8000b
@@ -42,10 +42,12 @@ TREFW_NS = 1_000_000.0
 RUN_NS = 3_000_000.0
 
 
-def _config(nbo: int = 1024, reset_on_refresh: bool = True, channels: int = 1):
-    config = ddr5_8000b().with_timing(tREFW=TREFW_NS)
-    config = config.with_prac(nbo=nbo, reset_on_refresh=reset_on_refresh)
-    return config.with_organization(channels=channels)
+def _config(nbo: int = 1024, reset_on_refresh: bool = True):
+    config = ddr5_8000b()
+    config = dataclasses.replace(
+        config, timing=dataclasses.replace(config.timing, tREFW=TREFW_NS)
+    )
+    return config.with_prac(nbo=nbo, reset_on_refresh=reset_on_refresh)
 
 
 def _burst(controller: Any, engine: Engine, at: float) -> None:
@@ -97,26 +99,6 @@ def _channel(
     return run
 
 
-def _run_two_channels() -> List[MemoryController]:
-    """Two channels under TPRAC, refreshed together."""
-    engine = Engine()
-    memory = MemorySystem(
-        engine,
-        _config(channels=2),
-        policy_factory=lambda channel_id: TpracPolicy(tb_window=TB_WINDOW),
-    )
-    controllers = list(memory.controllers)
-
-    def issue() -> None:
-        for index in range(24):
-            memory.enqueue(MemRequest(phys_addr=4096 * 37 * index + 64 * index))
-
-    engine.schedule(RUN_NS / 2 + 3.0, issue, label="burst")
-    _hammer(controllers[1], engine, at=RUN_NS / 4, acts=150)
-    engine.run(until=RUN_NS)
-    return controllers
-
-
 def _tprac() -> TpracPolicy:
     return TpracPolicy(tb_window=TB_WINDOW)
 
@@ -136,7 +118,6 @@ SCENARIOS: Dict[str, Callable[[], Sequence[MemoryController]]] = {
     "qprac": _channel(QpracPolicy, config=_config(nbo=48)),
     "abo_acb": _channel(lambda: AcbRfmPolicy(bat=48), config=_config(nbo=32)),
     "abo_only": _channel(AboOnlyPolicy, config=_config(nbo=32)),
-    "tprac_two_channels": _run_two_channels,
 }
 
 #: sha256 of each scenario's record (see the module docstring).
@@ -151,7 +132,6 @@ DIGESTS = {
     "qprac": "c9924d0f06b26f20efdb2ce8c6bd526b557d6fcdd44a149f835c632ff154b532",
     "abo_acb": "b62757babce84fa64c21505311c31306e0c3bbf1930c8a9045767e2e5e3fb5cc",
     "abo_only": "d95a46ec41fd480f9e62582c39886248674a0c74ed80c0ee418602db9d39a6b6",
-    "tprac_two_channels": "b7a58147f8e980129e5e01d58782e47fc2c702b33dd56e6a466e20c80a48cdf1",
 }
 
 

@@ -42,7 +42,7 @@ def test_counters_equal_activation_events(rows):
 def _row_addr(mc, row):
     from repro.dram.address import DramAddress
 
-    return mc.mapping.encode(DramAddress(0, 0, 0, 0, row, 0))
+    return mc.mapping.encode(DramAddress(0, 0, 0, row, 0))
 
 
 @settings(max_examples=20, deadline=None)

@@ -27,7 +27,7 @@ def test_facade_expands_the_new_axes():
         {
             "attack": ["perf"],
             "workload": ["433.milc"],
-            "channels": [1, 2],
+            "mitigation": ["abo_only", "tprac"],
             "metrics": [True],
         }
     )

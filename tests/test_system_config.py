@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.storage import content_key
 from repro.campaigns.scenario import Scenario
 from repro.config import DEFAULT_SYSTEM, SystemConfig
-from repro.dram.config import ddr5_8000b
 
 
 # ----------------------------------------------------------------------
@@ -25,10 +24,9 @@ def test_default_config_serializes_to_empty_dict():
 
 
 def test_round_trip_preserves_every_field():
-    config = SystemConfig(channels=4, sanitize=True, trace=True, metrics=True)
+    config = SystemConfig(sanitize=True, trace=True, metrics=True)
     spec = config.to_dict()
     assert spec == {
-        "channels": 4,
         "sanitize": True,
         "trace": True,
         "metrics": True,
@@ -39,8 +37,8 @@ def test_round_trip_preserves_every_field():
 
 
 def test_validate_rejects_unknown_components():
-    with pytest.raises(ValueError, match="channels"):
-        SystemConfig(channels=0).validate()
+    with pytest.raises(TypeError, match="channels"):
+        SystemConfig(channels=2)
     with pytest.raises(ValueError, match="sanitize must be a bool"):
         SystemConfig(sanitize="yes").validate()
 
@@ -59,14 +57,6 @@ def test_registry_errors_share_one_shape():
     assert "(config field 'mitigation')" in message
     assert "tprac" in message
 
-
-def test_apply_to_mirrors_the_channels_keyword():
-    config = ddr5_8000b()
-    assert SystemConfig().apply_to(config) is config
-    assert SystemConfig(channels=2).apply_to(config).organization.channels == 2
-    # The default never downgrades an explicitly multi-channel device.
-    multi = config.with_organization(channels=4)
-    assert SystemConfig().apply_to(multi).organization.channels == 4
 
 
 # ----------------------------------------------------------------------
@@ -92,17 +82,17 @@ def test_default_scenario_ids_match_pre_refactor_spec():
 
 def test_scenario_axes_round_trip_and_move_the_id():
     base = Scenario(attack="perf", workload="433.milc")
-    varied = Scenario(attack="perf", workload="433.milc", channels=2, metrics=True)
+    varied = Scenario(attack="perf", workload="433.milc", sanitize=True, metrics=True)
     assert varied.scenario_id != base.scenario_id
     assert Scenario.from_dict(varied.to_dict()) == varied
-    assert "2ch" in varied.label and "metrics" in varied.label
+    assert "sanitize" in varied.label and "metrics" in varied.label
     system = varied.system_config()
-    assert system.channels == 2 and system.metrics
+    assert system.sanitize and system.metrics
 
 
 def test_non_perf_scenarios_reject_structural_axes():
     with pytest.raises(ValueError, match="only modeled for"):
-        Scenario(attack="selftest", channels=2).validate()
+        Scenario(attack="selftest", sanitize=True).validate()
     with pytest.raises(ValueError, match="only modeled for"):
         Scenario(attack="covert_count", trace=True).validate()
 

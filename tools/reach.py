@@ -124,8 +124,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro/workloads/mixes.py::cloudsuite_mix": _MIXES,
     "repro/workloads/mixes.py::heterogeneous_traces": _MIXES,
     "repro/workloads/mixes.py::named_mix": _MIXES,
-    "repro/dram/config.py::DramConfig.with_timing":
-        "roadmap: kept for tests that build timing variants (PR 27's decision)",
 }
 
 #: Packages under ``src/repro/`` whose defaulted parameters are checked.
@@ -274,17 +272,15 @@ def _listings() -> None:
 
 def _sanitized_suite(out: str) -> None:
     from repro.config import SystemConfig
-    from repro.controller import controller, memory_system
+    from repro.controller import controller
     from repro.experiments.runner import load_summary, run_suite
 
-    saved = [(module, module.DEFAULT_SYSTEM) for module in (controller, memory_system)]
-    for module, _ in saved:
-        module.DEFAULT_SYSTEM = SystemConfig(sanitize=True)
+    saved = controller.DEFAULT_SYSTEM
+    controller.DEFAULT_SYSTEM = SystemConfig(sanitize=True)
     try:
         run_suite(out, jobs=1, use_cache=False)
     finally:
-        for module, system in saved:
-            module.DEFAULT_SYSTEM = system
+        controller.DEFAULT_SYSTEM = saved
     errors = [e["experiment"] for e in load_summary(out) if e["status"] == "error"]
     if errors:
         raise RuntimeError(f"sanitized quick suite: {errors} ended error")
@@ -368,7 +364,6 @@ def entry_points(scratch: str) -> List[Tuple[str, Callable[[], None]]]:
         ("campaign perf", campaign("perf", "--campaign", "perf")),
         ("campaign smoke", lambda: _campaign(out("smoke"), *smoke)),
         ("campaign smoke --resume", lambda: _campaign(out("smoke"), *smoke, "--resume")),
-        ("channel grid", campaign("channels", "--grid", "channels=1,2,4")),
         ("sanitize grid", campaign("sanitize", "--grid", *sanitize)),
         ("sanitized quick suite", lambda: _sanitized_suite(out("sanitized-suite"))),
         ("telemetry grid + obs", lambda: _telemetry(out("telemetry"))),

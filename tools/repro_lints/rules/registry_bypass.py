@@ -5,8 +5,8 @@ Mitigation policies are addressed by name: ``repro.mitigations``'
 ``make_policy`` / ``policy_factory`` build a policy from it.  Direct
 ``TpracPolicy()``-style construction outside the defining module
 bypasses that layer: the call site misses factory-side defaulting
-(``policy_factory`` derives TB-Window, BAT and per-channel seeds from
-the device) and drifts from what campaign scenarios can express.
+(``policy_factory`` derives TB-Window and BAT from the device and
+seeds the obfuscation policy) and drifts from what campaign scenarios can express.
 
 The rule flags any call whose callee *name* is a mitigation policy
 class, except inside the module that defines it.  Subclassing stays
