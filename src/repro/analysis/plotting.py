@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.attacks.probes import SPIKE_THRESHOLD_NS
 
 _SHADES = " .:-=+*#%@"
 
@@ -109,6 +108,10 @@ def latency_strip(
     """One-line summary of a latency timeline: '^' marks the buckets
     holding an access above
     :data:`~repro.attacks.probes.SPIKE_THRESHOLD_NS`."""
+    # Imported here: the attacks package pulls in every attack module,
+    # and the CLI imports this module before it runs anything.
+    from repro.attacks.probes import SPIKE_THRESHOLD_NS
+
     if not times:
         return title
     t_lo, t_hi = min(times), max(times)

@@ -91,12 +91,19 @@ class FeintingAttack:
         }
         mitigated_seen: Set[int] = set()
         acts_per_window = max(1, int(self.tb_window // 70.0))
+        rfms = controller.stats.rfm_records
+        rfms_seen = 0
 
         def note_mitigations() -> None:
-            for record in controller.stats.rfm_records:
+            """Add the victims of the RFMs logged since the last call."""
+            nonlocal rfms_seen
+            if rfms_seen == len(rfms):
+                return  # most requests: no RFM since the last one
+            for record in rfms[rfms_seen:]:
                 victim = record.mitigated_rows.get(0)
                 if victim is not None:
                     mitigated_seen.add(victim)
+            rfms_seen = len(rfms)
 
         def issue(req=None) -> None:
             state["target_peak"] = max(

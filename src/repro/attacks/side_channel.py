@@ -213,7 +213,7 @@ class AesSideChannelAttack:
             encryptions=self.encryptions,
             probe_timeline=result_timeline,
             activation_timeline=act_timeline,
-            rfm_times=[r.time for r in controller.stats.rfm_records],
+            rfm_times=controller.stats.rfm_records.times.tolist(),
         )
 
     # ------------------------------------------------------------------

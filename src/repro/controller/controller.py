@@ -47,12 +47,12 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_SYSTEM, SystemConfig
 from repro.controller.request import MemRequest
 from repro.controller.scheduler import BankQueueScheduler
-from repro.controller.stats import ControllerStats, RfmRecord
+from repro.controller.stats import NO_ROWS, ControllerStats
 from repro.core.engine import Engine, EventHandle
 from repro.dram.address import DramAddress, MopMapping
 from repro.dram.commands import Command, CommandKind, RfmProvenance
@@ -619,11 +619,11 @@ class MemoryController:
             end = channel.block(start, tRFMab)
             if self._trace is not None:
                 self._log(CommandKind.RFM_AB, -1, -1, start, provenance)
-            mitigated: Dict[int, int] = (
-                {} if policy is None
+            mitigated: Mapping[int, int] = (
+                NO_ROWS if policy is None
                 else policy.mitigate_on_rfm(self, start, provenance)
             )
-            stats.record_rfm(RfmRecord(start, provenance, -1, mitigated))
+            stats.record_rfm(start, provenance, -1, mitigated)
             channel.rfm_count += 1
             t = end
         # Only banks activated since the previous burst can have a

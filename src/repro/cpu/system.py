@@ -103,16 +103,16 @@ class System:
         """Read the run's results off the cores and the controller."""
         controller = self.controller
         stats = controller.stats
-        provenance_counts: Dict[str, int] = {}
-        for record in stats.rfm_records:
-            key = record.provenance.value
-            provenance_counts[key] = provenance_counts.get(key, 0) + 1
+        rfms = stats.rfm_records
         return SystemResult(
             ipcs=[core.ipc for core in self.cores],
             elapsed_ns=self.engine.now,
             dram_requests=stats.requests_served,
-            rfm_total=len(stats.rfm_records),
-            rfm_by_provenance=provenance_counts,
+            rfm_total=len(rfms),
+            rfm_by_provenance={
+                provenance.value: count
+                for provenance, count in rfms.counts().items()
+            },
             row_hit_rate=stats.row_hit_rate,
             mean_latency_ns=stats.mean_latency,
             activations=sum(b.stats.activations for b in controller.channel),

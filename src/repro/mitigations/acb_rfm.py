@@ -10,7 +10,7 @@ from per-row to per-bank granularity (Figure 2(b)).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Mapping
 
 from repro.dram.commands import RfmProvenance
 from repro.mitigations.base import MitigationPolicy
@@ -50,7 +50,7 @@ class AcbRfmPolicy(MitigationPolicy):
 
     def mitigate_on_rfm(
         self, controller: "MemoryController", time: float, provenance: RfmProvenance
-    ) -> Dict[int, int]:
+    ) -> Mapping[int, int]:
         self._rfm_outstanding = False
         return super().mitigate_on_rfm(controller, time, provenance)
 

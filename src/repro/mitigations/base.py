@@ -12,8 +12,9 @@ via :meth:`attach` and receives these callbacks:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Type
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Type
 
+from repro.controller.stats import NO_ROWS
 from repro.dram.commands import RfmProvenance
 from repro.prac.mitigation_queue import MitigationQueue, SingleEntryFrequencyQueue
 
@@ -63,20 +64,21 @@ class MitigationPolicy:
     # ------------------------------------------------------------------
     def mitigate_on_rfm(
         self, controller: "MemoryController", time: float, provenance: RfmProvenance
-    ) -> Dict[int, int]:
+    ) -> Mapping[int, int]:
         """Mitigate the queued victim in every bank; returns bank->row."""
         return self._mitigate_queued(controller)
 
-    def _mitigate_queued(self, controller: "MemoryController") -> Dict[int, int]:
+    def _mitigate_queued(self, controller: "MemoryController") -> Mapping[int, int]:
         """Pop and mitigate one queued victim per bank; returns bank->row.
 
         Only :attr:`armed` banks are visited, in ascending bank id, so
         the result matches a pop over every queue: the others are
-        empty, and popping an empty queue changes nothing.
+        empty, and popping an empty queue changes nothing.  With no
+        bank armed it returns the shared :data:`NO_ROWS`.
         """
         armed = self.armed
         if not armed:
-            return {}
+            return NO_ROWS
         mitigated: Dict[int, int] = {}
         queues = self.queues
         banks = controller.channel.banks
@@ -111,7 +113,11 @@ class NoMitigationPolicy(MitigationPolicy):
 
     name = "none"
 
+    def attach(self, controller: "MemoryController") -> None:
+        """Install no queue and no ACT observer: nothing would pop them."""
+        self.controller = controller
+
     def mitigate_on_rfm(
         self, controller: "MemoryController", time: float, provenance: RfmProvenance
-    ) -> Dict[int, int]:  # noqa: D102
-        return {}
+    ) -> Mapping[int, int]:  # noqa: D102
+        return NO_ROWS

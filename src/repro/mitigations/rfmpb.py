@@ -10,10 +10,9 @@ bank is still mitigated once per TB-Window.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dram.commands import CommandKind, RfmProvenance
-from repro.controller.stats import RfmRecord
 from repro.mitigations.base import MitigationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,19 +55,12 @@ class PerBankRfmPolicy(MitigationPolicy):
         # serve/RFM-burst paths: its ready-time agenda must go stale.
         controller._invalidate_ready_cache()
         victim = self.queues[bank_id].pop_victim()
-        mitigated = {}
+        mitigated: Optional[Dict[int, int]] = None
         if victim is not None:
             controller.channel.bank(bank_id).mitigate(victim)
-            mitigated[bank_id] = victim
+            mitigated = {bank_id: victim}
             self.mitigations_performed += 1
-        controller.stats.record_rfm(
-            RfmRecord(
-                time=start,
-                provenance=RfmProvenance.TB,
-                bank_id=bank_id,
-                mitigated_rows=mitigated,
-            )
-        )
+        controller.stats.record_rfm(start, RfmProvenance.TB, bank_id, mitigated)
         self.pb_rfms_issued += 1
         controller.channel.bank(bank_id).activations_since_rfm = 0
         self._arm(controller)

@@ -3,11 +3,7 @@
 
 import pytest
 
-from repro.controller.stats import (
-    ControllerStats,
-    RfmRecord,
-    percentile_from_buckets,
-)
+from repro.controller.stats import ControllerStats, percentile_from_buckets
 from repro.dram.commands import RfmProvenance
 
 
@@ -32,22 +28,20 @@ def test_row_hit_rate():
 
 def test_rfm_counting_by_provenance():
     stats = ControllerStats()
-    stats.record_rfm(RfmRecord(time=0.0, provenance=RfmProvenance.ABO))
-    stats.record_rfm(RfmRecord(time=1.0, provenance=RfmProvenance.TB))
-    stats.record_rfm(RfmRecord(time=2.0, provenance=RfmProvenance.TB))
+    stats.record_rfm(0.0, RfmProvenance.ABO)
+    stats.record_rfm(1.0, RfmProvenance.TB)
+    stats.record_rfm(2.0, RfmProvenance.TB)
     assert stats.rfm_count() == 3
     assert stats.rfm_count(RfmProvenance.TB) == 2
     assert stats.rfm_count(RfmProvenance.ACB) == 0
 
 
-def test_rfm_counts_are_maintained_incrementally():
+def test_mitigated_row_total_is_a_running_count():
     stats = ControllerStats()
-    stats.record_rfm(RfmRecord(time=0.0, provenance=RfmProvenance.ABO,
-                               mitigated_rows={0: 5, 1: 9}))
-    stats.record_rfm(RfmRecord(time=1.0, provenance=RfmProvenance.TB))
-    assert stats.rfm_counts[RfmProvenance.ABO] == 1
-    assert stats.rfm_counts[RfmProvenance.TB] == 1
-    assert stats.mitigated_row_total == 2
+    stats.record_rfm(0.0, RfmProvenance.ABO, rows={0: 5, 1: 9})
+    stats.record_rfm(1.0, RfmProvenance.TB)
+    stats.record_rfm(2.0, RfmProvenance.TB, bank_id=3, rows={3: 7})
+    assert stats.mitigated_row_total == 3
 
 
 def test_read_latency_histogram_counts_reads_only():

@@ -86,6 +86,23 @@ def test_no_mitigation_policy_never_mitigates():
     assert mc.stats.rfm_count() == 0
 
 
+def test_none_system_acts_arm_nothing():
+    """The `none` baseline never pops a queue, so it installs none and
+    no ACT observer: a run that activates rows arms no bank."""
+    from repro.experiments.common import DesignPoint, build_system
+    from repro.workloads.synthetic import homogeneous_traces
+
+    traces = homogeneous_traces("433.milc", cores=2, num_accesses=300, seed=0)
+    system = build_system(DesignPoint(design="none", nrh=1024), traces)
+    system.run()
+    controller = system.controller
+    policy = controller.policy
+    assert isinstance(policy, NoMitigationPolicy)
+    assert sum(bank.stats.activations for bank in controller.channel) > 0
+    assert policy.queues == [] and policy.armed == set()
+    assert controller.stats.rfm_count() == 0
+
+
 def test_counter_reset_clears_policy_queues():
     config = small_test_config(nbo=1000)
     policy = AboOnlyPolicy()

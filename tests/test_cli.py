@@ -5,6 +5,8 @@ import functools
 import inspect
 import json
 import os
+import subprocess
+import sys
 import time
 import types
 
@@ -327,6 +329,27 @@ def test_suite_command_reports_cache_hits(tmp_path, capsys):
     capsys.readouterr()
     assert main(["suite", "--only", "fig8", "--out", str(out_dir)]) == 0
     assert "cached" in capsys.readouterr().out
+
+
+def test_import_leaves_the_attack_package_unloaded():
+    """`repro list` and `--help` run no attack: importing the CLI in a
+    fresh interpreter loads no `repro.attacks` or `repro.crypto` module."""
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('repro.attacks', 'repro.crypto'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_bench_command_is_gone(capsys):

@@ -144,6 +144,11 @@ class TestSlotsRequired:
         src = "class RequestPool:\n    pass\n"
         assert lint_source(src, "src/repro/controller/request.py") == []
 
+    def test_rfm_log_must_declare_slots(self):
+        src = "class RfmLog:\n    pass\n"
+        found = lint_source(src, "src/repro/controller/stats.py")
+        assert rules_of(found) == ["slots-required"]
+
 
 # ----------------------------------------------------------------------
 # float-format-drift

@@ -110,6 +110,8 @@ ALLOWLIST: Dict[str, str] = {
         "declaration: the default TREF hook (policies ignore the slot)",
     "repro/mitigations/base.py::NoMitigationPolicy.mitigate_on_rfm":
         "declaration: the baseline mitigates nothing on an RFM",
+    "repro/controller/stats.py::RfmLog.__getitem__":
+        "declaration: its two typing.overload stubs (the implementation runs)",
     "repro/prac/abo.py::AboProtocol.reset":
         "input: runs when an Alert fires with ABO off",
     "repro/prac/mitigation_queue.py::PriorityMitigationQueue.clear":

@@ -6,7 +6,8 @@ per-object ``__dict__`` (~2x the memory, slower attribute access);
 with it, accidental attribute creation (a typo'd assignment in a
 scheduler) raises instead of silently spawning state the rest of the
 pipeline never sees.  The sanitizer's per-bank shadow state rides the
-same hot path when enabled.
+same hot path when enabled, and every controller logs each RFM into
+its :class:`RfmLog` (one per TB-Window under TPRAC, busy or idle).
 
 The rule pins specific (module, class) pairs rather than guessing at
 "hotness" from heuristics: extending it is one entry in
@@ -23,6 +24,7 @@ from tools.repro_lints.base import Module, Rule, Violation, register
 #: module path -> class names that must declare ``__slots__``.
 SLOTTED_CLASSES: Dict[str, Tuple[str, ...]] = {
     "src/repro/controller/request.py": ("MemRequest",),
+    "src/repro/controller/stats.py": ("RfmLog",),
     "src/repro/dram/sanitizer.py": ("_BankState",),
 }
 
